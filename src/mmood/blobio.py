@@ -77,19 +77,29 @@ def read_tensor_store(manifest_path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise FormatError(f"blobio: bad manifest header in {manifest_path}") from exc
-    if header.get("format") != "tensor-store":
+    if not isinstance(header, dict) or header.get("format") != "tensor-store":
         raise FormatError(f"blobio: {manifest_path} is not a tensor store")
     blob_path = manifest_path.with_suffix(".blob")
     if not blob_path.exists():
         raise FormatError(f"blobio: missing blob file {blob_path}")
     buf = blob_path.read_bytes()
     tensors = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        entry = json.loads(line)
-        tensors[entry["name"]] = array_from_bytes(
-            buf, entry["offset"], tuple(entry["shape"]), entry["dtype"],
-            context=f"tensor {entry['name']!r}",
-        )
+        try:
+            entry = json.loads(line)
+            name, dtype = entry["name"], entry["dtype"]
+            offset, shape = int(entry["offset"]), tuple(entry["shape"])
+            duplicate = name in tensors
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(
+                f"blobio: {manifest_path} line {lineno}: malformed tensor "
+                f"entry ({type(exc).__name__}: {exc})"
+            ) from exc
+        if duplicate:
+            raise FormatError(f"blobio: {manifest_path} line {lineno}: "
+                              f"duplicate tensor {name!r}")
+        tensors[name] = array_from_bytes(buf, offset, shape, dtype,
+                                         context=f"tensor {name!r}")
     return header.get("meta", {}), tensors

@@ -27,14 +27,7 @@ from .numerics import component_rng
 from .scoring import apply_scorer, fit_scorer, normalize_scores
 from .train import ABLATION_VARIANTS, train, variant_config
 
-ABLATION_SLUGS = {
-    "full": "Full",
-    "add": "Fusion (Add)",
-    "concat": "Fusion (Concat)",
-    "no_contrast": "w / o Contrast",
-    "no_cosine": "w / o Cosine",
-    "no_binary": "w / o Binary",
-}
+ABLATION_SLUGS = {slug: name for name, (slug, _) in ABLATION_VARIANTS.items()}
 
 ABLATION_METRICS = ("acc", "wf1", "auroc", "aupr_in", "aupr_out", "fpr95", "der")
 
@@ -50,6 +43,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _mean_std(values) -> tuple[float, float]:
+    """Population mean and standard deviation over seeds."""
+    mean = sum(values) / len(values)
+    std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+    return float(mean), float(std)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -137,13 +137,9 @@ def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
     summary_rows = []
     for key in keys:
         values = [row[key] for row in rows
-                  if isinstance(row.get(key), (int, float))
-                  and row.get(key) is not None]
-        if not values:
-            continue
-        mean = sum(values) / len(values)
-        std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-        summary_rows.append([key, float(mean), float(std)])
+                  if isinstance(row.get(key), (int, float))]
+        if values:
+            summary_rows.append([key, *_mean_std(values)])
     _write_csv(out_dir / "results_summary.csv", ["metric", "mean", "std"],
                summary_rows)
     return rows
@@ -235,9 +231,7 @@ def run_ablation(corpus: Corpus, cfg: RunConfig, variants: list[str],
         values = [r for r in rows if r["variant"] == variant]
         aggregate[variant] = {}
         for key in metric_keys:
-            per_seed = [r[key] for r in values]
-            mean = sum(per_seed) / len(per_seed)
-            std = math.sqrt(sum((v - mean) ** 2 for v in per_seed) / len(per_seed))
+            mean, std = _mean_std([r[key] for r in values])
             aggregate[variant][key] = {"mean": mean, "std": std}
     _write_csv(out_dir / "aggregate.csv", ["variant", "metric", "mean", "std"], [
         [variant, key, aggregate[variant][key]["mean"],

@@ -168,15 +168,20 @@ def load_corpus(manifest_path) -> Corpus:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise FormatError(f"corpus: malformed manifest header") from exc
-    if header.get("format") != "corpus":
+    if not isinstance(header, dict) or header.get("format") != "corpus":
         raise FormatError(f"corpus: {manifest_path} is not a corpus manifest")
 
     shapes = {}
     blob_files = {}
-    for m, spec in header["modalities"].items():
-        shapes[m] = (int(spec["seq_len"]), int(spec["dim"]))
-        blob_files[m] = spec["blob"]
-    meta = CorpusMeta(num_classes=int(header["num_classes"]), shapes=shapes)
+    try:
+        for m, spec in header["modalities"].items():
+            shapes[m] = (int(spec["seq_len"]), int(spec["dim"]))
+            blob_files[m] = spec["blob"]
+        num_classes = int(header["num_classes"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"corpus: {manifest_path} line 1: malformed header "
+                          f"({type(exc).__name__}: {exc})") from exc
+    meta = CorpusMeta(num_classes=num_classes, shapes=shapes)
 
     buffers = {}
     for m in MODALITIES:
@@ -186,21 +191,35 @@ def load_corpus(manifest_path) -> Corpus:
         buffers[m] = path.read_bytes()
 
     records = []
-    for line in lines[1:]:
+    seen = set()
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        entry = json.loads(line)
-        rec_id = entry.get("id", "<unnamed>")
-        raw_label = entry["label"]
-        label = OOD_LABEL if raw_label == OOD_SENTINEL else int(raw_label)
+        rec_id = "<unparsed>"
+        try:
+            entry = json.loads(line)
+            rec_id = entry.get("id", "<unnamed>")
+            raw_label = entry["label"]
+            label = OOD_LABEL if raw_label == OOD_SENTINEL else int(raw_label)
+            offsets = {m: int(entry["offsets"][m]) for m in MODALITIES}
+            split = entry["split"]
+            duplicate = rec_id in seen
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FormatError(
+                f"corpus: {manifest_path} line {lineno}: malformed record "
+                f"{rec_id!r} ({type(exc).__name__}: {exc})"
+            ) from exc
+        if duplicate:
+            raise FormatError(f"corpus: {manifest_path} line {lineno}: "
+                              f"duplicate record id {rec_id!r}")
+        seen.add(rec_id)
         seqs = {}
         for m in MODALITIES:
             seqs[m] = array_from_bytes(
-                buffers[m], int(entry["offsets"][m]), shapes[m], "<f4",
+                buffers[m], offsets[m], shapes[m], "<f4",
                 context=f"record {rec_id!r} modality {m}",
             )
-        rec = UtteranceRecord(id=rec_id, split=entry["split"], label=label,
-                              seqs=seqs)
+        rec = UtteranceRecord(id=rec_id, split=split, label=label, seqs=seqs)
         _validate_record(rec, meta)
         records.append(rec)
     return Corpus(meta=meta, records=records)

@@ -1,8 +1,10 @@
 """ID classification metrics and threshold-sweep OOD detection metrics.
 
-Score convention throughout: larger score means more ID-like. Threshold
-sweeps group tied scores, so every metric here is invariant under strictly
-monotone transformations of the scores.
+Score convention throughout: larger score means more ID-like. Every
+threshold metric reads its curve from one sweep: a single O(n log n) sort
+that groups tied scores, then cumulative ID/OOD counts per group (Fawcett
+2006, Alg. 1-2). Grouping ties makes every metric here invariant under
+strictly monotone transformations of the scores.
 """
 
 from __future__ import annotations
@@ -126,17 +128,23 @@ def _check_two_classes(scores, is_id):
         raise MetricError(
             "metrics: both ID and OOD samples are required for a threshold sweep"
         )
+    if np.isnan(scores).any():
+        raise MetricError("metrics: scores contain NaN")
     return scores, flags
 
 
-def _sweep(scores: Array, flags: Array):
-    """TPR/FPR at each unique threshold, descending (predict ID iff s >= t)."""
-    thresholds = np.unique(scores)[::-1]
-    n_id = int(flags.sum())
-    n_ood = int((~flags).sum())
-    tpr = np.array([(scores[flags] >= t).sum() / n_id for t in thresholds])
-    fpr = np.array([(scores[~flags] >= t).sum() / n_ood for t in thresholds])
-    return thresholds, tpr, fpr
+def _tied_groups(scores: Array, flags: Array):
+    """The one threshold sweep: (ID count, OOD count) per tied-score group.
+
+    One O(n log n) sort (``np.unique``) groups equal scores, returned in
+    descending order, so the cumulative sums of the two counts are the
+    ID/OOD counts with score >= t at each threshold t.
+    """
+    _, group = np.unique(scores, return_inverse=True)
+    n_groups = int(group.max()) + 1
+    id_counts = np.bincount(group[flags], minlength=n_groups)[::-1]
+    ood_counts = np.bincount(group[~flags], minlength=n_groups)[::-1]
+    return id_counts, ood_counts
 
 
 def roc_auroc(scores, is_id):
@@ -148,24 +156,12 @@ def roc_auroc(scores, is_id):
     Mann-Whitney statistic bit-for-bit.
     """
     scores, flags = _check_two_classes(scores, is_id)
-    n_id = int(flags.sum())
-    n_ood = int((~flags).sum())
-    thresholds = np.unique(scores)[::-1]
-    numerator = 0
-    cum_id = 0
-    fpr_pts, tpr_pts = [0.0], [0.0]
-    cum_ood = 0
-    for t in thresholds:
-        in_group = scores == t
-        a = int((in_group & flags).sum())
-        b = int((in_group & ~flags).sum())
-        numerator += b * (2 * cum_id + a)
-        cum_id += a
-        cum_ood += b
-        tpr_pts.append(cum_id / n_id)
-        fpr_pts.append(cum_ood / n_ood)
-    auroc = numerator / (2 * n_id * n_ood)
-    return list(zip(fpr_pts, tpr_pts)), auroc
+    a, b = _tied_groups(scores, flags)
+    cum_id, cum_ood = np.cumsum(a), np.cumsum(b)
+    n_id, n_ood = int(cum_id[-1]), int(cum_ood[-1])
+    numerator = int(np.sum(b * (2 * cum_id - a)))
+    points = list(zip((cum_ood / n_ood).tolist(), (cum_id / n_id).tolist()))
+    return [(0.0, 0.0)] + points, numerator / (2 * n_id * n_ood)
 
 
 def aupr(scores, is_id, positive: str = "ID") -> float:
@@ -178,25 +174,14 @@ def aupr(scores, is_id, positive: str = "ID") -> float:
     if positive not in ("ID", "OOD"):
         raise ParameterError(f"metrics: positive must be 'ID' or 'OOD', "
                              f"got {positive!r}")
-    if positive == "ID":
-        pos = flags
-        thresholds = np.unique(scores)[::-1]
-        hit = lambda t: scores >= t
-    else:
-        pos = ~flags
-        thresholds = np.unique(scores)
-        hit = lambda t: scores <= t
-    n_pos = int(pos.sum())
-    area = 0.0
-    prev_recall = 0.0
-    for t in thresholds:
-        sel = hit(t)
-        tp = int((sel & pos).sum())
-        recall = tp / n_pos
-        precision = tp / int(sel.sum())
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-    return float(area)
+    pos, neg = _tied_groups(scores, flags)
+    if positive == "OOD":  # ascending sweep with the roles swapped
+        pos, neg = neg[::-1], pos[::-1]
+    tp = np.cumsum(pos)
+    recall = tp / tp[-1]
+    precision = tp / (tp + np.cumsum(neg))
+    # steps summed left to right in sweep order (cumsum, not pairwise sum)
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def fpr95_der(scores, is_id, tpr_floor: float = 0.95):
@@ -212,7 +197,9 @@ def fpr95_der(scores, is_id, tpr_floor: float = 0.95):
             "metrics: fewer than 20 ID samples; TPR granularity is coarser "
             "than 5%", stacklevel=2,
         )
-    _, tpr, fpr = _sweep(scores, flags)
+    a, b = _tied_groups(scores, flags)
+    cum_id, cum_ood = np.cumsum(a), np.cumsum(b)
+    tpr, fpr = cum_id / cum_id[-1], cum_ood / cum_ood[-1]
     idx = int(np.argmax(tpr >= tpr_floor))  # first (largest) qualifying threshold
     fpr95 = float(fpr[idx])
     der = float(0.5 * (1.0 - tpr[idx]) + 0.5 * fpr[idx])

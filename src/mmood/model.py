@@ -140,17 +140,21 @@ class FusionModel:
 
     # -- parameter bookkeeping ----------------------------------------------
 
+    def _params(self, stage: int | None = None) -> list[Param]:
+        """Parameters in checkpoint and optimizer-state order; ``stage``
+        keeps only the components that training stage updates."""
+        table = [(self.encoders[m], (1, 2)) for m in MODALITIES] + [
+            (self.fusion, (1, 2)),
+            (self.binary_head, (1,)),
+            (self.class_head, (2,)),
+            (self.contrast_head, (2,)),
+        ]
+        return [p for c, stages in table
+                if c is not None and (stage is None or stage in stages)
+                for p in c.params()]
+
     def params(self) -> list[Param]:
-        out = []
-        for m in MODALITIES:
-            out += self.encoders[m].params()
-        out += self.fusion.params()
-        if self.binary_head is not None:
-            out += self.binary_head.params()
-        out += self.class_head.params()
-        if self.contrast_head is not None:
-            out += self.contrast_head.params()
-        return out
+        return self._params()
 
     def named_params(self) -> dict[str, Param]:
         named = {}
@@ -161,20 +165,7 @@ class FusionModel:
         return named
 
     def stage1_params(self) -> list[Param]:
-        out = []
-        for m in MODALITIES:
-            out += self.encoders[m].params()
-        out += self.fusion.params()
-        if self.binary_head is not None:
-            out += self.binary_head.params()
-        return out
+        return self._params(1)
 
     def stage2_params(self) -> list[Param]:
-        out = []
-        for m in MODALITIES:
-            out += self.encoders[m].params()
-        out += self.fusion.params()
-        out += self.class_head.params()
-        if self.contrast_head is not None:
-            out += self.contrast_head.params()
-        return out
+        return self._params(2)

@@ -2,7 +2,8 @@
 
 All scorers share one orientation: larger score means more ID-like, so
 distances and residual norms enter negated. Fit once on training features
-(and logits where needed), then score test samples.
+(and logits where needed), then score test samples. Scorers take batches
+only: (N, D) features and (N, K) logits in, (N,) scores out.
 """
 
 from __future__ import annotations
@@ -71,40 +72,28 @@ def fit_class_stats(features: Array, labels, num_classes: int,
                       precisions=precisions)
 
 
-def score_mahalanobis(z: Array, stats: ClassStats) -> Array | float:
-    """Negated minimum class-conditional quadratic-form distance."""
+def score_mahalanobis(z: Array, stats: ClassStats) -> Array:
+    """Negated minimum class-conditional quadratic-form distance, per row."""
     z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    zz = z[None, :] if single else z
-    dists = np.empty((zz.shape[0], stats.num_classes))
+    dists = np.empty((z.shape[0], stats.num_classes))
     for k in range(stats.num_classes):
-        delta = zz - stats.means[k]
+        delta = z - stats.means[k]
         dists[:, k] = np.einsum("nd,de,ne->n", delta, stats.precisions[k], delta)
-    score = -dists.min(axis=1)
-    return float(score[0]) if single else score
+    return -dists.min(axis=1)
 
 
-def score_energy(logits: Array) -> Array | float:
+def score_energy(logits: Array) -> Array:
     logits = np.asarray(logits, dtype=np.float64)
-    single = logits.ndim == 1
-    ll = logits[None, :] if single else logits
-    m = ll.max(axis=1, keepdims=True)
-    out = (m + np.log(np.exp(ll - m).sum(axis=1, keepdims=True)))[:, 0]
-    return float(out[0]) if single else out
+    m = logits.max(axis=1, keepdims=True)
+    return (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))[:, 0]
 
 
-def score_msp(logits: Array) -> Array | float:
-    logits = np.asarray(logits, dtype=np.float64)
-    single = logits.ndim == 1
-    out = softmax(logits[None, :] if single else logits, axis=-1).max(axis=-1)
-    return float(out[0]) if single else out
+def score_msp(logits: Array) -> Array:
+    return softmax(np.asarray(logits, dtype=np.float64), axis=-1).max(axis=-1)
 
 
-def score_maxlogit(logits: Array) -> Array | float:
-    logits = np.asarray(logits, dtype=np.float64)
-    single = logits.ndim == 1
-    out = (logits[None, :] if single else logits).max(axis=-1)
-    return float(out[0]) if single else out
+def score_maxlogit(logits: Array) -> Array:
+    return np.asarray(logits, dtype=np.float64).max(axis=-1)
 
 
 @dataclass
@@ -142,20 +131,15 @@ def fit_residual(features: Array, num_components: int) -> ResidualState:
     return ResidualState(mean=mean, basis=basis, degenerate=degenerate)
 
 
-def residual_magnitude(z: Array, state: ResidualState) -> Array | float:
-    """Norm of the component orthogonal to the principal subspace."""
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    zz = z[None, :] if single else z
-    centered = _normalize_rows(zz) - state.mean
+def residual_magnitude(z: Array, state: ResidualState) -> Array:
+    """Norm of each row's component orthogonal to the principal subspace."""
+    centered = _normalize_rows(np.asarray(z, dtype=np.float64)) - state.mean
     proj = centered @ state.basis @ state.basis.T
-    out = np.linalg.norm(centered - proj, axis=1)
-    return float(out[0]) if single else out
+    return np.linalg.norm(centered - proj, axis=1)
 
 
-def score_residual(z: Array, state: ResidualState) -> Array | float:
-    mag = residual_magnitude(z, state)
-    return -mag
+def score_residual(z: Array, state: ResidualState) -> Array:
+    return -residual_magnitude(z, state)
 
 
 @dataclass
@@ -178,18 +162,13 @@ def fit_vim(features: Array, logits: Array, residual: ResidualState) -> VimState
     return VimState(residual=residual, alpha=alpha)
 
 
-def score_vim(z: Array, logits: Array, state: VimState) -> Array | float:
+def score_vim(z: Array, logits: Array, state: VimState) -> Array:
     """Append the scaled residual as a virtual logit; score is the negated
     softmax mass it receives."""
-    z = np.asarray(z, dtype=np.float64)
     logits = np.asarray(logits, dtype=np.float64)
-    single = z.ndim == 1
-    zz = z[None, :] if single else z
-    ll = logits[None, :] if single else logits
-    virtual = state.alpha * np.atleast_1d(residual_magnitude(zz, state.residual))
-    full = np.concatenate([ll, virtual[:, None]], axis=1)
-    out = -softmax(full, axis=-1)[:, -1]
-    return float(out[0]) if single else out
+    virtual = state.alpha * residual_magnitude(z, state.residual)
+    full = np.concatenate([logits, virtual[:, None]], axis=1)
+    return -softmax(full, axis=-1)[:, -1]
 
 
 def normalize_scores(scores) -> Array:
@@ -233,15 +212,15 @@ def fit_scorer(variant: str, train_features: Array, train_logits: Array,
 
 def apply_scorer(state: ScorerState, features: Array, logits: Array) -> Array:
     if state.variant == "mahalanobis":
-        return np.atleast_1d(score_mahalanobis(features, state.class_stats))
+        return score_mahalanobis(features, state.class_stats)
     if state.variant == "energy":
-        return np.atleast_1d(score_energy(logits))
+        return score_energy(logits)
     if state.variant == "msp":
-        return np.atleast_1d(score_msp(logits))
+        return score_msp(logits)
     if state.variant == "maxlogit":
-        return np.atleast_1d(score_maxlogit(logits))
+        return score_maxlogit(logits)
     if state.variant == "residual":
-        return np.atleast_1d(score_residual(features, state.residual))
+        return score_residual(features, state.residual)
     if state.variant == "vim":
-        return np.atleast_1d(score_vim(features, logits, state.vim))
+        return score_vim(features, logits, state.vim)
     raise ParameterError(f"scoring: unknown scorer {state.variant!r}")

@@ -287,13 +287,14 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
     )
 
 
+# display name -> (CLI slug, ModelHyper overrides)
 ABLATION_VARIANTS = {
-    "Full": {},
-    "Fusion (Add)": {"fusion_mode": "add"},
-    "Fusion (Concat)": {"fusion_mode": "concat"},
-    "w / o Contrast": {"no_contrast": True},
-    "w / o Cosine": {"no_cosine": True},
-    "w / o Binary": {"no_binary": True},
+    "Full": ("full", {}),
+    "Fusion (Add)": ("add", {"fusion_mode": "add"}),
+    "Fusion (Concat)": ("concat", {"fusion_mode": "concat"}),
+    "w / o Contrast": ("no_contrast", {"no_contrast": True}),
+    "w / o Cosine": ("no_cosine", {"no_cosine": True}),
+    "w / o Binary": ("no_binary", {"no_binary": True}),
 }
 
 
@@ -304,4 +305,5 @@ def variant_config(cfg: TrainConfig, variant: str) -> TrainConfig:
             f"train: unknown ablation variant {variant!r}; "
             f"expected one of {sorted(ABLATION_VARIANTS)}"
         )
-    return replace(cfg, model=replace(cfg.model, **ABLATION_VARIANTS[variant]))
+    _, overrides = ABLATION_VARIANTS[variant]
+    return replace(cfg, model=replace(cfg.model, **overrides))

@@ -189,8 +189,8 @@ def test_c2_oracle_equivalence():
             z = rng.normal(size=dim)
             expected = mahalanobis_loop_oracle(z, stats.means, stats.covs,
                                                stats.eps)
-            assert score_mahalanobis(z, stats) == pytest.approx(expected,
-                                                                abs=1e-8)
+            assert score_mahalanobis(z[None], stats)[0] == pytest.approx(
+                expected, abs=1e-8)
 
         for i in range(100):  # AUROC: exact pair-count agreement
             n = int(rng.integers(4, 51))

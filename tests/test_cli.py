@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -295,6 +296,61 @@ class TestCheckpointErrors:
         (out / "checkpoint.blob").unlink()
         with pytest.raises(FormatError, match="blob"):
             load_checkpoint(out)
+
+
+def _corrupt_entry(path, corruption):
+    """Break the second entry (line 3) of a manifest in one named way."""
+    lines = path.read_text().splitlines()
+    if corruption == "truncated":
+        lines[2] = lines[2][:-5]
+    else:
+        entry = json.loads(lines[2])
+        if corruption == "duplicate":
+            key = "id" if "id" in entry else "name"
+            entry[key] = json.loads(lines[1])[key]
+        else:
+            del entry[corruption]
+        lines[2] = json.dumps(entry, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestMalformedManifests:
+    @pytest.mark.parametrize("corruption, message", [
+        ("truncated", "line 3"),
+        ("label", "line 3.*'label'"),
+        ("duplicate", "line 3.*duplicate record id"),
+    ])
+    def test_train_exits_1_with_error(self, micro, capsys, corruption,
+                                      message):
+        _corrupt_entry(micro["corpus"] / "manifest.jsonl", corruption)
+        code = main(["train", "--config", str(micro["cfg"]), "--corpus",
+                     str(micro["corpus"]), "--out", str(micro["tmp"] / "r")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: corpus: ")
+        assert re.search(message, err)
+        assert not (micro["tmp"] / "r" / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("corruption, message", [
+        ("truncated", "line 3"),
+        ("offset", "line 3.*'offset'"),
+        ("duplicate", "line 3.*duplicate tensor"),
+    ])
+    def test_eval_exits_1_with_error(self, micro, capsys, corruption,
+                                     message):
+        run = micro["tmp"] / "run"
+        assert main(["train", "--config", str(micro["cfg"]), "--corpus",
+                     str(micro["corpus"]), "--out", str(run),
+                     "--seed", "0"]) == 0
+        _corrupt_entry(run / "checkpoint.json", corruption)
+        capsys.readouterr()
+        code = main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                     str(run), "--corpus", str(micro["corpus"]),
+                     "--out", str(micro["tmp"] / "e")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: blobio: ")
+        assert re.search(message, err)
 
 
 class TestOutDirFallback:

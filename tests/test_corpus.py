@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mmood.blobio import read_tensor_store, write_tensor_store
 from mmood.corpus import (
     MODALITIES,
     OOD_LABEL,
@@ -159,6 +160,111 @@ class TestLoadErrors:
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="dev"):
             load_corpus(manifest)
+
+
+def _rewrite_line(manifest, index, edit):
+    """Replace manifest line ``index`` (0-based) with ``edit(line)``."""
+    lines = manifest.read_text().splitlines()
+    lines[index] = edit(lines[index])
+    manifest.write_text("\n".join(lines) + "\n")
+
+
+def _edit_json(edit):
+    def apply(line):
+        entry = json.loads(line)
+        edit(entry)
+        return json.dumps(entry, sort_keys=True)
+    return apply
+
+
+class TestMalformedManifest:
+    def _saved(self, tmp_path):
+        corpus = synth_corpus(tiny_cfg(), make_rng(8))
+        return save_corpus(corpus, tmp_path / "c")
+
+    def test_truncated_record_line(self, tmp_path):
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 2, lambda line: line[: len(line) // 2])
+        with pytest.raises(FormatError, match="line 3"):
+            load_corpus(manifest)
+
+    @pytest.mark.parametrize("key", ["label", "offsets", "split"])
+    def test_record_missing_key_names_line_and_id(self, tmp_path, key):
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 2, _edit_json(lambda e: e.pop(key)))
+        with pytest.raises(FormatError, match=r"line 3.*train-00001.*" + key):
+            load_corpus(manifest)
+
+    def test_record_missing_modality_offset(self, tmp_path):
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 1, _edit_json(lambda e: e["offsets"].pop("A")))
+        with pytest.raises(FormatError, match="line 2.*train-00000"):
+            load_corpus(manifest)
+
+    def test_record_line_not_an_object(self, tmp_path):
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 1, lambda line: "[1, 2]")
+        with pytest.raises(FormatError, match="line 2"):
+            load_corpus(manifest)
+
+    def test_duplicate_record_id(self, tmp_path):
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 2, _edit_json(
+            lambda e: e.update(id="train-00000")))
+        with pytest.raises(FormatError,
+                           match="line 3.*duplicate record id 'train-00000'"):
+            load_corpus(manifest)
+
+    def test_header_not_an_object(self, tmp_path):
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 0, lambda line: "[]")
+        with pytest.raises(FormatError, match="not a corpus manifest"):
+            load_corpus(manifest)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("modalities"),
+        lambda h: h.pop("num_classes"),
+        lambda h: h["modalities"]["V"].pop("seq_len"),
+        lambda h: h["modalities"]["T"].pop("dim"),
+        lambda h: h["modalities"]["A"].pop("blob"),
+        lambda h: h["modalities"]["T"].update(dim="wide"),
+    ])
+    def test_malformed_header(self, tmp_path, edit):
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 0, _edit_json(edit))
+        with pytest.raises(FormatError, match="line 1: malformed header"):
+            load_corpus(manifest)
+
+
+class TestMalformedTensorStore:
+    def _saved(self, tmp_path):
+        tensors = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)}
+        return write_tensor_store(tmp_path, "store", tensors, {"k": 1})
+
+    def test_header_not_an_object(self, tmp_path):
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 0, lambda line: "[]")
+        with pytest.raises(FormatError, match="not a tensor store"):
+            read_tensor_store(manifest)
+
+    def test_truncated_entry_line(self, tmp_path):
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 2, lambda line: line[:-5])
+        with pytest.raises(FormatError, match="line 3"):
+            read_tensor_store(manifest)
+
+    @pytest.mark.parametrize("key", ["name", "offset", "shape", "dtype"])
+    def test_entry_missing_key(self, tmp_path, key):
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 1, _edit_json(lambda e: e.pop(key)))
+        with pytest.raises(FormatError, match="line 2.*" + key):
+            read_tensor_store(manifest)
+
+    def test_duplicate_tensor_name(self, tmp_path):
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 2, _edit_json(lambda e: e.update(name="a")))
+        with pytest.raises(FormatError, match="line 3.*duplicate tensor 'a'"):
+            read_tensor_store(manifest)
 
 
 class TestBatches:

@@ -271,3 +271,48 @@ class TestOodMetricsBundle:
             perm = rng.permutation(len(scores))
             b = ood_metrics(scores[perm], flags[perm])
         assert a == b
+
+
+class TestBitIdentity:
+    """Exact (``==``) agreement with the oracles at realistic sizes.
+
+    ``metrics.csv`` writes every metric with ``repr``, so the last bits are
+    part of the output; tie-heavy and float32-rounded scores exercise the
+    grouped sweep.
+    """
+
+    @staticmethod
+    def cases():
+        rng = make_rng(7)
+        for n in (300, 2000):
+            for kind in ("ties", "coarse", "float32"):
+                raw = rng.normal(size=n)
+                if kind == "ties":
+                    scores = np.round(raw, 1)
+                elif kind == "coarse":
+                    scores = rng.integers(0, 12, size=n).astype(float)
+                else:
+                    scores = raw.astype(np.float32).astype(np.float64)
+                flags = rng.random(n) < rng.uniform(0.2, 0.8)
+                yield scores + 0.5 * flags, flags
+
+    def test_aupr_equals_enumeration_oracle(self):
+        for scores, flags in self.cases():
+            for positive in ("ID", "OOD"):
+                assert aupr(scores, flags, positive) == \
+                    aupr_enumeration_oracle(scores, flags, positive)
+
+    def test_fpr95_der_equals_scan_oracle(self):
+        for scores, flags in self.cases():
+            assert fpr95_der(scores, flags) == fpr95_scan_oracle(scores, flags)
+
+    def test_ood_metrics_permutation_invariant(self):
+        rng = make_rng(8)
+        for scores, flags in self.cases():
+            perm = rng.permutation(len(scores))
+            assert ood_metrics(scores, flags) == \
+                ood_metrics(scores[perm], flags[perm])
+
+    def test_nan_scores_rejected(self):
+        with pytest.raises(MetricError, match="NaN"):
+            ood_metrics([0.5, float("nan"), 0.1], [True, True, False])

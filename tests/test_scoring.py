@@ -70,7 +70,7 @@ class TestMahalanobis:
         feats, labels = gaussian_features(rng, 60, 4, 3)
         stats = fit_class_stats(feats, labels, 3)
         for k in range(3):
-            assert abs(score_mahalanobis(stats.means[k], stats)) <= 1e-8
+            assert abs(score_mahalanobis(stats.means[k][None], stats)[0]) <= 1e-8
 
     def test_identity_covariance_distance(self):
         # exact identity covariances: distance is the squared Euclidean norm
@@ -84,7 +84,7 @@ class TestMahalanobis:
             precisions=np.stack([np.eye(2) / (1 + eps)] * 2),
         )
         z = means[0] + np.array([2.0, 0.0])
-        assert score_mahalanobis(z, stats) == pytest.approx(-4.0, abs=1e-5)
+        assert score_mahalanobis(z[None], stats)[0] == pytest.approx(-4.0, abs=1e-5)
 
     def test_matches_dense_loop_oracle(self):
         rng = make_rng(3)
@@ -99,7 +99,7 @@ class TestMahalanobis:
                 cov = stats.covs[k] + stats.eps[k] * np.eye(dim)
                 delta = z - stats.means[k]
                 dists.append(float(delta @ np.linalg.inv(cov) @ delta))
-            assert score_mahalanobis(z, stats) == pytest.approx(
+            assert score_mahalanobis(z[None], stats)[0] == pytest.approx(
                 -min(dists), abs=1e-8)
 
     def test_score_is_nonpositive(self):
@@ -112,18 +112,18 @@ class TestMahalanobis:
 
 class TestLogitScores:
     def test_msp_uniform(self):
-        assert score_msp(np.zeros(4)) == pytest.approx(0.25, abs=1e-15)
+        assert score_msp(np.zeros(4)[None])[0] == pytest.approx(0.25, abs=1e-15)
 
     def test_maxlogit_and_energy_bounds(self):
         logits = np.array([16.0, 0.0, 0.0])
-        assert score_maxlogit(logits) == 16.0
-        energy = score_energy(logits)
+        assert score_maxlogit(logits[None])[0] == 16.0
+        energy = score_energy(logits[None])[0]
         assert 16.0 < energy < 16.0 + math.log(3.0)
 
     def test_msp_closed_form(self):
         logits = np.array([2.0, 1.0, 0.0])
         expected = math.exp(2) / (math.exp(2) + math.exp(1) + 1.0)
-        assert score_msp(logits) == pytest.approx(expected, abs=1e-14)
+        assert score_msp(logits[None])[0] == pytest.approx(expected, abs=1e-14)
 
     def test_energy_is_logsumexp(self):
         rng = make_rng(5)
@@ -145,7 +145,7 @@ class TestResidual:
         mean = norm_feats.mean(axis=0)
         # a vector whose normalization equals the mean direction scores ~ -|mean_perp|
         z = state.mean
-        mag = residual_magnitude(z / np.linalg.norm(z), state)
+        mag = residual_magnitude((z / np.linalg.norm(z))[None], state)[0]
         centered = state.mean / np.linalg.norm(state.mean) - state.mean
         proj = state.basis @ (state.basis.T @ centered)
         assert mag == pytest.approx(float(np.linalg.norm(centered - proj)),
@@ -163,7 +163,7 @@ class TestResidual:
         t = -md + math.sqrt(md * md + (1.0 - m2))
         v = state.mean + t * d
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-        assert residual_magnitude(v, state) <= 1e-8
+        assert residual_magnitude(v[None], state)[0] <= 1e-8
 
     def test_matches_dense_eig_oracle(self):
         rng = make_rng(8)
@@ -181,15 +181,15 @@ class TestResidual:
             z_n = z / np.linalg.norm(z)
             c = z_n - norm.mean(axis=0)
             expected = np.linalg.norm(c - q @ (q.T @ c))
-            assert residual_magnitude(z, state) == pytest.approx(expected,
-                                                                 abs=1e-8)
+            assert residual_magnitude(z[None], state)[0] == pytest.approx(
+                expected, abs=1e-8)
 
     def test_scale_invariance(self):
         rng = make_rng(9)
         feats, state = self._fitted(rng)
         z = rng.normal(size=5)
-        assert score_residual(z, state) == pytest.approx(
-            score_residual(17.0 * z, state), abs=1e-12)
+        assert score_residual(z[None], state)[0] == pytest.approx(
+            score_residual((17.0 * z)[None], state)[0], abs=1e-12)
 
     def test_degenerate_subspace_warns(self):
         rng = make_rng(10)
@@ -197,7 +197,7 @@ class TestResidual:
         with pytest.warns(UserWarning, match="identically zero"):
             state = fit_residual(feats, 3)
         assert state.degenerate
-        assert residual_magnitude(rng.normal(size=3), state) <= 1e-10
+        assert residual_magnitude(rng.normal(size=3)[None], state)[0] <= 1e-10
 
 
 class TestVim:
@@ -217,10 +217,10 @@ class TestVim:
         state = fit_residual(feats, 2)
         vim = fit_vim(feats, np.tile([2.0, 1.0], (30, 1)), state)
         z = rng.normal(size=4)
-        v = vim.alpha * residual_magnitude(z, state)
+        v = vim.alpha * residual_magnitude(z[None], state)[0]
         expected = -math.exp(v) / (math.exp(2) + math.exp(1) + math.exp(v))
-        assert score_vim(z, np.array([2.0, 1.0]), vim) == pytest.approx(
-            expected, abs=1e-12)
+        assert score_vim(z[None], np.array([2.0, 1.0])[None], vim)[0] \
+            == pytest.approx(expected, abs=1e-12)
 
     def test_zero_residual_gives_zero_virtual_logit(self):
         rng = make_rng(13)
@@ -240,11 +240,12 @@ class TestVim:
         # exactly at mean + span(B): virtual logit 0 among the real logits
         logits = np.array([1.0, 2.0, 0.5])
         z = state.mean
-        mag = residual_magnitude(z, state)
+        mag = residual_magnitude(z[None], state)[0]
         v = vim.alpha * mag
         probs = np.exp(np.append(logits, v))
         expected = -(probs[-1] / probs.sum())
-        assert score_vim(z, logits, vim) == pytest.approx(expected, abs=1e-12)
+        assert score_vim(z[None], logits[None], vim)[0] == pytest.approx(
+            expected, abs=1e-12)
 
 
 class TestNormalize:
