@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
-from .corpus import Corpus, load_corpus, save_corpus, synth_corpus
+from .corpus import MODALITIES, Corpus, load_corpus, save_corpus, synth_corpus
 from .errors import ParameterError, PipelineError
 from .metrics import EvalReport, id_metrics, ood_metrics
 from .model import SLOT_SYNTH
@@ -63,7 +63,13 @@ def _write_json(path: Path, payload) -> None:
 def run_synth(cfg: RunConfig, out_dir, seed: int) -> Path:
     corpus = synth_corpus(cfg.synth, component_rng(seed, SLOT_SYNTH))
     manifest = save_corpus(corpus, out_dir)
-    load_corpus(manifest)  # verification pass
+    loaded = load_corpus(manifest)  # verification pass: an exact round trip
+    same = all(np.array_equal(getattr(loaded, c), getattr(corpus, c))
+               for c in ("ids", "splits", "labels")) and \
+        all(np.array_equal(loaded.seqs[m], corpus.seqs[m]) for m in MODALITIES)
+    if not same:
+        raise PipelineError(f"cli: corpus {manifest} does not reload to the "
+                            "synthesized corpus")
     return manifest
 
 
@@ -72,21 +78,19 @@ def run_synth(cfg: RunConfig, out_dir, seed: int) -> Path:
 
 def _test_mahalanobis_row(trained, corpus: Corpus) -> dict:
     test = corpus.split("test")
-    if not test:
+    if len(test) == 0:
         return {}
-    test_id = [r for r in test if not r.is_ood]
+    flags = ~test.is_ood
     feats = trained.model.features_for(test)
     logits = trained.model.logits_for(feats)
-    id_idx = [i for i, r in enumerate(test) if not r.is_ood]
-    preds = logits[id_idx].argmax(axis=1)
-    idm = id_metrics(preds, [r.label for r in test_id], corpus.num_classes)
+    preds = logits[flags].argmax(axis=1)
+    idm = id_metrics(preds, test.labels[flags], corpus.num_classes)
     row = {"acc": idm.acc, "wf1": idm.wf1}
-    if any(r.is_ood for r in test):
+    if not flags.all():
         state = fit_scorer("mahalanobis", trained.train_features,
                            trained.train_logits, trained.class_stats,
                            corpus.num_classes)
         scores = apply_scorer(state, feats, logits)
-        flags = np.array([not r.is_ood for r in test])
         row.update(ood_metrics(scores, flags).as_dict())
     return row
 
@@ -155,17 +159,13 @@ def run_eval(checkpoint_dir, corpus: Corpus, scorers: list[str],
     model, stats, train_feats, train_logits, _ = load_checkpoint(checkpoint_dir)
 
     test = corpus.split("test")
-    if not test:
+    if len(test) == 0:
         raise ParameterError("cli: corpus has no test records to evaluate")
     feats = model.features_for(test)
     logits = model.logits_for(feats)
-    flags = np.array([not r.is_ood for r in test])
-    id_idx = np.flatnonzero(flags)
-    idm = id_metrics(
-        logits[id_idx].argmax(axis=1),
-        [test[i].label for i in id_idx],
-        corpus.num_classes,
-    )
+    flags = ~test.is_ood
+    idm = id_metrics(logits[flags].argmax(axis=1), test.labels[flags],
+                     corpus.num_classes)
 
     report = EvalReport(id_metrics=idm, ood_metrics={}, score_table={})
     for variant in scorers:
@@ -175,9 +175,9 @@ def run_eval(checkpoint_dir, corpus: Corpus, scorers: list[str],
         norm = normalize_scores(scores)
         report.ood_metrics[variant] = ood_metrics(scores, flags)
         rows = [
-            {"id": rec.id, "is_id": bool(flags[i]),
+            {"id": rec_id, "is_id": bool(flags[i]),
              "raw": float(scores[i]), "norm": float(norm[i])}
-            for i, rec in enumerate(test)
+            for i, rec_id in enumerate(test.ids.tolist())
         ]
         report.score_table[variant] = rows
         with open(out_dir / f"scores_{variant}.jsonl", "w",

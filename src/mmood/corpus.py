@@ -9,10 +9,17 @@ Disk layout (one directory per corpus):
     seq_V.blob       chunk per record, concatenated in manifest order
     seq_A.blob
 
+The layout is strict (record i at byte ``i * L*D*4``, a blob of exactly
+``N * L*D*4`` bytes) and every value must be finite.
+
 Labels are class indices 0..K-1; out-of-distribution records carry the
 sentinel string ``__OOD__`` in the manifest (index -1 in memory) and may
 only appear in the test split. Values are stored at 32-bit and promoted
 to 64-bit on load, so a loaded corpus round-trips bit-exactly.
+
+In memory a ``Corpus`` holds ``ids``, ``splits`` and ``labels`` columns
+and one (N, L, D) float64 array per modality, in file order; saving and
+loading validate whole columns and name the first offending record.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blobio import array_from_bytes, array_to_bytes
+from .blobio import array_to_bytes
 from .errors import FormatError, ParameterError
 from .numerics import l2_normalize
 
@@ -33,6 +40,7 @@ OOD_SENTINEL = "__OOD__"
 OOD_LABEL = -1
 
 MANIFEST_NAME = "manifest.jsonl"
+STORAGE = np.dtype("<f4")  # blob precision
 
 
 @dataclass
@@ -56,53 +64,71 @@ class CorpusMeta:
                 )
 
 
-@dataclass
-class UtteranceRecord:
-    id: str
-    split: str
-    label: int  # 0..K-1 or OOD_LABEL
-    seqs: dict[str, np.ndarray]  # modality -> (seq_len, dim) float64
+@dataclass(eq=False)
+class Corpus:
+    """Column store of a corpus: row i of every field is record i.
+
+    Rows keep manifest (file) order.
+    """
+
+    meta: CorpusMeta
+    ids: np.ndarray                # (N,) str
+    splits: np.ndarray             # (N,) str, one of SPLITS
+    labels: np.ndarray             # (N,) int64, 0..K-1 or OOD_LABEL
+    seqs: dict[str, np.ndarray]    # modality -> (N, seq_len, dim) float64
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
     @property
-    def is_ood(self) -> bool:
-        return self.label == OOD_LABEL
-
-
-@dataclass
-class Corpus:
-    meta: CorpusMeta
-    records: list[UtteranceRecord] = field(default_factory=list)
-
-    def split(self, name: str) -> list[UtteranceRecord]:
-        return [r for r in self.records if r.split == name]
+    def is_ood(self) -> np.ndarray:
+        return self.labels == OOD_LABEL
 
     @property
     def num_classes(self) -> int:
         return self.meta.num_classes
 
+    def take(self, idx: np.ndarray) -> Corpus:
+        """A copy of the rows selected by an index array, in that order."""
+        return Corpus(self.meta, self.ids[idx], self.splits[idx],
+                      self.labels[idx], {m: s[idx] for m, s in self.seqs.items()})
 
-def _validate_record(rec: UtteranceRecord, meta: CorpusMeta) -> None:
-    if rec.split not in SPLITS:
-        raise FormatError(f"corpus: record {rec.id!r} has unknown split {rec.split!r}")
-    if rec.is_ood and rec.split != "test":
+    def split(self, name: str) -> Corpus:
+        """The records of one split, in file order."""
+        return self.take(np.flatnonzero(self.splits == name))
+
+
+def _row_bytes(meta: CorpusMeta, m: str) -> int:
+    """Size of one record's chunk in modality m's blob."""
+    length, dim = meta.shapes[m]
+    return length * dim * STORAGE.itemsize
+
+
+def _validate(corpus: Corpus) -> None:
+    """Record invariants over whole columns; errors name the first offender."""
+    ids, splits, labels = corpus.ids, corpus.splits, corpus.labels
+    k = corpus.num_classes
+    ood = labels == OOD_LABEL
+    bad = ~np.isin(splits, SPLITS) | (ood & (splits != "test")) | \
+        (~ood & ((labels < 0) | (labels >= k)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        label = OOD_SENTINEL if ood[i] else int(labels[i])
         raise FormatError(
-            f"corpus: record {rec.id!r} is OOD but in split {rec.split!r}; "
-            "OOD data may only appear in the test split"
-        )
-    if not rec.is_ood and not 0 <= rec.label < meta.num_classes:
-        raise FormatError(
-            f"corpus: record {rec.id!r} has label {rec.label} outside "
-            f"0..{meta.num_classes - 1}"
+            f"corpus: record {str(ids[i])!r} has split {str(splits[i])!r} and "
+            f"label {label!r}; splits are {SPLITS}, labels 0..{k - 1}, and "
+            f"{OOD_SENTINEL} records (OOD) may only appear in the test split"
         )
     for m in MODALITIES:
-        if m not in rec.seqs:
-            raise FormatError(f"corpus: record {rec.id!r} is missing modality {m}")
-        expected = meta.shapes[m]
-        if tuple(rec.seqs[m].shape) != expected:
-            raise FormatError(
-                f"corpus: record {rec.id!r} modality {m} has shape "
-                f"{tuple(rec.seqs[m].shape)}, manifest declares {expected}"
-            )
+        seqs, expected = corpus.seqs[m], (len(ids), *corpus.meta.shapes[m])
+        if seqs.shape != expected:
+            first = f" (first record {str(ids[0])!r})" if len(ids) else ""
+            raise FormatError(f"corpus: modality {m} has shape {seqs.shape}, "
+                              f"manifest declares {expected}{first}")
+        if not np.isfinite(seqs).all():
+            i = int(np.argwhere(~np.isfinite(seqs))[0, 0])
+            raise FormatError(f"corpus: record {str(ids[i])!r} modality {m} "
+                              "holds a non-finite value (NaN or Inf)")
 
 
 def save_corpus(corpus: Corpus, directory) -> Path:
@@ -114,42 +140,37 @@ def save_corpus(corpus: Corpus, directory) -> Path:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for rec in corpus.records:
-        _validate_record(rec, corpus.meta)
-
-    blobs = {m: bytearray() for m in MODALITIES}
-    lines = []
-    for rec in corpus.records:
-        offsets = {}
-        for m in MODALITIES:
-            offsets[m] = len(blobs[m])
-            blobs[m].extend(array_to_bytes(rec.seqs[m], "<f4"))
-        lines.append({
-            "id": rec.id,
-            "split": rec.split,
-            "label": OOD_SENTINEL if rec.is_ood else rec.label,
-            "offsets": offsets,
-        })
-
+    _validate(corpus)
+    meta = corpus.meta
     header = {
         "format": "corpus",
         "version": 1,
-        "num_classes": corpus.meta.num_classes,
+        "num_classes": meta.num_classes,
         "modalities": {
             m: {
-                "seq_len": corpus.meta.shapes[m][0],
-                "dim": corpus.meta.shapes[m][1],
+                "seq_len": meta.shapes[m][0],
+                "dim": meta.shapes[m][1],
                 "blob": f"seq_{m}.blob",
             }
             for m in MODALITIES
         },
     }
     for m in MODALITIES:
-        (directory / f"seq_{m}.blob").write_bytes(bytes(blobs[m]))
+        (directory / f"seq_{m}.blob").write_bytes(
+            array_to_bytes(corpus.seqs[m], STORAGE.str))
+    row_bytes = {m: _row_bytes(meta, m) for m in MODALITIES}
+    columns = zip(corpus.ids.tolist(), corpus.splits.tolist(),
+                  corpus.labels.tolist())
     manifest_path = directory / MANIFEST_NAME
     with open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for line in lines:
+        for row, (rec_id, split, label) in enumerate(columns):
+            line = {
+                "id": rec_id,
+                "split": split,
+                "label": OOD_SENTINEL if label == OOD_LABEL else label,
+                "offsets": {m: row * row_bytes[m] for m in MODALITIES},
+            }
             fh.write(json.dumps(line, sort_keys=True) + "\n")
     return manifest_path
 
@@ -182,6 +203,7 @@ def load_corpus(manifest_path) -> Corpus:
         raise FormatError(f"corpus: {manifest_path} line 1: malformed header "
                           f"({type(exc).__name__}: {exc})") from exc
     meta = CorpusMeta(num_classes=num_classes, shapes=shapes)
+    row_bytes = {m: _row_bytes(meta, m) for m in MODALITIES}
 
     buffers = {}
     for m in MODALITIES:
@@ -190,7 +212,7 @@ def load_corpus(manifest_path) -> Corpus:
             raise FormatError(f"corpus: missing blob {path} for modality {m}")
         buffers[m] = path.read_bytes()
 
-    records = []
+    ids, splits, labels = [], [], []
     seen = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -199,10 +221,16 @@ def load_corpus(manifest_path) -> Corpus:
         try:
             entry = json.loads(line)
             rec_id = entry.get("id", "<unnamed>")
-            raw_label = entry["label"]
-            label = OOD_LABEL if raw_label == OOD_SENTINEL else int(raw_label)
+            label = entry["label"]
+            if label == OOD_SENTINEL:
+                label = OOD_LABEL
+            elif type(label) is not int or not 0 <= label < num_classes:
+                raise ValueError(f"label {label!r} is neither {OOD_SENTINEL} "
+                                 f"nor a class index 0..{num_classes - 1}")
             offsets = {m: int(entry["offsets"][m]) for m in MODALITIES}
             split = entry["split"]
+            if not isinstance(rec_id, str) or not isinstance(split, str):
+                raise TypeError("id and split must be strings")
             duplicate = rec_id in seen
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise FormatError(
@@ -212,17 +240,38 @@ def load_corpus(manifest_path) -> Corpus:
         if duplicate:
             raise FormatError(f"corpus: {manifest_path} line {lineno}: "
                               f"duplicate record id {rec_id!r}")
-        seen.add(rec_id)
-        seqs = {}
+        row = len(ids)
         for m in MODALITIES:
-            seqs[m] = array_from_bytes(
-                buffers[m], offsets[m], shapes[m], "<f4",
-                context=f"record {rec_id!r} modality {m}",
-            )
-        rec = UtteranceRecord(id=rec_id, split=split, label=label, seqs=seqs)
-        _validate_record(rec, meta)
-        records.append(rec)
-    return Corpus(meta=meta, records=records)
+            if offsets[m] != row * row_bytes[m]:
+                raise FormatError(
+                    f"corpus: {manifest_path} line {lineno}: record {rec_id!r} "
+                    f"modality {m} has offset {offsets[m]}; in manifest order "
+                    f"its chunk starts at {row * row_bytes[m]}")
+        seen.add(rec_id)
+        ids.append(rec_id)
+        splits.append(split)
+        labels.append(label)
+        last_line = lineno
+
+    n = len(ids)
+    for m in MODALITIES:
+        if len(buffers[m]) != n * row_bytes[m]:
+            where = f"line {last_line}: last record {ids[-1]!r}: " if n else ""
+            raise FormatError(
+                f"corpus: {manifest_path} {where}blob "
+                f"{blob_files[m]} holds {len(buffers[m])} bytes, but {n} "
+                f"records take {n * row_bytes[m]}")
+    corpus = Corpus(
+        meta=meta,
+        ids=np.array(ids, dtype=str),
+        splits=np.array(splits, dtype=str),
+        labels=np.array(labels, dtype=np.int64),
+        seqs={m: np.frombuffer(buffers[m], dtype=STORAGE)
+              .reshape(n, *shapes[m]).astype(np.float64)
+              for m in MODALITIES},
+    )
+    _validate(corpus)
+    return corpus
 
 
 @dataclass
@@ -269,7 +318,7 @@ def synth_corpus(cfg: SynthConfig, rng: np.random.Generator) -> Corpus:
     true-OOD clusters use independently drawn means and appear only in the
     test split. Per-class counts are assigned round-robin, so class
     frequencies are deterministic. Values are quantized to float32, the
-    storage precision.
+    storage precision; draws run record by record, modality inside.
     """
     meta = cfg.meta()
     k = cfg.num_classes
@@ -294,52 +343,51 @@ def synth_corpus(cfg: SynthConfig, rng: np.random.Generator) -> Corpus:
             return spec.sigma
         return spec.sigma * (1.0 + spec.class_sigma_spread * label / (k - 1))
 
-    def make_record(rec_id: str, split: str, label: int,
-                    means: dict[str, np.ndarray], midx: int,
-                    sigma_label: int | None) -> UtteranceRecord:
-        seqs = {}
-        for m, spec in cfg.modalities.items():
-            sig = spec.sigma if sigma_label is None else class_sigma(spec, sigma_label)
-            noise = rng.normal(scale=sig, size=(spec.seq_len, spec.dim)) if sig > 0 \
-                else np.zeros((spec.seq_len, spec.dim))
-            seq = means[m][midx] + noise
-            seqs[m] = seq.astype("<f4").astype(np.float64)
-        return UtteranceRecord(id=rec_id, split=split, label=label, seqs=seqs)
-
-    records = []
+    # (id, split, label, mean table, mean index, sigma label) in file order
+    plan = []
     for split, count in (("train", cfg.n_train), ("valid", cfg.n_valid),
                          ("test", cfg.n_test_id)):
         tag = "test-id" if split == "test" else split
-        for i in range(count):
-            label = i % k
-            records.append(make_record(f"{tag}-{i:05d}", split, label,
-                                       class_means, label, label))
-    for j in range(cfg.n_test_ood):
-        cluster = j % cfg.ood_clusters
-        records.append(make_record(f"test-ood-{j:05d}", "test", OOD_LABEL,
-                                   ood_means, cluster, None))
-    return Corpus(meta=meta, records=records)
+        plan += [(f"{tag}-{i:05d}", split, i % k, class_means, i % k, i % k)
+                 for i in range(count)]
+    plan += [(f"test-ood-{j:05d}", "test", OOD_LABEL, ood_means,
+              j % cfg.ood_clusters, None) for j in range(cfg.n_test_ood)]
+
+    seqs = {m: np.empty((len(plan), spec.seq_len, spec.dim), dtype=STORAGE)
+            for m, spec in cfg.modalities.items()}
+    for row, (_, _, _, means, midx, sigma_label) in enumerate(plan):
+        for m, spec in cfg.modalities.items():
+            sig = spec.sigma if sigma_label is None else class_sigma(spec, sigma_label)
+            noise = rng.normal(scale=sig, size=(spec.seq_len, spec.dim)) \
+                if sig > 0 else 0.0
+            seqs[m][row] = means[m][midx] + noise
+    return Corpus(
+        meta=meta,
+        ids=np.array([p[0] for p in plan], dtype=str),
+        splits=np.array([p[1] for p in plan], dtype=str),
+        labels=np.array([p[2] for p in plan], dtype=np.int64),
+        seqs={m: s.astype(np.float64) for m, s in seqs.items()},
+    )
 
 
-def make_batches(records: list[UtteranceRecord], batch_size: int,
-                 rng: np.random.Generator) -> list[list[UtteranceRecord]]:
+def make_batches(corpus: Corpus, batch_size: int,
+                 rng: np.random.Generator) -> list[np.ndarray]:
     """One epoch of shuffled ID half-batches of size batch_size/2.
 
-    The other half of each training batch is filled downstream with
-    pseudo-OOD samples. The final partial chunk is dropped.
+    Each half-batch is an array of row indices into ``corpus``. The other
+    half of each training batch is filled downstream with pseudo-OOD
+    samples. The final partial chunk is dropped.
     """
+    n = len(corpus)
     if batch_size < 2 or batch_size % 2 != 0:
         raise ParameterError(
             f"corpus: batch_size must be even and >= 2, got {batch_size}"
         )
-    if batch_size > 2 * len(records):
+    if batch_size > 2 * n:
         raise ParameterError(
             f"corpus: batch_size {batch_size} exceeds twice the "
-            f"{len(records)} available records"
+            f"{n} available records"
         )
     half = batch_size // 2
-    order = rng.permutation(len(records))
-    chunks = []
-    for start in range(0, len(records) - half + 1, half):
-        chunks.append([records[i] for i in order[start:start + half]])
-    return chunks
+    order = rng.permutation(n)
+    return [order[start:start + half] for start in range(0, n - half + 1, half)]

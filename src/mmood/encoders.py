@@ -89,14 +89,6 @@ class ModalityEncoder:
         g_block = np.repeat(g_pooled[:, None, :], shape[1], axis=1) / shape[1]
         return self.block.backward(g_block, block_cache)
 
-    def encode(self, seq: Array) -> Array:
-        """Single (L, d_in) sequence to a (d_out,) vector, eval mode."""
-        seq = np.asarray(seq, dtype=np.float64)
-        if seq.ndim != 2:
-            raise ParameterError(f"encoders: {self.name} expected a 2-D sequence")
-        y, _ = self.forward_batch(seq[None, :, :])
-        return y[0]
-
     def params(self) -> list[Param]:
         out = self.block.params()
         if self.class_token is not None:

@@ -207,23 +207,3 @@ def contrastive_from_views(views: Array, labels: Array, is_id: Array,
     g_u = (g_sims + g_sims.T) @ u
     g_views = (g_u - (g_u * u).sum(axis=1, keepdims=True) * u) / np.maximum(norms, NORM_EPS)
     return loss, np.where(live, g_views, 0.0)
-
-
-def contrastive_loss(z: Array, labels: Array, binary: Array,
-                     head: ContrastHead, tau: float,
-                     rng: np.random.Generator, train: bool = True):
-    """Standalone contrastive loss on one fused batch.
-
-    The positive augmentation of each sample is a second pass through the
-    projection head with independent dropout masks. Returns
-    ``(loss, grad_wrt_z)`` with parameter gradients accumulated in the head.
-    """
-    v1, c1 = head.forward(z, train, rng)
-    v2, c2 = head.forward(z, train, rng)
-    labels2, is_id2, partner = make_view_ids(np.asarray(labels), np.asarray(binary))
-    loss, g_views = contrastive_from_views(
-        np.concatenate([v1, v2]), labels2, is_id2, partner, tau
-    )
-    b = z.shape[0]
-    gz = head.backward(g_views[:b], c1) + head.backward(g_views[b:], c2)
-    return loss, gz

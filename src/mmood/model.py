@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import MODALITIES, CorpusMeta, UtteranceRecord
+from .corpus import MODALITIES, Corpus, CorpusMeta
 from .encoders import ModalityEncoder
 from .errors import ParameterError
 from .fusion import FUSION_MODES, FusionNetwork
@@ -119,13 +119,11 @@ class FusionModel:
 
     # -- evaluation helpers ------------------------------------------------
 
-    def features_for(self, records: list[UtteranceRecord],
-                     chunk: int = 256) -> Array:
+    def features_for(self, corpus: Corpus, chunk: int = 256) -> Array:
         """Eval-mode fused features, (N, d_shared)."""
         out = []
-        for start in range(0, len(records), chunk):
-            part = records[start:start + chunk]
-            seqs = {m: np.stack([r.seqs[m] for r in part]) for m in MODALITIES}
+        for start in range(0, len(corpus), chunk):
+            seqs = {m: corpus.seqs[m][start:start + chunk] for m in MODALITIES}
             z, _, _ = self.fuse_batch(seqs, train=False, rng=None)
             out.append(z)
         return np.concatenate(out) if out else np.zeros((0, self.d_shared))
@@ -134,8 +132,8 @@ class FusionModel:
         logits, _ = self.class_head.forward(features)
         return logits
 
-    def predict(self, records: list[UtteranceRecord]) -> np.ndarray:
-        feats = self.features_for(records)
+    def predict(self, corpus: Corpus) -> np.ndarray:
+        feats = self.features_for(corpus)
         return self.logits_for(feats).argmax(axis=1)
 
     # -- parameter bookkeeping ----------------------------------------------

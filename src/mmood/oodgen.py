@@ -8,11 +8,11 @@ balanced binary training batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import MODALITIES, OOD_LABEL, UtteranceRecord
+from .corpus import MODALITIES, OOD_LABEL, Corpus
 from .errors import GenerationError, ParameterError
 from .numerics import dirichlet_sample
 
@@ -49,15 +49,17 @@ class Batch:
     seqs: dict[str, Array]   # modality -> (B, L, D)
     labels: np.ndarray       # (B,), OOD_LABEL for pseudo samples
     binary: np.ndarray       # (B,), 1 = ID, 0 = OOD
-    ids: list[str] = field(default_factory=list)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
 
-def mix_sequences(seqs: list[Array], lam: Array) -> Array:
-    """Elementwise convex combination of equally shaped sequences."""
+def mix_sequences(seqs, lam: Array) -> Array:
+    """Elementwise convex combination of equally shaped sequences.
+
+    ``seqs`` is a list or an array stacked on axis 0; terms add in order.
+    """
     if len(seqs) != len(lam):
         raise ParameterError("oodgen: weight count must match sequence count")
     out = np.zeros_like(seqs[0])
@@ -66,20 +68,20 @@ def mix_sequences(seqs: list[Array], lam: Array) -> Array:
     return out
 
 
-def _select_sources(records: list[UtteranceRecord], cfg: OodGenConfig,
+def _select_sources(batch: Corpus, cfg: OodGenConfig,
                     rng: np.random.Generator) -> np.ndarray:
-    labels = np.array([r.label for r in records])
+    labels = batch.labels
     if len(set(labels.tolist())) < 2:
         raise GenerationError(
             "oodgen: batch contains a single class; pseudo-OOD mixing needs "
             "sources from >= 2 distinct classes"
         )
-    if cfg.mix_count > len(records):
+    if cfg.mix_count > len(batch):
         raise ParameterError(
-            f"oodgen: mix_count {cfg.mix_count} exceeds batch of {len(records)}"
+            f"oodgen: mix_count {cfg.mix_count} exceeds batch of {len(batch)}"
         )
     for _ in range(cfg.max_resample):
-        idx = rng.choice(len(records), size=cfg.mix_count, replace=False)
+        idx = rng.choice(len(batch), size=cfg.mix_count, replace=False)
         if len(set(labels[idx].tolist())) >= 2:
             return idx
     raise GenerationError(
@@ -88,16 +90,16 @@ def _select_sources(records: list[UtteranceRecord], cfg: OodGenConfig,
     )
 
 
-def sample_pseudo_ood(records: list[UtteranceRecord], cfg: OodGenConfig,
+def sample_pseudo_ood(batch: Corpus, cfg: OodGenConfig,
                       rng: np.random.Generator) -> PseudoSample:
-    """Mix k ID records into one pseudo-OOD sample.
+    """Mix k ID records of ``batch`` into one pseudo-OOD sample.
 
     The index set is rejection-resampled until it spans >= 2 classes; the
     Dirichlet weight vector is shared across modalities unless
     ``share_lambda`` is off, in which case each modality redraws its own
     weights over the same sources.
     """
-    idx = _select_sources(records, cfg, rng)
+    idx = _select_sources(batch, cfg, rng)
     shared = dirichlet_sample(cfg.alpha, cfg.mix_count, rng) if cfg.share_lambda \
         else None
     seqs, lams = {}, {}
@@ -105,31 +107,28 @@ def sample_pseudo_ood(records: list[UtteranceRecord], cfg: OodGenConfig,
         lam = shared if shared is not None else \
             dirichlet_sample(cfg.alpha, cfg.mix_count, rng)
         lams[m] = lam
-        seqs[m] = mix_sequences([records[i].seqs[m] for i in idx], lam)
+        seqs[m] = mix_sequences(batch.seqs[m][idx], lam)
     return PseudoSample(seqs=seqs, source_indices=idx, lams=lams)
 
 
-def build_mixed_batch(id_half: list[UtteranceRecord], cfg: OodGenConfig,
+def build_mixed_batch(id_half: Corpus, cfg: OodGenConfig,
                       rng: np.random.Generator) -> Batch:
     """Balanced batch: the ID half plus as many pseudo-OOD samples, shuffled."""
-    if not id_half:
-        raise ParameterError("oodgen: id_half must be nonempty")
     n = len(id_half)
+    if n == 0:
+        raise ParameterError("oodgen: id_half must be nonempty")
     pseudo = [sample_pseudo_ood(id_half, cfg, rng) for _ in range(n)]
 
     seqs = {
-        m: np.stack([r.seqs[m] for r in id_half]
-                    + [p.seqs[m] for p in pseudo])
+        m: np.concatenate([id_half.seqs[m], [p.seqs[m] for p in pseudo]])
         for m in MODALITIES
     }
-    labels = np.array([r.label for r in id_half] + [OOD_LABEL] * n)
+    labels = np.concatenate([id_half.labels, np.full(n, OOD_LABEL)])
     binary = np.array([1] * n + [0] * n)
-    ids = [r.id for r in id_half] + [f"pseudo-{i}" for i in range(n)]
 
     order = rng.permutation(2 * n)
     return Batch(
         seqs={m: s[order] for m, s in seqs.items()},
         labels=labels[order],
         binary=binary[order],
-        ids=[ids[i] for i in order],
     )

@@ -170,12 +170,10 @@ def _fine_step(model: FusionModel, batch: Batch, rng: np.random.Generator,
     return losses
 
 
-def _validation_wf1(model: FusionModel, records) -> float | None:
-    if not records:
+def _validation_wf1(model: FusionModel, valid: Corpus) -> float | None:
+    if len(valid) == 0:
         return None
-    preds = model.predict(records)
-    golds = [r.label for r in records]
-    return id_metrics(preds, golds, model.num_classes).wf1
+    return id_metrics(model.predict(valid), valid.labels, model.num_classes).wf1
 
 
 def _snapshot(params: Sequence[Param]) -> list[Array]:
@@ -189,9 +187,9 @@ def _restore(params: Sequence[Param], values: list[Array]) -> None:
 
 def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedModel:
     """Run the full schedule on a corpus and fit inference statistics."""
-    train_records = corpus.split("train")
-    valid_records = corpus.split("valid")
-    if not train_records:
+    train_split = corpus.split("train")
+    valid_split = corpus.split("valid")
+    if len(train_split) == 0:
         raise ParameterError("train: corpus has no training records")
 
     hyper = cfg.model
@@ -207,9 +205,10 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
         for epoch in range(epochs):
             sums: dict[str, float] = {}
             count = 0
-            for bi, id_half in enumerate(
-                    make_batches(train_records, cfg.batch_size, loop_rng)):
-                batch = build_mixed_batch(id_half, ood_cfg, loop_rng)
+            for bi, rows in enumerate(
+                    make_batches(train_split, cfg.batch_size, loop_rng)):
+                batch = build_mixed_batch(train_split.take(rows), ood_cfg,
+                                          loop_rng)
                 opt.zero_grad()
                 losses = step_fn(batch)
                 if isinstance(losses, float):
@@ -223,7 +222,7 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
             entry.update({f"loss_{k}": v / max(count, 1)
                           for k, v in sorted(sums.items())})
             if track_validation:
-                wf1 = _validation_wf1(model, valid_records)
+                wf1 = _validation_wf1(model, valid_split)
                 if wf1 is not None:
                     entry["val_wf1"] = wf1
                     if wf1 > best["wf1"]:
@@ -274,12 +273,10 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
             track_validation=True,
         )
 
-    train_features = model.features_for(train_records)
+    train_features = model.features_for(train_split)
     train_logits = model.logits_for(train_features)
-    class_stats = fit_class_stats(
-        train_features, [r.label for r in train_records],
-        corpus.num_classes, eps=cfg.cov_eps,
-    )
+    class_stats = fit_class_stats(train_features, train_split.labels,
+                                  corpus.num_classes, eps=cfg.cov_eps)
     return TrainedModel(
         model=model, class_stats=class_stats,
         train_features=train_features, train_logits=train_logits,

@@ -25,7 +25,7 @@ def separable_pipeline():
     test = corpus.split("test")
     feats = trained.model.features_for(test)
     logits = trained.model.logits_for(feats)
-    flags = np.array([not r.is_ood for r in test])
+    flags = ~test.is_ood
     return {
         "corpus": corpus,
         "trained": trained,

@@ -25,7 +25,7 @@ from oracles import (
 
 from mmood.cli import main, run_ablation
 from mmood.config import RunConfig
-from mmood.corpus import CorpusMeta, ModalitySynth, SynthConfig, synth_corpus
+from mmood.corpus import Corpus, CorpusMeta, ModalitySynth, SynthConfig, synth_corpus
 from mmood.heads import coarse_loss, contrastive_from_views, make_view_ids, multiclass_loss
 from mmood.layers import check_gradients
 from mmood.metrics import aupr, fpr95_der, roc_auroc, id_metrics
@@ -246,15 +246,16 @@ def test_c3_simplex_convexity_suite():
     with criterion("C3 simplex/convexity suite"):
         rng = make_rng(3030)
         pool_shapes = {"T": (3, 5), "V": (2, 4), "A": (4, 3)}
-        from mmood.corpus import UtteranceRecord
-        records = [
-            UtteranceRecord(
-                id=f"r{i}", split="train", label=i % 3,
-                seqs={m: rng.normal(size=s) for m, s in pool_shapes.items()},
-            )
-            for i in range(16)
-        ]
-        label_arr = np.array([r.label for r in records])
+        draws = [{m: rng.normal(size=s) for m, s in pool_shapes.items()}
+                 for _ in range(16)]
+        records = Corpus(
+            meta=CorpusMeta(num_classes=3, shapes=pool_shapes),
+            ids=np.array([f"r{i}" for i in range(16)]),
+            splits=np.full(16, "train"),
+            labels=np.arange(16) % 3,
+            seqs={m: np.stack([d[m] for d in draws]) for m in pool_shapes},
+        )
+        label_arr = records.labels
         cfg = OodGenConfig(mix_count=3, alpha=0.7)
         gen_rng = make_rng(3131)
         violations = 0
@@ -268,8 +269,7 @@ def test_c3_simplex_convexity_suite():
                 violations += 1
                 continue
             for m in pool_shapes:
-                stack = np.stack([records[i].seqs[m]
-                                  for i in s.source_indices])
+                stack = records.seqs[m][s.source_indices]
                 if np.any(s.seqs[m] < stack.min(axis=0) - 1e-9) or \
                         np.any(s.seqs[m] > stack.max(axis=0) + 1e-9):
                     violations += 1

@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+import mmood.cli
 from mmood.checkpoint import load_checkpoint
-from mmood.cli import main, run_ablation, run_eval, run_training
+from mmood.cli import main, run_ablation, run_eval, run_synth, run_training
 from mmood.config import load_config
 from mmood.corpus import load_corpus
+from mmood.errors import PipelineError
 
 MICRO_INI = """
 [corpus]
@@ -65,6 +67,20 @@ class TestSynth:
                      "seq_A.blob"):
             assert (micro["corpus"] / name).read_bytes() == \
                 (again / name).read_bytes()
+
+    @pytest.mark.parametrize("drift", ["label", "seq"])
+    def test_round_trip_mismatch_raises(self, micro, monkeypatch, drift):
+        def drifted_load(path):
+            corpus = load_corpus(path)
+            if drift == "label":
+                corpus.labels[0] = (corpus.labels[0] + 1) % corpus.num_classes
+            else:
+                corpus.seqs["A"][-1, 0, 0] += 1.0
+            return corpus
+        monkeypatch.setattr(mmood.cli, "load_corpus", drifted_load)
+        cfg = load_config(micro["cfg"])
+        with pytest.raises(PipelineError, match="does not reload"):
+            run_synth(cfg, micro["tmp"] / "again", 0)
 
     def test_invalid_class_count_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -308,6 +324,8 @@ def _corrupt_entry(path, corruption):
         if corruption == "duplicate":
             key = "id" if "id" in entry else "name"
             entry[key] = json.loads(lines[1])[key]
+        elif corruption == "huge_label":
+            entry["label"] = 10**20  # beyond int64
         else:
             del entry[corruption]
         lines[2] = json.dumps(entry, sort_keys=True)
@@ -319,6 +337,7 @@ class TestMalformedManifests:
         ("truncated", "line 3"),
         ("label", "line 3.*'label'"),
         ("duplicate", "line 3.*duplicate record id"),
+        ("huge_label", "line 3.*label 100000000000000000000"),
     ])
     def test_train_exits_1_with_error(self, micro, capsys, corruption,
                                       message):
@@ -329,6 +348,19 @@ class TestMalformedManifests:
         assert code == 1
         assert err.startswith("error: corpus: ")
         assert re.search(message, err)
+        assert not (micro["tmp"] / "r" / "checkpoint.json").exists()
+
+    def test_non_finite_blob_value(self, micro, capsys):
+        blob = micro["corpus"] / "seq_T.blob"
+        data = bytearray(blob.read_bytes())
+        data[:4] = np.array([np.nan], dtype="<f4").tobytes()
+        blob.write_bytes(bytes(data))
+        code = main(["train", "--config", str(micro["cfg"]), "--corpus",
+                     str(micro["corpus"]), "--out", str(micro["tmp"] / "r")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: corpus: ")
+        assert re.search("'train-00000' modality T.*non-finite", err)
         assert not (micro["tmp"] / "r" / "checkpoint.json").exists()
 
     @pytest.mark.parametrize("corruption, message", [

@@ -12,7 +12,6 @@ from mmood.corpus import (
     CorpusMeta,
     ModalitySynth,
     SynthConfig,
-    UtteranceRecord,
     load_corpus,
     make_batches,
     save_corpus,
@@ -42,15 +41,14 @@ class TestSynth:
         assert len(corpus.split("train")) == 12
         assert len(corpus.split("valid")) == 6
         assert len(corpus.split("test")) == 10
-        ood = [r for r in corpus.split("test") if r.is_ood]
-        assert len(ood) == 4
+        assert corpus.split("test").is_ood.sum() == 4
         # OOD only in test
-        for r in corpus.split("train") + corpus.split("valid"):
-            assert not r.is_ood
+        for name in ("train", "valid"):
+            assert not corpus.split(name).is_ood.any()
 
     def test_class_frequencies_deterministic(self):
         corpus = synth_corpus(tiny_cfg(), make_rng(1))
-        labels = [r.label for r in corpus.split("train")]
+        labels = corpus.split("train").labels.tolist()
         assert sorted(labels) == sorted([0, 1, 2] * 4)
 
     def test_zero_sigma_collapses_to_means(self):
@@ -61,11 +59,12 @@ class TestSynth:
         })
         corpus = synth_corpus(cfg, make_rng(2))
         by_class = {}
-        for r in corpus.split("train"):
+        train = corpus.split("train")
+        for i, label in enumerate(train.labels.tolist()):
             for m in MODALITIES:
-                seq = r.seqs[m]
+                seq = train.seqs[m][i]
                 assert np.allclose(seq, seq[0])  # every timestep identical
-                key = (r.label, m)
+                key = (label, m)
                 if key in by_class:
                     assert np.array_equal(by_class[key], seq[0])
                 else:
@@ -74,10 +73,19 @@ class TestSynth:
     def test_reproducible_across_runs(self):
         a = synth_corpus(tiny_cfg(), make_rng(7))
         b = synth_corpus(tiny_cfg(), make_rng(7))
-        for ra, rb in zip(a.records, b.records):
-            assert ra.id == rb.id and ra.label == rb.label
-            for m in MODALITIES:
-                assert np.array_equal(ra.seqs[m], rb.seqs[m])
+        assert np.array_equal(a.ids, b.ids) and np.array_equal(a.labels, b.labels)
+        for m in MODALITIES:
+            assert np.array_equal(a.seqs[m], b.seqs[m])
+
+    def test_split_of_interleaved_rows_keeps_file_order(self):
+        corpus = synth_corpus(tiny_cfg(), make_rng(7))
+        shuffled = corpus.take(make_rng(8).permutation(len(corpus)))
+        train = shuffled.split("train")
+        assert (train.splits == "train").all() and len(train) == 12
+        rows = np.flatnonzero(shuffled.splits == "train")
+        assert np.array_equal(train.ids, shuffled.ids[rows])
+        for m in MODALITIES:
+            assert np.array_equal(train.seqs[m], shuffled.seqs[m][rows])
 
     def test_invalid_k(self):
         with pytest.raises(ParameterError):
@@ -91,11 +99,11 @@ class TestRoundTrip:
         loaded = load_corpus(manifest)
         assert loaded.meta.num_classes == corpus.meta.num_classes
         assert loaded.meta.shapes == corpus.meta.shapes
-        assert len(loaded.records) == len(corpus.records)
-        for ra, rb in zip(corpus.records, loaded.records):
-            assert (ra.id, ra.split, ra.label) == (rb.id, rb.split, rb.label)
-            for m in MODALITIES:
-                assert np.array_equal(ra.seqs[m], rb.seqs[m])
+        assert len(loaded) == len(corpus)
+        for column in ("ids", "splits", "labels"):
+            assert np.array_equal(getattr(corpus, column), getattr(loaded, column))
+        for m in MODALITIES:
+            assert np.array_equal(corpus.seqs[m], loaded.seqs[m])
 
     def test_save_is_deterministic(self, tmp_path):
         corpus = synth_corpus(tiny_cfg(), make_rng(4))
@@ -109,13 +117,19 @@ class TestRoundTrip:
         cfg = tiny_cfg(n_train=0, n_valid=0, n_test_id=6, n_test_ood=2)
         corpus = synth_corpus(cfg, make_rng(5))
         loaded = load_corpus(save_corpus(corpus, tmp_path / "t"))
-        assert loaded.split("train") == []
+        assert len(loaded.split("train")) == 0
         assert len(loaded.split("test")) == 8
 
     def test_mixed_lengths_rejected(self, tmp_path):
         corpus = synth_corpus(tiny_cfg(), make_rng(6))
-        corpus.records[0].seqs["T"] = corpus.records[0].seqs["T"][:-1]
-        with pytest.raises(FormatError, match=corpus.records[0].id):
+        corpus.seqs["T"] = corpus.seqs["T"][:, :-1]
+        with pytest.raises(FormatError, match=str(corpus.ids[0])):
+            save_corpus(corpus, tmp_path / "bad")
+
+    def test_non_finite_rejected_on_save(self, tmp_path):
+        corpus = synth_corpus(tiny_cfg(), make_rng(6))
+        corpus.seqs["V"][2, 1, 0] = np.inf
+        with pytest.raises(FormatError, match=f"{corpus.ids[2]}.*modality V"):
             save_corpus(corpus, tmp_path / "bad")
 
 
@@ -138,6 +152,39 @@ class TestLoadErrors:
         lines[0] = json.dumps(header, sort_keys=True)
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError):
+            load_corpus(manifest)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_non_finite_value_rejected(self, tmp_path, value, row):
+        manifest, corpus = self._saved(tmp_path)
+        blob = manifest.parent / "seq_T.blob"
+        data = bytearray(blob.read_bytes())
+        start = json.loads(manifest.read_text().splitlines()[row + 1])["offsets"]["T"]
+        data[start:start + 4] = np.array([value], dtype="<f4").tobytes()
+        blob.write_bytes(bytes(data))
+        with pytest.raises(FormatError,
+                           match=f"record '{corpus.ids[row]}' modality T.*non-finite"):
+            load_corpus(manifest)
+
+    def test_trailing_blob_bytes_rejected(self, tmp_path):
+        manifest, corpus = self._saved(tmp_path)
+        blob = manifest.parent / "seq_A.blob"
+        blob.write_bytes(blob.read_bytes() + b"\0" * 8)
+        n = len(corpus)
+        with pytest.raises(FormatError,
+                           match=f"line {n + 1}: last record '{corpus.ids[-1]}'.*seq_A"):
+            load_corpus(manifest)
+
+    def test_swapped_offsets_rejected(self, tmp_path):
+        manifest, _ = self._saved(tmp_path)
+        lines = manifest.read_text().splitlines()
+        first, second = json.loads(lines[1]), json.loads(lines[2])
+        first["offsets"], second["offsets"] = second["offsets"], first["offsets"]
+        lines[1] = json.dumps(first, sort_keys=True)
+        lines[2] = json.dumps(second, sort_keys=True)
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="line 2: record 'train-00000'.*offset"):
             load_corpus(manifest)
 
     def test_ood_in_train_rejected(self, tmp_path):
@@ -199,6 +246,21 @@ class TestMalformedManifest:
         manifest = self._saved(tmp_path)
         _rewrite_line(manifest, 1, _edit_json(lambda e: e["offsets"].pop("A")))
         with pytest.raises(FormatError, match="line 2.*train-00000"):
+            load_corpus(manifest)
+
+    @pytest.mark.parametrize("key, value", [("id", 5), ("split", ["train"])])
+    def test_non_string_id_or_split(self, tmp_path, key, value):
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 1, _edit_json(lambda e: e.update({key: value})))
+        with pytest.raises(FormatError, match="line 2: malformed record"):
+            load_corpus(manifest)
+
+    @pytest.mark.parametrize("label", [10**20, 3, -1, 1.7, True, "1"])
+    def test_bad_label_names_line_and_id(self, tmp_path, label):
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 1, _edit_json(lambda e: e.update(label=label)))
+        with pytest.raises(FormatError,
+                           match=r"line 2: malformed record 'train-00000'.*label"):
             load_corpus(manifest)
 
     def test_record_line_not_an_object(self, tmp_path):
@@ -268,36 +330,37 @@ class TestMalformedTensorStore:
 
 
 class TestBatches:
-    def _records(self, n):
+    def _train(self, n):
         corpus = synth_corpus(tiny_cfg(n_train=n, n_valid=0, n_test_id=2,
                                        n_test_ood=0), make_rng(9))
         return corpus.split("train")
 
     def test_chunking_drops_tail(self):
-        chunks = make_batches(self._records(10), 4, make_rng(0))
+        chunks = make_batches(self._train(10), 4, make_rng(0))
         assert len(chunks) == 5  # 10 records in half-batches of 2
         assert all(len(c) == 2 for c in chunks)
 
     def test_epoch_is_permutation(self):
-        records = self._records(12)
+        records = self._train(12)
         chunks = make_batches(records, 6, make_rng(1))
-        seen = [r.id for c in chunks for r in c]
+        seen = records.ids[np.concatenate(chunks)].tolist()
         assert len(seen) == len(set(seen))
         assert len(records) - len(seen) <= 3  # dropped tail < half batch
 
     def test_same_seed_same_order(self):
-        records = self._records(9)
+        records = self._train(9)
         a = make_batches(records, 4, make_rng(2))
         b = make_batches(records, 4, make_rng(2))
-        assert [[r.id for r in c] for c in a] == [[r.id for r in c] for c in b]
+        assert [records.ids[c].tolist() for c in a] == \
+            [records.ids[c].tolist() for c in b]
 
     def test_odd_batch_rejected(self):
         with pytest.raises(ParameterError):
-            make_batches(self._records(10), 5, make_rng(0))
+            make_batches(self._train(10), 5, make_rng(0))
 
     def test_batch_too_large(self):
         with pytest.raises(ParameterError):
-            make_batches(self._records(3), 8, make_rng(0))
+            make_batches(self._train(3), 8, make_rng(0))
 
 
 class TestMetaValidation:
@@ -308,12 +371,13 @@ class TestMetaValidation:
 
     def test_record_label_range(self, tmp_path):
         meta = CorpusMeta(num_classes=2, shapes={m: (2, 2) for m in MODALITIES})
-        rec = UtteranceRecord(
-            id="r0", split="train", label=5,
-            seqs={m: np.zeros((2, 2)) for m in MODALITIES},
+        corpus = Corpus(
+            meta=meta, ids=np.array(["r0"]), splits=np.array(["train"]),
+            labels=np.array([5]),
+            seqs={m: np.zeros((1, 2, 2)) for m in MODALITIES},
         )
         with pytest.raises(FormatError, match="r0"):
-            save_corpus(Corpus(meta=meta, records=[rec]), tmp_path / "x")
+            save_corpus(corpus, tmp_path / "x")
 
     def test_ood_label_constant(self):
         assert OOD_LABEL == -1

@@ -12,7 +12,6 @@ from mmood.heads import (
     LinearHead,
     coarse_loss,
     contrastive_from_views,
-    contrastive_loss,
     make_view_ids,
     multiclass_loss,
 )
@@ -21,6 +20,24 @@ from mmood.model import FusionModel, ModelHyper
 from mmood.numerics import make_rng
 from mmood.oodgen import OodGenConfig
 from mmood.train import AdamW, TrainConfig, train, variant_config
+
+
+def contrastive_loss(z, labels, binary, head, tau, rng, train=True):
+    """Contrastive loss on one fused batch; ``(loss, grad_wrt_z)``.
+
+    The positive augmentation of each sample is a second pass through the
+    projection head with independent dropout masks; parameter gradients
+    accumulate in the head.
+    """
+    v1, c1 = head.forward(z, train, rng)
+    v2, c2 = head.forward(z, train, rng)
+    labels2, is_id2, partner = make_view_ids(np.asarray(labels), np.asarray(binary))
+    loss, g_views = contrastive_from_views(
+        np.concatenate([v1, v2]), labels2, is_id2, partner, tau
+    )
+    b = z.shape[0]
+    gz = head.backward(g_views[:b], c1) + head.backward(g_views[b:], c2)
+    return loss, gz
 
 
 def desk_corpus(seed=0, n_train=150, sigma=0.3, spread=0.0):

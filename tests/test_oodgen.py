@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmood.corpus import MODALITIES, OOD_LABEL, UtteranceRecord
+from mmood.corpus import MODALITIES, OOD_LABEL, Corpus, CorpusMeta
 from mmood.errors import GenerationError, ParameterError
 from mmood.numerics import make_rng
 from mmood.oodgen import (
@@ -17,19 +17,22 @@ SHAPES = {"T": (3, 4), "V": (2, 5), "A": (4, 2)}
 
 
 def make_records(labels, rng):
-    records = []
-    for i, label in enumerate(labels):
-        seqs = {m: rng.normal(size=SHAPES[m]) for m in MODALITIES}
-        records.append(UtteranceRecord(id=f"r{i}", split="train", label=label,
-                                       seqs=seqs))
-    return records
+    """A train-split Corpus, one row per label, drawn record by record."""
+    draws = [{m: rng.normal(size=SHAPES[m]) for m in MODALITIES} for _ in labels]
+    return Corpus(
+        meta=CorpusMeta(num_classes=3, shapes=SHAPES),
+        ids=np.array([f"r{i}" for i in range(len(labels))]),
+        splits=np.full(len(labels), "train"),
+        labels=np.array(labels),
+        seqs={m: np.stack([d[m] for d in draws]) for m in MODALITIES},
+    )
 
 
 class TestMix:
     def test_endpoint_lambda_returns_source(self):
         rng = make_rng(0)
         records = make_records([0, 1, 2], rng)
-        seqs = [r.seqs["T"] for r in records]
+        seqs = list(records.seqs["T"])
         out = mix_sequences(seqs, np.array([1.0, 0.0, 0.0]))
         assert np.array_equal(out, seqs[0])
 
@@ -47,7 +50,7 @@ class TestMix:
         for m in MODALITIES:
             lam = sample.lams[m]
             expected = sum(
-                lam[j] * records[i].seqs[m]
+                lam[j] * records.seqs[m][i]
                 for j, i in enumerate(sample.source_indices)
             )
             assert np.allclose(sample.seqs[m], expected, atol=1e-12)
@@ -61,13 +64,13 @@ class TestSamplePseudoOod:
         gen_rng = make_rng(3)
         for _ in range(500):
             s = sample_pseudo_ood(records, cfg, gen_rng)
-            labels = {records[i].label for i in s.source_indices}
+            labels = set(records.labels[s.source_indices].tolist())
             assert len(labels) >= 2
             lam = s.lams["T"]
             assert abs(lam.sum() - 1.0) < 1e-12
             assert np.all(lam >= 0)
             for m in MODALITIES:
-                stack = np.stack([records[i].seqs[m] for i in s.source_indices])
+                stack = records.seqs[m][s.source_indices]
                 lo = stack.min(axis=0) - 1e-9
                 hi = stack.max(axis=0) + 1e-9
                 assert np.all(s.seqs[m] >= lo) and np.all(s.seqs[m] <= hi)
@@ -109,7 +112,7 @@ class TestSamplePseudoOod:
             sample_pseudo_ood(records, cfg, make_rng(0))
         # the same pool succeeds with a sane cap
         s = sample_pseudo_ood(records, OodGenConfig(mix_count=2), make_rng(0))
-        assert len({records[i].label for i in s.source_indices}) == 2
+        assert len(set(records.labels[s.source_indices].tolist())) == 2
 
 
 class TestMixedBatch:
@@ -127,7 +130,8 @@ class TestMixedBatch:
         records = make_records([0, 1, 2, 1], rng)
         a = build_mixed_batch(records, OodGenConfig(), make_rng(15))
         b = build_mixed_batch(records, OodGenConfig(), make_rng(15))
-        assert a.ids == b.ids
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.binary, b.binary)
         for m in MODALITIES:
             assert np.array_equal(a.seqs[m], b.seqs[m])
 
@@ -158,6 +162,6 @@ def test_convexity_property(k, alpha, seed):
     cfg = OodGenConfig(mix_count=k, alpha=alpha)
     s = sample_pseudo_ood(records, cfg, make_rng(seed + 1))
     for m in MODALITIES:
-        stack = np.stack([records[i].seqs[m] for i in s.source_indices])
+        stack = records.seqs[m][s.source_indices]
         assert np.all(s.seqs[m] >= stack.min(axis=0) - 1e-9)
         assert np.all(s.seqs[m] <= stack.max(axis=0) + 1e-9)
