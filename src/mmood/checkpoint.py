@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CorpusMeta
-from .blobio import read_tensor_store, write_tensor_store
+from .blobio import read_tensor_manifest, read_tensor_store, write_tensor_store
 from .errors import FormatError
 from .model import FusionModel, ModelHyper
 from .scoring import ClassStats
@@ -56,7 +56,9 @@ def load_checkpoint(directory):
     manifest = Path(directory)
     if manifest.is_dir():
         manifest = manifest / f"{CHECKPOINT_NAME}.json"
-    meta, tensors = read_tensor_store(manifest)
+    # parameter names are checked before the blob is read, so a dropped
+    # manifest entry is reported by name, not as the layout gap it leaves
+    meta, entries = read_tensor_manifest(manifest)
 
     corpus_meta = CorpusMeta(
         num_classes=int(meta["num_classes"]),
@@ -66,16 +68,17 @@ def load_checkpoint(directory):
     model = FusionModel(corpus_meta, hyper, seed=int(meta.get("seed", 0)))
 
     named = model.named_params()
-    stored = {k: v for k, v in tensors.items()
-              if not k.startswith(("stats.", "cache."))}
-    missing = sorted(set(named) - set(stored))
-    extra = sorted(set(stored) - set(named))
+    stored = {name for _, name, *_ in entries
+              if not name.startswith(("stats.", "cache."))}
+    missing = sorted(set(named) - stored)
+    extra = sorted(stored - set(named))
     if missing or extra:
         raise FormatError(
             f"checkpoint: parameter mismatch (missing={missing}, extra={extra})"
         )
+    _, tensors = read_tensor_store(manifest)
     for name, param in named.items():
-        value = stored[name]
+        value = tensors[name]
         if value.shape != param.value.shape:
             raise FormatError(
                 f"checkpoint: tensor {name!r} has shape {value.shape}, "

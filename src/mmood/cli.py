@@ -20,7 +20,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
 from .corpus import MODALITIES, Corpus, load_corpus, save_corpus, synth_corpus
-from .errors import ParameterError, PipelineError
+from .errors import FormatError, ParameterError, PipelineError
 from .metrics import EvalReport, id_metrics, ood_metrics
 from .model import SLOT_SYNTH
 from .numerics import component_rng
@@ -167,7 +167,7 @@ def run_eval(checkpoint_dir, corpus: Corpus, scorers: list[str],
     idm = id_metrics(logits[flags].argmax(axis=1), test.labels[flags],
                      corpus.num_classes)
 
-    report = EvalReport(id_metrics=idm, ood_metrics={}, score_table={})
+    report = EvalReport(id_metrics=idm, ood_metrics={})
     for variant in scorers:
         state = fit_scorer(variant, train_feats, train_logits, stats,
                            corpus.num_classes)
@@ -179,7 +179,6 @@ def run_eval(checkpoint_dir, corpus: Corpus, scorers: list[str],
              "raw": float(scores[i]), "norm": float(norm[i])}
             for i, rec_id in enumerate(test.ids.tolist())
         ]
-        report.score_table[variant] = rows
         with open(out_dir / f"scores_{variant}.jsonl", "w",
                   encoding="utf-8") as fh:
             for row in rows:
@@ -278,10 +277,21 @@ def run_report(eval_dir, out_dir=None) -> Path:
                [[i, float(v)] for i, v in enumerate(per_class)])
 
     long_rows = []
-    for scorer, rows in sorted(report["score_table"].items()):
-        for row in rows:
-            long_rows.append([scorer, row["id"], int(row["is_id"]),
-                              float(row["raw"]), float(row["norm"])])
+    for scorer in sorted(report["ood_metrics"]):
+        scores_path = eval_dir / f"scores_{scorer}.jsonl"
+        if not scores_path.exists():
+            raise ParameterError(f"cli: {scores_path} not found; the eval "
+                                 f"report lists scorer {scorer!r}")
+        lines = scores_path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                row = json.loads(line)
+                long_rows.append([scorer, row["id"], int(row["is_id"]),
+                                  float(row["raw"]), float(row["norm"])])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(
+                    f"cli: {scores_path} line {lineno}: malformed score row "
+                    f"({type(exc).__name__}: {exc})") from exc
     _write_csv(out_dir / "scores_long.csv",
                ["scorer", "sample_id", "is_id", "raw", "normalized"], long_rows)
 

@@ -10,7 +10,7 @@ strictly monotone transformations of the scores.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,14 +56,12 @@ class OodMetrics:
 class EvalReport:
     id_metrics: IdMetrics
     ood_metrics: dict[str, OodMetrics]
-    score_table: dict[str, list[dict]] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
             "id_metrics": self.id_metrics.as_dict(),
             "ood_metrics": {k: v.as_dict() for k, v in
                             sorted(self.ood_metrics.items())},
-            "score_table": {k: v for k, v in sorted(self.score_table.items())},
         }
 
 

@@ -42,24 +42,28 @@ def as_matrix(a, name: str = "matrix") -> Array:
     return m
 
 
-def dirichlet_sample(alpha: float, k: int, rng: np.random.Generator) -> Array:
-    """Draw one weight vector from a symmetric Dirichlet(alpha) of length k.
+def dirichlet_sample(alpha: float, k, rng: np.random.Generator) -> Array:
+    """Draw weight vectors from a symmetric Dirichlet(alpha) of length k.
 
-    Uses k independent gamma(alpha) draws normalized to sum 1, which is the
-    exact construction and stays seedable.
+    ``k`` is the vector length, or a shape whose last axis is the vector
+    length (one vector per leading index). Uses k independent gamma(alpha)
+    draws per vector normalized to sum 1, which is the exact construction
+    and stays seedable.
     """
+    shape = (k,) if np.ndim(k) == 0 else tuple(k)
     if not alpha > 0:
         raise ParameterError(f"numerics: dirichlet alpha must be > 0, got {alpha}")
-    if k < 2:
+    if not shape or shape[-1] < 2:
         raise ParameterError(f"numerics: dirichlet k must be >= 2, got {k}")
-    g = rng.standard_gamma(alpha, size=k)
-    total = g.sum()
-    if total <= 0.0:
-        # all gamma draws underflowed to zero (only possible for extreme
-        # small alpha); the limiting distribution puts all mass on one axis
-        lam = np.zeros(k)
-        lam[rng.integers(k)] = 1.0
-        return lam
+    g = rng.standard_gamma(alpha, size=shape)
+    total = g.sum(axis=-1, keepdims=True)
+    dead = total[..., 0] <= 0.0
+    if dead.any():
+        # rows whose gamma draws all underflowed to zero (only possible for
+        # extreme small alpha); the limiting distribution puts all mass on
+        # one axis
+        g[dead] = np.eye(shape[-1])[rng.integers(shape[-1], size=dead.sum())]
+        total[dead] = 1.0
     return g / total
 
 

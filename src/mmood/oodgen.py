@@ -1,9 +1,9 @@
 """Pseudo-OOD synthesis: Dirichlet convex combinations of ID sequences.
 
-Each pseudo sample mixes the raw embedding sequences of k selected ID
-records (drawn from at least two distinct classes) with one shared weight
-vector across all modalities, then joins the real ID half-batch to form a
-balanced binary training batch.
+Each pseudo sample mixes the raw embedding sequences of k distinct ID
+records (drawn from at least two classes) with one shared weight vector
+across all modalities. A half-batch of pseudo samples is drawn at once and
+joined to the real ID half-batch to form a balanced binary training batch.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ class OodGenConfig:
 
 
 @dataclass
-class PseudoSample:
-    seqs: dict[str, Array]
-    source_indices: np.ndarray
-    lams: dict[str, Array]  # per-modality weights (same object when shared)
+class PseudoBatch:
+    seqs: dict[str, Array]   # modality -> (n, L, D)
+    sources: np.ndarray      # (n, k) distinct row indices into the ID batch
+    lams: Array              # (n, k); (3, n, k) in MODALITIES order if unshared
 
 
 @dataclass
@@ -55,60 +55,45 @@ class Batch:
         return len(self.labels)
 
 
-def mix_sequences(seqs, lam: Array) -> Array:
-    """Elementwise convex combination of equally shaped sequences.
+def sample_pseudo_ood(batch: Corpus, cfg: OodGenConfig,
+                      rng: np.random.Generator, n: int) -> PseudoBatch:
+    """Mix k ID records of ``batch`` into each of ``n`` pseudo-OOD samples.
 
-    ``seqs`` is a list or an array stacked on axis 0; terms add in order.
+    Each row's index set is rejection-resampled until it spans >= 2
+    classes; only the failing rows are redrawn, each at most
+    ``max_resample`` times. The Dirichlet weights are shared across
+    modalities unless ``share_lambda`` is off, in which case each modality
+    gets its own weights over the same sources.
     """
-    if len(seqs) != len(lam):
-        raise ParameterError("oodgen: weight count must match sequence count")
-    out = np.zeros_like(seqs[0])
-    for weight, seq in zip(lam, seqs):
-        out += weight * seq
-    return out
-
-
-def _select_sources(batch: Corpus, cfg: OodGenConfig,
-                    rng: np.random.Generator) -> np.ndarray:
-    labels = batch.labels
-    if len(set(labels.tolist())) < 2:
+    labels, size, k = batch.labels, len(batch), cfg.mix_count
+    if np.unique(labels).size < 2:
         raise GenerationError(
             "oodgen: batch contains a single class; pseudo-OOD mixing needs "
             "sources from >= 2 distinct classes"
         )
-    if cfg.mix_count > len(batch):
-        raise ParameterError(
-            f"oodgen: mix_count {cfg.mix_count} exceeds batch of {len(batch)}"
-        )
+    if k > size:
+        raise ParameterError(f"oodgen: mix_count {k} exceeds batch of {size}")
+    sources = np.empty((n, k), dtype=np.intp)
+    todo = np.arange(n)
     for _ in range(cfg.max_resample):
-        idx = rng.choice(len(batch), size=cfg.mix_count, replace=False)
-        if len(set(labels[idx].tolist())) >= 2:
-            return idx
-    raise GenerationError(
-        f"oodgen: no index set with >= 2 classes found in "
-        f"{cfg.max_resample} resamples"
-    )
-
-
-def sample_pseudo_ood(batch: Corpus, cfg: OodGenConfig,
-                      rng: np.random.Generator) -> PseudoSample:
-    """Mix k ID records of ``batch`` into one pseudo-OOD sample.
-
-    The index set is rejection-resampled until it spans >= 2 classes; the
-    Dirichlet weight vector is shared across modalities unless
-    ``share_lambda`` is off, in which case each modality redraws its own
-    weights over the same sources.
-    """
-    idx = _select_sources(batch, cfg, rng)
-    shared = dirichlet_sample(cfg.alpha, cfg.mix_count, rng) if cfg.share_lambda \
-        else None
-    seqs, lams = {}, {}
-    for m in MODALITIES:
-        lam = shared if shared is not None else \
-            dirichlet_sample(cfg.alpha, cfg.mix_count, rng)
-        lams[m] = lam
-        seqs[m] = mix_sequences(batch.seqs[m][idx], lam)
-    return PseudoSample(seqs=seqs, source_indices=idx, lams=lams)
+        # the first k of a random permutation of the batch rows, per row
+        draw = rng.random((todo.size, size)).argsort(axis=1)[:, :k]
+        sources[todo] = draw
+        lab = labels[draw]
+        todo = todo[(lab == lab[:, :1]).all(axis=1)]
+        if not todo.size:
+            break
+    else:
+        raise GenerationError(
+            f"oodgen: {todo.size} of {n} index sets found no >= 2 classes "
+            f"in {cfg.max_resample} resamples"
+        )
+    shape = (n, k) if cfg.share_lambda else (len(MODALITIES), n, k)
+    lams = dirichlet_sample(cfg.alpha, shape, rng)
+    per_modality = np.broadcast_to(lams, (len(MODALITIES), n, k))
+    seqs = {m: np.einsum("nk,nk...->n...", lam, batch.seqs[m][sources])
+            for m, lam in zip(MODALITIES, per_modality)}
+    return PseudoBatch(seqs=seqs, sources=sources, lams=lams)
 
 
 def build_mixed_batch(id_half: Corpus, cfg: OodGenConfig,
@@ -117,14 +102,12 @@ def build_mixed_batch(id_half: Corpus, cfg: OodGenConfig,
     n = len(id_half)
     if n == 0:
         raise ParameterError("oodgen: id_half must be nonempty")
-    pseudo = [sample_pseudo_ood(id_half, cfg, rng) for _ in range(n)]
+    pseudo = sample_pseudo_ood(id_half, cfg, rng, n)
 
-    seqs = {
-        m: np.concatenate([id_half.seqs[m], [p.seqs[m] for p in pseudo]])
-        for m in MODALITIES
-    }
+    seqs = {m: np.concatenate([id_half.seqs[m], pseudo.seqs[m]])
+            for m in MODALITIES}
     labels = np.concatenate([id_half.labels, np.full(n, OOD_LABEL)])
-    binary = np.array([1] * n + [0] * n)
+    binary = np.repeat([1, 0], n)
 
     order = rng.permutation(2 * n)
     return Batch(

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's code paths: pair counting instead
 of a threshold sweep, explicit dense inverses instead of factorizations,
-and a literal double loop for the contrastive sums.
+a literal double loop for the contrastive sums, and a sequential weighted
+sum for the pseudo-OOD mix.
 """
 
 import math
@@ -80,3 +81,12 @@ def contrastive_double_loop_oracle(views, labels, is_id, partner, tau):
         )
         total += -inner / len(pos)
     return total / n
+
+
+def mix_loop_oracle(seqs, lam):
+    """Sequential convex combination: out = sum_j lam[j] * seqs[j], in order."""
+    assert len(seqs) == len(lam), "weight count must match sequence count"
+    out = np.zeros_like(np.asarray(seqs[0], dtype=float))
+    for weight, seq in zip(lam, seqs):
+        out += weight * seq
+    return out

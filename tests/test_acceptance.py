@@ -259,19 +259,19 @@ def test_c3_simplex_convexity_suite():
         cfg = OodGenConfig(mix_count=3, alpha=0.7)
         gen_rng = make_rng(3131)
         violations = 0
-        for _ in range(10_000):
-            s = sample_pseudo_ood(records, cfg, gen_rng)
-            lam = s.lams["T"]
+        batch = sample_pseudo_ood(records, cfg, gen_rng, 10_000)
+        for row, idx in enumerate(batch.sources):
+            lam = batch.lams[row]
             if abs(lam.sum() - 1.0) > 1e-12 or np.any(lam < 0):
                 violations += 1
                 continue
-            if len(set(label_arr[s.source_indices].tolist())) < 2:
+            if len(set(label_arr[idx].tolist())) < 2:
                 violations += 1
                 continue
             for m in pool_shapes:
-                stack = records.seqs[m][s.source_indices]
-                if np.any(s.seqs[m] < stack.min(axis=0) - 1e-9) or \
-                        np.any(s.seqs[m] > stack.max(axis=0) + 1e-9):
+                stack = records.seqs[m][idx]
+                if np.any(batch.seqs[m][row] < stack.min(axis=0) - 1e-9) or \
+                        np.any(batch.seqs[m][row] > stack.max(axis=0) + 1e-9):
                     violations += 1
                     break
         assert violations == 0

@@ -240,6 +240,35 @@ class TestEval:
         assert long_rows[0] == "scorer,sample_id,is_id,raw,normalized"
         assert len(long_rows) == 1 + 6 * 36
 
+    def test_report_reads_score_files(self, micro, trained, capsys):
+        out = micro["tmp"] / "eval_s"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["eval", "--config", str(micro["cfg"]),
+                         "--checkpoint", str(trained), "--corpus",
+                         str(micro["corpus"]), "--out", str(out),
+                         "--scorer", "msp"]) == 0
+        assert "score_table" not in json.loads(
+            (out / "eval_report.json").read_text())
+        assert main(["report", str(out)]) == 0
+        dumped = [json.loads(line) for line in
+                  (out / "scores_msp.jsonl").read_text().splitlines()]
+        long_rows = (out / "scores_long.csv").read_text().splitlines()[1:]
+        assert long_rows == [
+            f"msp,{r['id']},{int(r['is_id'])},{r['raw']!r},{r['norm']!r}"
+            for r in dumped
+        ]
+        scores = out / "scores_msp.jsonl"
+        scores.write_text("\n".join(scores.read_text().splitlines()[:2])[:-5])
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        assert re.search(r"error: cli: .*scores_msp\.jsonl line 2: malformed",
+                         capsys.readouterr().err)
+        scores.unlink()
+        assert main(["report", str(out)]) == 1
+        assert re.search(r"error: cli: .*scores_msp\.jsonl not found",
+                         capsys.readouterr().err)
+
 
 class TestAblate:
     def test_grid_rows_and_aggregate(self, micro):
@@ -317,6 +346,16 @@ class TestCheckpointErrors:
 def _corrupt_entry(path, corruption):
     """Break the second entry (line 3) of a manifest in one named way."""
     lines = path.read_text().splitlines()
+    blob = path.with_suffix(".blob")
+    if corruption == "non_finite":
+        data = bytearray(blob.read_bytes())
+        start = json.loads(lines[2])["offset"]
+        data[start:start + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        blob.write_bytes(bytes(data))
+        return
+    if corruption == "trailing":
+        blob.write_bytes(blob.read_bytes() + b"\0" * 8)
+        return
     if corruption == "truncated":
         lines[2] = lines[2][:-5]
     else:
@@ -326,6 +365,8 @@ def _corrupt_entry(path, corruption):
             entry[key] = json.loads(lines[1])[key]
         elif corruption == "huge_label":
             entry["label"] = 10**20  # beyond int64
+        elif corruption == "overlap":
+            entry["offset"] = json.loads(lines[1])["offset"]
         else:
             del entry[corruption]
         lines[2] = json.dumps(entry, sort_keys=True)
@@ -367,6 +408,9 @@ class TestMalformedManifests:
         ("truncated", "line 3"),
         ("offset", "line 3.*'offset'"),
         ("duplicate", "line 3.*duplicate tensor"),
+        ("non_finite", "line 3: tensor .*non-finite"),
+        ("overlap", "line 3: tensor .* has offset 0; in manifest order"),
+        ("trailing", "last tensor .*checkpoint.blob holds"),
     ])
     def test_eval_exits_1_with_error(self, micro, capsys, corruption,
                                      message):

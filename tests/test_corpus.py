@@ -328,6 +328,50 @@ class TestMalformedTensorStore:
         with pytest.raises(FormatError, match="line 3.*duplicate tensor 'a'"):
             read_tensor_store(manifest)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name, index", [("a", 0), ("b", 6)])
+    def test_non_finite_value_rejected(self, tmp_path, value, name, index):
+        manifest = self._saved(tmp_path)
+        blob = manifest.with_suffix(".blob")
+        data = np.frombuffer(blob.read_bytes(), dtype="<f8").copy()
+        data[index] = value
+        blob.write_bytes(data.tobytes())
+        with pytest.raises(FormatError,
+                           match=f"store.json line .: tensor '{name}'.*non-finite"):
+            read_tensor_store(manifest)
+
+    def test_trailing_blob_bytes_rejected(self, tmp_path):
+        manifest = self._saved(tmp_path)
+        blob = manifest.with_suffix(".blob")
+        blob.write_bytes(blob.read_bytes() + b"\0" * 8)
+        with pytest.raises(FormatError, match="store.json line 3: last tensor "
+                           "'b'.*store.blob holds 88 bytes.*take 80"):
+            read_tensor_store(manifest)
+
+    def test_nan_store_with_junk_tail_rejected(self, tmp_path):
+        manifest = write_tensor_store(tmp_path, "store",
+                                      {"w": np.array([np.nan, 1.0, 1.0])}, {})
+        blob = manifest.with_suffix(".blob")
+        blob.write_bytes(blob.read_bytes() + b"\xff" * 8)
+        with pytest.raises(FormatError, match="tensor 'w'.*non-finite"):
+            read_tensor_store(manifest)
+
+    @pytest.mark.parametrize("offset", [0, 8, 40, 56])
+    def test_overlapping_or_gapped_offsets_rejected(self, tmp_path, offset):
+        # 'b' starts right after the 48 bytes of 'a'; any other offset
+        # overlaps 'a' or leaves a gap
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 2, _edit_json(lambda e: e.update(offset=offset)))
+        with pytest.raises(FormatError, match="line 3: tensor 'b' has offset "
+                           f"{offset}; in manifest order it starts at 48"):
+            read_tensor_store(manifest)
+
+    def test_negative_shape_rejected(self, tmp_path):
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 2, _edit_json(lambda e: e.update(shape=[-1])))
+        with pytest.raises(FormatError, match="line 3.*non-negative"):
+            read_tensor_store(manifest)
+
 
 class TestBatches:
     def _train(self, n):

@@ -56,6 +56,19 @@ class TestDirichlet:
         first = np.array([dirichlet_sample(1.0, 2, rng)[0] for _ in range(10_000)])
         assert kstest(first, "uniform").statistic < 0.02
 
+    def test_underflow_fallback_is_one_hot_per_row(self):
+        # at alpha=1e-3 about half the gamma draws underflow to 0.0, so many
+        # rows of a batched draw have no mass left to normalize
+        shape = (5, 400, 3)
+        lam = dirichlet_sample(1e-3, shape, make_rng(11))
+        dead = make_rng(11).standard_gamma(1e-3, size=shape).sum(axis=-1) == 0
+        assert lam.shape == shape and dead.sum() > 100 and (~dead).sum() > 100
+        assert not np.isnan(lam).any()
+        assert np.all(lam >= 0) and np.all(lam <= 1)
+        assert np.all(np.abs(lam.sum(axis=-1) - 1.0) < 1e-12)
+        assert np.all(np.count_nonzero(lam[dead], axis=-1) == 1)
+        assert np.all(lam[dead].max(axis=-1) == 1.0)
+
     @pytest.mark.parametrize("alpha,k", [(0.0, 3), (-1.0, 3), (1.0, 1), (1.0, 0)])
     def test_bad_parameters(self, alpha, k):
         with pytest.raises(ParameterError):
