@@ -19,6 +19,9 @@ from .scoring import ClassStats
 from .train import TrainedModel
 
 CHECKPOINT_NAME = "checkpoint"
+# fitted inference state stored after the model parameters
+STATE_TENSORS = ("stats.means", "stats.covs", "stats.counts", "stats.eps",
+                 "stats.precisions", "cache.features", "cache.logits")
 
 
 def save_checkpoint(trained: TrainedModel, directory) -> Path:
@@ -68,13 +71,13 @@ def load_checkpoint(directory):
     model = FusionModel(corpus_meta, hyper, seed=int(meta.get("seed", 0)))
 
     named = model.named_params()
-    stored = {name for _, name, *_ in entries
-              if not name.startswith(("stats.", "cache."))}
-    missing = sorted(set(named) - stored)
-    extra = sorted(stored - set(named))
+    expected = set(named) | set(STATE_TENSORS)
+    stored = {name for _, name, *_ in entries}
+    missing = sorted(expected - stored)
+    extra = sorted(stored - expected)
     if missing or extra:
         raise FormatError(
-            f"checkpoint: parameter mismatch (missing={missing}, extra={extra})"
+            f"checkpoint: tensor mismatch (missing={missing}, extra={extra})"
         )
     _, tensors = read_tensor_store(manifest)
     for name, param in named.items():

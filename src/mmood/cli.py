@@ -152,25 +152,26 @@ def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
 # -- eval -------------------------------------------------------------------
 
 
-def run_eval(checkpoint_dir, corpus: Corpus, scorers: list[str],
+def run_eval(checkpoint_dir, test: Corpus, scorers: list[str],
              out_dir) -> EvalReport:
+    """Score the test split ``test`` (``corpus.split("test")``) with a
+    checkpoint; the caller need not keep the rest of the corpus."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model, stats, train_feats, train_logits, _ = load_checkpoint(checkpoint_dir)
 
-    test = corpus.split("test")
     if len(test) == 0:
         raise ParameterError("cli: corpus has no test records to evaluate")
     feats = model.features_for(test)
     logits = model.logits_for(feats)
     flags = ~test.is_ood
     idm = id_metrics(logits[flags].argmax(axis=1), test.labels[flags],
-                     corpus.num_classes)
+                     test.num_classes)
 
     report = EvalReport(id_metrics=idm, ood_metrics={})
     for variant in scorers:
         state = fit_scorer(variant, train_feats, train_logits, stats,
-                           corpus.num_classes)
+                           test.num_classes)
         scores = apply_scorer(state, feats, logits)
         norm = normalize_scores(scores)
         report.ood_metrics[variant] = ood_metrics(scores, flags)
@@ -270,14 +271,21 @@ def run_report(eval_dir, out_dir=None) -> Path:
     report_path = eval_dir / "eval_report.json"
     if not report_path.exists():
         raise ParameterError(f"cli: {report_path} not found; run eval first")
-    report = json.loads(report_path.read_text(encoding="utf-8"))
-
-    per_class = report["id_metrics"]["per_class_acc"]
+    try:
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        per_class = [float(v) for v in report["id_metrics"]["per_class_acc"]]
+        id_rows = [[k, float(v)]
+                   for k, v in sorted(report["id_metrics"].items())
+                   if k not in ("per_class_acc", "confusion")]
+        scorers = sorted(report["ood_metrics"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"cli: {report_path}: malformed eval report "
+                          f"({type(exc).__name__}: {exc})") from exc
     _write_csv(out_dir / "per_class_acc.csv", ["class", "accuracy"],
-               [[i, float(v)] for i, v in enumerate(per_class)])
+               [[i, v] for i, v in enumerate(per_class)])
 
     long_rows = []
-    for scorer in sorted(report["ood_metrics"]):
+    for scorer in scorers:
         scores_path = eval_dir / f"scores_{scorer}.jsonl"
         if not scores_path.exists():
             raise ParameterError(f"cli: {scores_path} not found; the eval "
@@ -295,8 +303,6 @@ def run_report(eval_dir, out_dir=None) -> Path:
     _write_csv(out_dir / "scores_long.csv",
                ["scorer", "sample_id", "is_id", "raw", "normalized"], long_rows)
 
-    id_rows = [[k, float(v)] for k, v in sorted(report["id_metrics"].items())
-               if k not in ("per_class_acc", "confusion")]
     _write_csv(out_dir / "id_metrics.csv", ["metric", "value"], id_rows)
     return out_dir
 
@@ -388,10 +394,10 @@ def main(argv=None) -> int:
             print(f"wrote {len(rows)} result row(s) to {out}")
         elif args.command == "eval":
             cfg = _load_run_config(args)
-            corpus = load_corpus(Path(args.corpus))
+            # only the test split stays alive while scoring
+            test = load_corpus(Path(args.corpus)).split("test")
             out = _resolve_out(args, cfg)
-            report = run_eval(args.checkpoint, corpus, cfg.eval.selected(),
-                              out)
+            report = run_eval(args.checkpoint, test, cfg.eval.selected(), out)
             for scorer, m in sorted(report.ood_metrics.items()):
                 print(f"{scorer}: auroc={m.auroc:.4f} fpr95={m.fpr95:.4f} "
                       f"der={m.der:.4f}")

@@ -185,24 +185,28 @@ def contrastive_from_views(views: Array, labels: Array, is_id: Array,
     np.fill_diagonal(e, 0.0)
     denom = e.sum(axis=1)
 
-    loss = 0.0
+    # positive mask (SupCon form): ID rows mark every other same-label
+    # view, OOD rows only the paired augmentation
+    is_id = np.asarray(is_id, dtype=bool)
+    partner = np.asarray(partner)
+    pos = is_id[:, None] & (labels[:, None] == labels[None, :])
+    np.fill_diagonal(pos, False)
+    ood = np.flatnonzero(~is_id)
+    pos[ood, partner[ood]] = True
+    count = pos.sum(axis=1)
+    if not count.all():
+        # cannot happen when views come in (original, augmentation) pairs:
+        # the anchor's own augmentation shares its label
+        raise ParameterError(
+            f"losses: ID anchor {np.flatnonzero(count == 0)[0]} has no "
+            "positive view"
+        )
+    log_terms = np.where(pos, sims / tau, 0.0).sum(axis=1) / count \
+        - np.log(denom)
+    loss = float(-log_terms.sum() / n)
     g_sims = e / denom[:, None] / (n * tau)  # softmax part, all anchors
     np.fill_diagonal(g_sims, 0.0)
-    for i in range(n):
-        if is_id[i]:
-            pos = np.flatnonzero((labels == labels[i]) & (np.arange(n) != i))
-            if len(pos) == 0:
-                # cannot happen when views come in (original, augmentation)
-                # pairs: the anchor's own augmentation shares its label
-                raise ParameterError(
-                    f"losses: ID anchor {i} has no positive view"
-                )
-        else:
-            pos = np.array([partner[i]])
-        log_terms = sims[i, pos] / tau - np.log(denom[i])
-        loss += -log_terms.mean()
-        g_sims[i, pos] -= 1.0 / (n * tau * len(pos))
-    loss /= n
+    g_sims -= pos / (n * tau * count)[:, None]
 
     g_u = (g_sims + g_sims.T) @ u
     g_views = (g_u - (g_u * u).sum(axis=1, keepdims=True) * u) / np.maximum(norms, NORM_EPS)

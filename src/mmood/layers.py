@@ -37,6 +37,50 @@ class Param:
         self.grad[...] = 0.0
 
 
+def bind_flat(params: Sequence[Param]) -> tuple[Array, Array]:
+    """Move ``params`` into one flat value and one flat grad buffer.
+
+    Each ``Param.value`` and ``Param.grad`` becomes a view of its slice,
+    laid out in the given order; returns ``(values, grads)``.
+    """
+    values = np.concatenate([p.value.reshape(-1) for p in params])
+    grads = np.concatenate([p.grad.reshape(-1) for p in params])
+    start = 0
+    for p in params:
+        stop = start + p.value.size
+        p.value = values[start:stop].reshape(p.value.shape)
+        p.grad = grads[start:stop].reshape(p.grad.shape)
+        start = stop
+    return values, grads
+
+
+def flat_slice(params: Sequence[Param]) -> tuple[Array, Array]:
+    """The one contiguous 1-D ``(values, grads)`` view ``params`` cover.
+
+    A single ``Param`` is its own slice; several must tile one range of a
+    ``bind_flat`` buffer pair, in any order.
+    """
+    if len(params) == 1:
+        return params[0].value.reshape(-1), params[0].grad.reshape(-1)
+    values, grads = params[0].value.base, params[0].grad.base
+    if values is None or values.ndim != 1 or any(
+            p.value.base is not values or p.grad.base is not grads
+            for p in params):
+        raise ParameterError("layers: parameters do not share one flat buffer")
+    starts = [(p.value.ctypes.data - values.ctypes.data) // values.itemsize
+              for p in params]
+    start = min(starts)
+    stop = max(s + p.value.size for s, p in zip(starts, params))
+    # bind_flat slices never overlap, so distinct starts whose sizes add up
+    # to the span tile it
+    if len(set(starts)) != len(params) or \
+            stop - start != sum(p.value.size for p in params):
+        raise ParameterError(
+            "layers: parameters do not tile one contiguous buffer slice"
+        )
+    return values[start:stop], grads[start:stop]
+
+
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
                    shape: tuple[int, ...]) -> Array:
     bound = np.sqrt(6.0 / (fan_in + fan_out))

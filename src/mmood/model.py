@@ -15,7 +15,7 @@ from .encoders import ModalityEncoder
 from .errors import ParameterError
 from .fusion import FUSION_MODES, FusionNetwork
 from .heads import BinaryHead, ContrastHead, CosineHead, LinearHead
-from .layers import Param
+from .layers import Param, bind_flat
 from .numerics import component_rng
 
 Array = np.ndarray
@@ -98,6 +98,14 @@ class FusionModel:
             hyper.contrast_dim or self.d_shared, hyper.dropout,
             component_rng(seed, SLOT_CONTRAST),
         )
+        # One flat value and one flat grad buffer back every Param. Sorting
+        # the stage tuples puts the binary head (1,) first, then encoders
+        # and fusion (1, 2), then the class and contrast heads (2,), so each
+        # stage's parameters are one contiguous slice (see AdamW).
+        self.values, self.grads = bind_flat([
+            p for c, _ in sorted(self._components(), key=lambda cs: cs[1])
+            if c is not None for p in c.params()
+        ])
 
     # -- forward/backward -------------------------------------------------
 
@@ -138,16 +146,19 @@ class FusionModel:
 
     # -- parameter bookkeeping ----------------------------------------------
 
-    def _params(self, stage: int | None = None) -> list[Param]:
-        """Parameters in checkpoint and optimizer-state order; ``stage``
-        keeps only the components that training stage updates."""
-        table = [(self.encoders[m], (1, 2)) for m in MODALITIES] + [
+    def _components(self) -> list[tuple]:
+        """(component or None, training stages that update it)."""
+        return [(self.encoders[m], (1, 2)) for m in MODALITIES] + [
             (self.fusion, (1, 2)),
             (self.binary_head, (1,)),
             (self.class_head, (2,)),
             (self.contrast_head, (2,)),
         ]
-        return [p for c, stages in table
+
+    def _params(self, stage: int | None = None) -> list[Param]:
+        """Parameters in checkpoint order; ``stage`` keeps only the
+        components that training stage updates."""
+        return [p for c, stages in self._components()
                 if c is not None and (stage is None or stage in stages)
                 for p in c.params()]
 

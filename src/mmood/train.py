@@ -24,7 +24,7 @@ from .heads import (
     make_view_ids,
     multiclass_loss,
 )
-from .layers import Param
+from .layers import Param, flat_slice
 from .metrics import id_metrics
 from .model import SLOT_TRAIN_LOOP, FusionModel, ModelHyper
 from .numerics import component_rng
@@ -62,33 +62,37 @@ class TrainConfig:
 
 
 class AdamW:
-    """Adam with decoupled weight decay and bias correction."""
+    """Adam with decoupled weight decay and bias correction.
+
+    Updates the one contiguous slice of values and grads that ``params``
+    cover (see ``layers.flat_slice``) with whole-slice operations; the
+    moment estimates are flat arrays over that slice.
+    """
 
     def __init__(self, params: Sequence[Param], lr: float, weight_decay: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
+        self.values, self.grads = flat_slice(list(params))
         self.lr = lr
         self.wd = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.m = np.zeros_like(self.values)
+        self.v = np.zeros_like(self.values)
 
     def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad ** 2
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.value -= self.lr * (update + self.wd * p.value)
+        m, v, g = self.m, self.v, self.grads
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g ** 2
+        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.values -= self.lr * (update + self.wd * self.values)
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self.grads[...] = 0.0
 
 
 @dataclass
@@ -176,15 +180,6 @@ def _validation_wf1(model: FusionModel, valid: Corpus) -> float | None:
     return id_metrics(model.predict(valid), valid.labels, model.num_classes).wf1
 
 
-def _snapshot(params: Sequence[Param]) -> list[Array]:
-    return [p.value.copy() for p in params]
-
-
-def _restore(params: Sequence[Param], values: list[Array]) -> None:
-    for p, v in zip(params, values):
-        p.value[...] = v
-
-
 def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedModel:
     """Run the full schedule on a corpus and fit inference statistics."""
     train_split = corpus.split("train")
@@ -227,13 +222,13 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
                     entry["val_wf1"] = wf1
                     if wf1 > best["wf1"]:
                         best = {"wf1": wf1, "epoch": epoch}
-                        best_values = _snapshot(model.params())
+                        best_values = model.values.copy()
                         stale = 0
                     elif wf1 == best["wf1"]:
                         # ties keep the most-trained snapshot but still
                         # count toward patience
                         best = {"wf1": wf1, "epoch": epoch}
-                        best_values = _snapshot(model.params())
+                        best_values = model.values.copy()
                         stale += 1
                     else:
                         stale += 1
@@ -241,7 +236,7 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
             if track_validation and best_values is not None and stale > cfg.patience:
                 break
         if best_values is not None:
-            _restore(model.params(), best_values)
+            model.values[...] = best_values
         return best
 
     if cfg.joint_objective:

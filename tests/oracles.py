@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's code paths: pair counting instead
 of a threshold sweep, explicit dense inverses instead of factorizations,
-a literal double loop for the contrastive sums, and a sequential weighted
+a literal double loop for the contrastive sums, a per-anchor loop for the
+contrastive gradient, a per-tensor AdamW loop, and a sequential weighted
 sum for the pseudo-OOD mix.
 """
 
@@ -90,3 +91,61 @@ def mix_loop_oracle(seqs, lam):
     for weight, seq in zip(lam, seqs):
         out += weight * seq
     return out
+
+
+def contrastive_anchor_loop_oracle(views, labels, is_id, partner, tau,
+                                   norm_eps=1e-12):
+    """Per-anchor loop form of ``contrastive_from_views``: (loss, grad).
+
+    Each anchor's positives are gathered and its gradient row updated on
+    its own; zero views are handled as in the library.
+    """
+    n = views.shape[0]
+    norms = np.linalg.norm(views, axis=1, keepdims=True)
+    live = norms > norm_eps
+    u = np.where(live, views / np.maximum(norms, norm_eps), 0.0)
+    sims = u @ u.T
+    e = np.exp(sims / tau)
+    np.fill_diagonal(e, 0.0)
+    denom = e.sum(axis=1)
+
+    loss = 0.0
+    g_sims = e / denom[:, None] / (n * tau)
+    np.fill_diagonal(g_sims, 0.0)
+    for i in range(n):
+        if is_id[i]:
+            pos = np.flatnonzero((labels == labels[i]) & (np.arange(n) != i))
+            assert len(pos) > 0, f"ID anchor {i} has no positive view"
+        else:
+            pos = np.array([partner[i]])
+        log_terms = sims[i, pos] / tau - np.log(denom[i])
+        loss += -log_terms.mean()
+        g_sims[i, pos] -= 1.0 / (n * tau * len(pos))
+    loss /= n
+
+    g_u = (g_sims + g_sims.T) @ u
+    g_views = (g_u - (g_u * u).sum(axis=1, keepdims=True) * u) \
+        / np.maximum(norms, norm_eps)
+    return loss, np.where(live, g_views, 0.0)
+
+
+def adamw_loop_oracle(values, grads_per_step, lr, weight_decay,
+                      beta1=0.9, beta2=0.999, eps=1e-8):
+    """AdamW applied tensor by tensor; returns the updated value copies.
+
+    ``grads_per_step[t][j]`` is tensor j's gradient at step t + 1.
+    """
+    values = [np.array(v, dtype=float) for v in values]
+    ms = [np.zeros_like(v) for v in values]
+    vs = [np.zeros_like(v) for v in values]
+    for t, grads in enumerate(grads_per_step, start=1):
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for value, m, v, g in zip(values, ms, vs, grads):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g ** 2
+            update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+            value -= lr * (update + weight_decay * value)
+    return values

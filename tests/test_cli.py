@@ -1,6 +1,7 @@
 import json
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mmood.cli import main, run_ablation, run_eval, run_synth, run_training
 from mmood.config import load_config
 from mmood.corpus import load_corpus
 from mmood.errors import PipelineError
+from mmood.model import FusionModel
 
 MICRO_INI = """
 [corpus]
@@ -269,6 +271,51 @@ class TestEval:
         assert re.search(r"error: cli: .*scores_msp\.jsonl not found",
                          capsys.readouterr().err)
 
+    def test_report_rejects_malformed_eval_report(self, micro, trained,
+                                                  capsys):
+        out = micro["tmp"] / "eval_t"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["eval", "--config", str(micro["cfg"]),
+                         "--checkpoint", str(trained), "--corpus",
+                         str(micro["corpus"]), "--out", str(out),
+                         "--scorer", "msp"]) == 0
+        report = out / "eval_report.json"
+        text = report.read_text()
+        bad_acc = json.loads(text)
+        bad_acc["id_metrics"]["per_class_acc"][0] = "high"
+        for broken in (text[:-20], json.dumps({"id_metrics": {}}),
+                       json.dumps({"id_metrics": [], "ood_metrics": {}}),
+                       json.dumps(bad_acc)):
+            report.write_text(broken)
+            capsys.readouterr()
+            assert main(["report", str(out)]) == 1
+            assert re.search(r"error: cli: .*eval_report\.json: malformed",
+                             capsys.readouterr().err)
+
+    def test_only_test_split_alive_while_scoring(self, micro, trained,
+                                                 monkeypatch):
+        loaded, alive = [], []
+        real_load = mmood.cli.load_corpus
+        real_features = FusionModel.features_for
+
+        def load(path):
+            corpus = real_load(path)
+            loaded.append(weakref.ref(corpus))
+            return corpus
+
+        def features_for(model, corpus, chunk=256):
+            alive.append(loaded[0]() is not None)
+            return real_features(model, corpus, chunk)
+
+        monkeypatch.setattr(mmood.cli, "load_corpus", load)
+        monkeypatch.setattr(FusionModel, "features_for", features_for)
+        assert main(["eval", "--config", str(micro["cfg"]),
+                     "--checkpoint", str(trained), "--corpus",
+                     str(micro["corpus"]), "--out", str(micro["tmp"] / "e"),
+                     "--scorer", "msp"]) == 0
+        assert alive == [False]
+
 
 class TestAblate:
     def test_grid_rows_and_aggregate(self, micro):
@@ -330,6 +377,31 @@ class TestCheckpointErrors:
         manifest.write_text("\n".join(kept) + "\n")
         with pytest.raises(FormatError, match="class.W_cos"):
             load_checkpoint(out)
+
+    @pytest.mark.parametrize("edit, name", [
+        ("rename", "stats.means"),
+        ("drop", "cache.logits"),
+    ])
+    def test_state_tensor_named_in_error(self, micro, capsys, edit, name):
+        out = micro["tmp"] / "run_state"
+        assert main(["train", "--config", str(micro["cfg"]), "--corpus",
+                     str(micro["corpus"]), "--out", str(out),
+                     "--seed", "0"]) == 0
+        manifest = out / "checkpoint.json"
+        lines = manifest.read_text().splitlines()
+        if edit == "rename":
+            lines = [l.replace(f'"{name}"', f'"{name[:-1]}z"') for l in lines]
+        else:
+            lines = [l for l in lines if f'"{name}"' not in l]
+        manifest.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                     str(out), "--corpus", str(micro["corpus"]),
+                     "--out", str(micro["tmp"] / "e")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: checkpoint: ")
+        assert f"missing=['{name}']" in err
 
     def test_missing_blob_rejected(self, micro):
         from mmood.errors import FormatError

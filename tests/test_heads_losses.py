@@ -173,6 +173,7 @@ class TestMulticlassLoss:
         assert l1 == l2
 
 
+from oracles import adamw_loop_oracle, contrastive_anchor_loop_oracle
 from oracles import contrastive_double_loop_oracle as contrastive_oracle
 
 
@@ -289,6 +290,50 @@ class TestContrastive:
         assert check_gradients(run, [z_p] + head.params()) == []
 
 
+class TestContrastiveMask:
+    """The positive-mask form against the per-anchor loop it replaced."""
+
+    @staticmethod
+    def _case(rng, b, kind):
+        raw = rng.integers(0, 3, size=b)  # three classes: label ties
+        if kind == "all_id":
+            binary = np.ones(b, dtype=int)
+        elif kind == "all_ood":
+            binary = np.zeros(b, dtype=int)
+        else:
+            binary = rng.integers(0, 2, size=b)
+        raw = np.where(binary == 1, raw, OOD_LABEL)
+        views = rng.normal(size=(2 * b, int(rng.integers(2, 7))))
+        if kind == "zero_view":
+            views[int(rng.integers(0, 2 * b))] = 0.0
+        labels, is_id, partner = make_view_ids(raw, binary)
+        return views, labels, is_id, partner, float(rng.uniform(0.1, 3.0))
+
+    @pytest.mark.parametrize("kind", ["mixed", "all_id", "all_ood",
+                                      "zero_view"])
+    def test_matches_anchor_loop(self, kind):
+        rng = make_rng(40)
+        for b in range(1, 17):
+            for _ in range(4):
+                case = self._case(rng, b, kind)
+                loss, grad = contrastive_from_views(*case)
+                ref_loss, ref_grad = contrastive_anchor_loop_oracle(*case)
+                assert np.array_equal(grad, ref_grad), (kind, b)
+                assert loss == pytest.approx(ref_loss, abs=1e-12)
+
+    def test_id_anchor_without_positive_rejected(self):
+        views = make_rng(41).normal(size=(4, 3))
+        labels = np.array([0, 1, 2, 0])
+        partner = np.array([2, 3, 0, 1])
+        with pytest.raises(ParameterError, match="ID anchor 1 has no positive"):
+            contrastive_from_views(views, labels, np.ones(4, dtype=bool),
+                                   partner, tau=1.0)
+        # the same rows as OOD anchors need only their partner
+        is_id = np.array([True, False, False, True])
+        loss, _ = contrastive_from_views(views, labels, is_id, partner, 1.0)
+        assert math.isfinite(loss)
+
+
 class TestBinaryHeadLinearHead:
     def test_binary_head_gradients(self):
         head = BinaryHead("binary", 5, make_rng(16))
@@ -332,6 +377,57 @@ class TestAdamW:
             p.grad[...] = 2.0 * p.value
             opt.step()
         assert abs(p.value[0]) < 1e-3
+
+
+class TestFlatAdamW:
+    """AdamW over the model's flat buffer, against a per-tensor loop."""
+
+    @staticmethod
+    def _model():
+        return FusionModel(desk_corpus(n_train=60).meta,
+                           desk_train_cfg().model, 0)
+
+    @pytest.mark.parametrize("stage", [1, 2, None])
+    def test_matches_per_tensor_loop(self, stage):
+        model = self._model()
+        params = model._params(stage)
+        assert len({p.value.shape for p in params}) > 3
+        opt = AdamW(params, lr=0.05, weight_decay=0.01)
+        init = [p.value.copy() for p in params]
+        rng = make_rng(42)
+        steps = []
+        for _ in range(5):
+            grads = [rng.normal(size=p.value.shape) for p in params]
+            opt.zero_grad()
+            for p, g in zip(params, grads):
+                p.grad[...] = g
+            opt.step()
+            steps.append(grads)
+        expected = adamw_loop_oracle(init, steps, lr=0.05, weight_decay=0.01)
+        for p, want in zip(params, expected):
+            assert np.array_equal(p.value, want), p.name
+
+    def test_stages_update_only_their_slices(self):
+        model = self._model()
+        rng = make_rng(43)
+        for stage, frozen in ((1, ("class.", "contrast.")), (2, ("binary.",))):
+            before = {p.name: p.value.copy() for p in model.params()}
+            opt = AdamW(model._params(stage), lr=0.05, weight_decay=0.01)
+            for _ in range(3):
+                model.grads[...] = rng.normal(size=model.grads.shape)
+                opt.step()
+            for p in model.params():
+                changed = not np.array_equal(p.value, before[p.name])
+                assert changed != p.name.startswith(frozen), (stage, p.name)
+
+    def test_params_must_tile_one_buffer_slice(self):
+        model = self._model()
+        gapped = model.encoders["T"].params() + model.class_head.params()
+        with pytest.raises(ParameterError, match="contiguous"):
+            AdamW(gapped, lr=0.1, weight_decay=0.0)
+        loose = [Param("a", np.ones(2)), Param("b", np.ones(3))]
+        with pytest.raises(ParameterError, match="flat buffer"):
+            AdamW(loose, lr=0.1, weight_decay=0.0)
 
 
 class TestTraining:
