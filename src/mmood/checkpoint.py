@@ -6,13 +6,13 @@ reloaded model reproduces evaluation outputs bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import CorpusMeta
-from .blobio import read_tensor_manifest, read_tensor_store, write_tensor_store
+from .blobio import read_tensor_blob, read_tensor_manifest, write_tensor_store
 from .errors import FormatError
 from .model import FusionModel, ModelHyper
 from .scoring import ClassStats
@@ -51,6 +51,33 @@ def save_checkpoint(trained: TrainedModel, directory) -> Path:
                               dtype="<f8")
 
 
+def _model_from_header(meta, manifest: Path) -> FusionModel:
+    """The untrained model a checkpoint header describes; ``hyper`` must
+    carry exactly the ``ModelHyper`` fields, each of the type of its
+    default (an int stands for a float)."""
+    try:
+        hyper = meta["hyper"]
+        kinds = {f.name: type(f.default) for f in fields(ModelHyper)}
+        missing = sorted(set(kinds) - set(hyper))
+        extra = sorted(set(hyper) - set(kinds))
+        if missing or extra:
+            raise ValueError(f"hyper fields missing={missing}, extra={extra}")
+        for key, value in hyper.items():
+            if type(value) is not kinds[key] and (kinds[key], type(value)) \
+                    != (float, int):
+                raise TypeError(f"hyper.{key} = {value!r} is not a "
+                                f"{kinds[key].__name__}")
+        corpus_meta = CorpusMeta(
+            num_classes=int(meta["num_classes"]),
+            shapes={m: tuple(s) for m, s in meta["shapes"].items()},
+        )
+        return FusionModel(corpus_meta, ModelHyper(**hyper),
+                           seed=int(meta.get("seed", 0)))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint: {manifest}: malformed header "
+                          f"({type(exc).__name__}: {exc})") from exc
+
+
 def load_checkpoint(directory):
     """Rebuild the model and fitted statistics from a checkpoint directory.
 
@@ -62,13 +89,7 @@ def load_checkpoint(directory):
     # parameter names are checked before the blob is read, so a dropped
     # manifest entry is reported by name, not as the layout gap it leaves
     meta, entries = read_tensor_manifest(manifest)
-
-    corpus_meta = CorpusMeta(
-        num_classes=int(meta["num_classes"]),
-        shapes={m: tuple(s) for m, s in meta["shapes"].items()},
-    )
-    hyper = ModelHyper(**meta["hyper"])
-    model = FusionModel(corpus_meta, hyper, seed=int(meta.get("seed", 0)))
+    model = _model_from_header(meta, manifest)
 
     named = model.named_params()
     expected = set(named) | set(STATE_TENSORS)
@@ -79,7 +100,7 @@ def load_checkpoint(directory):
         raise FormatError(
             f"checkpoint: tensor mismatch (missing={missing}, extra={extra})"
         )
-    _, tensors = read_tensor_store(manifest)
+    tensors = read_tensor_blob(manifest, entries)
     for name, param in named.items():
         value = tensors[name]
         if value.shape != param.value.shape:

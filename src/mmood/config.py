@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .corpus import MODALITIES, ModalitySynth, SynthConfig
 from .errors import ParameterError
-from .model import ModelHyper
 from .oodgen import OodGenConfig
 from .scoring import SCORERS
 from .train import TrainConfig
@@ -155,38 +154,3 @@ def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
             )
         cfg.out_dir = items.get("out_dir")
     return cfg
-
-
-def config_to_ini(cfg: RunConfig) -> str:
-    """Canonical INI text with every key spelled out."""
-    lines = ["[corpus]"]
-    for f in fields(SynthConfig):
-        if f.name == "modalities":
-            continue
-        lines.append(f"{f.name} = {getattr(cfg.synth, f.name)}")
-    for m in MODALITIES:
-        spec = cfg.synth.modalities[m]
-        for f in fields(ModalitySynth):
-            lines.append(f"{f.name}_{m.lower()} = {getattr(spec, f.name)}")
-    lines.append("")
-    lines.append("[oodgen]")
-    for f in fields(OodGenConfig):
-        lines.append(f"{f.name} = {getattr(cfg.oodgen, f.name)}")
-    lines.append("")
-    lines.append("[model]")
-    for f in fields(ModelHyper):
-        lines.append(f"{f.name} = {getattr(cfg.train.model, f.name)}")
-    lines.append("")
-    lines.append("[train]")
-    for f in fields(TrainConfig):
-        if f.name == "model":
-            continue
-        lines.append(f"{f.name} = {getattr(cfg.train, f.name)}")
-    lines.append("")
-    lines.append("[eval]")
-    lines.append(f"scorer = {cfg.eval.scorer}")
-    if cfg.out_dir is not None:
-        lines.append("")
-        lines.append("[run]")
-        lines.append(f"out_dir = {cfg.out_dir}")
-    return "\n".join(lines) + "\n"

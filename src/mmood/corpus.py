@@ -1,16 +1,11 @@
 """Embedding-corpus format, loading, synthetic generation, and batching.
 
-Disk layout (one directory per corpus):
-
-    manifest.jsonl   line 1: header with class count and per-modality
-                     (seq_len, dim, blob file); one JSON line per record
-                     with id, split, label and byte offsets into the blobs
-    seq_T.blob       raw little-endian float32, row-major, one (L_T x D_T)
-    seq_V.blob       chunk per record, concatenated in manifest order
-    seq_A.blob
-
-The layout is strict (record i at byte ``i * L*D*4``, a blob of exactly
-``N * L*D*4`` bytes) and every value must be finite.
+On disk a corpus is a blobio container (one directory per corpus):
+``manifest.jsonl`` holds a header with the class count and each
+modality's (seq_len, dim, blob file), then one line per record with its
+id, split, label and byte offsets; ``seq_T.blob``, ``seq_V.blob`` and
+``seq_A.blob`` hold one float32 (L x D) chunk per record, so record i
+starts at byte ``i * L*D*4``.
 
 Labels are class indices 0..K-1; out-of-distribution records carry the
 sentinel string ``__OOD__`` in the manifest (index -1 in memory) and may
@@ -24,13 +19,15 @@ loading validate whole columns and name the first offending record.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .blobio import array_to_bytes
+from .blobio import (Schema, array_to_bytes, read_blob, read_manifest,
+                     write_manifest)
 from .errors import FormatError, ParameterError
 from .numerics import l2_normalize
 
@@ -41,6 +38,9 @@ OOD_LABEL = -1
 
 MANIFEST_NAME = "manifest.jsonl"
 STORAGE = np.dtype("<f4")  # blob precision
+SCHEMA = Schema(module="corpus", format="corpus", kind="corpus manifest",
+                entry="record", key="id", key_noun="record id")
+_OFFSETS = itemgetter(*MODALITIES)  # a record's offsets, in MODALITIES order
 
 
 @dataclass
@@ -98,12 +98,6 @@ class Corpus:
         return self.take(np.flatnonzero(self.splits == name))
 
 
-def _row_bytes(meta: CorpusMeta, m: str) -> int:
-    """Size of one record's chunk in modality m's blob."""
-    length, dim = meta.shapes[m]
-    return length * dim * STORAGE.itemsize
-
-
 def _validate(corpus: Corpus) -> None:
     """Record invariants over whole columns; errors name the first offender."""
     ids, splits, labels = corpus.ids, corpus.splits, corpus.labels
@@ -142,37 +136,48 @@ def save_corpus(corpus: Corpus, directory) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     _validate(corpus)
     meta = corpus.meta
-    header = {
-        "format": "corpus",
-        "version": 1,
-        "num_classes": meta.num_classes,
-        "modalities": {
-            m: {
-                "seq_len": meta.shapes[m][0],
-                "dim": meta.shapes[m][1],
-                "blob": f"seq_{m}.blob",
-            }
-            for m in MODALITIES
-        },
-    }
+    header = {"format": "corpus", "version": 1, "num_classes": meta.num_classes,
+              "modalities": {m: {"seq_len": length, "dim": dim,
+                                 "blob": f"seq_{m}.blob"}
+                             for m, (length, dim) in meta.shapes.items()}}
     for m in MODALITIES:
         (directory / f"seq_{m}.blob").write_bytes(
             array_to_bytes(corpus.seqs[m], STORAGE.str))
-    row_bytes = {m: _row_bytes(meta, m) for m in MODALITIES}
+    row_bytes = {m: math.prod(meta.shapes[m]) * STORAGE.itemsize
+                 for m in MODALITIES}
     columns = zip(corpus.ids.tolist(), corpus.splits.tolist(),
                   corpus.labels.tolist())
-    manifest_path = directory / MANIFEST_NAME
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for row, (rec_id, split, label) in enumerate(columns):
-            line = {
-                "id": rec_id,
-                "split": split,
-                "label": OOD_SENTINEL if label == OOD_LABEL else label,
-                "offsets": {m: row * row_bytes[m] for m in MODALITIES},
-            }
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
-    return manifest_path
+    return write_manifest(directory / MANIFEST_NAME, header, (
+        {"id": rec_id, "split": split,
+         "label": OOD_SENTINEL if label == OOD_LABEL else label,
+         "offsets": {m: row * row_bytes[m] for m in MODALITIES}}
+        for row, (rec_id, split, label) in enumerate(columns)))
+
+
+def _header(header) -> tuple:
+    """``(num_classes, shapes, blob file per modality)`` of a header."""
+    shapes, blob_files = {}, {}
+    for m, spec in header["modalities"].items():
+        shapes[m] = (int(spec["seq_len"]), int(spec["dim"]))
+        blob_files[m] = spec["blob"]
+        if not isinstance(blob_files[m], str):
+            raise TypeError(f"modality {m} blob must be a file name")
+    return int(header["num_classes"]), shapes, blob_files
+
+
+def _record(entry, header: tuple) -> tuple:
+    """``(id, split, label, offset per modality)`` of one manifest entry."""
+    num_classes, label = header[0], entry["label"]
+    if label == OOD_SENTINEL:
+        label = OOD_LABEL
+    elif type(label) is not int or not 0 <= label < num_classes:
+        raise ValueError(f"label {label!r} is neither {OOD_SENTINEL} "
+                         f"nor a class index 0..{num_classes - 1}")
+    offsets = map(int, _OFFSETS(entry["offsets"]))
+    rec_id, split = entry["id"], entry["split"]
+    if not isinstance(rec_id, str) or not isinstance(split, str):
+        raise TypeError("id and split must be strings")
+    return (rec_id, split, label, *offsets)
 
 
 def load_corpus(manifest_path) -> Corpus:
@@ -180,96 +185,18 @@ def load_corpus(manifest_path) -> Corpus:
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise FormatError(f"corpus: manifest {manifest_path} does not exist")
-    lines = manifest_path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise FormatError(f"corpus: manifest {manifest_path} is empty")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"corpus: malformed manifest header") from exc
-    if not isinstance(header, dict) or header.get("format") != "corpus":
-        raise FormatError(f"corpus: {manifest_path} is not a corpus manifest")
-
-    shapes = {}
-    blob_files = {}
-    try:
-        for m, spec in header["modalities"].items():
-            shapes[m] = (int(spec["seq_len"]), int(spec["dim"]))
-            blob_files[m] = spec["blob"]
-        num_classes = int(header["num_classes"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"corpus: {manifest_path} line 1: malformed header "
-                          f"({type(exc).__name__}: {exc})") from exc
+    (num_classes, shapes, blob_files), rows = read_manifest(
+        manifest_path, SCHEMA, _header, _record)
     meta = CorpusMeta(num_classes=num_classes, shapes=shapes)
-    row_bytes = {m: _row_bytes(meta, m) for m in MODALITIES}
-
-    buffers = {}
-    for m in MODALITIES:
-        path = manifest_path.parent / blob_files[m]
-        if not path.exists():
-            raise FormatError(f"corpus: missing blob {path} for modality {m}")
-        buffers[m] = path.read_bytes()
-
-    ids, splits, labels = [], [], []
-    seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        rec_id = "<unparsed>"
-        try:
-            entry = json.loads(line)
-            rec_id = entry.get("id", "<unnamed>")
-            label = entry["label"]
-            if label == OOD_SENTINEL:
-                label = OOD_LABEL
-            elif type(label) is not int or not 0 <= label < num_classes:
-                raise ValueError(f"label {label!r} is neither {OOD_SENTINEL} "
-                                 f"nor a class index 0..{num_classes - 1}")
-            offsets = {m: int(entry["offsets"][m]) for m in MODALITIES}
-            split = entry["split"]
-            if not isinstance(rec_id, str) or not isinstance(split, str):
-                raise TypeError("id and split must be strings")
-            duplicate = rec_id in seen
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise FormatError(
-                f"corpus: {manifest_path} line {lineno}: malformed record "
-                f"{rec_id!r} ({type(exc).__name__}: {exc})"
-            ) from exc
-        if duplicate:
-            raise FormatError(f"corpus: {manifest_path} line {lineno}: "
-                              f"duplicate record id {rec_id!r}")
-        row = len(ids)
-        for m in MODALITIES:
-            if offsets[m] != row * row_bytes[m]:
-                raise FormatError(
-                    f"corpus: {manifest_path} line {lineno}: record {rec_id!r} "
-                    f"modality {m} has offset {offsets[m]}; in manifest order "
-                    f"its chunk starts at {row * row_bytes[m]}")
-        seen.add(rec_id)
-        ids.append(rec_id)
-        splits.append(split)
-        labels.append(label)
-        last_line = lineno
-
+    lines, ids, splits, labels, *offsets = \
+        zip(*rows) if rows else [()] * (4 + len(MODALITIES))
     n = len(ids)
-    for m in MODALITIES:
-        if len(buffers[m]) != n * row_bytes[m]:
-            where = f"line {last_line}: last record {ids[-1]!r}: " if n else ""
-            raise FormatError(
-                f"corpus: {manifest_path} {where}blob "
-                f"{blob_files[m]} holds {len(buffers[m])} bytes, but {n} "
-                f"records take {n * row_bytes[m]}")
-    corpus = Corpus(
-        meta=meta,
-        ids=np.array(ids, dtype=str),
-        splits=np.array(splits, dtype=str),
-        labels=np.array(labels, dtype=np.int64),
-        seqs={m: np.frombuffer(buffers[m], dtype=STORAGE)
-              .reshape(n, *shapes[m]).astype(np.float64)
-              for m in MODALITIES},
-    )
+    seqs = {m: read_blob(manifest_path, SCHEMA, blob_files[m], lines,
+                         lambda i: f"record {ids[i]!r} modality {m}", offs,
+                         [math.prod(shapes[m])] * n, [STORAGE.str] * n)
+            .reshape(n, *shapes[m]) for m, offs in zip(MODALITIES, offsets)}
+    corpus = Corpus(meta, np.array(ids, dtype=str), np.array(splits, dtype=str),
+                    np.array(labels, dtype=np.int64), seqs)
     _validate(corpus)
     return corpus
 

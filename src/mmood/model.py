@@ -119,12 +119,6 @@ class FusionModel:
         for m in MODALITIES:
             self.encoders[m].backward_batch(gxs[m], caches[m])
 
-    def fuse_batch(self, seqs: dict[str, Array], train: bool,
-                   rng: np.random.Generator | None):
-        xs, enc_caches = self.encode_batch(seqs)
-        z, w, fuse_cache = self.fusion.forward(xs, train, rng)
-        return z, w, (enc_caches, fuse_cache)
-
     # -- evaluation helpers ------------------------------------------------
 
     def features_for(self, corpus: Corpus, chunk: int = 256) -> Array:
@@ -132,7 +126,8 @@ class FusionModel:
         out = []
         for start in range(0, len(corpus), chunk):
             seqs = {m: corpus.seqs[m][start:start + chunk] for m in MODALITIES}
-            z, _, _ = self.fuse_batch(seqs, train=False, rng=None)
+            xs, _ = self.encode_batch(seqs)
+            z, _, _ = self.fusion.forward(xs, False, None)
             out.append(z)
         return np.concatenate(out) if out else np.zeros((0, self.d_shared))
 

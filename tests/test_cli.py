@@ -525,3 +525,59 @@ class TestErrors:
         code = main(["report", str(micro["tmp"] / "never_evaled")])
         assert code == 1
         assert "eval" in capsys.readouterr().err
+
+
+class TestNonUtf8Manifest:
+    @pytest.mark.parametrize("target, module", [("corpus", "corpus"),
+                                                ("checkpoint", "blobio")])
+    def test_exits_1_with_format_error(self, micro, capsys, target, module):
+        run = micro["tmp"] / "run"
+        train = ["train", "--config", str(micro["cfg"]), "--corpus",
+                 str(micro["corpus"]), "--out", str(run), "--seed", "0"]
+        if target == "corpus":
+            path, argv = micro["corpus"] / "manifest.jsonl", train
+        else:
+            assert main(train) == 0
+            path = run / "checkpoint.json"
+            argv = ["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                    str(run), "--corpus", str(micro["corpus"]),
+                    "--out", str(micro["tmp"] / "e")]
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] = 0xFF
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {module}: ")
+        assert f"{path.name} is not UTF-8" in err
+
+
+class TestCheckpointHeader:
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["meta"]["hyper"].update(bogus=1),
+        lambda h: h["meta"].pop("num_classes"),
+        lambda h: h["meta"].update(shapes=list(h["meta"]["shapes"].values())),
+        lambda h: h["meta"]["hyper"].update(gamma="x"),
+        lambda h: h.update(meta=[h["meta"]]),
+        lambda h: h["meta"]["hyper"].pop("gamma"),
+    ], ids=["extra_hyper_key", "no_num_classes", "shapes_list",
+            "gamma_string", "meta_list", "no_gamma"])
+    def test_malformed_header_exits_1(self, micro, capsys, edit):
+        run = micro["tmp"] / "run"
+        assert main(["train", "--config", str(micro["cfg"]), "--corpus",
+                     str(micro["corpus"]), "--out", str(run),
+                     "--seed", "0"]) == 0
+        manifest = run / "checkpoint.json"
+        lines = manifest.read_text().splitlines()
+        header = json.loads(lines[0])
+        edit(header)
+        lines[0] = json.dumps(header, sort_keys=True)
+        manifest.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                     str(run), "--corpus", str(micro["corpus"]),
+                     "--out", str(micro["tmp"] / "e")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: checkpoint: {manifest}: malformed header")

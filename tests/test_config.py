@@ -1,7 +1,48 @@
+from dataclasses import fields
+
 import pytest
 
-from mmood.config import RunConfig, config_to_ini, load_config
+from mmood.config import RunConfig, load_config
+from mmood.corpus import MODALITIES, ModalitySynth, SynthConfig
 from mmood.errors import ParameterError
+from mmood.model import ModelHyper
+from mmood.oodgen import OodGenConfig
+from mmood.train import TrainConfig
+
+
+def config_to_ini(cfg: RunConfig) -> str:
+    """Canonical INI text with every key spelled out."""
+    lines = ["[corpus]"]
+    for f in fields(SynthConfig):
+        if f.name == "modalities":
+            continue
+        lines.append(f"{f.name} = {getattr(cfg.synth, f.name)}")
+    for m in MODALITIES:
+        spec = cfg.synth.modalities[m]
+        for f in fields(ModalitySynth):
+            lines.append(f"{f.name}_{m.lower()} = {getattr(spec, f.name)}")
+    lines.append("")
+    lines.append("[oodgen]")
+    for f in fields(OodGenConfig):
+        lines.append(f"{f.name} = {getattr(cfg.oodgen, f.name)}")
+    lines.append("")
+    lines.append("[model]")
+    for f in fields(ModelHyper):
+        lines.append(f"{f.name} = {getattr(cfg.train.model, f.name)}")
+    lines.append("")
+    lines.append("[train]")
+    for f in fields(TrainConfig):
+        if f.name == "model":
+            continue
+        lines.append(f"{f.name} = {getattr(cfg.train, f.name)}")
+    lines.append("")
+    lines.append("[eval]")
+    lines.append(f"scorer = {cfg.eval.scorer}")
+    if cfg.out_dir is not None:
+        lines.append("")
+        lines.append("[run]")
+        lines.append(f"out_dir = {cfg.out_dir}")
+    return "\n".join(lines) + "\n"
 
 
 def write(tmp_path, text):

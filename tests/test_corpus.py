@@ -425,3 +425,59 @@ class TestMetaValidation:
 
     def test_ood_label_constant(self):
         assert OOD_LABEL == -1
+
+
+class TestContainerRules:
+    def test_record_missing_id_rejected(self, tmp_path):
+        manifest = save_corpus(synth_corpus(tiny_cfg(), make_rng(8)),
+                               tmp_path / "c")
+        _rewrite_line(manifest, 1, _edit_json(lambda e: e.pop("id")))
+        with pytest.raises(FormatError, match="line 2: malformed record "
+                           "'<unnamed>' \\(KeyError: 'id'\\)"):
+            load_corpus(manifest)
+
+    def test_blob_name_must_be_a_string(self, tmp_path):
+        manifest = save_corpus(synth_corpus(tiny_cfg(), make_rng(8)),
+                               tmp_path / "c")
+        _rewrite_line(manifest, 0, _edit_json(
+            lambda h: h["modalities"]["V"].update(blob=5)))
+        with pytest.raises(FormatError, match="line 1: malformed header"):
+            load_corpus(manifest)
+
+    def test_short_corpus_blob_names_last_record(self, tmp_path):
+        corpus = synth_corpus(tiny_cfg(), make_rng(8))
+        manifest = save_corpus(corpus, tmp_path / "c")
+        blob = manifest.parent / "seq_V.blob"
+        blob.write_bytes(blob.read_bytes()[:-4])
+        n, size = len(corpus), len(corpus) * 4 * 6 * 4
+        with pytest.raises(FormatError, match=f"line {n + 1}: last record "
+                           f"'{corpus.ids[-1]}' modality V: blob seq_V.blob "
+                           f"holds {size - 4} bytes, but its records take {size}"):
+            load_corpus(manifest)
+
+    def test_short_store_blob_names_last_tensor(self, tmp_path):
+        manifest = write_tensor_store(tmp_path, "store", {"a": np.ones(3)}, {})
+        blob = manifest.with_suffix(".blob")
+        blob.write_bytes(blob.read_bytes()[:-8])
+        with pytest.raises(FormatError, match="store.json line 2: last tensor "
+                           "'a': blob store.blob holds 16 bytes, but its "
+                           "tensors take 24"):
+            read_tensor_store(manifest)
+
+    def test_store_mixing_dtypes_loads(self, tmp_path):
+        # the writer uses one dtype, but each entry declares its own
+        a, b = np.array([1.5, -2.0, 3.25]), np.arange(4.0).reshape(2, 2)
+        (tmp_path / "mixed.blob").write_bytes(
+            a.astype("<f4").tobytes() + b.astype("<f8").tobytes())
+        lines = [
+            {"format": "tensor-store", "version": 1, "meta": {"k": 2}},
+            {"name": "a", "shape": [3], "dtype": "<f4", "offset": 0},
+            {"name": "b", "shape": [2, 2], "dtype": "<f8", "offset": 12},
+        ]
+        (tmp_path / "mixed.json").write_text(
+            "".join(json.dumps(line) + "\n" for line in lines))
+        meta, tensors = read_tensor_store(tmp_path / "mixed.json")
+        assert meta == {"k": 2}
+        assert tensors["a"].dtype == np.float64
+        assert np.array_equal(tensors["a"], a)
+        assert np.array_equal(tensors["b"], b)
