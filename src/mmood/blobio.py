@@ -125,8 +125,10 @@ def read_blob(path: Path, schema: Schema, blob: str, lines: list[int], label,
         values, i = np.empty(stops[-1]), 0
         for dtype, run in groupby(dtypes):
             j = i + len(list(run))
-            values[stops[i]:stops[j]] = np.frombuffer(
-                buf, dtype, stops[j] - stops[i], starts[i])
+            # a signalling NaN warns as it widens; the check below names it
+            with np.errstate(invalid="ignore"):
+                values[stops[i]:stops[j]] = np.frombuffer(
+                    buf, dtype, stops[j] - stops[i], starts[i])
             i = j
         finite = np.isfinite(values)
         if not finite.all():

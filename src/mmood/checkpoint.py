@@ -78,6 +78,29 @@ def _model_from_header(meta, manifest: Path) -> FusionModel:
                           f"({type(exc).__name__}: {exc})") from exc
 
 
+def _check_state(tensors: dict, model: FusionModel, manifest: Path) -> None:
+    """The fitted state fits K classes, D shared dims and N cached rows;
+    counts are whole numbers >= 2 that sum to N."""
+    k, d = model.num_classes, model.d_shared
+    features = tensors["cache.features"]
+    n = features.shape[0] if features.ndim else 0
+    shapes = {"stats.means": (k, d), "stats.covs": (k, d, d),
+              "stats.counts": (k,), "stats.eps": (k,),
+              "stats.precisions": (k, d, d), "cache.features": (n, d),
+              "cache.logits": (n, k)}
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
+            raise FormatError(f"checkpoint: {manifest}: tensor {name!r} has "
+                              f"shape {tensors[name].shape}, expected {shape}")
+    counts = tensors["stats.counts"]
+    # bounded by n before the sum, so a huge count cannot overflow it
+    if not (np.all(counts == np.floor(counts))
+            and np.all((counts >= 2) & (counts <= n)) and counts.sum() == n):
+        raise FormatError(f"checkpoint: {manifest}: tensor 'stats.counts' "
+                          f"holds {counts.tolist()}; expected whole numbers "
+                          f">= 2 that sum to the {n} cached rows")
+
+
 def load_checkpoint(directory):
     """Rebuild the model and fitted statistics from a checkpoint directory.
 
@@ -110,6 +133,7 @@ def load_checkpoint(directory):
             )
         param.value[...] = value
 
+    _check_state(tensors, model, manifest)
     stats = ClassStats(
         means=tensors["stats.means"],
         covs=tensors["stats.covs"],

@@ -159,6 +159,11 @@ def run_eval(checkpoint_dir, test: Corpus, scorers: list[str],
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model, stats, train_feats, train_logits, _ = load_checkpoint(checkpoint_dir)
+    if test.num_classes != model.num_classes:
+        raise ParameterError(
+            f"cli: corpus has {test.num_classes} classes, checkpoint "
+            f"{checkpoint_dir} was trained on {model.num_classes}"
+        )
 
     if len(test) == 0:
         raise ParameterError("cli: corpus has no test records to evaluate")

@@ -7,6 +7,7 @@ away never changes how the remaining ones are initialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -101,11 +102,12 @@ class FusionModel:
         # One flat value and one flat grad buffer back every Param. Sorting
         # the stage tuples puts the binary head (1,) first, then encoders
         # and fusion (1, 2), then the class and contrast heads (2,), so each
-        # stage's parameters are one contiguous slice (see AdamW).
-        self.values, self.grads = bind_flat([
-            p for c, _ in sorted(self._components(), key=lambda cs: cs[1])
-            if c is not None for p in c.params()
-        ])
+        # stage's parameters are one contiguous slice (see stage_slice).
+        bound = sorted(((c.params(), stages) for c, stages in self._components()
+                        if c is not None), key=lambda ps: ps[1])
+        self._layout = [(stages, sum(p.value.size for p in ps))
+                        for ps, stages in bound]
+        self.values, self.grads = bind_flat([p for ps, _ in bound for p in ps])
 
     # -- forward/backward -------------------------------------------------
 
@@ -150,15 +152,21 @@ class FusionModel:
             (self.contrast_head, (2,)),
         ]
 
-    def _params(self, stage: int | None = None) -> list[Param]:
+    def params(self, stage: int | None = None) -> list[Param]:
         """Parameters in checkpoint order; ``stage`` keeps only the
         components that training stage updates."""
         return [p for c, stages in self._components()
                 if c is not None and (stage is None or stage in stages)
                 for p in c.params()]
 
-    def params(self) -> list[Param]:
-        return self._params()
+    def stage_slice(self, stage: int | None = None) -> tuple[Array, Array]:
+        """The ``(values, grads)`` views that ``params(stage)`` cover: one
+        range of the flat buffers, found from the order they were bound in."""
+        keep = [stage is None or stage in stages for stages, _ in self._layout]
+        sizes = [size for _, size in self._layout]
+        start = sum(sizes[:keep.index(True)])
+        stop = start + sum(compress(sizes, keep))
+        return self.values[start:stop], self.grads[start:stop]
 
     def named_params(self) -> dict[str, Param]:
         named = {}
@@ -167,9 +175,3 @@ class FusionModel:
                 raise ParameterError(f"model: duplicate parameter name {p.name!r}")
             named[p.name] = p
         return named
-
-    def stage1_params(self) -> list[Param]:
-        return self._params(1)
-
-    def stage2_params(self) -> list[Param]:
-        return self._params(2)

@@ -5,7 +5,9 @@ loss over balanced mixed batches. Stage 2 drops the binary head from the
 objective and optimizes encoders + fusion + class head (+ contrastive
 projection) on L_m + L_cl, with early stopping on validation weighted F1
 over ID data and the best parameters restored. A ``joint_objective``
-switch instead optimizes the sum of all losses in a single stage.
+switch instead optimizes the sum of all losses in a single stage. Each
+stage is a row of the schedule in ``train``: the losses one ``_step``
+runs and the model's buffer slice one ``AdamW`` updates.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .heads import (
     make_view_ids,
     multiclass_loss,
 )
-from .layers import Param, flat_slice
 from .metrics import id_metrics
 from .model import SLOT_TRAIN_LOOP, FusionModel, ModelHyper
 from .numerics import component_rng
@@ -64,14 +65,14 @@ class TrainConfig:
 class AdamW:
     """Adam with decoupled weight decay and bias correction.
 
-    Updates the one contiguous slice of values and grads that ``params``
-    cover (see ``layers.flat_slice``) with whole-slice operations; the
-    moment estimates are flat arrays over that slice.
+    Updates one slice of values and its grads (``FusionModel.stage_slice``)
+    with whole-slice operations; the moment estimates have its shape.
     """
 
-    def __init__(self, params: Sequence[Param], lr: float, weight_decay: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.values, self.grads = flat_slice(list(params))
+    def __init__(self, values: Array, grads: Array, lr: float,
+                 weight_decay: float, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
+        self.values, self.grads = values, grads
         self.lr = lr
         self.wd = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -115,36 +116,26 @@ def _require_finite(loss: float, epoch: int, batch_idx: int, stage: str) -> None
         )
 
 
-def _coarse_step(model: FusionModel, batch: Batch,
-                 rng: np.random.Generator) -> float:
-    xs, enc_caches = model.encode_batch(batch.seqs)
-    z, _, fuse_cache = model.fusion.forward(xs, train=True, rng=rng)
-    logits, head_cache = model.binary_head.forward(z)
-    loss, dlogits = coarse_loss(logits, batch.binary)
-    gz = model.binary_head.backward(dlogits, head_cache)
-    gxs = model.fusion.backward(gz, fuse_cache)
-    model.encoders_backward(gxs, enc_caches)
-    return loss
-
-
-def _fine_step(model: FusionModel, batch: Batch, rng: np.random.Generator,
-               include_coarse: bool) -> dict[str, float]:
-    """One stage-2 (or joint) forward/backward; returns the loss pieces."""
+def _step(model: FusionModel, batch: Batch, rng: np.random.Generator,
+          losses: Sequence[str]) -> dict[str, float]:
+    """One forward/backward over ``losses``, a subset of "multiclass",
+    "contrastive" and "coarse" that runs in that order; returns each loss
+    and their ``total``."""
     hyper = model.hyper
     xs, enc_caches = model.encode_batch(batch.seqs)
     z1, _, fc1 = model.fusion.forward(xs, train=True, rng=rng)
     g_z1 = np.zeros_like(z1)
-    losses: dict[str, float] = {}
+    out: dict[str, float] = {}
 
-    id_mask = batch.binary == 1
-    logits, class_cache = model.class_head.forward(z1[id_mask])
-    l_m, dlogits = multiclass_loss(logits, batch.labels[id_mask])
-    g_z1[id_mask] += model.class_head.backward(dlogits, class_cache)
-    losses["multiclass"] = l_m
+    if "multiclass" in losses:
+        id_mask = batch.binary == 1
+        logits, class_cache = model.class_head.forward(z1[id_mask])
+        l_m, dlogits = multiclass_loss(logits, batch.labels[id_mask])
+        g_z1[id_mask] += model.class_head.backward(dlogits, class_cache)
+        out["multiclass"] = l_m
 
-    g_z2 = None
-    fc2 = None
-    if not hyper.no_contrast:
+    g_z2 = fc2 = None
+    if "contrastive" in losses and not hyper.no_contrast:
         # the augmented view re-runs the fusion score network and the
         # projection head with fresh dropout masks over the same encodings
         z2, _, fc2 = model.fusion.forward(xs, train=True, rng=rng)
@@ -157,21 +148,21 @@ def _fine_step(model: FusionModel, batch: Batch, rng: np.random.Generator,
         b = z1.shape[0]
         g_z1 += model.contrast_head.backward(g_views[:b], cc1)
         g_z2 = model.contrast_head.backward(g_views[b:], cc2)
-        losses["contrastive"] = l_cl
+        out["contrastive"] = l_cl
 
-    if include_coarse:
+    if "coarse" in losses:
         logits_b, bin_cache = model.binary_head.forward(z1)
         l_c, dlogits_b = coarse_loss(logits_b, batch.binary)
         g_z1 += model.binary_head.backward(dlogits_b, bin_cache)
-        losses["coarse"] = l_c
+        out["coarse"] = l_c
 
     gxs = model.fusion.backward(g_z1, fc1)
     if g_z2 is not None:
         gxs2 = model.fusion.backward(g_z2, fc2)
         gxs = {m: gxs[m] + gxs2[m] for m in MODALITIES}
     model.encoders_backward(gxs, enc_caches)
-    losses["total"] = sum(losses.values())
-    return losses
+    out["total"] = sum(out.values())
+    return out
 
 
 def _validation_wf1(model: FusionModel, valid: Corpus) -> float | None:
@@ -192,8 +183,13 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
     loop_rng = component_rng(cfg.seed, SLOT_TRAIN_LOOP)
     log: list[dict] = []
 
-    def run_stage(stage: str, epochs: int, opt: AdamW,
-                  step_fn, track_validation: bool) -> dict:
+    def run_stage(name: str, epochs: int, stage: int | None,
+                  losses: tuple[str, ...]) -> dict:
+        opt = AdamW(*model.stage_slice(stage), cfg.learning_rate,
+                    cfg.weight_decay, cfg.adam_beta1, cfg.adam_beta2,
+                    cfg.adam_eps)
+        # every stage but the coarse warm-up keeps its best validation epoch
+        track_validation = name != "coarse"
         best = {"wf1": -1.0, "epoch": None}
         best_values = None
         stale = 0
@@ -205,31 +201,25 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
                 batch = build_mixed_batch(train_split.take(rows), ood_cfg,
                                           loop_rng)
                 opt.zero_grad()
-                losses = step_fn(batch)
-                if isinstance(losses, float):
-                    losses = {"coarse": losses, "total": losses}
-                _require_finite(losses["total"], epoch, bi, stage)
+                step_losses = _step(model, batch, loop_rng, losses)
+                _require_finite(step_losses["total"], epoch, bi, name)
                 opt.step()
-                for key, val in losses.items():
+                for key, val in step_losses.items():
                     sums[key] = sums.get(key, 0.0) + val
                 count += 1
-            entry = {"stage": stage, "epoch": epoch}
+            entry = {"stage": name, "epoch": epoch}
             entry.update({f"loss_{k}": v / max(count, 1)
                           for k, v in sorted(sums.items())})
             if track_validation:
                 wf1 = _validation_wf1(model, valid_split)
                 if wf1 is not None:
                     entry["val_wf1"] = wf1
-                    if wf1 > best["wf1"]:
-                        best = {"wf1": wf1, "epoch": epoch}
-                        best_values = model.values.copy()
-                        stale = 0
-                    elif wf1 == best["wf1"]:
+                    if wf1 >= best["wf1"]:
                         # ties keep the most-trained snapshot but still
                         # count toward patience
+                        stale = 0 if wf1 > best["wf1"] else stale + 1
                         best = {"wf1": wf1, "epoch": epoch}
                         best_values = model.values.copy()
-                        stale += 1
                     else:
                         stale += 1
             log.append(entry)
@@ -239,34 +229,21 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
             model.values[...] = best_values
         return best
 
-    if cfg.joint_objective:
-        if hyper.no_binary:
-            raise ParameterError(
-                "train: joint_objective needs the binary head (no_binary off)"
-            )
-        opt = AdamW(model.params(), cfg.learning_rate, cfg.weight_decay,
-                    cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-        best = run_stage(
-            "joint", cfg.stage1_epochs + cfg.stage2_epochs, opt,
-            lambda b: _fine_step(model, b, loop_rng, include_coarse=True),
-            track_validation=True,
+    if cfg.joint_objective and hyper.no_binary:
+        raise ParameterError(
+            "train: joint_objective needs the binary head (no_binary off)"
         )
-    else:
-        if not hyper.no_binary and cfg.stage1_epochs > 0:
-            opt1 = AdamW(model.stage1_params(), cfg.learning_rate,
-                         cfg.weight_decay, cfg.adam_beta1, cfg.adam_beta2,
-                         cfg.adam_eps)
-            run_stage("coarse", cfg.stage1_epochs, opt1,
-                      lambda b: _coarse_step(model, b, loop_rng),
-                      track_validation=False)
-        opt2 = AdamW(model.stage2_params(), cfg.learning_rate,
-                     cfg.weight_decay, cfg.adam_beta1, cfg.adam_beta2,
-                     cfg.adam_eps)
-        best = run_stage(
-            "fine", cfg.stage2_epochs, opt2,
-            lambda b: _fine_step(model, b, loop_rng, include_coarse=False),
-            track_validation=True,
-        )
+    # (name, epochs, parameter stage, losses); stage None updates every
+    # parameter
+    schedule = [
+        ("joint", cfg.stage1_epochs + cfg.stage2_epochs, None,
+         ("multiclass", "contrastive", "coarse")),
+    ] if cfg.joint_objective else [
+        ("coarse", 0 if hyper.no_binary else cfg.stage1_epochs, 1, ("coarse",)),
+        ("fine", cfg.stage2_epochs, 2, ("multiclass", "contrastive")),
+    ]
+    for name, epochs, stage, losses in schedule:
+        best = run_stage(name, epochs, stage, losses)
 
     train_features = model.features_for(train_split)
     train_logits = model.logits_for(train_features)

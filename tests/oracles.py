@@ -4,12 +4,21 @@ These deliberately avoid the library's code paths: pair counting instead
 of a threshold sweep, explicit dense inverses instead of factorizations,
 a literal double loop for the contrastive sums, a per-anchor loop for the
 contrastive gradient, a per-tensor AdamW loop, and a sequential weighted
-sum for the pseudo-OOD mix.
+sum for the pseudo-OOD mix. The two per-stage training steps are kept as
+they were before one step function served every stage, to pin it.
 """
 
 import math
 
 import numpy as np
+
+from mmood.corpus import MODALITIES
+from mmood.heads import (
+    coarse_loss,
+    contrastive_from_views,
+    make_view_ids,
+    multiclass_loss,
+)
 
 
 def auroc_pair_oracle(scores, flags):
@@ -149,3 +158,61 @@ def adamw_loop_oracle(values, grads_per_step, lr, weight_decay,
             update = (m / bc1) / (np.sqrt(v / bc2) + eps)
             value -= lr * (update + weight_decay * value)
     return values
+
+
+def coarse_step_oracle(model, batch, rng):
+    """The former stage-1 step: binary loss only; returns the loss."""
+    xs, enc_caches = model.encode_batch(batch.seqs)
+    z, _, fuse_cache = model.fusion.forward(xs, train=True, rng=rng)
+    logits, head_cache = model.binary_head.forward(z)
+    loss, dlogits = coarse_loss(logits, batch.binary)
+    gz = model.binary_head.backward(dlogits, head_cache)
+    gxs = model.fusion.backward(gz, fuse_cache)
+    model.encoders_backward(gxs, enc_caches)
+    return loss
+
+
+def fine_step_oracle(model, batch, rng, include_coarse):
+    """The former stage-2 (or joint) step; returns the loss pieces."""
+    hyper = model.hyper
+    xs, enc_caches = model.encode_batch(batch.seqs)
+    z1, _, fc1 = model.fusion.forward(xs, train=True, rng=rng)
+    g_z1 = np.zeros_like(z1)
+    losses = {}
+
+    id_mask = batch.binary == 1
+    logits, class_cache = model.class_head.forward(z1[id_mask])
+    l_m, dlogits = multiclass_loss(logits, batch.labels[id_mask])
+    g_z1[id_mask] += model.class_head.backward(dlogits, class_cache)
+    losses["multiclass"] = l_m
+
+    g_z2 = None
+    fc2 = None
+    if not hyper.no_contrast:
+        # the augmented view re-runs the fusion score network and the
+        # projection head with fresh dropout masks over the same encodings
+        z2, _, fc2 = model.fusion.forward(xs, train=True, rng=rng)
+        v1, cc1 = model.contrast_head.forward(z1, train=True, rng=rng)
+        v2, cc2 = model.contrast_head.forward(z2, train=True, rng=rng)
+        labels2, is_id2, partner = make_view_ids(batch.labels, batch.binary)
+        l_cl, g_views = contrastive_from_views(
+            np.concatenate([v1, v2]), labels2, is_id2, partner, hyper.tau
+        )
+        b = z1.shape[0]
+        g_z1 += model.contrast_head.backward(g_views[:b], cc1)
+        g_z2 = model.contrast_head.backward(g_views[b:], cc2)
+        losses["contrastive"] = l_cl
+
+    if include_coarse:
+        logits_b, bin_cache = model.binary_head.forward(z1)
+        l_c, dlogits_b = coarse_loss(logits_b, batch.binary)
+        g_z1 += model.binary_head.backward(dlogits_b, bin_cache)
+        losses["coarse"] = l_c
+
+    gxs = model.fusion.backward(g_z1, fc1)
+    if g_z2 is not None:
+        gxs2 = model.fusion.backward(g_z2, fc2)
+        gxs = {m: gxs[m] + gxs2[m] for m in MODALITIES}
+    model.encoders_backward(gxs, enc_caches)
+    losses["total"] = sum(losses.values())
+    return losses

@@ -77,7 +77,7 @@ def _coarse_target(model, batch):
             gz = model.binary_head.backward(dlogits, bc)
             model.encoders_backward(model.fusion.backward(gz, fc), ec)
         return loss
-    return run, model.stage1_params()
+    return run, model.params(1)
 
 
 def _multiclass_target(model, batch):

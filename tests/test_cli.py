@@ -403,6 +403,40 @@ class TestCheckpointErrors:
         assert err.startswith("error: checkpoint: ")
         assert f"missing=['{name}']" in err
 
+    @pytest.mark.parametrize("name, edit", [
+        ("stats.counts", "negative"),
+        ("stats.means", lambda k, d: [2 * k, d // 2]),
+        ("cache.logits", lambda n, k: [n // 3, 3 * k]),
+    ], ids=["negative-count", "reshaped-means", "short-logits"])
+    def test_bad_state_tensor_exits_1(self, micro, capsys, name, edit):
+        out = micro["tmp"] / "run_state"
+        assert main(["train", "--config", str(micro["cfg"]), "--corpus",
+                     str(micro["corpus"]), "--out", str(out),
+                     "--seed", "0"]) == 0
+        manifest = out / "checkpoint.json"
+        lines = manifest.read_text().splitlines()
+        i = next(i for i, l in enumerate(lines) if f'"{name}"' in l)
+        entry = json.loads(lines[i])
+        if edit == "negative":
+            blob = out / "checkpoint.blob"
+            data = bytearray(blob.read_bytes())
+            data[entry["offset"]:entry["offset"] + 8] = \
+                np.array([-5.5], dtype="<f8").tobytes()
+            blob.write_bytes(bytes(data))
+        else:
+            # same value count, so the blob layout stays valid
+            entry["shape"] = edit(*entry["shape"])
+            lines[i] = json.dumps(entry)
+            manifest.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                     str(out), "--corpus", str(micro["corpus"]),
+                     "--out", str(micro["tmp"] / "e")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: checkpoint: {manifest}: "
+                              f"tensor '{name}' ")
+
     def test_missing_blob_rejected(self, micro):
         from mmood.errors import FormatError
 
@@ -525,6 +559,28 @@ class TestErrors:
         code = main(["report", str(micro["tmp"] / "never_evaled")])
         assert code == 1
         assert "eval" in capsys.readouterr().err
+
+    def test_class_count_mismatch_at_eval(self, micro, capsys):
+        run = micro["tmp"] / "run"
+        assert main(["train", "--config", str(micro["cfg"]), "--corpus",
+                     str(micro["corpus"]), "--out", str(run),
+                     "--seed", "0"]) == 0
+        cfg5 = micro["tmp"] / "run5.ini"
+        cfg5.write_text(MICRO_INI.replace("num_classes = 3",
+                                          "num_classes = 5"))
+        corpus5 = micro["tmp"] / "corpus5"
+        assert main(["synth", "--config", str(cfg5), "--out", str(corpus5),
+                     "--seed", "0"]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                     str(run), "--corpus", str(corpus5),
+                     "--out", str(micro["tmp"] / "e")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cli: ")
+        assert f"corpus has 5 classes, checkpoint {run} was trained on 3" \
+            in err
+        assert not (micro["tmp"] / "e" / "eval_report.json").exists()
 
 
 class TestNonUtf8Manifest:

@@ -1,9 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mmood.corpus import ModalitySynth, OOD_LABEL, SynthConfig, synth_corpus
+from mmood.corpus import (
+    ModalitySynth,
+    OOD_LABEL,
+    SynthConfig,
+    make_batches,
+    synth_corpus,
+)
 from mmood.errors import ParameterError, TrainingError
 from mmood.heads import (
     BinaryHead,
@@ -18,8 +25,8 @@ from mmood.heads import (
 from mmood.layers import Param, check_gradients
 from mmood.model import FusionModel, ModelHyper
 from mmood.numerics import make_rng
-from mmood.oodgen import OodGenConfig
-from mmood.train import AdamW, TrainConfig, train, variant_config
+from mmood.oodgen import OodGenConfig, build_mixed_batch
+from mmood.train import AdamW, TrainConfig, _step, train, variant_config
 
 
 def contrastive_loss(z, labels, binary, head, tau, rng, train=True):
@@ -174,6 +181,7 @@ class TestMulticlassLoss:
 
 
 from oracles import adamw_loop_oracle, contrastive_anchor_loop_oracle
+from oracles import coarse_step_oracle, fine_step_oracle
 from oracles import contrastive_double_loop_oracle as contrastive_oracle
 
 
@@ -358,20 +366,20 @@ class TestBinaryHeadLinearHead:
 class TestAdamW:
     def test_zero_lr_is_identity(self):
         p = Param("p", np.array([1.0, -2.0]))
-        opt = AdamW([p], lr=0.0, weight_decay=0.5)
+        opt = AdamW(p.value, p.grad, lr=0.0, weight_decay=0.5)
         p.grad[...] = [10.0, -3.0]
         opt.step()
         assert np.array_equal(p.value, [1.0, -2.0])
 
     def test_decoupled_decay_with_zero_gradient(self):
         p = Param("p", np.array([2.0]))
-        opt = AdamW([p], lr=0.1, weight_decay=0.5)
+        opt = AdamW(p.value, p.grad, lr=0.1, weight_decay=0.5)
         opt.step()  # grad 0: adaptive term 0, decay only
         assert p.value[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0, abs=1e-15)
 
     def test_minimizes_quadratic(self):
         p = Param("p", np.array([5.0]))
-        opt = AdamW([p], lr=0.1, weight_decay=0.0)
+        opt = AdamW(p.value, p.grad, lr=0.1, weight_decay=0.0)
         for _ in range(500):
             opt.zero_grad()
             p.grad[...] = 2.0 * p.value
@@ -390,9 +398,9 @@ class TestFlatAdamW:
     @pytest.mark.parametrize("stage", [1, 2, None])
     def test_matches_per_tensor_loop(self, stage):
         model = self._model()
-        params = model._params(stage)
+        params = model.params(stage)
         assert len({p.value.shape for p in params}) > 3
-        opt = AdamW(params, lr=0.05, weight_decay=0.01)
+        opt = AdamW(*model.stage_slice(stage), lr=0.05, weight_decay=0.01)
         init = [p.value.copy() for p in params]
         rng = make_rng(42)
         steps = []
@@ -412,7 +420,8 @@ class TestFlatAdamW:
         rng = make_rng(43)
         for stage, frozen in ((1, ("class.", "contrast.")), (2, ("binary.",))):
             before = {p.name: p.value.copy() for p in model.params()}
-            opt = AdamW(model._params(stage), lr=0.05, weight_decay=0.01)
+            opt = AdamW(*model.stage_slice(stage), lr=0.05,
+                        weight_decay=0.01)
             for _ in range(3):
                 model.grads[...] = rng.normal(size=model.grads.shape)
                 opt.step()
@@ -420,14 +429,69 @@ class TestFlatAdamW:
                 changed = not np.array_equal(p.value, before[p.name])
                 assert changed != p.name.startswith(frozen), (stage, p.name)
 
-    def test_params_must_tile_one_buffer_slice(self):
-        model = self._model()
-        gapped = model.encoders["T"].params() + model.class_head.params()
-        with pytest.raises(ParameterError, match="contiguous"):
-            AdamW(gapped, lr=0.1, weight_decay=0.0)
-        loose = [Param("a", np.ones(2)), Param("b", np.ones(3))]
-        with pytest.raises(ParameterError, match="flat buffer"):
-            AdamW(loose, lr=0.1, weight_decay=0.0)
+    @pytest.mark.parametrize("mode", ["weighted", "add", "concat"])
+    @pytest.mark.parametrize("no_binary", [False, True])
+    @pytest.mark.parametrize("no_cosine", [False, True])
+    @pytest.mark.parametrize("no_contrast", [False, True])
+    def test_stage_slice_tiles_stage_params(self, mode, no_binary, no_cosine,
+                                            no_contrast):
+        hyper = replace(desk_train_cfg().model, fusion_mode=mode,
+                        no_binary=no_binary, no_cosine=no_cosine,
+                        no_contrast=no_contrast)
+        model = FusionModel(desk_corpus(n_train=60).meta, hyper, 0)
+        for stage in (1, 2, None):
+            values, grads = model.stage_slice(stage)
+            for buf, part, attr in ((model.values, values, "value"),
+                                    (model.grads, grads, "grad")):
+                # number the slice; the stage's params must cover each
+                # number once and nothing outside it
+                buf[...] = -1.0
+                part[...] = np.arange(part.size)
+                covered = np.sort(np.concatenate(
+                    [getattr(p, attr).ravel() for p in model.params(stage)]))
+                assert np.array_equal(covered, np.arange(part.size)), stage
+
+
+def _former_step(stage, model, batch, rng):
+    """The loss dict the pre-unification step for ``stage`` produced."""
+    if stage == "coarse":
+        loss = coarse_step_oracle(model, batch, rng)
+        return {"coarse": loss, "total": loss}
+    return fine_step_oracle(model, batch, rng,
+                            include_coarse=(stage == "joint"))
+
+
+class TestUnifiedStep:
+    """``_step`` over each stage's losses, against the former steps."""
+
+    STAGE_LOSSES = {
+        "coarse": ("coarse",),
+        "fine": ("multiclass", "contrastive"),
+        "joint": ("multiclass", "contrastive", "coarse"),
+    }
+
+    @pytest.mark.parametrize("variant",
+                             ["Full", "w / o Contrast", "w / o Cosine"])
+    @pytest.mark.parametrize("stage", ["coarse", "fine", "joint"])
+    def test_matches_former_stage_step(self, stage, variant):
+        corpus = desk_corpus(n_train=60)
+        cfg = variant_config(desk_train_cfg(), variant)
+        train_split = corpus.split("train")
+        rows = make_batches(train_split, cfg.batch_size, make_rng(3))[0]
+        batch = build_mixed_batch(train_split.take(rows), OodGenConfig(),
+                                  make_rng(4))
+        runs = []
+        for step in (lambda m, r: _step(m, batch, r,
+                                        self.STAGE_LOSSES[stage]),
+                     lambda m, r: _former_step(stage, m, batch, r)):
+            model = FusionModel(corpus.meta, cfg.model, cfg.seed)
+            rng = make_rng(5)
+            runs.append((model, step(model, rng), rng))
+        (new, new_losses, new_rng), (old, old_losses, old_rng) = runs
+        assert np.any(new.grads != 0.0)
+        assert np.array_equal(new.grads, old.grads)
+        assert new_losses == old_losses
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
 class TestTraining:
