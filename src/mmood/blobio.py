@@ -15,7 +15,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby
 from operator import mul, ne
 from pathlib import Path
 
@@ -44,12 +44,12 @@ def array_to_bytes(arr: np.ndarray, dtype: str) -> bytes:
     return np.ascontiguousarray(arr).astype(dtype).tobytes()
 
 
-def write_manifest(path: Path, header: dict, entries) -> Path:
-    """Write the header line and one line per entry."""
+def write_jsonl(path: Path, objects) -> Path:
+    """Write one JSON object per line, keys sorted: a manifest is its header
+    followed by its entries."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for entry in entries:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        for obj in objects:
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
     return path
 
 
@@ -162,7 +162,7 @@ def write_tensor_store(directory, name: str, tensors: dict[str, np.ndarray],
                for tname, offset in zip(names, accumulate(map(len, data),
                                                           initial=0)))
     header = {"format": "tensor-store", "version": 1, "meta": meta}
-    return write_manifest(directory / f"{name}.json", header, entries)
+    return write_jsonl(directory / f"{name}.json", chain([header], entries))
 
 
 def _tensor_entry(entry, meta) -> tuple:

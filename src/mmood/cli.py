@@ -13,10 +13,12 @@ import math
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from .blobio import write_jsonl
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
 from .corpus import MODALITIES, Corpus, load_corpus, save_corpus, synth_corpus
@@ -45,11 +47,18 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _mean_std(values) -> tuple[float, float]:
-    """Population mean and standard deviation over seeds."""
-    mean = sum(values) / len(values)
-    std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-    return float(mean), float(std)
+def _mean_std(rows: list[dict], keys) -> dict[str, tuple[float, float]]:
+    """Population mean and standard deviation over seeds: ``{key: (mean,
+    std)}`` over each key's numeric values; a key with none is left out."""
+    stats = {}
+    for key in keys:
+        values = [row[key] for row in rows
+                  if isinstance(row.get(key), (int, float))]
+        if values:
+            mean = sum(values) / len(values)
+            std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+            stats[key] = (float(mean), float(std))
+    return stats
 
 
 def _write_json(path: Path, payload) -> None:
@@ -73,45 +82,47 @@ def run_synth(cfg: RunConfig, out_dir, seed: int) -> Path:
     return manifest
 
 
-# -- train ------------------------------------------------------------------
+# -- scoring ----------------------------------------------------------------
 
 
-def _test_mahalanobis_row(trained, corpus: Corpus) -> dict:
+def _score(model, stats, train_feats, train_logits, test: Corpus,
+           scorers: list[str]):
+    """``(ID flags, IdMetrics, {scorer: OOD scores})`` of the test split
+    ``test``; every command that reports on a model scores through it."""
+    feats = model.features_for(test)
+    logits = model.logits_for(feats)
+    flags = ~test.is_ood
+    idm = id_metrics(logits[flags].argmax(axis=1), test.labels[flags],
+                     test.num_classes)
+    scores = {}
+    for variant in scorers:
+        state = fit_scorer(variant, train_feats, train_logits, stats,
+                           test.num_classes)
+        scores[variant] = apply_scorer(state, feats, logits)
+    return flags, idm, scores
+
+
+def _test_row(trained, corpus: Corpus) -> dict:
+    """ID accuracy and WF1 on the test split, plus the Mahalanobis OOD
+    metrics when the split holds OOD records."""
     test = corpus.split("test")
     if len(test) == 0:
         return {}
-    flags = ~test.is_ood
-    feats = trained.model.features_for(test)
-    logits = trained.model.logits_for(feats)
-    preds = logits[flags].argmax(axis=1)
-    idm = id_metrics(preds, test.labels[flags], corpus.num_classes)
+    flags, idm, scores = _score(
+        trained.model, trained.class_stats, trained.train_features,
+        trained.train_logits, test,
+        ["mahalanobis"] if test.is_ood.any() else [])
     row = {"acc": idm.acc, "wf1": idm.wf1}
-    if not flags.all():
-        state = fit_scorer("mahalanobis", trained.train_features,
-                           trained.train_logits, trained.class_stats,
-                           corpus.num_classes)
-        scores = apply_scorer(state, feats, logits)
-        row.update(ood_metrics(scores, flags).as_dict())
+    for raw in scores.values():
+        row.update(ood_metrics(raw, flags).as_dict())
     return row
 
 
-def _write_train_log(path: Path, trained, seed: int, variant: str | None) -> None:
-    header = {
-        "event": "start",
-        "seed": seed,
-        "variant": variant or "Full",
-        "time": datetime.now(timezone.utc).isoformat(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for entry in trained.log:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        fh.write(json.dumps({"event": "end", "best": trained.best},
-                            sort_keys=True) + "\n")
+# -- train ------------------------------------------------------------------
 
 
 def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
-                 variant: str | None = None) -> list[dict]:
+                 variant: str = "Full") -> list[dict]:
     """Train once per seed; returns one result row per seed.
 
     A single seed writes the checkpoint into ``out_dir`` directly; several
@@ -122,30 +133,25 @@ def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for seed in seeds:
-        train_cfg = replace(cfg.train, seed=seed)
-        if variant is not None:
-            train_cfg = variant_config(train_cfg, variant)
+        train_cfg = variant_config(replace(cfg.train, seed=seed), variant)
         trained = train(corpus, train_cfg, cfg.oodgen)
         target = out_dir if len(seeds) == 1 else out_dir / f"seed_{seed}"
         target.mkdir(parents=True, exist_ok=True)
         save_checkpoint(trained, target)
-        _write_train_log(target / "train_log.jsonl", trained, seed, variant)
+        header = {"event": "start", "seed": seed, "variant": variant,
+                  "time": datetime.now(timezone.utc).isoformat()}
+        write_jsonl(target / "train_log.jsonl", chain(
+            [header], trained.log, [{"event": "end", "best": trained.best}]))
         row = {"seed": seed, "best_epoch": trained.best.get("epoch"),
                "val_wf1": trained.best.get("wf1")}
-        row.update(_test_mahalanobis_row(trained, corpus))
+        row.update(_test_row(trained, corpus))
         rows.append(row)
 
     keys = sorted({k for row in rows for k in row} - {"seed"})
     _write_csv(out_dir / "results.csv", ["seed"] + keys,
                [[row["seed"]] + [row.get(k, "") for k in keys] for row in rows])
-    summary_rows = []
-    for key in keys:
-        values = [row[key] for row in rows
-                  if isinstance(row.get(key), (int, float))]
-        if values:
-            summary_rows.append([key, *_mean_std(values)])
     _write_csv(out_dir / "results_summary.csv", ["metric", "mean", "std"],
-               summary_rows)
+               [[key, *ms] for key, ms in _mean_std(rows, keys).items()])
     return rows
 
 
@@ -155,9 +161,8 @@ def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
 def run_eval(checkpoint_dir, test: Corpus, scorers: list[str],
              out_dir) -> EvalReport:
     """Score the test split ``test`` (``corpus.split("test")``) with a
-    checkpoint; the caller need not keep the rest of the corpus."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    checkpoint; the caller need not keep the rest of the corpus. Nothing
+    is written until the checkpoint loads and matches the corpus."""
     model, stats, train_feats, train_logits, _ = load_checkpoint(checkpoint_dir)
     if test.num_classes != model.num_classes:
         raise ParameterError(
@@ -167,28 +172,18 @@ def run_eval(checkpoint_dir, test: Corpus, scorers: list[str],
 
     if len(test) == 0:
         raise ParameterError("cli: corpus has no test records to evaluate")
-    feats = model.features_for(test)
-    logits = model.logits_for(feats)
-    flags = ~test.is_ood
-    idm = id_metrics(logits[flags].argmax(axis=1), test.labels[flags],
-                     test.num_classes)
-
-    report = EvalReport(id_metrics=idm, ood_metrics={})
-    for variant in scorers:
-        state = fit_scorer(variant, train_feats, train_logits, stats,
-                           test.num_classes)
-        scores = apply_scorer(state, feats, logits)
-        norm = normalize_scores(scores)
-        report.ood_metrics[variant] = ood_metrics(scores, flags)
-        rows = [
-            {"id": rec_id, "is_id": bool(flags[i]),
-             "raw": float(scores[i]), "norm": float(norm[i])}
-            for i, rec_id in enumerate(test.ids.tolist())
-        ]
-        with open(out_dir / f"scores_{variant}.jsonl", "w",
-                  encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    flags, idm, scores = _score(model, stats, train_feats, train_logits, test,
+                                scorers)
+    report = EvalReport(id_metrics=idm, ood_metrics={
+        variant: ood_metrics(raw, flags) for variant, raw in scores.items()})
+    ids, is_id = test.ids.tolist(), flags.tolist()
+    for variant, raw in scores.items():
+        write_jsonl(out_dir / f"scores_{variant}.jsonl", (
+            {"id": rec_id, "is_id": flag, "raw": value, "norm": norm}
+            for rec_id, flag, value, norm in zip(
+                ids, is_id, raw.tolist(), normalize_scores(raw).tolist())))
 
     _write_json(out_dir / "eval_report.json", report.as_dict())
     header = ["scorer", "auroc", "aupr_in", "aupr_out", "fpr95", "der"]
@@ -223,7 +218,7 @@ def run_ablation(corpus: Corpus, cfg: RunConfig, variants: list[str],
             train_cfg = variant_config(replace(cfg.train, seed=seed), variant)
             trained = train(corpus, train_cfg, cfg.oodgen)
             row = {"variant": variant, "seed": seed}
-            row.update(_test_mahalanobis_row(trained, corpus))
+            row.update(_test_row(trained, corpus))
             rows.append(row)
 
     metric_keys = [k for k in ABLATION_METRICS if all(k in r for r in rows)]
@@ -233,29 +228,21 @@ def run_ablation(corpus: Corpus, cfg: RunConfig, variants: list[str],
 
     aggregate: dict[str, dict[str, dict[str, float]]] = {}
     for variant in variants:
-        values = [r for r in rows if r["variant"] == variant]
-        aggregate[variant] = {}
-        for key in metric_keys:
-            mean, std = _mean_std([r[key] for r in values])
-            aggregate[variant][key] = {"mean": mean, "std": std}
+        runs = [r for r in rows if r["variant"] == variant]
+        aggregate[variant] = {key: {"mean": mean, "std": std} for key, (mean, std)
+                              in _mean_std(runs, metric_keys).items()}
     _write_csv(out_dir / "aggregate.csv", ["variant", "metric", "mean", "std"], [
-        [variant, key, aggregate[variant][key]["mean"],
-         aggregate[variant][key]["std"]]
-        for variant in variants for key in metric_keys
+        [variant, key, ms["mean"], ms["std"]]
+        for variant, per_key in aggregate.items() for key, ms in per_key.items()
     ])
 
-    checks = {}
-    if "auroc" in metric_keys:
-        def mean_auroc(name):
-            return aggregate[name]["auroc"]["mean"] if name in aggregate else None
-
-        full = mean_auroc("Full")
-        for label, other in (("weighted_ge_add", "Fusion (Add)"),
-                             ("weighted_ge_concat", "Fusion (Concat)"),
-                             ("full_ge_no_binary", "w / o Binary")):
-            rhs = mean_auroc(other)
-            if full is not None and rhs is not None:
-                checks[label] = bool(full >= rhs)
+    auroc = {variant: per_key["auroc"]["mean"]
+             for variant, per_key in aggregate.items() if "auroc" in per_key}
+    checks = {label: bool(auroc["Full"] >= auroc[other])
+              for label, other in (("weighted_ge_add", "Fusion (Add)"),
+                                   ("weighted_ge_concat", "Fusion (Concat)"),
+                                   ("full_ge_no_binary", "w / o Binary"))
+              if "Full" in auroc and other in auroc}
     summary = {
         "aggregate": aggregate,
         "ordering_checks": checks,
@@ -315,11 +302,23 @@ def run_report(eval_dir, out_dir=None) -> Path:
 # -- argument plumbing --------------------------------------------------------
 
 
+def _unique(items: list, flag: str, noun: str) -> list:
+    """``items`` parsed from ``flag``, which must name at least one and
+    none twice."""
+    if not items:
+        raise ParameterError(f"cli: {flag} names no {noun}")
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ParameterError(f"cli: duplicate {noun} {item} in {flag}")
+    return items
+
+
 def _parse_seeds(raw: str) -> list[int]:
     try:
-        return [int(part) for part in raw.split(",") if part.strip() != ""]
+        seeds = [int(part) for part in raw.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ParameterError(f"cli: bad --seed list {raw!r}") from exc
+    return _unique(seeds, "--seed", "seed")
 
 
 def _load_run_config(args) -> RunConfig:
@@ -344,31 +343,28 @@ def main(argv=None) -> int:
         description="Multimodal intent classification and OOD detection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", default=None)
+    run.add_argument("--out", default=None)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
-    p_synth.add_argument("--config", default=None)
-    p_synth.add_argument("--out", default=None)
+    p_synth = sub.add_parser("synth", parents=[run],
+                             help="generate a synthetic corpus")
     p_synth.add_argument("--seed", default="0")
 
-    p_train = sub.add_parser("train", help="train on a corpus")
-    p_train.add_argument("--config", default=None)
+    p_train = sub.add_parser("train", parents=[run], help="train on a corpus")
     p_train.add_argument("--corpus", required=True)
-    p_train.add_argument("--out", default=None)
     p_train.add_argument("--seed", default=None)
     p_train.add_argument("--ablation", default=None,
                          choices=sorted(ABLATION_SLUGS))
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
-    p_eval.add_argument("--config", default=None)
+    p_eval = sub.add_parser("eval", parents=[run], help="evaluate a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--corpus", required=True)
-    p_eval.add_argument("--out", default=None)
     p_eval.add_argument("--scorer", default=None)
 
-    p_ablate = sub.add_parser("ablate", help="run the ablation grid")
-    p_ablate.add_argument("--config", default=None)
+    p_ablate = sub.add_parser("ablate", parents=[run],
+                              help="run the ablation grid")
     p_ablate.add_argument("--corpus", required=True)
-    p_ablate.add_argument("--out", default=None)
     p_ablate.add_argument("--seed", default="0")
     p_ablate.add_argument("--ablation", default=",".join(sorted(ABLATION_SLUGS)),
                           help="comma-separated variant slugs")
@@ -379,51 +375,45 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.command == "report":
+            print(f"wrote report tables to {run_report(args.eval_dir, args.out)}")
+            return 0
+        cfg = _load_run_config(args)
+        out = _resolve_out(args, cfg)
         if args.command == "synth":
-            cfg = _load_run_config(args)
             seeds = _parse_seeds(args.seed)
             if len(seeds) != 1:
                 raise ParameterError("cli: synth takes exactly one seed")
-            manifest = run_synth(cfg, _resolve_out(args, cfg), seeds[0])
-            print(f"wrote corpus manifest {manifest}")
+            print(f"wrote corpus manifest {run_synth(cfg, out, seeds[0])}")
         elif args.command == "train":
-            cfg = _load_run_config(args)
-            corpus = load_corpus(Path(args.corpus))
             seeds = _parse_seeds(args.seed) if args.seed is not None \
                 else [cfg.train.seed]
-            variant = ABLATION_SLUGS[args.ablation] if args.ablation else None
-            out = _resolve_out(args, cfg)
-            rows = run_training(corpus, cfg, out, seeds, variant)
+            rows = run_training(load_corpus(Path(args.corpus)), cfg, out, seeds,
+                                ABLATION_SLUGS[args.ablation or "full"])
             for row in rows:
                 print(json.dumps(row, sort_keys=True))
             print(f"wrote {len(rows)} result row(s) to {out}")
         elif args.command == "eval":
-            cfg = _load_run_config(args)
             # only the test split stays alive while scoring
             test = load_corpus(Path(args.corpus)).split("test")
-            out = _resolve_out(args, cfg)
             report = run_eval(args.checkpoint, test, cfg.eval.selected(), out)
             for scorer, m in sorted(report.ood_metrics.items()):
                 print(f"{scorer}: auroc={m.auroc:.4f} fpr95={m.fpr95:.4f} "
                       f"der={m.der:.4f}")
             print(f"wrote evaluation report to {out}")
         elif args.command == "ablate":
-            cfg = _load_run_config(args)
-            corpus = load_corpus(Path(args.corpus))
             seeds = _parse_seeds(args.seed)
             slugs = [s.strip() for s in args.ablation.split(",") if s.strip()]
             unknown = [s for s in slugs if s not in ABLATION_SLUGS]
             if unknown:
                 raise ParameterError(f"cli: unknown ablation slug {unknown[0]!r}")
-            variants = [ABLATION_SLUGS[s] for s in slugs]
-            out = _resolve_out(args, cfg)
-            result = run_ablation(corpus, cfg, variants, seeds, out)
+            variants = [ABLATION_SLUGS[s]
+                        for s in _unique(slugs, "--ablation", "variant")]
+            result = run_ablation(load_corpus(Path(args.corpus)), cfg, variants,
+                                  seeds, out)
             print(f"wrote {len(result['rows'])} ablation rows to {out}")
             if result["checks"]:
                 print(json.dumps(result["checks"], sort_keys=True))
-        elif args.command == "report":
-            out = run_report(args.eval_dir, args.out)
-            print(f"wrote report tables to {out}")
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

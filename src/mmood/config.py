@@ -77,19 +77,19 @@ def _coerce(raw: str, typ, section: str, key: str):
     return raw
 
 
-def _apply_section(obj, items: dict[str, str], section: str,
-                   optional_float_keys: frozenset = frozenset()):
-    valid = {f.name: f.type for f in fields(obj)}
+def _apply_section(obj, items: dict[str, str], section: str):
+    """A copy of ``obj`` with ``items`` parsed to each field's type; a field
+    whose default is None takes ``none`` or a float."""
+    defaults = {f.name: f.default for f in fields(obj)}
     updates = {}
     for key, raw in items.items():
-        if key not in valid:
+        if key not in defaults:
             raise ParameterError(f"config: unknown key {key!r} in [{section}]")
-        if key in optional_float_keys:
-            updates[key] = None if raw.strip().lower() == "none" else float(raw)
-            continue
-        current = getattr(obj, key)
-        typ = type(current) if current is not None else str
-        updates[key] = _coerce(raw, typ, section, key)
+        if defaults[key] is None:
+            updates[key] = None if raw.strip().lower() == "none" \
+                else _coerce(raw, float, section, key)
+        else:
+            updates[key] = _coerce(raw, type(getattr(obj, key)), section, key)
     return dataclasses.replace(obj, **updates)
 
 
@@ -139,10 +139,7 @@ def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
         hyper = _apply_section(cfg.train.model, dict(parser["model"]), "model")
         cfg.train = dataclasses.replace(cfg.train, model=hyper)
     if parser.has_section("train"):
-        items = dict(parser["train"])
-        cfg.train = _apply_section(
-            cfg.train, items, "train", optional_float_keys=frozenset({"cov_eps"})
-        )
+        cfg.train = _apply_section(cfg.train, dict(parser["train"]), "train")
     if parser.has_section("eval"):
         cfg.eval = _apply_section(cfg.eval, dict(parser["eval"]), "eval")
     if parser.has_section("run"):

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .blobio import (Schema, array_to_bytes, read_blob, read_manifest,
-                     write_manifest)
+                     write_jsonl)
 from .errors import FormatError, ParameterError
 from .numerics import l2_normalize
 
@@ -147,11 +148,11 @@ def save_corpus(corpus: Corpus, directory) -> Path:
                  for m in MODALITIES}
     columns = zip(corpus.ids.tolist(), corpus.splits.tolist(),
                   corpus.labels.tolist())
-    return write_manifest(directory / MANIFEST_NAME, header, (
+    return write_jsonl(directory / MANIFEST_NAME, chain([header], (
         {"id": rec_id, "split": split,
          "label": OOD_SENTINEL if label == OOD_LABEL else label,
          "offsets": {m: row * row_bytes[m] for m in MODALITIES}}
-        for row, (rec_id, split, label) in enumerate(columns)))
+        for row, (rec_id, split, label) in enumerate(columns))))
 
 
 def _header(header) -> tuple:

@@ -60,6 +60,11 @@ class TrainConfig:
             raise ParameterError("train: rates must be >= 0")
         if self.stage1_epochs < 0 or self.stage2_epochs < 0:
             raise ParameterError("train: epoch counts must be >= 0")
+        if self.cov_eps is not None and \
+                not (math.isfinite(self.cov_eps) and self.cov_eps >= 0):
+            raise ParameterError(
+                "train: cov_eps must be none or a finite number >= 0, "
+                f"got {self.cov_eps}")
 
 
 class AdamW:

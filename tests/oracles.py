@@ -5,9 +5,13 @@ of a threshold sweep, explicit dense inverses instead of factorizations,
 a literal double loop for the contrastive sums, a per-anchor loop for the
 contrastive gradient, a per-tensor AdamW loop, and a sequential weighted
 sum for the pseudo-OOD mix. The two per-stage training steps are kept as
-they were before one step function served every stage, to pin it.
+they were before one step function served every stage, to pin it; the
+CLI's train/ablate test row and its per-row score writer are kept as they
+were before one scoring core and one JSON-lines writer served every
+command, to pin those.
 """
 
+import json
 import math
 
 import numpy as np
@@ -19,6 +23,8 @@ from mmood.heads import (
     make_view_ids,
     multiclass_loss,
 )
+from mmood.metrics import id_metrics, ood_metrics
+from mmood.scoring import apply_scorer, fit_scorer
 
 
 def auroc_pair_oracle(scores, flags):
@@ -216,3 +222,35 @@ def fine_step_oracle(model, batch, rng, include_coarse):
     model.encoders_backward(gxs, enc_caches)
     losses["total"] = sum(losses.values())
     return losses
+
+
+def mahalanobis_row_oracle(trained, corpus):
+    """The former per-run test row of ``mmood train`` and ``mmood ablate``."""
+    test = corpus.split("test")
+    if len(test) == 0:
+        return {}
+    flags = ~test.is_ood
+    feats = trained.model.features_for(test)
+    logits = trained.model.logits_for(feats)
+    preds = logits[flags].argmax(axis=1)
+    idm = id_metrics(preds, test.labels[flags], corpus.num_classes)
+    row = {"acc": idm.acc, "wf1": idm.wf1}
+    if not flags.all():
+        state = fit_scorer("mahalanobis", trained.train_features,
+                           trained.train_logits, trained.class_stats,
+                           corpus.num_classes)
+        scores = apply_scorer(state, feats, logits)
+        row.update(ood_metrics(scores, flags).as_dict())
+    return row
+
+
+def score_file_oracle(path, test, flags, scores, norm):
+    """The former per-row ``scores_<scorer>.jsonl`` writer of ``mmood eval``."""
+    rows = [
+        {"id": rec_id, "is_id": bool(flags[i]),
+         "raw": float(scores[i]), "norm": float(norm[i])}
+        for i, rec_id in enumerate(test.ids.tolist())
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")

@@ -13,6 +13,9 @@ from mmood.config import load_config
 from mmood.corpus import load_corpus
 from mmood.errors import PipelineError
 from mmood.model import FusionModel
+from mmood.scoring import SCORERS, apply_scorer, fit_scorer, normalize_scores
+from mmood.train import train
+from oracles import mahalanobis_row_oracle, score_file_oracle
 
 MICRO_INI = """
 [corpus]
@@ -637,3 +640,121 @@ class TestCheckpointHeader:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: checkpoint: {manifest}: malformed header")
+
+
+def _train_cli(micro, out, *extra):
+    assert main(["train", "--config", str(micro["cfg"]), "--corpus",
+                 str(micro["corpus"]), "--out", str(out), "--seed", "0",
+                 *extra]) == 0
+    return out
+
+
+class TestScoringCore:
+    """The one scoring core and JSON-lines writer against the code they
+    replaced (tests/oracles.py)."""
+
+    @pytest.fixture()
+    def trained_micro(self, micro):
+        cfg = load_config(micro["cfg"])
+        corpus = load_corpus(micro["corpus"])
+        return corpus, train(corpus, cfg.train, cfg.oodgen)
+
+    def test_test_row_matches_oracle(self, trained_micro):
+        corpus, trained = trained_micro
+        row = mmood.cli._test_row(trained, corpus)
+        assert {"acc", "wf1", "auroc", "fpr95"} <= set(row)
+        assert row == mahalanobis_row_oracle(trained, corpus)
+
+    def test_test_row_without_ood_matches_oracle(self, trained_micro):
+        corpus, trained = trained_micro
+        keep = ~(corpus.is_ood & (corpus.splits == "test"))
+        id_only = corpus.take(np.flatnonzero(keep))
+        assert len(id_only.split("test")) == 24
+        row = mmood.cli._test_row(trained, id_only)
+        assert set(row) == {"acc", "wf1"}
+        assert row == mahalanobis_row_oracle(trained, id_only)
+
+    def test_score_files_match_oracle_writer(self, micro):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        test = load_corpus(micro["corpus"]).split("test")
+        out, ref = micro["tmp"] / "eval", micro["tmp"] / "ref"
+        ref.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_eval(run, test, list(SCORERS), out)
+            model, stats, train_feats, train_logits, _ = load_checkpoint(run)
+            feats = model.features_for(test)
+            logits = model.logits_for(feats)
+            for scorer in SCORERS:
+                state = fit_scorer(scorer, train_feats, train_logits, stats,
+                                   test.num_classes)
+                scores = apply_scorer(state, feats, logits)
+                name = f"scores_{scorer}.jsonl"
+                score_file_oracle(ref / name, test, ~test.is_ood, scores,
+                                  normalize_scores(scores))
+                assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+    def test_ablation_full_same_as_no_flag(self, micro):
+        plain = _train_cli(micro, micro["tmp"] / "plain")
+        full = _train_cli(micro, micro["tmp"] / "full", "--ablation", "full")
+        for name in ("checkpoint.json", "checkpoint.blob", "results.csv"):
+            assert (plain / name).read_bytes() == (full / name).read_bytes()
+        logs = [(out / "train_log.jsonl").read_text().splitlines()
+                for out in (plain, full)]
+        assert logs[0][1:] == logs[1][1:]
+        headers = [json.loads(log[0]) for log in logs]
+        for header in headers:
+            header.pop("time")
+        assert headers[0] == headers[1] == {"event": "start", "seed": 0,
+                                            "variant": "Full"}
+
+
+class TestArgumentLists:
+    @pytest.mark.parametrize("argv, message", [
+        (["ablate", "--seed", ""], "--seed names no seed"),
+        (["train", "--seed", ","], "--seed names no seed"),
+        (["train", "--seed", "0,0"], "duplicate seed 0 in --seed"),
+        (["ablate", "--ablation", ","], "--ablation names no variant"),
+        (["ablate", "--ablation", "full,add,full"],
+         "duplicate variant full in --ablation"),
+    ])
+    def test_empty_or_duplicate_list_exits_1(self, micro, capsys, argv,
+                                             message):
+        out = micro["tmp"] / "lists"
+        capsys.readouterr()
+        code = main([*argv, "--config", str(micro["cfg"]), "--corpus",
+                     str(micro["corpus"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cli: ")
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "ablate"])
+    def test_help_lists_config_and_out_first(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        options = capsys.readouterr().out.split("options:")[1]
+        assert re.findall(r"--[a-z]+", options)[:3] == ["--help", "--config",
+                                                        "--out"]
+
+
+class TestFailedEvalWritesNothing:
+    @pytest.mark.parametrize("failure", ["class_count", "no_checkpoint"])
+    def test_out_dir_not_created(self, micro, capsys, failure):
+        run, corpus = micro["tmp"] / "run", micro["corpus"]
+        if failure == "class_count":
+            _train_cli(micro, run)
+            cfg5 = micro["tmp"] / "run5.ini"
+            cfg5.write_text(MICRO_INI.replace("num_classes = 3",
+                                              "num_classes = 5"))
+            corpus = micro["tmp"] / "corpus5"
+            assert main(["synth", "--config", str(cfg5), "--out", str(corpus),
+                         "--seed", "0"]) == 0
+        capsys.readouterr()
+        out = micro["tmp"] / "e"
+        code = main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                     str(run), "--corpus", str(corpus), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

@@ -100,6 +100,13 @@ scorer = all
         cfg = load_config(write(tmp_path, "[train]\ncov_eps = none\n"))
         assert cfg.train.cov_eps is None
 
+    @pytest.mark.parametrize("raw", ["abc", "nan", "inf", "-1e-4"])
+    def test_cov_eps_bad_value_rejected(self, tmp_path, raw):
+        with pytest.raises(ParameterError, match="cov_eps") as info:
+            load_config(write(tmp_path, f"[train]\ncov_eps = {raw}\n"))
+        assert str(info.value).startswith(("config: [train] cov_eps",
+                                           "train: cov_eps"))
+
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ParameterError, match="unknown key 'dropout_rate'"):
             load_config(write(tmp_path, "[model]\ndropout_rate = 0.5\n"))
