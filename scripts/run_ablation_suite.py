@@ -14,6 +14,7 @@ from pathlib import Path
 from mmood.cli import run_ablation
 from mmood.config import RunConfig
 from mmood.corpus import ModalitySynth, SynthConfig, synth_corpus
+from mmood.errors import PipelineError
 from mmood.model import ModelHyper, SLOT_SYNTH
 from mmood.numerics import component_rng
 from mmood.train import ABLATION_VARIANTS
@@ -49,7 +50,11 @@ def main() -> int:
 
     seeds = [int(s) for s in args.seeds.split(",")]
     variants = [v.strip() for v in args.variants.split(",")]
-    result = run_ablation(corpus, cfg, variants, seeds, Path(args.out))
+    try:
+        result = run_ablation(corpus, cfg, variants, seeds, Path(args.out))
+    except PipelineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for variant, agg in result["aggregate"].items():
         auroc = agg["auroc"]
         print(f"{variant:18s} auroc={auroc['mean']:.4f} +/- {auroc['std']:.4f}")

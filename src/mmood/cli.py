@@ -61,6 +61,17 @@ def _mean_std(rows: list[dict], keys) -> dict[str, tuple[float, float]]:
     return stats
 
 
+def _unique(items: list, flag: str, noun: str) -> list:
+    """``items`` parsed from ``flag``, which must name at least one and
+    none twice."""
+    if not items:
+        raise ParameterError(f"cli: {flag} names no {noun}")
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ParameterError(f"cli: duplicate {noun} {item} in {flag}")
+    return items
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
@@ -127,8 +138,9 @@ def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
 
     A single seed writes the checkpoint into ``out_dir`` directly; several
     seeds write ``out_dir/seed_<n>/`` each, plus results.csv and a
-    mean/std summary.
+    mean/std summary. ``seeds`` may not be empty or name a seed twice.
     """
+    _unique(seeds, "--seed", "seed")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -142,8 +154,10 @@ def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
                   "time": datetime.now(timezone.utc).isoformat()}
         write_jsonl(target / "train_log.jsonl", chain(
             [header], trained.log, [{"event": "end", "best": trained.best}]))
-        row = {"seed": seed, "best_epoch": trained.best.get("epoch"),
-               "val_wf1": trained.best.get("wf1")}
+        row = {"seed": seed}
+        if trained.best:
+            row.update(best_epoch=trained.best["epoch"],
+                       val_wf1=trained.best["wf1"])
         row.update(_test_row(trained, corpus))
         rows.append(row)
 
@@ -162,7 +176,7 @@ def run_eval(checkpoint_dir, test: Corpus, scorers: list[str],
              out_dir) -> EvalReport:
     """Score the test split ``test`` (``corpus.split("test")``) with a
     checkpoint; the caller need not keep the rest of the corpus. Nothing
-    is written until the checkpoint loads and matches the corpus."""
+    is written until the report is built."""
     model, stats, train_feats, train_logits, _ = load_checkpoint(checkpoint_dir)
     if test.num_classes != model.num_classes:
         raise ParameterError(
@@ -172,12 +186,12 @@ def run_eval(checkpoint_dir, test: Corpus, scorers: list[str],
 
     if len(test) == 0:
         raise ParameterError("cli: corpus has no test records to evaluate")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     flags, idm, scores = _score(model, stats, train_feats, train_logits, test,
                                 scorers)
     report = EvalReport(id_metrics=idm, ood_metrics={
         variant: ood_metrics(raw, flags) for variant, raw in scores.items()})
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     ids, is_id = test.ids.tolist(), flags.tolist()
     for variant, raw in scores.items():
         write_jsonl(out_dir / f"scores_{variant}.jsonl", (
@@ -206,11 +220,14 @@ def run_ablation(corpus: Corpus, cfg: RunConfig, variants: list[str],
     checks on mean AUROC. The summary is written even when an expected
     ordering fails; failures are flagged, not hidden.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for variant in variants:
         if variant not in ABLATION_VARIANTS:
             raise ParameterError(f"cli: unknown ablation variant {variant!r}")
+    _unique([ABLATION_VARIANTS[v][0] for v in variants], "--ablation",
+            "variant")
+    _unique(seeds, "--seed", "seed")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for variant in variants:
@@ -258,8 +275,6 @@ def run_ablation(corpus: Corpus, cfg: RunConfig, variants: list[str],
 def run_report(eval_dir, out_dir=None) -> Path:
     """Re-shape an eval directory into plot-ready CSV tables."""
     eval_dir = Path(eval_dir)
-    out_dir = Path(out_dir) if out_dir is not None else eval_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = eval_dir / "eval_report.json"
     if not report_path.exists():
         raise ParameterError(f"cli: {report_path} not found; run eval first")
@@ -273,8 +288,6 @@ def run_report(eval_dir, out_dir=None) -> Path:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"cli: {report_path}: malformed eval report "
                           f"({type(exc).__name__}: {exc})") from exc
-    _write_csv(out_dir / "per_class_acc.csv", ["class", "accuracy"],
-               [[i, v] for i, v in enumerate(per_class)])
 
     long_rows = []
     for scorer in scorers:
@@ -292,9 +305,13 @@ def run_report(eval_dir, out_dir=None) -> Path:
                 raise FormatError(
                     f"cli: {scores_path} line {lineno}: malformed score row "
                     f"({type(exc).__name__}: {exc})") from exc
+
+    out_dir = Path(out_dir) if out_dir is not None else eval_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "per_class_acc.csv", ["class", "accuracy"],
+               [[i, v] for i, v in enumerate(per_class)])
     _write_csv(out_dir / "scores_long.csv",
                ["scorer", "sample_id", "is_id", "raw", "normalized"], long_rows)
-
     _write_csv(out_dir / "id_metrics.csv", ["metric", "value"], id_rows)
     return out_dir
 
@@ -302,23 +319,11 @@ def run_report(eval_dir, out_dir=None) -> Path:
 # -- argument plumbing --------------------------------------------------------
 
 
-def _unique(items: list, flag: str, noun: str) -> list:
-    """``items`` parsed from ``flag``, which must name at least one and
-    none twice."""
-    if not items:
-        raise ParameterError(f"cli: {flag} names no {noun}")
-    for i, item in enumerate(items):
-        if item in items[:i]:
-            raise ParameterError(f"cli: duplicate {noun} {item} in {flag}")
-    return items
-
-
 def _parse_seeds(raw: str) -> list[int]:
     try:
-        seeds = [int(part) for part in raw.split(",") if part.strip() != ""]
+        return [int(part) for part in raw.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ParameterError(f"cli: bad --seed list {raw!r}") from exc
-    return _unique(seeds, "--seed", "seed")
 
 
 def _load_run_config(args) -> RunConfig:
@@ -407,8 +412,7 @@ def main(argv=None) -> int:
             unknown = [s for s in slugs if s not in ABLATION_SLUGS]
             if unknown:
                 raise ParameterError(f"cli: unknown ablation slug {unknown[0]!r}")
-            variants = [ABLATION_SLUGS[s]
-                        for s in _unique(slugs, "--ablation", "variant")]
+            variants = [ABLATION_SLUGS[s] for s in slugs]
             result = run_ablation(load_corpus(Path(args.corpus)), cfg, variants,
                                   seeds, out)
             print(f"wrote {len(result['rows'])} ablation rows to {out}")

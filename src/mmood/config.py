@@ -78,9 +78,10 @@ def _coerce(raw: str, typ, section: str, key: str):
 
 
 def _apply_section(obj, items: dict[str, str], section: str):
-    """A copy of ``obj`` with ``items`` parsed to each field's type; a field
-    whose default is None takes ``none`` or a float."""
-    defaults = {f.name: f.default for f in fields(obj)}
+    """``obj`` with ``items`` parsed to each (non-dataclass) field's type; a
+    field whose default is None takes ``none`` or a float."""
+    defaults = {f.name: f.default for f in fields(obj)
+                if not dataclasses.is_dataclass(getattr(obj, f.name))}
     updates = {}
     for key, raw in items.items():
         if key not in defaults:

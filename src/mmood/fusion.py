@@ -14,7 +14,7 @@ import numpy as np
 from .corpus import MODALITIES
 from .errors import ParameterError
 from .layers import Affine, Dropout, Param, relu, relu_backward
-from .numerics import softmax
+from .numerics import softmax, softmax_backward
 
 Array = np.ndarray
 
@@ -87,8 +87,7 @@ class FusionNetwork:
             z, c_proj = self.concat_proj.forward(flat)
             return z, None, ("concat", c_proj)
         scores, score_caches = self.modality_scores(xs, train, rng)
-        s = np.stack([scores[m] for m in MODALITIES], axis=-1)
-        w = softmax(s, axis=-1)
+        w = softmax(np.stack([scores[m] for m in MODALITIES], axis=-1))
         z = sum(w[..., i:i + 1] * xs[m] for i, m in enumerate(MODALITIES))
         return z, w, ("weighted", xs, w, score_caches)
 
@@ -112,8 +111,7 @@ class FusionNetwork:
         )
         if g_w is not None:
             g_w_total = g_w_total + g_w
-        # softmax backward on the weights
-        g_s = w * (g_w_total - (g_w_total * w).sum(axis=-1, keepdims=True))
+        g_s = softmax_backward(g_w_total, w)
         g_scores = {m: g_s[..., i] for i, m in enumerate(MODALITIES)}
         gxs = self._scores_backward(g_scores, score_caches)
         for i, m in enumerate(MODALITIES):

@@ -13,12 +13,11 @@ import numpy as np
 from .corpus import OOD_LABEL
 from .errors import ParameterError
 from .layers import Affine, Dropout, Param, glorot_uniform, relu, relu_backward
-from .numerics import softmax
+from .numerics import softmax, unit_rows, unit_rows_backward
 
 Array = np.ndarray
 
 LOG_CLAMP = 1e-12
-NORM_EPS = 1e-12
 
 
 class BinaryHead:
@@ -46,8 +45,9 @@ class BinaryHead:
 class CosineHead:
     """Scaled cosine-similarity classifier.
 
-    logit_k = gamma * <z/||z||, w_k/||w_k||>; zero features yield zero
-    logits (and zero gradient) instead of dividing by zero.
+    logit_k = gamma * <z/||z||, w_k/||w_k||>; a zero feature row or class
+    weight row yields zero logits (and zero gradient) instead of dividing
+    by zero.
     """
 
     def __init__(self, name: str, d_model: int, num_classes: int, gamma: float,
@@ -59,27 +59,16 @@ class CosineHead:
                        glorot_uniform(rng, d_model, num_classes,
                                       (num_classes, d_model)))
 
-    def _normalized(self):
-        w_norms = np.linalg.norm(self.W.value, axis=1, keepdims=True)
-        safe = np.maximum(w_norms, NORM_EPS)
-        return self.W.value / safe, safe
-
     def forward(self, z: Array):
-        z_norms = np.linalg.norm(z, axis=-1, keepdims=True)
-        live = z_norms > NORM_EPS
-        z_hat = np.where(live, z / np.maximum(z_norms, NORM_EPS), 0.0)
-        w_hat, w_norms = self._normalized()
-        logits = self.gamma * z_hat @ w_hat.T
-        return logits, (z_hat, np.maximum(z_norms, NORM_EPS), live, w_hat, w_norms)
+        z_unit, w_unit = unit_rows(z), unit_rows(self.W.value)
+        return self.gamma * z_unit[0] @ w_unit[0].T, (z_unit, w_unit)
 
     def backward(self, g: Array, cache) -> Array:
-        z_hat, z_norms, live, w_hat, w_norms = cache
-        g_zhat = self.gamma * g @ w_hat
-        gz = (g_zhat - (g_zhat * z_hat).sum(axis=-1, keepdims=True) * z_hat) / z_norms
-        gz = np.where(live, gz, 0.0)
+        z_unit, w_unit = cache
+        z_hat = z_unit[0]
         g_what = self.gamma * g.reshape(-1, g.shape[-1]).T @ z_hat.reshape(-1, z_hat.shape[-1])
-        self.W.grad += (g_what - (g_what * w_hat).sum(axis=1, keepdims=True) * w_hat) / w_norms
-        return gz
+        self.W.grad += unit_rows_backward(g_what, *w_unit)
+        return unit_rows_backward(self.gamma * g @ w_unit[0], *z_unit)
 
     def params(self) -> list[Param]:
         return [self.W]
@@ -126,7 +115,7 @@ class ContrastHead:
 def _cross_entropy(logits: Array, targets: Array):
     """Mean softmax cross-entropy; targets are class indices."""
     n = logits.shape[0]
-    probs = softmax(logits, axis=-1)
+    probs = softmax(logits)
     picked = probs[np.arange(n), targets]
     loss = float(-np.log(np.maximum(picked, LOG_CLAMP)).mean())
     grad = probs.copy()
@@ -177,9 +166,7 @@ def contrastive_from_views(views: Array, labels: Array, is_id: Array,
     n = views.shape[0]
     if n < 2:
         raise ParameterError("losses: contrastive loss needs >= 2 views")
-    norms = np.linalg.norm(views, axis=1, keepdims=True)
-    live = norms > NORM_EPS
-    u = np.where(live, views / np.maximum(norms, NORM_EPS), 0.0)
+    u, norms, live = unit_rows(views)
     sims = u @ u.T
     e = np.exp(sims / tau)
     np.fill_diagonal(e, 0.0)
@@ -209,5 +196,4 @@ def contrastive_from_views(views: Array, labels: Array, is_id: Array,
     g_sims -= pos / (n * tau * count)[:, None]
 
     g_u = (g_sims + g_sims.T) @ u
-    g_views = (g_u - (g_u * u).sum(axis=1, keepdims=True) * u) / np.maximum(norms, NORM_EPS)
-    return loss, np.where(live, g_views, 0.0)
+    return loss, unit_rows_backward(g_u, u, norms, live)

@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ParameterError
+from .numerics import softmax, softmax_backward
 
 Array = np.ndarray
 
@@ -117,11 +118,6 @@ class Dropout:
         return g * cache
 
 
-def _softmax_last(x: Array) -> Array:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 class SelfAttention:
     """Single multi-head self-attention layer on (B, L, D) inputs."""
 
@@ -153,7 +149,7 @@ class SelfAttention:
         kf, ck = self.proj_k.forward(x)
         vf, cv = self.proj_v.forward(x)
         q, k, v = self._split(qf), self._split(kf), self._split(vf)
-        attn = _softmax_last(q @ k.swapaxes(-1, -2) * self.scale)
+        attn = softmax(q @ k.swapaxes(-1, -2) * self.scale)
         ctx = self._merge(attn @ v)
         y, co = self.proj_o.forward(ctx)
         return y, (cq, ck, cv, co, q, k, v, attn)
@@ -161,9 +157,8 @@ class SelfAttention:
     def backward(self, g: Array, cache) -> Array:
         cq, ck, cv, co, q, k, v, attn = cache
         g_ctx = self._split(self.proj_o.backward(g, co))
-        g_attn = g_ctx @ v.swapaxes(-1, -2)
         gv = attn.swapaxes(-1, -2) @ g_ctx
-        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
+        g_scores = softmax_backward(g_ctx @ v.swapaxes(-1, -2), attn)
         gq = g_scores @ k * self.scale
         gk = g_scores.swapaxes(-1, -2) @ q * self.scale
         gx = self.proj_q.backward(self._merge(gq), cq)

@@ -67,30 +67,57 @@ def dirichlet_sample(alpha: float, k, rng: np.random.Generator) -> Array:
     return g / total
 
 
-def softmax(v, axis: int = -1) -> Array:
-    """Shift-invariant softmax along ``axis``."""
+def softmax(v) -> Array:
+    """Shift-invariant softmax over the last axis."""
     x = np.asarray(v, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def logsumexp(v) -> float:
-    """Overflow-free log(sum(exp(v))) of a nonempty vector."""
-    x = np.asarray(v, dtype=np.float64).ravel()
-    if x.size == 0:
+def softmax_backward(g, p) -> Array:
+    """Gradient wrt the inputs of a softmax with outputs ``p``."""
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
+def logsumexp(v) -> Array | float:
+    """Overflow-free log-sum-exp over the last axis; a float for a vector."""
+    x = np.atleast_1d(np.asarray(v, dtype=np.float64))
+    if x.shape[-1] == 0:
         raise ParameterError("numerics: logsumexp of an empty vector")
-    m = x.max()
-    return float(m + np.log(np.exp(x - m).sum()))
+    m = x.max(axis=-1)
+    return m + np.log(np.exp(x - m[..., None]).sum(axis=-1))
 
 
-def l2_normalize(v, eps: float = 1e-12) -> Array:
-    """Scale ``v`` to unit norm; returns the zero vector when ||v|| <= eps."""
-    x = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(x)
-    if n <= eps:
-        return np.zeros_like(x)
-    return x / n
+NORM_EPS = 1e-12
+
+
+def _unit(x: Array, norms: Array):
+    live = norms > NORM_EPS
+    safe = np.maximum(norms, NORM_EPS)
+    return np.where(live, x / safe, 0.0), safe, live
+
+
+def unit_rows(x):
+    """``(u, norms, live)``: the rows (last axis) of ``x`` at unit norm, zero
+    where a norm is <= NORM_EPS, and the norms floored at NORM_EPS. A norm
+    sums squares, as the heads always have; :func:`l2_normalize` does not."""
+    x = np.asarray(x, dtype=np.float64)
+    return _unit(x, np.linalg.norm(x, axis=-1, keepdims=True))
+
+
+def unit_rows_backward(g, u, norms, live) -> Array:
+    """Input-row gradient of :func:`unit_rows` from ``g`` wrt ``u``."""
+    return np.where(live, (g - (g * u).sum(axis=-1, keepdims=True) * u) / norms,
+                    0.0)
+
+
+def l2_normalize(v) -> Array:
+    """The rows (last axis) of ``v`` at unit norm, zero where a norm is <=
+    NORM_EPS. A norm is the BLAS dot product ``np.linalg.norm`` takes of one
+    vector, the bits the corpus and residual/ViM scores were built on; the
+    summed squares of :func:`unit_rows` change the last bit of some rows."""
+    x = np.ascontiguousarray(v, dtype=np.float64)
+    return _unit(x, np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0])[0]
 
 
 def covariance(rows) -> Array:
@@ -106,10 +133,15 @@ def covariance(rows) -> Array:
     return (c + c.T) / 2.0
 
 
-def _check_symmetric(m: Array, name: str) -> None:
-    scale = max(1.0, float(np.abs(m).max()))
-    if not np.allclose(m, m.T, atol=1e-8 * scale):
-        raise ParameterError(f"numerics: {name} must be symmetric")
+def _symmetric(m, who: str) -> Array:
+    """``m`` validated as a square, symmetric matrix for function ``who``."""
+    mm = as_matrix(m, f"{who} input")
+    if mm.shape[0] != mm.shape[1]:
+        raise ParameterError(f"numerics: {who} needs a square matrix")
+    scale = max(1.0, float(np.abs(mm).max()))
+    if not np.allclose(mm, mm.T, atol=1e-8 * scale):
+        raise ParameterError(f"numerics: {who} input must be symmetric")
+    return mm
 
 
 def default_reg_eps(m) -> float:
@@ -118,36 +150,24 @@ def default_reg_eps(m) -> float:
     return 1e-6 * float(np.trace(mm)) / mm.shape[0]
 
 
-def regularized_inverse(m, eps: float | None = None, min_eps: float = 1e-6) -> Array:
-    """Inverse of (m + eps*I) via Cholesky factorization of the SPD shift.
-
-    ``eps=None`` uses the scale-aware default; the effective value is
-    floored at ``min_eps`` so singular covariances stay invertible.
-    """
-    mm = as_matrix(m, "regularized_inverse input")
-    if mm.shape[0] != mm.shape[1]:
-        raise ParameterError("numerics: regularized_inverse needs a square matrix")
-    _check_symmetric(mm, "regularized_inverse input")
-    eff = default_reg_eps(mm) if eps is None else float(eps)
-    eff = max(eff, min_eps)
-    shifted = mm + eff * np.eye(mm.shape[0])
+def regularized_inverse(m, eps: float) -> Array:
+    """Inverse of (m + eps*I) via Cholesky factorization of the SPD shift."""
+    mm = _symmetric(m, "regularized_inverse")
+    shifted = mm + eps * np.eye(mm.shape[0])
     try:
         factor = scipy.linalg.cho_factor(shifted, lower=True)
         inv = scipy.linalg.cho_solve(factor, np.eye(mm.shape[0]))
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"numerics: factorization failed even with eps={eff}"
+            f"numerics: factorization failed even with eps={eps}"
         ) from exc
     return (inv + inv.T) / 2.0
 
 
 def principal_subspace(cov, d: int) -> Array:
     """Orthonormal basis (cols x d) spanning the top-d eigenvectors of cov."""
-    c = as_matrix(cov, "principal_subspace input")
+    c = _symmetric(cov, "principal_subspace")
     n = c.shape[0]
-    if c.shape[1] != n:
-        raise ParameterError("numerics: principal_subspace needs a square matrix")
-    _check_symmetric(c, "principal_subspace input")
     if not 1 <= d <= n:
         raise ParameterError(
             f"numerics: subspace dimension must be in [1, {n}], got {d}"

@@ -18,6 +18,7 @@ from .numerics import (
     covariance,
     default_reg_eps,
     l2_normalize,
+    logsumexp,
     principal_subspace,
     regularized_inverse,
     softmax,
@@ -64,9 +65,8 @@ def fit_class_stats(features: Array, labels, num_classes: int,
         means[k] = rows.mean(axis=0)
         covs[k] = covariance(rows)
         eff = default_reg_eps(covs[k]) if eps is None else float(eps)
-        eff = max(eff, 1e-6)
-        eps_used[k] = eff
-        precisions[k] = regularized_inverse(covs[k], eps=eff, min_eps=0.0)
+        eps_used[k] = max(eff, 1e-6)
+        precisions[k] = regularized_inverse(covs[k], eps_used[k])
         counts[k] = rows.shape[0]
     return ClassStats(means=means, covs=covs, counts=counts, eps=eps_used,
                       precisions=precisions)
@@ -83,13 +83,11 @@ def score_mahalanobis(z: Array, stats: ClassStats) -> Array:
 
 
 def score_energy(logits: Array) -> Array:
-    logits = np.asarray(logits, dtype=np.float64)
-    m = logits.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))[:, 0]
+    return logsumexp(logits)
 
 
 def score_msp(logits: Array) -> Array:
-    return softmax(np.asarray(logits, dtype=np.float64), axis=-1).max(axis=-1)
+    return softmax(logits).max(axis=-1)
 
 
 def score_maxlogit(logits: Array) -> Array:
@@ -101,10 +99,6 @@ class ResidualState:
     mean: Array    # mean of the L2-normalized training features
     basis: Array   # (D, n_components) principal directions
     degenerate: bool
-
-
-def _normalize_rows(x: Array) -> Array:
-    return np.stack([l2_normalize(row) for row in x])
 
 
 def fit_residual(features: Array, num_components: int) -> ResidualState:
@@ -125,7 +119,7 @@ def fit_residual(features: Array, num_components: int) -> ResidualState:
             "residual scores are identically zero", stacklevel=2,
         )
         num_components = d
-    normalized = _normalize_rows(features)
+    normalized = l2_normalize(features)
     mean = normalized.mean(axis=0)
     basis = principal_subspace(covariance(normalized - mean), num_components)
     return ResidualState(mean=mean, basis=basis, degenerate=degenerate)
@@ -133,7 +127,7 @@ def fit_residual(features: Array, num_components: int) -> ResidualState:
 
 def residual_magnitude(z: Array, state: ResidualState) -> Array:
     """Norm of each row's component orthogonal to the principal subspace."""
-    centered = _normalize_rows(np.asarray(z, dtype=np.float64)) - state.mean
+    centered = l2_normalize(z) - state.mean
     proj = centered @ state.basis @ state.basis.T
     return np.linalg.norm(centered - proj, axis=1)
 
@@ -168,7 +162,7 @@ def score_vim(z: Array, logits: Array, state: VimState) -> Array:
     logits = np.asarray(logits, dtype=np.float64)
     virtual = state.alpha * residual_magnitude(z, state.residual)
     full = np.concatenate([logits, virtual[:, None]], axis=1)
-    return -softmax(full, axis=-1)[:, -1]
+    return -softmax(full)[:, -1]
 
 
 def normalize_scores(scores) -> Array:

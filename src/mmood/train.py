@@ -195,7 +195,7 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
                     cfg.adam_eps)
         # every stage but the coarse warm-up keeps its best validation epoch
         track_validation = name != "coarse"
-        best = {"wf1": -1.0, "epoch": None}
+        best: dict = {}
         best_values = None
         stale = 0
         for epoch in range(epochs):
@@ -219,16 +219,17 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
                 wf1 = _validation_wf1(model, valid_split)
                 if wf1 is not None:
                     entry["val_wf1"] = wf1
-                    if wf1 >= best["wf1"]:
+                    prev = best.get("wf1", -1.0)
+                    if wf1 >= prev:
                         # ties keep the most-trained snapshot but still
                         # count toward patience
-                        stale = 0 if wf1 > best["wf1"] else stale + 1
+                        stale = 0 if wf1 > prev else stale + 1
                         best = {"wf1": wf1, "epoch": epoch}
                         best_values = model.values.copy()
                     else:
                         stale += 1
             log.append(entry)
-            if track_validation and best_values is not None and stale > cfg.patience:
+            if best and stale > cfg.patience:
                 break
         if best_values is not None:
             model.values[...] = best_values

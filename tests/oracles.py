@@ -8,11 +8,15 @@ sum for the pseudo-OOD mix. The two per-stage training steps are kept as
 they were before one step function served every stage, to pin it; the
 CLI's train/ablate test row and its per-row score writer are kept as they
 were before one scoring core and one JSON-lines writer served every
-command, to pin those.
+command, to pin those. The softmax, softmax backward, unit-norm and
+log-sum-exp copies that attention, fusion, the cosine head, the
+contrastive loss and the scorers each wrote out are kept as they were
+before ``numerics`` held the one copy of each.
 """
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -254,3 +258,87 @@ def score_file_oracle(path, test, flags, scores, norm):
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+NORM_EPS = 1e-12
+
+
+def softmax_last_oracle(x):
+    """The former ``layers._softmax_last`` of attention."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_backward_oracle(g_attn, attn):
+    """The former inline softmax backward of attention (and, with the
+    fusion weights for ``attn``, of weighted fusion)."""
+    return attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
+
+
+def energy_oracle(logits):
+    """The former inline log-sum-exp of ``scoring.score_energy``."""
+    logits = np.asarray(logits, dtype=np.float64)
+    m = logits.max(axis=1, keepdims=True)
+    return (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))[:, 0]
+
+
+def l2_normalize_oracle(v, eps: float = 1e-12):
+    """The former one-vector ``numerics.l2_normalize``."""
+    x = np.asarray(v, dtype=np.float64)
+    n = np.linalg.norm(x)
+    if n <= eps:
+        return np.zeros_like(x)
+    return x / n
+
+
+def normalize_rows_oracle(x):
+    """The former per-row loop of ``scoring._normalize_rows``."""
+    return np.stack([l2_normalize_oracle(row) for row in x])
+
+
+class CosineHeadOracle:
+    """The former ``CosineHead`` normalisation, forward and backward, on a
+    copy of a head's weights; the weight gradient accumulates in
+    ``self.W.grad``."""
+
+    def __init__(self, head):
+        self.gamma = head.gamma
+        self.W = SimpleNamespace(value=head.W.value.copy(),
+                                 grad=np.zeros_like(head.W.value))
+
+    def _normalized(self):
+        w_norms = np.linalg.norm(self.W.value, axis=1, keepdims=True)
+        safe = np.maximum(w_norms, NORM_EPS)
+        return self.W.value / safe, safe
+
+    def forward(self, z):
+        z_norms = np.linalg.norm(z, axis=-1, keepdims=True)
+        live = z_norms > NORM_EPS
+        z_hat = np.where(live, z / np.maximum(z_norms, NORM_EPS), 0.0)
+        w_hat, w_norms = self._normalized()
+        logits = self.gamma * z_hat @ w_hat.T
+        return logits, (z_hat, np.maximum(z_norms, NORM_EPS), live, w_hat, w_norms)
+
+    def backward(self, g, cache):
+        z_hat, z_norms, live, w_hat, w_norms = cache
+        g_zhat = self.gamma * g @ w_hat
+        gz = (g_zhat - (g_zhat * z_hat).sum(axis=-1, keepdims=True) * z_hat) / z_norms
+        gz = np.where(live, gz, 0.0)
+        g_what = self.gamma * g.reshape(-1, g.shape[-1]).T @ z_hat.reshape(-1, z_hat.shape[-1])
+        self.W.grad += (g_what - (g_what * w_hat).sum(axis=1, keepdims=True) * w_hat) / w_norms
+        return gz
+
+
+def contrastive_unit_oracle(views):
+    """The former view normalisation of ``contrastive_from_views``:
+    ``(u, norms, live)`` with the raw norms."""
+    norms = np.linalg.norm(views, axis=1, keepdims=True)
+    live = norms > NORM_EPS
+    u = np.where(live, views / np.maximum(norms, NORM_EPS), 0.0)
+    return u, norms, live
+
+
+def contrastive_unit_backward_oracle(g_u, u, norms, live):
+    """The former view-normalisation backward of ``contrastive_from_views``."""
+    g_views = (g_u - (g_u * u).sum(axis=1, keepdims=True) * u) / np.maximum(norms, NORM_EPS)
+    return np.where(live, g_views, 0.0)

@@ -1,7 +1,10 @@
 import json
 import re
+import runpy
+import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from mmood.checkpoint import load_checkpoint
 from mmood.cli import main, run_ablation, run_eval, run_synth, run_training
 from mmood.config import load_config
 from mmood.corpus import load_corpus
-from mmood.errors import PipelineError
+from mmood.errors import ParameterError, PipelineError
 from mmood.model import FusionModel
 from mmood.scoring import SCORERS, apply_scorer, fit_scorer, normalize_scores
 from mmood.train import train
@@ -739,22 +742,149 @@ class TestArgumentLists:
                                                         "--out"]
 
 
+# corpus config edit and error for each failed eval that has a checkpoint
+EVAL_FAILURES = {
+    "class_count": (("num_classes = 3", "num_classes = 5"), "5 classes"),
+    "no_ood": (("n_test_ood = 12", "n_test_ood = 0"),
+               "metrics: both ID and OOD samples are required"),
+    "all_ood": (("n_test_id = 24", "n_test_id = 0"), "metrics: empty input"),
+}
+
+
 class TestFailedEvalWritesNothing:
-    @pytest.mark.parametrize("failure", ["class_count", "no_checkpoint"])
+    @pytest.mark.parametrize("failure", ["class_count", "no_checkpoint",
+                                         "no_ood", "all_ood"])
     def test_out_dir_not_created(self, micro, capsys, failure):
         run, corpus = micro["tmp"] / "run", micro["corpus"]
-        if failure == "class_count":
+        if failure in EVAL_FAILURES:
             _train_cli(micro, run)
-            cfg5 = micro["tmp"] / "run5.ini"
-            cfg5.write_text(MICRO_INI.replace("num_classes = 3",
-                                              "num_classes = 5"))
-            corpus = micro["tmp"] / "corpus5"
-            assert main(["synth", "--config", str(cfg5), "--out", str(corpus),
+            (old, new), message = EVAL_FAILURES[failure]
+            cfg2 = micro["tmp"] / "run2.ini"
+            cfg2.write_text(MICRO_INI.replace(old, new))
+            corpus = micro["tmp"] / "corpus2"
+            assert main(["synth", "--config", str(cfg2), "--out", str(corpus),
                          "--seed", "0"]) == 0
         capsys.readouterr()
         out = micro["tmp"] / "e"
-        code = main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
-                     str(run), "--corpus", str(corpus), "--out", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                         str(run), "--corpus", str(corpus), "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if failure in EVAL_FAILURES:
+            assert EVAL_FAILURES[failure][1] in err
         assert not out.exists()
+
+
+class TestFailedReportWritesNothing:
+    def test_missing_eval_dir_not_created(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main(["report", str(missing)]) == 1
+        assert "run eval first" in capsys.readouterr().err
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("broken", ["no_report", "no_scores",
+                                        "bad_score_row"])
+    def test_out_dir_not_created(self, micro, capsys, broken):
+        run, evaled = micro["tmp"] / "run", micro["tmp"] / "eval"
+        _train_cli(micro, run)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                         str(run), "--corpus", str(micro["corpus"]), "--out",
+                         str(evaled), "--scorer", "msp"]) == 0
+        scores = evaled / "scores_msp.jsonl"
+        if broken == "no_report":
+            (evaled / "eval_report.json").unlink()
+        elif broken == "no_scores":
+            scores.unlink()
+        else:
+            scores.write_text(scores.read_text() + "{}\n")
+        capsys.readouterr()
+        out = micro["tmp"] / "new"
+        assert main(["report", str(evaled), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cli: ")
+        assert not out.exists()
+
+
+class TestDirectCallLists:
+    """The seed and variant checks hold for library callers too, and run
+    before anything is written or trained."""
+
+    @pytest.mark.parametrize("seeds, message", [
+        ([], "--seed names no seed"),
+        ([0, 0], "duplicate seed 0 in --seed"),
+    ])
+    def test_run_training(self, micro, seeds, message):
+        out = micro["tmp"] / "direct"
+        with pytest.raises(ParameterError, match=message):
+            run_training(load_corpus(micro["corpus"]),
+                         load_config(micro["cfg"]), out, seeds)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variants, seeds, message", [
+        (["Full"], [], "--seed names no seed"),
+        (["Full"], [0, 0], "duplicate seed 0 in --seed"),
+        ([], [0], "--ablation names no variant"),
+        (["Full", "Fusion (Add)", "Full"], [0],
+         "duplicate variant full in --ablation"),
+    ])
+    def test_run_ablation(self, micro, variants, seeds, message):
+        out = micro["tmp"] / "direct"
+        with pytest.raises(ParameterError, match=message):
+            run_ablation(load_corpus(micro["corpus"]),
+                         load_config(micro["cfg"]), variants, seeds, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--seeds", "0,0"], "duplicate seed 0 in --seed"),
+        (["--variants", "Full,Full"], "duplicate variant full in --ablation"),
+    ])
+    def test_ablation_script_exits_1(self, tmp_path, monkeypatch, capsys,
+                                     argv, message):
+        script = Path(__file__).parents[1] / "scripts" / "run_ablation_suite.py"
+        out = tmp_path / "suite"
+        monkeypatch.setattr(sys, "argv",
+                            [str(script), "--out", str(out), *argv])
+        assert runpy.run_path(str(script))["main"]() == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cli: ") and message in err
+        assert not out.exists()
+
+
+class TestNestedConfigKey:
+    def test_train_exits_1(self, micro, capsys):
+        cfg = micro["tmp"] / "nested.ini"
+        cfg.write_text(MICRO_INI.replace("[train]\n", "[train]\nmodel = x\n"))
+        out = micro["tmp"] / "run"
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--corpus",
+                     str(micro["corpus"]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: config: unknown key 'model' in [train]\n"
+        assert not out.exists()
+
+
+class TestNoValidatedEpoch:
+    @pytest.mark.parametrize("edit", [("n_valid = 24", "n_valid = 0"),
+                                      ("stage2_epochs = 2",
+                                       "stage2_epochs = 0")])
+    def test_no_sentinel_in_results(self, micro, edit):
+        cfg = micro["tmp"] / "noval.ini"
+        cfg.write_text(MICRO_INI.replace(*edit))
+        corpus, run = micro["tmp"] / "noval", micro["tmp"] / "run"
+        assert main(["synth", "--config", str(cfg), "--out", str(corpus),
+                     "--seed", "0"]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["train", "--config", str(cfg), "--corpus",
+                         str(corpus), "--out", str(run), "--seed", "0"]) == 0
+        for name in ("results.csv", "results_summary.csv"):
+            text = (run / name).read_text()
+            assert "-1.0" not in text and "None" not in text
+            assert "val_wf1" not in text and "best_epoch" not in text
+        log = (run / "train_log.jsonl").read_text().splitlines()
+        assert json.loads(log[-1]) == {"event": "end", "best": {}}
+        assert load_checkpoint(run)[4]["best"] == {}

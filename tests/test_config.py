@@ -111,6 +111,12 @@ scorer = all
         with pytest.raises(ParameterError, match="unknown key 'dropout_rate'"):
             load_config(write(tmp_path, "[model]\ndropout_rate = 0.5\n"))
 
+    def test_nested_dataclass_field_is_not_a_key(self, tmp_path):
+        # [train] holds the ModelHyper of [model]; it is no [train] key
+        with pytest.raises(ParameterError,
+                           match=r"unknown key 'model' in \[train\]"):
+            load_config(write(tmp_path, "[train]\nmodel = x\n"))
+
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ParameterError, match=r"unknown section \[optim\]"):
             load_config(write(tmp_path, "[optim]\nlr = 0.1\n"))

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from mmood.errors import InsufficientDataError, NumericalError, ParameterError
+from mmood.heads import CosineHead
 from mmood.numerics import (
+    NORM_EPS,
     component_rng,
     covariance,
     default_reg_eps,
@@ -16,6 +18,18 @@ from mmood.numerics import (
     principal_subspace,
     regularized_inverse,
     softmax,
+    softmax_backward,
+    unit_rows,
+    unit_rows_backward,
+)
+from oracles import (
+    CosineHeadOracle,
+    contrastive_unit_backward_oracle,
+    contrastive_unit_oracle,
+    energy_oracle,
+    normalize_rows_oracle,
+    softmax_backward_oracle,
+    softmax_last_oracle,
 )
 
 finite_vectors = st.lists(
@@ -125,6 +139,16 @@ class TestLogsumexp:
         out = logsumexp(v)
         assert max(v) - 1e-12 <= out <= max(v) + np.log(len(v)) + 1e-12
 
+    def test_last_axis_per_row(self):
+        x = make_rng(6).normal(size=(5, 4)) * 30
+        out = logsumexp(x)
+        assert out.shape == (5,)
+        assert all(out[i] == logsumexp(row) for i, row in enumerate(x))
+
+    def test_empty_last_axis_rejected(self):
+        with pytest.raises(ParameterError, match="logsumexp of an empty"):
+            logsumexp(np.zeros((3, 0)))
+
 
 class TestL2Normalize:
     def test_three_four(self):
@@ -137,6 +161,95 @@ class TestL2Normalize:
 
     def test_zero_guard(self):
         assert np.array_equal(l2_normalize(np.zeros(5)), np.zeros(5))
+
+    def test_rows_normalised_independently(self):
+        x = np.array([[3.0, 4.0], [0.0, 0.0], [0.0, -2.0]])
+        assert np.array_equal(l2_normalize(x), [[0.6, 0.8], [0.0, 0.0],
+                                                [0.0, -1.0]])
+
+
+def _feature_rows(rng, n, d):
+    """Random rows at mixed scales plus a zero row, a row whose norm is
+    exactly NORM_EPS and rows just above it."""
+    x = rng.normal(size=(n, d)) * rng.uniform(1e-3, 1e3, size=(n, 1))
+    x[0] = 0.0
+    x[1] = 0.0
+    x[1, d // 2] = NORM_EPS
+    x[2] = 0.0
+    x[2, 0] = -2 * NORM_EPS
+    x[3] = NORM_EPS  # norm sqrt(d) * NORM_EPS, live
+    assert np.linalg.norm(x[1]) == NORM_EPS and np.sqrt(x[1] @ x[1]) == NORM_EPS
+    return x
+
+
+FEATURE_SHAPES = [(64, 16), (32, 64), (48, 7), (4, 16, 8)]
+
+
+class TestSharedFormulasMatchFormerCopies:
+    """Each shared formula gives the bits of the copies it replaced."""
+
+    @pytest.mark.parametrize("shape", [(32, 4, 7, 7), (32, 2, 11, 11),
+                                       (32, 3), (300, 3)])
+    def test_softmax_and_backward(self, shape):
+        rng = make_rng(20)
+        x = rng.normal(size=shape) * 5.0
+        g = rng.normal(size=shape)
+        p = softmax(x)
+        assert np.array_equal(p, softmax_last_oracle(x))
+        assert np.array_equal(softmax_backward(g, p),
+                              softmax_backward_oracle(g, p))
+
+    def test_logsumexp_is_former_energy(self):
+        logits = make_rng(21).normal(size=(500, 7)) * 20
+        assert np.array_equal(logsumexp(logits), energy_oracle(logits))
+
+    @pytest.mark.parametrize("shape", FEATURE_SHAPES)
+    def test_l2_normalize_is_former_row_loop(self, shape):
+        rows = _feature_rows(make_rng(22), int(np.prod(shape[:-1])), shape[-1])
+        expected = normalize_rows_oracle(rows).reshape(shape)
+        assert np.array_equal(l2_normalize(rows.reshape(shape)), expected)
+
+    @pytest.mark.parametrize("shape", FEATURE_SHAPES[:3])
+    def test_unit_rows_is_former_contrastive_normalisation(self, shape):
+        rng = make_rng(24)
+        views = _feature_rows(rng, *shape)
+        g_u = rng.normal(size=shape)
+        u, norms, live = unit_rows(views)
+        u_ref, norms_ref, live_ref = contrastive_unit_oracle(views)
+        assert np.array_equal(u, u_ref) and np.array_equal(live, live_ref)
+        assert not live[:2].any() and live[2:].all()
+        assert np.array_equal(norms, np.maximum(norms_ref, NORM_EPS))
+        assert np.array_equal(
+            unit_rows_backward(g_u, u, norms, live),
+            contrastive_unit_backward_oracle(g_u, u_ref, norms_ref, live_ref))
+
+    @pytest.mark.parametrize("n, d, k", [(64, 16, 3), (32, 64, 5), (8, 7, 2)])
+    def test_cosine_head_is_former_head(self, n, d, k):
+        rng = make_rng(25)
+        head = CosineHead("h", d, k, 16.0, rng)
+        ref = CosineHeadOracle(head)
+        z = _feature_rows(rng, n, d)
+        g = rng.normal(size=(n, k))
+        logits, cache = head.forward(z)
+        ref_logits, ref_cache = ref.forward(z)
+        assert np.array_equal(logits, ref_logits)
+        assert np.array_equal(head.backward(g, cache),
+                              ref.backward(g, ref_cache))
+        assert np.array_equal(head.W.grad, ref.W.grad)
+
+    def test_cosine_head_dead_weight_row_is_zero(self):
+        rng = make_rng(26)
+        head = CosineHead("h", 6, 3, 16.0, rng)
+        head.W.value[1] = 0.0
+        head.W.value[2] = 0.0
+        head.W.value[2, 0] = NORM_EPS
+        z = rng.normal(size=(5, 6))
+        logits, cache = head.forward(z)
+        head.backward(rng.normal(size=(5, 3)), cache)
+        assert np.array_equal(logits[:, 1:], np.zeros((5, 2)))
+        assert np.all(logits[:, 0] != 0)
+        assert np.array_equal(head.W.grad[1:], np.zeros((2, 6)))
+        assert np.all(head.W.grad[0] != 0)
 
 
 class TestCovariance:
@@ -163,7 +276,7 @@ class TestCovariance:
 class TestRegularizedInverse:
     def test_identity(self):
         eps = 0.5
-        got = regularized_inverse(np.eye(3), eps=eps, min_eps=0.0)
+        got = regularized_inverse(np.eye(3), eps=eps)
         assert np.allclose(got, np.eye(3) / (1.0 + eps), atol=1e-12)
 
     def test_diagonal(self):
@@ -173,7 +286,7 @@ class TestRegularizedInverse:
     def test_singular_rank_one(self):
         v = np.array([[1.0, 2.0, 3.0]])
         m = v.T @ v
-        got = regularized_inverse(m)
+        got = regularized_inverse(m, eps=default_reg_eps(m))
         assert np.all(np.isfinite(got))
 
     def test_scale_aware_default(self):
@@ -181,7 +294,7 @@ class TestRegularizedInverse:
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ParameterError):
-            regularized_inverse([[1.0, 2.0], [0.0, 1.0]])
+            regularized_inverse([[1.0, 2.0], [0.0, 1.0]], eps=1e-6)
 
     def test_unfixable_matrix_raises(self):
         bad = -1e12 * np.eye(2)

@@ -10,7 +10,7 @@ from mmood.errors import (
     ParameterError,
 )
 from mmood.metrics import aupr, fpr95_der, roc_auroc
-from mmood.numerics import make_rng
+from mmood.numerics import default_reg_eps, make_rng, regularized_inverse
 from mmood.scoring import (
     SCORERS,
     apply_scorer,
@@ -62,6 +62,37 @@ class TestClassStats:
         feats = np.zeros((3, 2))
         with pytest.raises(InsufficientDataError, match="class 1"):
             fit_class_stats(feats, [0, 0, 1], 2)
+
+    def test_default_eps_is_scale_aware(self):
+        # covariances near 1e4 * I: the default 1e-6 * trace / dim is ~1e-2
+        feats, labels = gaussian_features(make_rng(7), 60, 3, 2)
+        stats = fit_class_stats(feats * 100.0, labels, 2)
+        for k in range(2):
+            eps = default_reg_eps(stats.covs[k])
+            assert eps > 1e-3
+            assert stats.eps[k] == eps
+            assert np.array_equal(stats.precisions[k],
+                                  regularized_inverse(stats.covs[k], eps))
+
+    def test_cov_eps_override(self):
+        feats, labels = gaussian_features(make_rng(8), 60, 3, 2)
+        stats = fit_class_stats(feats, labels, 2, eps=0.5)
+        assert stats.eps.tolist() == [0.5, 0.5]
+        for k in range(2):
+            expected = np.linalg.inv(stats.covs[k] + 0.5 * np.eye(3))
+            assert np.allclose(stats.precisions[k], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("scale, eps", [(1e-4, None), (1.0, 0.0),
+                                            (1.0, 1e-9)])
+    def test_eps_floor(self, scale, eps):
+        # the default at 1e-4 scale is ~1e-14, and overrides below 1e-6
+        # are raised to it too
+        feats, labels = gaussian_features(make_rng(9), 60, 3, 2)
+        stats = fit_class_stats(feats * scale, labels, 2, eps=eps)
+        assert stats.eps.tolist() == [1e-6, 1e-6]
+        for k in range(2):
+            assert np.array_equal(stats.precisions[k],
+                                  regularized_inverse(stats.covs[k], 1e-6))
 
 
 class TestMahalanobis:
