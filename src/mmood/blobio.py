@@ -150,8 +150,9 @@ STORE = Schema(module="blobio", format="tensor-store", kind="tensor store",
 
 
 def write_tensor_store(directory, name: str, tensors: dict[str, np.ndarray],
-                       meta: dict, dtype: str = "<f8") -> Path:
-    """Write named tensors as ``<name>.json`` + ``<name>.blob``."""
+                       meta: dict) -> Path:
+    """Write named tensors as ``<name>.json`` + ``<name>.blob``, float64."""
+    dtype = "<f8"
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     names = sorted(tensors)
@@ -195,9 +196,3 @@ def read_tensor_blob(manifest_path, entries) -> dict[str, np.ndarray]:
     stops = list(accumulate(counts, initial=0))
     return {name: values[start:stop].reshape(shape) for name, shape, start, stop
             in zip(names, shapes, stops, stops[1:])}
-
-
-def read_tensor_store(manifest_path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Load every tensor of a store with the container's strict layout."""
-    meta, entries = read_tensor_manifest(manifest_path)
-    return meta, read_tensor_blob(manifest_path, entries)

@@ -47,8 +47,7 @@ def save_checkpoint(trained: TrainedModel, directory) -> Path:
         "ood_config": asdict(trained.ood_cfg),
         "best": trained.best,
     }
-    return write_tensor_store(directory, CHECKPOINT_NAME, tensors, meta,
-                              dtype="<f8")
+    return write_tensor_store(directory, CHECKPOINT_NAME, tensors, meta)
 
 
 def _model_from_header(meta, manifest: Path) -> FusionModel:

@@ -141,11 +141,12 @@ def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
     mean/std summary. ``seeds`` may not be empty or name a seed twice.
     """
     _unique(seeds, "--seed", "seed")
+    configs = [variant_config(replace(cfg.train, seed=seed), variant)
+               for seed in seeds]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for seed in seeds:
-        train_cfg = variant_config(replace(cfg.train, seed=seed), variant)
+    for seed, train_cfg in zip(seeds, configs):
         trained = train(corpus, train_cfg, cfg.oodgen)
         target = out_dir if len(seeds) == 1 else out_dir / f"seed_{seed}"
         target.mkdir(parents=True, exist_ok=True)
@@ -226,17 +227,17 @@ def run_ablation(corpus: Corpus, cfg: RunConfig, variants: list[str],
     _unique([ABLATION_VARIANTS[v][0] for v in variants], "--ablation",
             "variant")
     _unique(seeds, "--seed", "seed")
+    grid = [(variant, seed,
+             variant_config(replace(cfg.train, seed=seed), variant))
+            for variant in variants for seed in seeds]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for variant in variants:
-        for seed in seeds:
-            train_cfg = variant_config(replace(cfg.train, seed=seed), variant)
-            trained = train(corpus, train_cfg, cfg.oodgen)
-            row = {"variant": variant, "seed": seed}
-            row.update(_test_row(trained, corpus))
-            rows.append(row)
+    for variant, seed, train_cfg in grid:
+        row = {"variant": variant, "seed": seed}
+        row.update(_test_row(train(corpus, train_cfg, cfg.oodgen), corpus))
+        rows.append(row)
 
     metric_keys = [k for k in ABLATION_METRICS if all(k in r for r in rows)]
     _write_csv(out_dir / "ablation.csv", ["variant", "seed"] + metric_keys, [
@@ -320,10 +321,15 @@ def run_report(eval_dir, out_dir=None) -> Path:
 
 
 def _parse_seeds(raw: str) -> list[int]:
+    """The seeds of a comma-separated ``--seed`` list, each an int >= 0."""
     try:
-        return [int(part) for part in raw.split(",") if part.strip() != ""]
+        seeds = [int(part) for part in raw.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ParameterError(f"cli: bad --seed list {raw!r}") from exc
+    if any(seed < 0 for seed in seeds):
+        raise ParameterError(f"cli: bad --seed list {raw!r}; seeds must be "
+                             ">= 0")
+    return seeds
 
 
 def _load_run_config(args) -> RunConfig:

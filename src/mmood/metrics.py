@@ -182,10 +182,10 @@ def aupr(scores, is_id, positive: str = "ID") -> float:
     return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
-def fpr95_der(scores, is_id, tpr_floor: float = 0.95):
+def fpr95_der(scores, is_id):
     """FPR and detection error rate at the TPR >= 95% operating point.
 
-    The threshold is the largest score value whose TPR reaches the floor
+    The threshold is the largest score value whose TPR reaches 95%
     (which also minimizes FPR among qualifying thresholds); DER assumes
     equal ID/OOD priors.
     """
@@ -198,7 +198,7 @@ def fpr95_der(scores, is_id, tpr_floor: float = 0.95):
     a, b = _tied_groups(scores, flags)
     cum_id, cum_ood = np.cumsum(a), np.cumsum(b)
     tpr, fpr = cum_id / cum_id[-1], cum_ood / cum_ood[-1]
-    idx = int(np.argmax(tpr >= tpr_floor))  # first (largest) qualifying threshold
+    idx = int(np.argmax(tpr >= 0.95))  # first (largest) qualifying threshold
     fpr95 = float(fpr[idx])
     der = float(0.5 * (1.0 - tpr[idx]) + 0.5 * fpr[idx])
     return fpr95, der

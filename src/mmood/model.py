@@ -56,6 +56,11 @@ class ModelHyper:
             raise ParameterError(f"model: tau must be > 0, got {self.tau}")
         if not self.gamma > 0:
             raise ParameterError(f"model: gamma must be > 0, got {self.gamma}")
+        for key, low in (("attn_heads", 1), ("ffn_hidden", 0),
+                         ("contrast_dim", 0)):
+            if getattr(self, key) < low:
+                raise ParameterError(f"model: {key} must be >= {low}, "
+                                     f"got {getattr(self, key)}")
 
 
 class FusionModel:
@@ -123,9 +128,9 @@ class FusionModel:
 
     # -- evaluation helpers ------------------------------------------------
 
-    def features_for(self, corpus: Corpus, chunk: int = 256) -> Array:
-        """Eval-mode fused features, (N, d_shared)."""
-        out = []
+    def features_for(self, corpus: Corpus) -> Array:
+        """Eval-mode fused features, (N, d_shared), 256 records at a time."""
+        out, chunk = [], 256
         for start in range(0, len(corpus), chunk):
             seqs = {m: corpus.seqs[m][start:start + chunk] for m in MODALITIES}
             xs, _ = self.encode_batch(seqs)
@@ -159,10 +164,10 @@ class FusionModel:
                 if c is not None and (stage is None or stage in stages)
                 for p in c.params()]
 
-    def stage_slice(self, stage: int | None = None) -> tuple[Array, Array]:
+    def stage_slice(self, stage: int) -> tuple[Array, Array]:
         """The ``(values, grads)`` views that ``params(stage)`` cover: one
         range of the flat buffers, found from the order they were bound in."""
-        keep = [stage is None or stage in stages for stages, _ in self._layout]
+        keep = [stage in stages for stages, _ in self._layout]
         sizes = [size for _, size in self._layout]
         start = sum(sizes[:keep.index(True)])
         stop = start + sum(compress(sizes, keep))

@@ -24,7 +24,6 @@ class OodGenConfig:
     mix_count: int = 3          # k selected examples per pseudo sample
     alpha: float = 2.0          # Dirichlet concentration
     max_resample: int = 100     # cap on rejection resampling of index sets
-    share_lambda: bool = True   # one weight vector across modalities
 
     def __post_init__(self):
         if self.mix_count < 2:
@@ -41,7 +40,7 @@ class OodGenConfig:
 class PseudoBatch:
     seqs: dict[str, Array]   # modality -> (n, L, D)
     sources: np.ndarray      # (n, k) distinct row indices into the ID batch
-    lams: Array              # (n, k); (3, n, k) in MODALITIES order if unshared
+    lams: Array              # (n, k), one weight row for every modality
 
 
 @dataclass
@@ -50,10 +49,6 @@ class Batch:
     labels: np.ndarray       # (B,), OOD_LABEL for pseudo samples
     binary: np.ndarray       # (B,), 1 = ID, 0 = OOD
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
 
 def sample_pseudo_ood(batch: Corpus, cfg: OodGenConfig,
                       rng: np.random.Generator, n: int) -> PseudoBatch:
@@ -61,9 +56,8 @@ def sample_pseudo_ood(batch: Corpus, cfg: OodGenConfig,
 
     Each row's index set is rejection-resampled until it spans >= 2
     classes; only the failing rows are redrawn, each at most
-    ``max_resample`` times. The Dirichlet weights are shared across
-    modalities unless ``share_lambda`` is off, in which case each modality
-    gets its own weights over the same sources.
+    ``max_resample`` times. One Dirichlet weight row per sample mixes
+    every modality.
     """
     labels, size, k = batch.labels, len(batch), cfg.mix_count
     if np.unique(labels).size < 2:
@@ -88,11 +82,9 @@ def sample_pseudo_ood(batch: Corpus, cfg: OodGenConfig,
             f"oodgen: {todo.size} of {n} index sets found no >= 2 classes "
             f"in {cfg.max_resample} resamples"
         )
-    shape = (n, k) if cfg.share_lambda else (len(MODALITIES), n, k)
-    lams = dirichlet_sample(cfg.alpha, shape, rng)
-    per_modality = np.broadcast_to(lams, (len(MODALITIES), n, k))
-    seqs = {m: np.einsum("nk,nk...->n...", lam, batch.seqs[m][sources])
-            for m, lam in zip(MODALITIES, per_modality)}
+    lams = dirichlet_sample(cfg.alpha, (n, k), rng)
+    seqs = {m: np.einsum("nk,nk...->n...", lams, batch.seqs[m][sources])
+            for m in MODALITIES}
     return PseudoBatch(seqs=seqs, sources=sources, lams=lams)
 
 

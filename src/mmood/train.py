@@ -4,10 +4,9 @@ Stage 1 optimizes encoders + fusion + binary head on the coarse binary
 loss over balanced mixed batches. Stage 2 drops the binary head from the
 objective and optimizes encoders + fusion + class head (+ contrastive
 projection) on L_m + L_cl, with early stopping on validation weighted F1
-over ID data and the best parameters restored. A ``joint_objective``
-switch instead optimizes the sum of all losses in a single stage. Each
-stage is a row of the schedule in ``train``: the losses one ``_step``
-runs and the model's buffer slice one ``AdamW`` updates.
+over ID data and the best parameters restored. Each stage is one
+``run_stage`` call in ``train``: the losses one ``_step`` runs and the
+model's buffer slice one ``AdamW`` updates.
 """
 
 from __future__ import annotations
@@ -44,11 +43,7 @@ class TrainConfig:
     weight_decay: float = 0.01
     patience: int = 8            # stage-2 evaluations without improvement
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     cov_eps: float | None = None  # class-covariance regularization override
-    joint_objective: bool = False
     model: ModelHyper = field(default_factory=ModelHyper)
 
     def __post_init__(self):
@@ -60,6 +55,8 @@ class TrainConfig:
             raise ParameterError("train: rates must be >= 0")
         if self.stage1_epochs < 0 or self.stage2_epochs < 0:
             raise ParameterError("train: epoch counts must be >= 0")
+        if self.seed < 0:
+            raise ParameterError(f"train: seed must be >= 0, got {self.seed}")
         if self.cov_eps is not None and \
                 not (math.isfinite(self.cov_eps) and self.cov_eps >= 0):
             raise ParameterError(
@@ -74,13 +71,13 @@ class AdamW:
     with whole-slice operations; the moment estimates have its shape.
     """
 
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
     def __init__(self, values: Array, grads: Array, lr: float,
-                 weight_decay: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+                 weight_decay: float):
         self.values, self.grads = values, grads
         self.lr = lr
         self.wd = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = np.zeros_like(self.values)
         self.v = np.zeros_like(self.values)
@@ -188,13 +185,10 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
     loop_rng = component_rng(cfg.seed, SLOT_TRAIN_LOOP)
     log: list[dict] = []
 
-    def run_stage(name: str, epochs: int, stage: int | None,
+    def run_stage(name: str, epochs: int, stage: int,
                   losses: tuple[str, ...]) -> dict:
         opt = AdamW(*model.stage_slice(stage), cfg.learning_rate,
-                    cfg.weight_decay, cfg.adam_beta1, cfg.adam_beta2,
-                    cfg.adam_eps)
-        # every stage but the coarse warm-up keeps its best validation epoch
-        track_validation = name != "coarse"
+                    cfg.weight_decay)
         best: dict = {}
         best_values = None
         stale = 0
@@ -215,7 +209,7 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
             entry = {"stage": name, "epoch": epoch}
             entry.update({f"loss_{k}": v / max(count, 1)
                           for k, v in sorted(sums.items())})
-            if track_validation:
+            if name == "fine":  # only stage 2 keeps its best validation epoch
                 wf1 = _validation_wf1(model, valid_split)
                 if wf1 is not None:
                     entry["val_wf1"] = wf1
@@ -235,21 +229,9 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
             model.values[...] = best_values
         return best
 
-    if cfg.joint_objective and hyper.no_binary:
-        raise ParameterError(
-            "train: joint_objective needs the binary head (no_binary off)"
-        )
-    # (name, epochs, parameter stage, losses); stage None updates every
-    # parameter
-    schedule = [
-        ("joint", cfg.stage1_epochs + cfg.stage2_epochs, None,
-         ("multiclass", "contrastive", "coarse")),
-    ] if cfg.joint_objective else [
-        ("coarse", 0 if hyper.no_binary else cfg.stage1_epochs, 1, ("coarse",)),
-        ("fine", cfg.stage2_epochs, 2, ("multiclass", "contrastive")),
-    ]
-    for name, epochs, stage, losses in schedule:
-        best = run_stage(name, epochs, stage, losses)
+    run_stage("coarse", 0 if hyper.no_binary else cfg.stage1_epochs, 1,
+              ("coarse",))
+    best = run_stage("fine", cfg.stage2_epochs, 2, ("multiclass", "contrastive"))
 
     train_features = model.features_for(train_split)
     train_logits = model.logits_for(train_features)

@@ -310,9 +310,9 @@ class TestEval:
             loaded.append(weakref.ref(corpus))
             return corpus
 
-        def features_for(model, corpus, chunk=256):
+        def features_for(model, corpus):
             alive.append(loaded[0]() is not None)
-            return real_features(model, corpus, chunk)
+            return real_features(model, corpus)
 
         monkeypatch.setattr(mmood.cli, "load_corpus", load)
         monkeypatch.setattr(FusionModel, "features_for", features_for)
@@ -839,19 +839,34 @@ class TestDirectCallLists:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["--seeds", "0,0"], "duplicate seed 0 in --seed"),
-        (["--variants", "Full,Full"], "duplicate variant full in --ablation"),
+        (["--seed", "0,0"], "duplicate seed 0 in --seed"),
+        (["--ablation", "full,full"], "duplicate variant full in --ablation"),
+        (["--seed", "a"], "bad --seed list 'a'"),
     ])
     def test_ablation_script_exits_1(self, tmp_path, monkeypatch, capsys,
                                      argv, message):
-        script = Path(__file__).parents[1] / "scripts" / "run_ablation_suite.py"
         out = tmp_path / "suite"
-        monkeypatch.setattr(sys, "argv",
-                            [str(script), "--out", str(out), *argv])
-        assert runpy.run_path(str(script))["main"]() == 1
+        assert _run_ablation_script(monkeypatch, out, *argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cli: ") and message in err
         assert not out.exists()
+
+    def test_ablation_script_runs(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "suite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert _run_ablation_script(monkeypatch, out, "--seed", "0",
+                                        "--ablation", "full") == 0
+        rows = (out / "ablation.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("Full,0,")
+        assert re.search(r"^Full +auroc=\d\.\d{4} \+/- 0\.0000$",
+                         capsys.readouterr().out, re.MULTILINE)
+
+
+def _run_ablation_script(monkeypatch, out, *argv) -> int:
+    script = Path(__file__).parents[1] / "scripts" / "run_ablation_suite.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(out), *argv])
+    return runpy.run_path(str(script))["main"]()
 
 
 class TestNestedConfigKey:
@@ -888,3 +903,100 @@ class TestNoValidatedEpoch:
         log = (run / "train_log.jsonl").read_text().splitlines()
         assert json.loads(log[-1]) == {"event": "end", "best": {}}
         assert load_checkpoint(run)[4]["best"] == {}
+
+
+def _exits_1_writing_nothing(capsys, argv, out, err):
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
+
+
+class TestNegativeSeed:
+    """A seed below 0 fails with a pipeline error before anything is
+    written, at every entry point that takes one."""
+
+    @pytest.mark.parametrize("command, seed", [("train", "-3"),
+                                               ("ablate", "-1"),
+                                               ("synth", "-1")])
+    def test_seed_flag(self, micro, capsys, command, seed):
+        out = micro["tmp"] / "neg"
+        argv = [command, "--config", str(micro["cfg"]), "--out", str(out),
+                f"--seed={seed}"]
+        if command != "synth":
+            argv += ["--corpus", str(micro["corpus"])]
+        _exits_1_writing_nothing(capsys, argv, out, f"cli: bad --seed list "
+                                 f"'{seed}'; seeds must be >= 0")
+
+    def test_config_seed(self, micro, capsys):
+        cfg = micro["tmp"] / "neg.ini"
+        cfg.write_text(MICRO_INI.replace("[train]\n", "[train]\nseed = -2\n"))
+        out = micro["tmp"] / "neg"
+        _exits_1_writing_nothing(
+            capsys, ["train", "--config", str(cfg), "--corpus",
+                     str(micro["corpus"]), "--out", str(out)],
+            out, "train: seed must be >= 0, got -2")
+
+
+class TestModelSizes:
+    @pytest.mark.parametrize("key, value, low", [
+        ("attn_heads", 0, 1), ("attn_heads", -4, 1), ("ffn_hidden", -1, 0),
+        ("contrast_dim", -2, 0),
+    ])
+    def test_train_exits_1(self, micro, capsys, key, value, low):
+        cfg = micro["tmp"] / "size.ini"
+        cfg.write_text(MICRO_INI.replace("[model]\nattn_heads = 2\n",
+                                         f"[model]\n{key} = {value}\n"))
+        out = micro["tmp"] / "run"
+        _exits_1_writing_nothing(
+            capsys, ["train", "--config", str(cfg), "--corpus",
+                     str(micro["corpus"]), "--out", str(out)],
+            out, f"model: {key} must be >= {low}, got {value}")
+
+
+class TestRemovedKeys:
+    """Checkpoints and configs written when the joint schedule, the AdamW
+    constants and unshared pseudo-OOD weights were still options."""
+
+    def test_old_checkpoint_header_evaluates_identically(self, micro):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        outs = [micro["tmp"] / "e_new", micro["tmp"] / "e_old"]
+
+        def evaluate(out):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert main(["eval", "--config", str(micro["cfg"]),
+                             "--checkpoint", str(run), "--corpus",
+                             str(micro["corpus"]), "--out", str(out)]) == 0
+
+        evaluate(outs[0])
+        manifest = run / "checkpoint.json"
+        lines = manifest.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        assert "joint_objective" not in header["meta"]["train_config"]
+        header["meta"]["train_config"].update(
+            adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8,
+            joint_objective=False)
+        header["meta"]["ood_config"]["share_lambda"] = True
+        manifest.write_text(json.dumps(header, sort_keys=True) + "\n"
+                            + "".join(lines[1:]))
+        evaluate(outs[1])
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("section, key", [
+        ("train", "joint_objective"), ("train", "adam_beta1"),
+        ("train", "adam_beta2"), ("train", "adam_eps"),
+        ("oodgen", "share_lambda"),
+    ])
+    def test_removed_config_key_exits_1(self, micro, capsys, section, key):
+        cfg = micro["tmp"] / "old.ini"
+        cfg.write_text(f"[{section}]\n{key} = 1\n")
+        out = micro["tmp"] / "run"
+        _exits_1_writing_nothing(
+            capsys, ["train", "--config", str(cfg), "--corpus",
+                     str(micro["corpus"]), "--out", str(out)],
+            out, f"config: unknown key '{key}' in [{section}]")

@@ -70,7 +70,7 @@ dim_v = 24
 
 [oodgen]
 alpha = 0.7
-share_lambda = off
+max_resample = 40
 
 [model]
 fusion_mode = concat
@@ -88,7 +88,7 @@ scorer = all
         assert cfg.synth.modalities["T"].sigma == 0.7
         assert cfg.synth.modalities["V"].dim == 24
         assert cfg.oodgen.alpha == 0.7
-        assert cfg.oodgen.share_lambda is False
+        assert cfg.oodgen.max_resample == 40
         assert cfg.train.model.fusion_mode == "concat"
         assert cfg.train.model.no_binary is True
         assert cfg.train.batch_size == 16

@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from mmood.blobio import read_tensor_store, write_tensor_store
+from mmood.blobio import (
+    read_tensor_blob,
+    read_tensor_manifest,
+    write_tensor_store,
+)
 from mmood.corpus import (
     MODALITIES,
     OOD_LABEL,
@@ -19,6 +23,12 @@ from mmood.corpus import (
 )
 from mmood.errors import FormatError, ParameterError
 from mmood.numerics import make_rng
+
+
+def read_tensor_store(manifest):
+    """Every tensor of a store, read through the checkpoint loader's calls."""
+    meta, entries = read_tensor_manifest(manifest)
+    return meta, read_tensor_blob(manifest, entries)
 
 
 def tiny_cfg(**kw):

@@ -395,7 +395,7 @@ class TestFlatAdamW:
         return FusionModel(desk_corpus(n_train=60).meta,
                            desk_train_cfg().model, 0)
 
-    @pytest.mark.parametrize("stage", [1, 2, None])
+    @pytest.mark.parametrize("stage", [1, 2])
     def test_matches_per_tensor_loop(self, stage):
         model = self._model()
         params = model.params(stage)
@@ -439,7 +439,7 @@ class TestFlatAdamW:
                         no_binary=no_binary, no_cosine=no_cosine,
                         no_contrast=no_contrast)
         model = FusionModel(desk_corpus(n_train=60).meta, hyper, 0)
-        for stage in (1, 2, None):
+        for stage in (1, 2):
             values, grads = model.stage_slice(stage)
             for buf, part, attr in ((model.values, values, "value"),
                                     (model.grads, grads, "grad")):
@@ -540,15 +540,6 @@ class TestTraining:
                     assert math.isfinite(val) and val >= 0
         fine = [e for e in trained.log if e["stage"] == "fine"]
         assert all("val_wf1" in e for e in fine)
-
-    def test_joint_objective_flag(self):
-        corpus = desk_corpus(n_train=60)
-        cfg = desk_train_cfg(joint_objective=True, stage1_epochs=1,
-                             stage2_epochs=2)
-        trained = train(corpus, cfg, OodGenConfig())
-        assert {e["stage"] for e in trained.log} == {"joint"}
-        assert all("loss_coarse" in e and "loss_multiclass" in e
-                   for e in trained.log)
 
 
 class TestAblationAudit:

@@ -26,25 +26,19 @@ def make_records(labels, rng):
     )
 
 
-def modality_lams(s):
-    """Per-modality (n, k) weights of a PseudoBatch, shared or not."""
-    return dict(zip(MODALITIES, np.broadcast_to(s.lams, (3, *s.sources.shape))))
-
-
 def check_rows(records, s, k):
     """Per row: distinct sources, >= 2 classes, simplex weights, convexity."""
     n = len(s.sources)
     assert s.sources.shape == (n, k)
     assert all(s.seqs[m].shape == (n, *SHAPES[m]) for m in MODALITIES)
-    lams = modality_lams(s)
     for r in range(n):
         idx = s.sources[r]
         assert len(set(idx.tolist())) == k
         assert len(set(records.labels[idx].tolist())) >= 2
+        lam = s.lams[r]
+        assert abs(lam.sum() - 1.0) < 1e-12
+        assert np.all(lam >= 0)
         for m in MODALITIES:
-            lam = lams[m][r]
-            assert abs(lam.sum() - 1.0) < 1e-12
-            assert np.all(lam >= 0)
             stack = records.seqs[m][idx]
             assert np.all(s.seqs[m][r] >= stack.min(axis=0) - 1e-9)
             assert np.all(s.seqs[m][r] <= stack.max(axis=0) + 1e-9)
@@ -89,15 +83,12 @@ class TestMix:
     def test_matches_direct_recomputation(self):
         rng = make_rng(1)
         records = make_records([0, 1, 2, 0, 1], rng)
-        for share in (True, False):
-            cfg = OodGenConfig(mix_count=3, alpha=0.7, share_lambda=share)
-            s = sample_pseudo_ood(records, cfg, make_rng(42), 20)
-            lams = modality_lams(s)
-            for m in MODALITIES:
-                for r, idx in enumerate(s.sources):
-                    expected = mix_loop_oracle(records.seqs[m][idx], lams[m][r])
-                    assert np.allclose(s.seqs[m][r], expected, rtol=0,
-                                       atol=1e-12)
+        cfg = OodGenConfig(mix_count=3, alpha=0.7)
+        s = sample_pseudo_ood(records, cfg, make_rng(42), 20)
+        for m in MODALITIES:
+            for r, idx in enumerate(s.sources):
+                expected = mix_loop_oracle(records.seqs[m][idx], s.lams[r])
+                assert np.allclose(s.seqs[m][r], expected, rtol=0, atol=1e-12)
 
 
 class TestSamplePseudoOod:
@@ -112,15 +103,6 @@ class TestSamplePseudoOod:
         records = make_records([0, 1, 2, 0], rng)
         s = sample_pseudo_ood(records, OodGenConfig(mix_count=3), make_rng(5), 6)
         assert s.lams.shape == (6, 3)
-
-    def test_per_modality_lambda_option(self):
-        rng = make_rng(6)
-        records = make_records([0, 1, 2, 0], rng)
-        cfg = OodGenConfig(mix_count=3, share_lambda=False)
-        s = sample_pseudo_ood(records, cfg, make_rng(7), 6)
-        assert s.lams.shape == (3, 6, 3)
-        assert not np.array_equal(s.lams[0], s.lams[1])
-        assert np.all(np.abs(s.lams.sum(axis=-1) - 1.0) < 1e-12)
 
     def test_single_class_rejected(self):
         rng = make_rng(8)
@@ -155,7 +137,7 @@ class TestMixedBatch:
         rng = make_rng(12)
         records = make_records([0, 1, 2, 0], rng)
         batch = build_mixed_batch(records, OodGenConfig(mix_count=3), make_rng(13))
-        assert batch.size == 8
+        assert len(batch.labels) == 8
         assert batch.binary.sum() == 4
         assert (batch.labels[batch.binary == 0] == OOD_LABEL).all()
         assert (batch.labels[batch.binary == 1] >= 0).all()
@@ -189,18 +171,12 @@ class TestConfigValidation:
 @given(st.integers(min_value=1, max_value=40),
        st.integers(min_value=2, max_value=6),
        st.floats(min_value=0.1, max_value=10.0),
-       st.integers(min_value=0, max_value=10_000),
-       st.booleans())
+       st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
-def test_convexity_property(n, k, alpha, seed, share):
+def test_convexity_property(n, k, alpha, seed):
     rng = make_rng(seed)
     labels = [i % 3 for i in range(max(k, 4))]
     records = make_records(labels, rng)
-    cfg = OodGenConfig(mix_count=k, alpha=alpha, share_lambda=share)
+    cfg = OodGenConfig(mix_count=k, alpha=alpha)
     s = sample_pseudo_ood(records, cfg, make_rng(seed + 1), n)
     check_rows(records, s, k)
-    if not share:
-        lams = modality_lams(s)
-        for r in range(n):
-            assert not np.array_equal(lams["T"][r], lams["V"][r])
-            assert not np.array_equal(lams["V"][r], lams["A"][r])
