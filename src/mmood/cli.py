@@ -144,10 +144,15 @@ def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
     configs = [variant_config(replace(cfg.train, seed=seed), variant)
                for seed in seeds]
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for seed, train_cfg in zip(seeds, configs):
         trained = train(corpus, train_cfg, cfg.oodgen)
+        row = {"seed": seed}
+        if trained.best:
+            row.update(best_epoch=trained.best["epoch"],
+                       val_wf1=trained.best["wf1"])
+        row.update(_test_row(trained, corpus))
+        rows.append(row)
         target = out_dir if len(seeds) == 1 else out_dir / f"seed_{seed}"
         target.mkdir(parents=True, exist_ok=True)
         save_checkpoint(trained, target)
@@ -155,12 +160,6 @@ def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
                   "time": datetime.now(timezone.utc).isoformat()}
         write_jsonl(target / "train_log.jsonl", chain(
             [header], trained.log, [{"event": "end", "best": trained.best}]))
-        row = {"seed": seed}
-        if trained.best:
-            row.update(best_epoch=trained.best["epoch"],
-                       val_wf1=trained.best["wf1"])
-        row.update(_test_row(trained, corpus))
-        rows.append(row)
 
     keys = sorted({k for row in rows for k in row} - {"seed"})
     _write_csv(out_dir / "results.csv", ["seed"] + keys,
@@ -221,23 +220,20 @@ def run_ablation(corpus: Corpus, cfg: RunConfig, variants: list[str],
     checks on mean AUROC. The summary is written even when an expected
     ordering fails; failures are flagged, not hidden.
     """
-    for variant in variants:
-        if variant not in ABLATION_VARIANTS:
-            raise ParameterError(f"cli: unknown ablation variant {variant!r}")
-    _unique([ABLATION_VARIANTS[v][0] for v in variants], "--ablation",
-            "variant")
     _unique(seeds, "--seed", "seed")
     grid = [(variant, seed,
              variant_config(replace(cfg.train, seed=seed), variant))
             for variant in variants for seed in seeds]
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _unique([ABLATION_VARIANTS[v][0] for v in variants], "--ablation",
+            "variant")
 
     rows = []
     for variant, seed, train_cfg in grid:
         row = {"variant": variant, "seed": seed}
         row.update(_test_row(train(corpus, train_cfg, cfg.oodgen), corpus))
         rows.append(row)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     metric_keys = [k for k in ABLATION_METRICS if all(k in r for r in rows)]
     _write_csv(out_dir / "ablation.csv", ["variant", "seed"] + metric_keys, [

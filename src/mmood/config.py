@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .corpus import MODALITIES, ModalitySynth, SynthConfig
-from .errors import ParameterError
+from .errors import ParameterError, check_fields
 from .oodgen import OodGenConfig
 from .scoring import SCORERS
 from .train import TrainConfig
@@ -33,11 +33,7 @@ class EvalConfig:
     scorer: str = "mahalanobis"
 
     def __post_init__(self):
-        if self.scorer != "all" and self.scorer not in SCORERS:
-            raise ParameterError(
-                f"config: scorer must be 'all' or one of {SCORERS}, "
-                f"got {self.scorer!r}"
-            )
+        check_fields("config", {"scorer": ("all", *SCORERS)}, self)
 
     def selected(self) -> list[str]:
         return list(SCORERS) if self.scorer == "all" else [self.scorer]

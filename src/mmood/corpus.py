@@ -29,7 +29,7 @@ import numpy as np
 
 from .blobio import (Schema, array_to_bytes, read_blob, read_manifest,
                      write_jsonl)
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, check_fields
 from .numerics import l2_normalize
 
 MODALITIES = ("T", "V", "A")
@@ -134,8 +134,8 @@ def save_corpus(corpus: Corpus, directory) -> Path:
     synthesized corpora.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     _validate(corpus)
+    directory.mkdir(parents=True, exist_ok=True)
     meta = corpus.meta
     header = {"format": "corpus", "version": 1, "num_classes": meta.num_classes,
               "modalities": {m: {"seq_len": length, "dim": dim,
@@ -202,6 +202,13 @@ def load_corpus(manifest_path) -> Corpus:
     return corpus
 
 
+# SynthConfig and ModalitySynth field -> rule (see errors.check_fields)
+_SYNTH_RULES = {"n_train": ">= 0", "n_valid": ">= 0", "n_test_id": ">= 0",
+                "n_test_ood": ">= 0"}
+_MODALITY_RULES = {"radius": "finite and >= 0", "sigma": "finite and >= 0",
+                   "class_sigma_spread": "finite and >= 0"}
+
+
 @dataclass
 class ModalitySynth:
     seq_len: int
@@ -224,6 +231,16 @@ class SynthConfig:
         "V": ModalitySynth(seq_len=8, dim=12),
         "A": ModalitySynth(seq_len=10, dim=8),
     })
+
+    def __post_init__(self):
+        # modality keys as [corpus] spells them; meta() checks K and shapes
+        check_fields("corpus", _SYNTH_RULES, self)
+        if self.n_test_ood > 0 and self.ood_clusters < 1:
+            raise ParameterError("corpus: ood_clusters must be >= 1 when "
+                                 f"n_test_ood > 0, got {self.ood_clusters}")
+        for m, spec in self.modalities.items():
+            check_fields("corpus", _MODALITY_RULES, spec, f"_{m.lower()}")
+        self.meta()
 
     def meta(self) -> CorpusMeta:
         return CorpusMeta(
@@ -250,11 +267,6 @@ def synth_corpus(cfg: SynthConfig, rng: np.random.Generator) -> Corpus:
     """
     meta = cfg.meta()
     k = cfg.num_classes
-    if cfg.n_test_ood > 0 and cfg.ood_clusters < 1:
-        raise ParameterError("corpus: need >= 1 OOD cluster when n_test_ood > 0")
-    for m, spec in cfg.modalities.items():
-        if spec.sigma < 0 or spec.radius < 0 or spec.class_sigma_spread < 0:
-            raise ParameterError(f"corpus: modality {m} has negative synth scales")
 
     class_means = {
         m: np.stack([_sphere_point(rng, spec.dim, spec.radius) for _ in range(k)])
@@ -267,7 +279,7 @@ def synth_corpus(cfg: SynthConfig, rng: np.random.Generator) -> Corpus:
     }
 
     def class_sigma(spec: ModalitySynth, label: int) -> float:
-        if k == 1 or spec.class_sigma_spread == 0.0:
+        if spec.class_sigma_spread == 0.0:
             return spec.sigma
         return spec.sigma * (1.0 + spec.class_sigma_spread * label / (k - 1))
 
@@ -283,12 +295,15 @@ def synth_corpus(cfg: SynthConfig, rng: np.random.Generator) -> Corpus:
 
     seqs = {m: np.empty((len(plan), spec.seq_len, spec.dim), dtype=STORAGE)
             for m, spec in cfg.modalities.items()}
-    for row, (_, _, _, means, midx, sigma_label) in enumerate(plan):
-        for m, spec in cfg.modalities.items():
-            sig = spec.sigma if sigma_label is None else class_sigma(spec, sigma_label)
-            noise = rng.normal(scale=sig, size=(spec.seq_len, spec.dim)) \
-                if sig > 0 else 0.0
-            seqs[m][row] = means[m][midx] + noise
+    # a draw past the float32 range is stored as inf; save_corpus rejects it
+    with np.errstate(over="ignore"):
+        for row, (_, _, _, means, midx, sigma_label) in enumerate(plan):
+            for m, spec in cfg.modalities.items():
+                sig = spec.sigma if sigma_label is None \
+                    else class_sigma(spec, sigma_label)
+                noise = rng.normal(scale=sig, size=(spec.seq_len, spec.dim)) \
+                    if sig > 0 else 0.0
+                seqs[m][row] = means[m][midx] + noise
     return Corpus(
         meta=meta,
         ids=np.array([p[0] for p in plan], dtype=str),
@@ -304,18 +319,10 @@ def make_batches(corpus: Corpus, batch_size: int,
 
     Each half-batch is an array of row indices into ``corpus``. The other
     half of each training batch is filled downstream with pseudo-OOD
-    samples. The final partial chunk is dropped.
+    samples. The final partial chunk is dropped. ``TrainConfig`` holds the
+    batch size even and ``train`` holds it within twice ``len(corpus)``.
     """
     n = len(corpus)
-    if batch_size < 2 or batch_size % 2 != 0:
-        raise ParameterError(
-            f"corpus: batch_size must be even and >= 2, got {batch_size}"
-        )
-    if batch_size > 2 * n:
-        raise ParameterError(
-            f"corpus: batch_size {batch_size} exceeds twice the "
-            f"{n} available records"
-        )
     half = batch_size // 2
     order = rng.permutation(n)
     return [order[start:start + half] for start in range(0, n - half + 1, half)]

@@ -24,12 +24,6 @@ FUSION_MODES = ("weighted", "add", "concat")
 class FusionNetwork:
     def __init__(self, name: str, d_model: int, hidden: int, dropout: float,
                  mode: str, rng: np.random.Generator):
-        if mode not in FUSION_MODES:
-            raise ParameterError(
-                f"fusion: unknown mode {mode!r}, expected one of {FUSION_MODES}"
-            )
-        if hidden < 1:
-            raise ParameterError(f"fusion: hidden size must be >= 1, got {hidden}")
         self.d = d_model
         self.mode = mode
         self.score_in: dict[str, Affine] = {}

@@ -102,8 +102,6 @@ class Dropout:
     """Inverted dropout; identity in eval mode."""
 
     def __init__(self, p: float):
-        if not 0.0 <= p < 1.0:
-            raise ParameterError(f"layers: dropout rate must be in [0, 1), got {p}")
         self.p = p
 
     def forward(self, x: Array, train: bool, rng: np.random.Generator | None):
@@ -123,10 +121,6 @@ class SelfAttention:
 
     def __init__(self, name: str, d_model: int, n_heads: int,
                  rng: np.random.Generator):
-        if d_model % n_heads != 0:
-            raise ParameterError(
-                f"layers: n_heads={n_heads} must divide d_model={d_model}"
-            )
         self.d = d_model
         self.h = n_heads
         self.dh = d_model // n_heads

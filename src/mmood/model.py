@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import MODALITIES, Corpus, CorpusMeta
 from .encoders import ModalityEncoder
-from .errors import ParameterError
+from .errors import ParameterError, check_fields
 from .fusion import FUSION_MODES, FusionNetwork
 from .heads import BinaryHead, ContrastHead, CosineHead, LinearHead
 from .layers import Param, bind_flat
@@ -29,6 +29,13 @@ SLOT_CLASS = 5
 SLOT_CONTRAST = 6
 SLOT_TRAIN_LOOP = 7
 SLOT_SYNTH = 8
+
+
+# ModelHyper field -> rule (see errors.check_fields)
+_HYPER_RULES = {
+    "attn_heads": ">= 1", "ffn_hidden": ">= 0", "fusion_hidden": ">= 1",
+    "contrast_dim": ">= 0", "gamma": "finite and > 0", "tau": "finite and > 0",
+    "dropout": "in [0, 1)", "fusion_mode": FUSION_MODES}
 
 
 @dataclass
@@ -47,20 +54,7 @@ class ModelHyper:
     no_contrast: bool = False
 
     def __post_init__(self):
-        if self.fusion_mode not in FUSION_MODES:
-            raise ParameterError(
-                f"model: fusion_mode must be one of {FUSION_MODES}, "
-                f"got {self.fusion_mode!r}"
-            )
-        if not self.tau > 0:
-            raise ParameterError(f"model: tau must be > 0, got {self.tau}")
-        if not self.gamma > 0:
-            raise ParameterError(f"model: gamma must be > 0, got {self.gamma}")
-        for key, low in (("attn_heads", 1), ("ffn_hidden", 0),
-                         ("contrast_dim", 0)):
-            if getattr(self, key) < low:
-                raise ParameterError(f"model: {key} must be >= {low}, "
-                                     f"got {getattr(self, key)}")
+        check_fields("model", _HYPER_RULES, self)
 
 
 class FusionModel:
@@ -74,6 +68,9 @@ class FusionModel:
         self.encoders: dict[str, ModalityEncoder] = {}
         for m in MODALITIES:
             d_in = meta.shapes[m][1]
+            if d_in % hyper.attn_heads != 0:
+                raise ParameterError(f"model: attn_heads {hyper.attn_heads} "
+                                     f"must divide modality {m} dim {d_in}")
             self.encoders[m] = ModalityEncoder(
                 f"encoder.{m}", d_in=d_in, d_out=self.d_shared,
                 n_heads=hyper.attn_heads,

@@ -48,13 +48,9 @@ def dirichlet_sample(alpha: float, k, rng: np.random.Generator) -> Array:
     ``k`` is the vector length, or a shape whose last axis is the vector
     length (one vector per leading index). Uses k independent gamma(alpha)
     draws per vector normalized to sum 1, which is the exact construction
-    and stays seedable.
+    and stays seedable. ``OodGenConfig`` holds alpha > 0 and k >= 2.
     """
     shape = (k,) if np.ndim(k) == 0 else tuple(k)
-    if not alpha > 0:
-        raise ParameterError(f"numerics: dirichlet alpha must be > 0, got {alpha}")
-    if not shape or shape[-1] < 2:
-        raise ParameterError(f"numerics: dirichlet k must be >= 2, got {k}")
     g = rng.standard_gamma(alpha, size=shape)
     total = g.sum(axis=-1, keepdims=True)
     dead = total[..., 0] <= 0.0

@@ -13,10 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import MODALITIES, OOD_LABEL, Corpus
-from .errors import GenerationError, ParameterError
+from .errors import GenerationError, check_fields
 from .numerics import dirichlet_sample
 
 Array = np.ndarray
+
+
+# OodGenConfig field -> rule (see errors.check_fields)
+_OODGEN_RULES = {"mix_count": ">= 2", "alpha": "finite and > 0",
+                 "max_resample": ">= 1"}
 
 
 @dataclass
@@ -26,14 +31,7 @@ class OodGenConfig:
     max_resample: int = 100     # cap on rejection resampling of index sets
 
     def __post_init__(self):
-        if self.mix_count < 2:
-            raise ParameterError(
-                f"oodgen: mix_count must be >= 2, got {self.mix_count}"
-            )
-        if not self.alpha > 0:
-            raise ParameterError(f"oodgen: alpha must be > 0, got {self.alpha}")
-        if self.max_resample < 1:
-            raise ParameterError("oodgen: max_resample must be >= 1")
+        check_fields("oodgen", _OODGEN_RULES, self)
 
 
 @dataclass
@@ -57,7 +55,7 @@ def sample_pseudo_ood(batch: Corpus, cfg: OodGenConfig,
     Each row's index set is rejection-resampled until it spans >= 2
     classes; only the failing rows are redrawn, each at most
     ``max_resample`` times. One Dirichlet weight row per sample mixes
-    every modality.
+    every modality. ``train`` checks that k fits the batch.
     """
     labels, size, k = batch.labels, len(batch), cfg.mix_count
     if np.unique(labels).size < 2:
@@ -65,8 +63,6 @@ def sample_pseudo_ood(batch: Corpus, cfg: OodGenConfig,
             "oodgen: batch contains a single class; pseudo-OOD mixing needs "
             "sources from >= 2 distinct classes"
         )
-    if k > size:
-        raise ParameterError(f"oodgen: mix_count {k} exceeds batch of {size}")
     sources = np.empty((n, k), dtype=np.intp)
     todo = np.arange(n)
     for _ in range(cfg.max_resample):
@@ -92,8 +88,6 @@ def build_mixed_batch(id_half: Corpus, cfg: OodGenConfig,
                       rng: np.random.Generator) -> Batch:
     """Balanced batch: the ID half plus as many pseudo-OOD samples, shuffled."""
     n = len(id_half)
-    if n == 0:
-        raise ParameterError("oodgen: id_half must be nonempty")
     pseudo = sample_pseudo_ood(id_half, cfg, rng, n)
 
     seqs = {m: np.concatenate([id_half.seqs[m], pseudo.seqs[m]])

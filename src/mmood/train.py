@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import MODALITIES, Corpus, make_batches
-from .errors import ParameterError, TrainingError
+from .errors import ParameterError, TrainingError, check_fields
 from .heads import (
     coarse_loss,
     contrastive_from_views,
@@ -34,6 +34,14 @@ from .scoring import ClassStats, fit_class_stats
 Array = np.ndarray
 
 
+# TrainConfig field -> rule (see errors.check_fields)
+_TRAIN_RULES = {
+    "batch_size": "even and >= 2", "stage1_epochs": ">= 0",
+    "stage2_epochs": ">= 0", "learning_rate": "finite and >= 0",
+    "weight_decay": "finite and >= 0", "patience": ">= 0", "seed": ">= 0",
+    "cov_eps": "none or finite and >= 0"}
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 32
@@ -47,21 +55,7 @@ class TrainConfig:
     model: ModelHyper = field(default_factory=ModelHyper)
 
     def __post_init__(self):
-        if self.batch_size < 2 or self.batch_size % 2 != 0:
-            raise ParameterError(
-                f"train: batch_size must be even and >= 2, got {self.batch_size}"
-            )
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ParameterError("train: rates must be >= 0")
-        if self.stage1_epochs < 0 or self.stage2_epochs < 0:
-            raise ParameterError("train: epoch counts must be >= 0")
-        if self.seed < 0:
-            raise ParameterError(f"train: seed must be >= 0, got {self.seed}")
-        if self.cov_eps is not None and \
-                not (math.isfinite(self.cov_eps) and self.cov_eps >= 0):
-            raise ParameterError(
-                "train: cov_eps must be none or a finite number >= 0, "
-                f"got {self.cov_eps}")
+        check_fields("train", _TRAIN_RULES, self)
 
 
 class AdamW:
@@ -108,14 +102,6 @@ class TrainedModel:
     ood_cfg: OodGenConfig
     best: dict
     log: list[dict] = field(default_factory=list)
-
-
-def _require_finite(loss: float, epoch: int, batch_idx: int, stage: str) -> None:
-    if not math.isfinite(loss):
-        raise TrainingError(
-            f"train: non-finite loss at stage {stage}, epoch {epoch}, "
-            f"batch {batch_idx}"
-        )
 
 
 def _step(model: FusionModel, batch: Batch, rng: np.random.Generator,
@@ -177,8 +163,13 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
     """Run the full schedule on a corpus and fit inference statistics."""
     train_split = corpus.split("train")
     valid_split = corpus.split("valid")
-    if len(train_split) == 0:
-        raise ParameterError("train: corpus has no training records")
+    half = cfg.batch_size // 2
+    if half > len(train_split):
+        raise ParameterError(f"train: batch_size must be <= 2 * n_train = "
+                             f"{2 * len(train_split)}, got {cfg.batch_size}")
+    if ood_cfg.mix_count > half:
+        raise ParameterError(f"train: mix_count must be <= batch_size // 2 "
+                             f"= {half}, got {ood_cfg.mix_count}")
 
     hyper = cfg.model
     model = FusionModel(corpus.meta, hyper, cfg.seed)
@@ -197,12 +188,20 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
             count = 0
             for bi, rows in enumerate(
                     make_batches(train_split, cfg.batch_size, loop_rng)):
-                batch = build_mixed_batch(train_split.take(rows), ood_cfg,
-                                          loop_rng)
-                opt.zero_grad()
-                step_losses = _step(model, batch, loop_rng, losses)
-                _require_finite(step_losses["total"], epoch, bi, name)
-                opt.step()
+                try:
+                    with np.errstate(over="raise", invalid="raise",
+                                     divide="raise"):
+                        batch = build_mixed_batch(train_split.take(rows),
+                                                  ood_cfg, loop_rng)
+                        opt.zero_grad()
+                        step_losses = _step(model, batch, loop_rng, losses)
+                        if not math.isfinite(step_losses["total"]):
+                            raise FloatingPointError("the loss is not finite")
+                        opt.step()
+                except FloatingPointError as exc:
+                    raise TrainingError(
+                        f"train: non-finite value at stage {name}, epoch "
+                        f"{epoch}, batch {bi} ({exc})") from exc
                 for key, val in step_losses.items():
                     sums[key] = sums.get(key, 0.0) + val
                 count += 1

@@ -1,3 +1,5 @@
+import configparser
+import io
 import json
 import re
 import runpy
@@ -47,6 +49,18 @@ learning_rate = 0.002
 [eval]
 scorer = all
 """
+
+
+def ini_with(section: str, items: dict[str, str]) -> str:
+    """MICRO_INI with each ``key: value`` of ``items`` set in ``[section]``."""
+    parser = configparser.ConfigParser()
+    parser.read_string(MICRO_INI)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser[section].update(items)
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
 
 
 @pytest.fixture()
@@ -623,8 +637,14 @@ class TestCheckpointHeader:
         lambda h: h["meta"]["hyper"].update(gamma="x"),
         lambda h: h.update(meta=[h["meta"]]),
         lambda h: h["meta"]["hyper"].pop("gamma"),
+        # out of range: the ModelHyper gate and FusionModel reject these
+        lambda h: h["meta"]["hyper"].update(dropout=1.5),
+        lambda h: h["meta"]["hyper"].update(fusion_hidden=0),
+        lambda h: h["meta"]["hyper"].update(attn_heads=3),
+        lambda h: h["meta"]["hyper"].update(tau=float("inf")),
     ], ids=["extra_hyper_key", "no_num_classes", "shapes_list",
-            "gamma_string", "meta_list", "no_gamma"])
+            "gamma_string", "meta_list", "no_gamma", "dropout_1.5",
+            "fusion_hidden_0", "attn_heads_3", "tau_infinity"])
     def test_malformed_header_exits_1(self, micro, capsys, edit):
         run = micro["tmp"] / "run"
         assert main(["train", "--config", str(micro["cfg"]), "--corpus",
@@ -830,6 +850,7 @@ class TestDirectCallLists:
         ([], [0], "--ablation names no variant"),
         (["Full", "Fusion (Add)", "Full"], [0],
          "duplicate variant full in --ablation"),
+        (["Full", "Bogus"], [0], "train: unknown ablation variant 'Bogus'"),
     ])
     def test_run_ablation(self, micro, variants, seeds, message):
         out = micro["tmp"] / "direct"
@@ -1000,3 +1021,47 @@ class TestRemovedKeys:
             capsys, ["train", "--config", str(cfg), "--corpus",
                      str(micro["corpus"]), "--out", str(out)],
             out, f"config: unknown key '{key}' in [{section}]")
+
+
+class TestConfigGate:
+    """Settings that once ran with a wrong result, escaped as a raw
+    RuntimeWarning, or failed late and left --out behind: each exits 1
+    with one error line that names the key, and writes nothing."""
+
+    DIVERGED = "train: non-finite value at stage "
+
+    @pytest.mark.parametrize("section, key, value, error", [
+        ("model", "fusion_hidden", "0", "model: fusion_hidden must be"),
+        ("model", "dropout", "1.5", "model: dropout must be"),
+        ("model", "dropout", "nan", "model: dropout must be"),
+        ("model", "attn_heads", "3", "model: attn_heads 3 must divide"),
+        ("oodgen", "mix_count", "20", "train: mix_count must be"),
+        ("train", "batch_size", "200", "train: batch_size must be"),
+        ("train", "learning_rate", "nan", "train: learning_rate must be"),
+        ("train", "patience", "-1", "train: patience must be"),
+        ("model", "tau", "inf", "model: tau must be"),
+        ("train", "weight_decay", "inf", "train: weight_decay must be"),
+        ("model", "gamma", "inf", "model: gamma must be"),
+        ("oodgen", "alpha", "inf", "oodgen: alpha must be"),
+        ("train", "learning_rate", "1e300", DIVERGED),
+        ("train", "weight_decay", "1e300", DIVERGED),
+        ("model", "gamma", "1e300", DIVERGED),
+        ("model", "tau", "1e-300", DIVERGED),
+        ("corpus", "sigma_t", "nan", "corpus: sigma_t must be"),
+        ("corpus", "class_sigma_spread_t", "nan",
+         "corpus: class_sigma_spread_t must be"),
+        ("corpus", "n_train", "-3", "corpus: n_train must be"),
+        ("corpus", "radius_v", "inf", "corpus: radius_v must be"),
+    ])
+    def test_exits_1_writing_nothing(self, micro, capsys, section, key,
+                                     value, error):
+        cfg, out = micro["tmp"] / "gate.ini", micro["tmp"] / "out"
+        cfg.write_text(ini_with(section, {key: value}))
+        argv = ["--config", str(cfg), "--out", str(out)]
+        argv = ["synth", *argv] if section == "corpus" \
+            else ["train", *argv, "--corpus", str(micro["corpus"])]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
+        assert not out.exists()

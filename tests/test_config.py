@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -154,3 +154,36 @@ class TestRoundTrip:
         assert reloaded.synth.modalities["A"].sigma == 0.9
         assert reloaded.out_dir == "runs/exp1"
         assert config_to_ini(reloaded) == text
+
+
+class TestGate:
+    """Each config dataclass checks every row of its table at load; a
+    modality row names the key as [corpus] spells it."""
+
+    # rows and values test_cli.py::TestConfigGate does not run
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "dropout", "-0.5"), ("model", "dropout", "1.0"),
+        ("model", "tau", "nan"), ("train", "learning_rate", "inf"),
+        ("train", "weight_decay", "nan"), ("corpus", "n_valid", "-1"),
+        ("corpus", "n_test_id", "-1"), ("corpus", "n_test_ood", "-1"),
+        ("corpus", "radius_a", "-1.0"), ("corpus", "radius_t", "nan"),
+        ("corpus", "sigma_v", "inf"), ("corpus", "class_sigma_spread_a", "-0.5"),
+    ])
+    def test_row_rejects(self, tmp_path, section, key, value):
+        with pytest.raises(ParameterError) as info:
+            load_config(write(tmp_path, f"[{section}]\n{key} = {value}\n"))
+        assert str(info.value).startswith(f"{section}: {key} must be ")
+
+    def test_replace_reaches_the_gate(self):
+        with pytest.raises(ParameterError, match="model: dropout must be"):
+            replace(ModelHyper(), dropout=1.5)
+        with pytest.raises(ParameterError, match="train: patience must be"):
+            replace(TrainConfig(), patience=-1)
+
+    def test_ood_clusters_needed_for_ood_records(self, tmp_path):
+        with pytest.raises(ParameterError,
+                           match="corpus: ood_clusters must be >= 1"):
+            load_config(write(tmp_path, "[corpus]\nood_clusters = 0\n"))
+        cfg = load_config(write(tmp_path, "[corpus]\nood_clusters = 0\n"
+                                          "n_test_ood = 0\n"))
+        assert cfg.synth.ood_clusters == 0

@@ -23,6 +23,8 @@ from mmood.corpus import (
 )
 from mmood.errors import FormatError, ParameterError
 from mmood.numerics import make_rng
+from mmood.oodgen import OodGenConfig
+from mmood.train import TrainConfig, train
 
 
 def read_tensor_store(manifest):
@@ -408,13 +410,16 @@ class TestBatches:
         assert [records.ids[c].tolist() for c in a] == \
             [records.ids[c].tolist() for c in b]
 
+    # make_batches trusts its batch size: the config gate and train check it
     def test_odd_batch_rejected(self):
         with pytest.raises(ParameterError):
-            make_batches(self._train(10), 5, make_rng(0))
+            TrainConfig(batch_size=5)
 
     def test_batch_too_large(self):
+        corpus = synth_corpus(tiny_cfg(n_train=3, n_valid=0, n_test_id=2,
+                                       n_test_ood=0), make_rng(9))
         with pytest.raises(ParameterError):
-            make_batches(self._train(3), 8, make_rng(0))
+            train(corpus, TrainConfig(batch_size=8), OodGenConfig())
 
 
 class TestMetaValidation:

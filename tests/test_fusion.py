@@ -5,6 +5,7 @@ from mmood.corpus import MODALITIES
 from mmood.errors import ParameterError
 from mmood.fusion import FusionNetwork
 from mmood.layers import check_gradients
+from mmood.model import ModelHyper
 from mmood.numerics import make_rng
 
 
@@ -121,7 +122,7 @@ class TestAblationModes:
 
     def test_unknown_mode(self):
         with pytest.raises(ParameterError):
-            make_net(mode="gated")
+            ModelHyper(fusion_mode="gated")
 
 
 class TestGradients:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mmood.corpus import CorpusMeta
 from mmood.errors import ParameterError
 from mmood.layers import (
     Affine,
@@ -12,6 +13,7 @@ from mmood.layers import (
     relu,
     relu_backward,
 )
+from mmood.model import FusionModel, ModelHyper
 from mmood.numerics import make_rng
 
 
@@ -80,13 +82,15 @@ class TestReluDropout:
 
     def test_bad_rate(self):
         with pytest.raises(ParameterError):
-            Dropout(1.0)
+            ModelHyper(dropout=1.0)
 
 
 class TestAttention:
     def test_heads_must_divide(self):
-        with pytest.raises(ParameterError):
-            SelfAttention("a", 6, 4, make_rng(0))
+        meta = CorpusMeta(num_classes=2,
+                          shapes={"T": (2, 8), "V": (2, 6), "A": (2, 8)})
+        with pytest.raises(ParameterError, match="modality V dim 6"):
+            FusionModel(meta, ModelHyper(attn_heads=4), 0)
 
     def test_gradients(self):
         rng = make_rng(5)

@@ -6,6 +6,7 @@ from scipy.stats import kstest
 
 from mmood.errors import InsufficientDataError, NumericalError, ParameterError
 from mmood.heads import CosineHead
+from mmood.oodgen import OodGenConfig
 from mmood.numerics import (
     NORM_EPS,
     component_rng,
@@ -85,8 +86,9 @@ class TestDirichlet:
 
     @pytest.mark.parametrize("alpha,k", [(0.0, 3), (-1.0, 3), (1.0, 1), (1.0, 0)])
     def test_bad_parameters(self, alpha, k):
+        # dirichlet_sample trusts the pseudo-OOD config that holds alpha and k
         with pytest.raises(ParameterError):
-            dirichlet_sample(alpha, k, make_rng(0))
+            OodGenConfig(alpha=alpha, mix_count=k)
 
 
 class TestSoftmax:

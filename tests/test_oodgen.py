@@ -8,6 +8,7 @@ from mmood.corpus import MODALITIES, OOD_LABEL, Corpus, CorpusMeta
 from mmood.errors import GenerationError, ParameterError
 from mmood.numerics import make_rng
 from mmood.oodgen import OodGenConfig, build_mixed_batch, sample_pseudo_ood
+from mmood.train import TrainConfig, train
 
 from oracles import mix_loop_oracle
 
@@ -111,10 +112,11 @@ class TestSamplePseudoOod:
             sample_pseudo_ood(records, OodGenConfig(), make_rng(9), 1)
 
     def test_mix_count_larger_than_batch(self):
+        # train checks k against the half-batch before any draw
         rng = make_rng(10)
         records = make_records([0, 1], rng)
         with pytest.raises(ParameterError):
-            sample_pseudo_ood(records, OodGenConfig(mix_count=3), make_rng(11), 1)
+            train(records, TrainConfig(batch_size=4), OodGenConfig(mix_count=3))
 
     def test_max_resample_exhaustion(self):
         # a 9:1 class skew makes each row's k=2 draw same-class with p=0.8,
