@@ -204,7 +204,7 @@ def load_corpus(manifest_path) -> Corpus:
 
 # SynthConfig and ModalitySynth field -> rule (see errors.check_fields)
 _SYNTH_RULES = {"n_train": ">= 0", "n_valid": ">= 0", "n_test_id": ">= 0",
-                "n_test_ood": ">= 0"}
+                "n_test_ood": ">= 0", "ood_clusters": ">= 0"}
 _MODALITY_RULES = {"radius": "finite and >= 0", "sigma": "finite and >= 0",
                    "class_sigma_spread": "finite and >= 0"}
 
@@ -295,7 +295,8 @@ def synth_corpus(cfg: SynthConfig, rng: np.random.Generator) -> Corpus:
 
     seqs = {m: np.empty((len(plan), spec.seq_len, spec.dim), dtype=STORAGE)
             for m, spec in cfg.modalities.items()}
-    # a draw past the float32 range is stored as inf; save_corpus rejects it
+    # a draw past the float32 range is stored as inf; the check after the
+    # loop names the scale keys that caused it
     with np.errstate(over="ignore"):
         for row, (_, _, _, means, midx, sigma_label) in enumerate(plan):
             for m, spec in cfg.modalities.items():
@@ -304,6 +305,12 @@ def synth_corpus(cfg: SynthConfig, rng: np.random.Generator) -> Corpus:
                 noise = rng.normal(scale=sig, size=(spec.seq_len, spec.dim)) \
                     if sig > 0 else 0.0
                 seqs[m][row] = means[m][midx] + noise
+    for m, spec in cfg.modalities.items():
+        if not np.isfinite(seqs[m]).all():
+            keys = ", ".join(f"{key}_{m.lower()} = {getattr(spec, key)!r}"
+                             for key in _MODALITY_RULES)
+            raise ParameterError(
+                f"corpus: modality {m} draws overflow float32 storage ({keys})")
     return Corpus(
         meta=meta,
         ids=np.array([p[0] for p in plan], dtype=str),

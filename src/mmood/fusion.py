@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import MODALITIES
-from .errors import ParameterError
-from .layers import Affine, Dropout, Param, relu, relu_backward
+from .layers import MLP, Affine, Param
 from .numerics import softmax, softmax_backward
 
 Array = np.ndarray
@@ -26,16 +25,13 @@ class FusionNetwork:
                  mode: str, rng: np.random.Generator):
         self.d = d_model
         self.mode = mode
-        self.score_in: dict[str, Affine] = {}
-        self.score_out: dict[str, Affine] = {}
-        self.dropout = Dropout(dropout)
+        self.score: dict[str, MLP] = {}
         self.concat_proj = None
         if mode == "weighted":
             for m in MODALITIES:
-                self.score_in[m] = Affine(f"{name}.score.{m}.in", d_model,
-                                          hidden, rng)
-                self.score_out[m] = Affine(f"{name}.score.{m}.out", hidden,
-                                           1, rng)
+                self.score[m] = MLP(f"{name}.score.{m}.in",
+                                    f"{name}.score.{m}.out", d_model, hidden,
+                                    1, rng, dropout)
         elif mode == "concat":
             self.concat_proj = Affine(f"{name}.concat_proj", 3 * d_model,
                                       d_model, rng)
@@ -45,33 +41,13 @@ class FusionNetwork:
         """Importance score per modality: W2(Dropout(ReLU(W1 x)))."""
         scores, caches = {}, {}
         for m in MODALITIES:
-            h, c_in = self.score_in[m].forward(xs[m])
-            a, mask = relu(h)
-            d, c_drop = self.dropout.forward(a, train, rng)
-            s, c_out = self.score_out[m].forward(d)
+            s, caches[m] = self.score[m].forward(xs[m], train, rng)
             scores[m] = s[..., 0]
-            caches[m] = (c_in, mask, c_drop, c_out)
         return scores, caches
-
-    def _scores_backward(self, g_scores: dict[str, Array], caches) -> dict[str, Array]:
-        gxs = {}
-        for m in MODALITIES:
-            c_in, mask, c_drop, c_out = caches[m]
-            g = self.score_out[m].backward(g_scores[m][..., None], c_out)
-            g = self.dropout.backward(g, c_drop)
-            g = relu_backward(g, mask)
-            gxs[m] = self.score_in[m].backward(g, c_in)
-        return gxs
 
     def forward(self, xs: dict[str, Array], train: bool,
                 rng: np.random.Generator | None):
         """(B, D) per modality -> fused (B, D), weights (B, 3) or None, cache."""
-        for m in MODALITIES:
-            if xs[m].shape[-1] != self.d:
-                raise ParameterError(
-                    f"fusion: modality {m} has dim {xs[m].shape[-1]}, "
-                    f"expected {self.d}"
-                )
         if self.mode == "add":
             z = xs["T"] + xs["V"] + xs["A"]
             w = np.full(xs["T"].shape[:-1] + (3,), 1.0 / 3.0)
@@ -106,17 +82,11 @@ class FusionNetwork:
         if g_w is not None:
             g_w_total = g_w_total + g_w
         g_s = softmax_backward(g_w_total, w)
-        g_scores = {m: g_s[..., i] for i, m in enumerate(MODALITIES)}
-        gxs = self._scores_backward(g_scores, score_caches)
-        for i, m in enumerate(MODALITIES):
-            gxs[m] = gxs[m] + w[..., i:i + 1] * g_z
-        return gxs
+        return {m: self.score[m].backward(g_s[..., i, None], score_caches[m])
+                + w[..., i:i + 1] * g_z for i, m in enumerate(MODALITIES)}
 
     def params(self) -> list[Param]:
-        out = []
-        for m in MODALITIES:
-            if m in self.score_in:
-                out += self.score_in[m].params() + self.score_out[m].params()
+        out = [p for mlp in self.score.values() for p in mlp.params()]
         if self.concat_proj is not None:
             out += self.concat_proj.params()
         return out

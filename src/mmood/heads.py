@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import OOD_LABEL
 from .errors import ParameterError
-from .layers import Affine, Dropout, Param, glorot_uniform, relu, relu_backward
+from .layers import MLP, Affine, Dropout, Param, glorot_uniform
 from .numerics import softmax, unit_rows, unit_rows_backward
 
 Array = np.ndarray
@@ -20,26 +20,12 @@ Array = np.ndarray
 LOG_CLAMP = 1e-12
 
 
-class BinaryHead:
+class BinaryHead(MLP):
     """Two-layer ID-vs-OOD classifier: affine -> ReLU -> affine -> 2 logits."""
 
     def __init__(self, name: str, d_model: int, rng: np.random.Generator):
-        self.lin1 = Affine(f"{name}.lin1", d_model, d_model, rng)
-        self.lin2 = Affine(f"{name}.lin2", d_model, 2, rng)
-
-    def forward(self, z: Array):
-        h, c1 = self.lin1.forward(z)
-        a, mask = relu(h)
-        y, c2 = self.lin2.forward(a)
-        return y, (c1, mask, c2)
-
-    def backward(self, g: Array, cache) -> Array:
-        c1, mask, c2 = cache
-        ga = self.lin2.backward(g, c2)
-        return self.lin1.backward(relu_backward(ga, mask), c1)
-
-    def params(self) -> list[Param]:
-        return self.lin1.params() + self.lin2.params()
+        super().__init__(f"{name}.lin1", f"{name}.lin2", d_model, d_model, 2,
+                         rng)
 
 
 class CosineHead:
@@ -72,21 +58,12 @@ class CosineHead:
         return [self.W]
 
 
-class LinearHead:
+class LinearHead(Affine):
     """Plain affine classifier (cosine-classifier ablation)."""
 
     def __init__(self, name: str, d_model: int, num_classes: int,
                  rng: np.random.Generator):
-        self.lin = Affine(f"{name}.linear", d_model, num_classes, rng)
-
-    def forward(self, z: Array):
-        return self.lin.forward(z)
-
-    def backward(self, g: Array, cache) -> Array:
-        return self.lin.backward(g, cache)
-
-    def params(self) -> list[Param]:
-        return self.lin.params()
+        super().__init__(f"{name}.linear", d_model, num_classes, rng)
 
 
 class ContrastHead:
@@ -123,8 +100,6 @@ def _cross_entropy(logits: Array, targets: Array):
 
 def coarse_loss(logits: Array, binary: Array):
     """Binary cross-entropy over ID(1)/OOD(0) flags, mean over the batch."""
-    if logits.shape[-1] != 2:
-        raise ParameterError("losses: coarse loss expects 2 logits per sample")
     return _cross_entropy(logits, np.asarray(binary, dtype=int))
 
 
@@ -136,8 +111,6 @@ def multiclass_loss(logits: Array, labels: Array):
             "losses: multiclass loss is defined on ID samples only, got an "
             "OOD-labeled sample"
         )
-    if np.any(labels >= logits.shape[-1]):
-        raise ParameterError("losses: label outside the logit range")
     return _cross_entropy(logits, labels)
 
 

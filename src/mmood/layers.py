@@ -165,28 +165,43 @@ class SelfAttention:
                 + self.proj_v.params() + self.proj_o.params())
 
 
-class FeedForward:
-    """affine -> ReLU -> affine."""
+class MLP:
+    """lin1 -> ReLU -> Dropout(p) -> lin2, named by its two affines.
 
-    def __init__(self, name: str, d_model: int, hidden: int,
-                 rng: np.random.Generator):
-        self.lin1 = Affine(f"{name}.lin1", d_model, hidden, rng)
-        self.lin2 = Affine(f"{name}.lin2", hidden, d_model, rng)
+    A rate of 0 (the default) draws nothing, so the block then matches a
+    plain affine -> ReLU -> affine.
+    """
 
-    def forward(self, x: Array):
+    def __init__(self, name1: str, name2: str, d_in: int, hidden: int,
+                 d_out: int, rng: np.random.Generator, dropout: float = 0.0):
+        self.lin1 = Affine(name1, d_in, hidden, rng)
+        self.lin2 = Affine(name2, hidden, d_out, rng)
+        self.dropout = Dropout(dropout)
+
+    def forward(self, x: Array, train: bool = False,
+                rng: np.random.Generator | None = None):
         h, c1 = self.lin1.forward(x)
         a, mask = relu(h)
-        y, c2 = self.lin2.forward(a)
-        return y, (c1, mask, c2)
+        d, cd = self.dropout.forward(a, train, rng)
+        y, c2 = self.lin2.forward(d)
+        return y, (c1, mask, cd, c2)
 
     def backward(self, g: Array, cache) -> Array:
-        c1, mask, c2 = cache
-        ga = self.lin2.backward(g, c2)
-        gh = relu_backward(ga, mask)
-        return self.lin1.backward(gh, c1)
+        c1, mask, cd, c2 = cache
+        gd = self.dropout.backward(self.lin2.backward(g, c2), cd)
+        return self.lin1.backward(relu_backward(gd, mask), c1)
 
     def params(self) -> list[Param]:
         return self.lin1.params() + self.lin2.params()
+
+
+class FeedForward(MLP):
+    """The transformer block's affine -> ReLU -> affine."""
+
+    def __init__(self, name: str, d_model: int, hidden: int,
+                 rng: np.random.Generator):
+        super().__init__(f"{name}.lin1", f"{name}.lin2", d_model, hidden,
+                         d_model, rng)
 
 
 class TransformerBlock:

@@ -215,6 +215,4 @@ def apply_scorer(state: ScorerState, features: Array, logits: Array) -> Array:
         return score_maxlogit(logits)
     if state.variant == "residual":
         return score_residual(features, state.residual)
-    if state.variant == "vim":
-        return score_vim(features, logits, state.vim)
-    raise ParameterError(f"scoring: unknown scorer {state.variant!r}")
+    return score_vim(features, logits, state.vim)

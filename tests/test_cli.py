@@ -602,6 +602,25 @@ class TestErrors:
             in err
         assert not (micro["tmp"] / "e" / "eval_report.json").exists()
 
+    def test_dim_mismatch_at_eval(self, micro, capsys):
+        run = micro["tmp"] / "run"
+        assert main(["train", "--config", str(micro["cfg"]), "--corpus",
+                     str(micro["corpus"]), "--out", str(run),
+                     "--seed", "0"]) == 0
+        cfg16 = micro["tmp"] / "run16.ini"
+        cfg16.write_text(MICRO_INI.replace("dim_v = 8", "dim_v = 16"))
+        corpus16 = micro["tmp"] / "corpus16"
+        assert main(["synth", "--config", str(cfg16), "--out", str(corpus16),
+                     "--seed", "0"]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                     str(run), "--corpus", str(corpus16),
+                     "--out", str(micro["tmp"] / "e")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: encoders: encoder.V expected")
+        assert not (micro["tmp"] / "e").exists()
+
 
 class TestNonUtf8Manifest:
     @pytest.mark.parametrize("target, module", [("corpus", "corpus"),
@@ -1052,6 +1071,13 @@ class TestConfigGate:
          "corpus: class_sigma_spread_t must be"),
         ("corpus", "n_train", "-3", "corpus: n_train must be"),
         ("corpus", "radius_v", "inf", "corpus: radius_v must be"),
+        ("corpus", "radius_t", "1e300", "corpus: modality T draws overflow "
+         "float32 storage (radius_t = 1e+300"),
+        ("corpus", "sigma_v", "1e300", "corpus: modality V draws overflow "
+         "float32 storage (radius_v = 5.0, sigma_v = 1e+300"),
+        ("corpus", "class_sigma_spread_a", "1e300", "corpus: modality A draws "
+         "overflow float32 storage (radius_a = 5.0, sigma_a = 0.3, "
+         "class_sigma_spread_a = 1e+300)"),
     ])
     def test_exits_1_writing_nothing(self, micro, capsys, section, key,
                                      value, error):

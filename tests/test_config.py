@@ -187,3 +187,7 @@ class TestGate:
         cfg = load_config(write(tmp_path, "[corpus]\nood_clusters = 0\n"
                                           "n_test_ood = 0\n"))
         assert cfg.synth.ood_clusters == 0
+        with pytest.raises(ParameterError,
+                           match="corpus: ood_clusters must be >= 0, got -4"):
+            load_config(write(tmp_path, "[corpus]\nood_clusters = -4\n"
+                                        "n_test_ood = 0\n"))

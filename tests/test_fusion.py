@@ -28,12 +28,12 @@ class TestScores:
 
     def test_identical_params_and_inputs_give_identical_scores(self):
         net = make_net()
-        ref = net.score_in["T"], net.score_out["T"]
+        ref = net.score["T"].lin1, net.score["T"].lin2
         for m in ("V", "A"):
-            net.score_in[m].W.value[...] = ref[0].W.value
-            net.score_in[m].b.value[...] = ref[0].b.value
-            net.score_out[m].W.value[...] = ref[1].W.value
-            net.score_out[m].b.value[...] = ref[1].b.value
+            net.score[m].lin1.W.value[...] = ref[0].W.value
+            net.score[m].lin1.b.value[...] = ref[0].b.value
+            net.score[m].lin2.W.value[...] = ref[1].W.value
+            net.score[m].lin2.b.value[...] = ref[1].b.value
         x = make_rng(2).normal(size=(4, 5))
         xs = {m: x for m in MODALITIES}
         scores, _ = net.modality_scores(xs, train=False, rng=None)
@@ -46,9 +46,9 @@ class TestScores:
         scores, _ = net.modality_scores(xs, train=False, rng=None)
         for m in MODALITIES:
             hidden = np.maximum(
-                xs[m] @ net.score_in[m].W.value + net.score_in[m].b.value, 0.0
+                xs[m] @ net.score[m].lin1.W.value + net.score[m].lin1.b.value, 0.0
             )
-            expected = hidden @ net.score_out[m].W.value + net.score_out[m].b.value
+            expected = hidden @ net.score[m].lin2.W.value + net.score[m].lin2.b.value
             assert np.allclose(scores[m], expected[:, 0], atol=1e-12)
 
 
@@ -80,12 +80,12 @@ class TestWeightedFusion:
         net = make_net()
         xs = rand_inputs(seed=9)
         # +50 score gap for T via the output bias
-        net.score_out["T"].b.value[...] = 50.0
-        net.score_out["V"].b.value[...] = 0.0
-        net.score_out["A"].b.value[...] = 0.0
+        net.score["T"].lin2.b.value[...] = 50.0
+        net.score["V"].lin2.b.value[...] = 0.0
+        net.score["A"].lin2.b.value[...] = 0.0
         for m in MODALITIES:
-            net.score_in[m].W.value[...] = 0.0
-            net.score_out[m].W.value[...] = 0.0
+            net.score[m].lin1.W.value[...] = 0.0
+            net.score[m].lin2.W.value[...] = 0.0
         z, w, _ = net.forward(xs, train=False, rng=None)
         assert np.all(w[:, 0] > 0.999)
         assert np.allclose(z, xs["T"], rtol=1e-3, atol=1e-3)
@@ -95,7 +95,7 @@ class TestWeightedFusion:
         xs = rand_inputs(seed=11)
         z1, w1, _ = net.forward(xs, train=False, rng=None)
         for m in MODALITIES:
-            net.score_out[m].b.value += 7.5  # common constant on every score
+            net.score[m].lin2.b.value += 7.5  # common constant on every score
         z2, w2, _ = net.forward(xs, train=False, rng=None)
         assert np.allclose(w1, w2, atol=1e-10)
         assert np.allclose(z1, z2, atol=1e-10)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mmood.corpus import (
+    CorpusMeta,
     ModalitySynth,
     OOD_LABEL,
     SynthConfig,
@@ -26,7 +27,8 @@ from mmood.layers import Param, check_gradients
 from mmood.model import FusionModel, ModelHyper
 from mmood.numerics import make_rng
 from mmood.oodgen import OodGenConfig, build_mixed_batch
-from mmood.train import AdamW, TrainConfig, _step, train, variant_config
+from mmood.train import (ABLATION_VARIANTS, AdamW, TrainConfig, _step, train,
+                         variant_config)
 
 
 def contrastive_loss(z, labels, binary, head, tau, rng, train=True):
@@ -542,7 +544,70 @@ class TestTraining:
         assert all("val_wf1" in e for e in fine)
 
 
+# Every parameter of the Full model on the micro meta (K=3; T 3x8, V 3x8,
+# A 3x4; attn_heads 2, fusion_hidden 8) as sorted (name, shape). Checkpoints
+# store tensors under these names, so a rename or reshape here stops older
+# checkpoints from loading.
+MICRO_META = CorpusMeta(3, {"T": (3, 8), "V": (3, 8), "A": (3, 4)})
+MICRO_HYPER = ModelHyper(attn_heads=2, fusion_hidden=8)
+FULL_PARAMS = [
+    ("binary.lin1.W", (8, 8)), ("binary.lin1.b", (8,)),
+    ("binary.lin2.W", (8, 2)), ("binary.lin2.b", (2,)),
+    ("class.W_cos", (3, 8)),
+    ("contrast.proj.W", (8, 8)), ("contrast.proj.b", (8,)),
+    ("encoder.A.block.attn.k.W", (4, 4)), ("encoder.A.block.attn.k.b", (4,)),
+    ("encoder.A.block.attn.o.W", (4, 4)), ("encoder.A.block.attn.o.b", (4,)),
+    ("encoder.A.block.attn.q.W", (4, 4)), ("encoder.A.block.attn.q.b", (4,)),
+    ("encoder.A.block.attn.v.W", (4, 4)), ("encoder.A.block.attn.v.b", (4,)),
+    ("encoder.A.block.ffn.lin1.W", (4, 4)), ("encoder.A.block.ffn.lin1.b", (4,)),
+    ("encoder.A.block.ffn.lin2.W", (4, 4)), ("encoder.A.block.ffn.lin2.b", (4,)),
+    ("encoder.A.out_proj.W", (4, 8)),
+    ("encoder.T.block.attn.k.W", (8, 8)), ("encoder.T.block.attn.k.b", (8,)),
+    ("encoder.T.block.attn.o.W", (8, 8)), ("encoder.T.block.attn.o.b", (8,)),
+    ("encoder.T.block.attn.q.W", (8, 8)), ("encoder.T.block.attn.q.b", (8,)),
+    ("encoder.T.block.attn.v.W", (8, 8)), ("encoder.T.block.attn.v.b", (8,)),
+    ("encoder.T.block.ffn.lin1.W", (8, 8)), ("encoder.T.block.ffn.lin1.b", (8,)),
+    ("encoder.T.block.ffn.lin2.W", (8, 8)), ("encoder.T.block.ffn.lin2.b", (8,)),
+    ("encoder.T.class_token", (8,)),
+    ("encoder.V.block.attn.k.W", (8, 8)), ("encoder.V.block.attn.k.b", (8,)),
+    ("encoder.V.block.attn.o.W", (8, 8)), ("encoder.V.block.attn.o.b", (8,)),
+    ("encoder.V.block.attn.q.W", (8, 8)), ("encoder.V.block.attn.q.b", (8,)),
+    ("encoder.V.block.attn.v.W", (8, 8)), ("encoder.V.block.attn.v.b", (8,)),
+    ("encoder.V.block.ffn.lin1.W", (8, 8)), ("encoder.V.block.ffn.lin1.b", (8,)),
+    ("encoder.V.block.ffn.lin2.W", (8, 8)), ("encoder.V.block.ffn.lin2.b", (8,)),
+    ("encoder.V.out_proj.W", (8, 8)),
+    ("fusion.score.A.in.W", (8, 8)), ("fusion.score.A.in.b", (8,)),
+    ("fusion.score.A.out.W", (8, 1)), ("fusion.score.A.out.b", (1,)),
+    ("fusion.score.T.in.W", (8, 8)), ("fusion.score.T.in.b", (8,)),
+    ("fusion.score.T.out.W", (8, 1)), ("fusion.score.T.out.b", (1,)),
+    ("fusion.score.V.in.W", (8, 8)), ("fusion.score.V.in.b", (8,)),
+    ("fusion.score.V.out.W", (8, 1)), ("fusion.score.V.out.b", (1,)),
+]
+# variant -> (name prefixes it drops from FULL_PARAMS, entries it adds)
+VARIANT_PARAM_EDITS = {
+    "Full": ((), []),
+    "Fusion (Add)": (("fusion.score.",), []),
+    "Fusion (Concat)": (("fusion.score.",), [("fusion.concat_proj.W", (24, 8)),
+                                            ("fusion.concat_proj.b", (8,))]),
+    "w / o Contrast": (("contrast.",), []),
+    "w / o Cosine": (("class.",), [("class.linear.W", (8, 3)),
+                                   ("class.linear.b", (3,))]),
+    "w / o Binary": (("binary.",), []),
+}
+
+
 class TestAblationAudit:
+    @pytest.mark.parametrize("variant", list(ABLATION_VARIANTS))
+    def test_param_names_and_shapes_pinned(self, variant):
+        drop, added = VARIANT_PARAM_EDITS[variant]
+        expected = sorted([e for e in FULL_PARAMS if not e[0].startswith(drop)]
+                          + added)
+        hyper = replace(MICRO_HYPER, **ABLATION_VARIANTS[variant][1])
+        model = FusionModel(MICRO_META, hyper, 0)
+        got = sorted((name, p.value.shape)
+                     for name, p in model.named_params().items())
+        assert got == expected
+
     def test_variant_param_sets(self):
         corpus = desk_corpus(n_train=60)
         base = desk_train_cfg()
