@@ -39,8 +39,6 @@ class Schema:
 
 
 def array_to_bytes(arr: np.ndarray, dtype: str) -> bytes:
-    if dtype not in DTYPES:
-        raise FormatError(f"blobio: unsupported dtype {dtype!r}")
     return np.ascontiguousarray(arr).astype(dtype).tobytes()
 
 

@@ -19,9 +19,10 @@ from .scoring import ClassStats
 from .train import TrainedModel
 
 CHECKPOINT_NAME = "checkpoint"
-# fitted inference state stored after the model parameters
-STATE_TENSORS = ("stats.means", "stats.covs", "stats.counts", "stats.eps",
-                 "stats.precisions", "cache.features", "cache.logits")
+# fitted inference state stored beside the model parameters: one tensor per
+# ClassStats field, then the training feature cache
+STATS = {f.name: f"stats.{f.name}" for f in fields(ClassStats)}
+STATE_TENSORS = (*STATS.values(), "cache.features", "cache.logits")
 
 
 def save_checkpoint(trained: TrainedModel, directory) -> Path:
@@ -29,11 +30,8 @@ def save_checkpoint(trained: TrainedModel, directory) -> Path:
     tensors: dict[str, np.ndarray] = {
         name: p.value for name, p in model.named_params().items()
     }
-    tensors["stats.means"] = trained.class_stats.means
-    tensors["stats.covs"] = trained.class_stats.covs
-    tensors["stats.counts"] = trained.class_stats.counts.astype(np.float64)
-    tensors["stats.eps"] = trained.class_stats.eps
-    tensors["stats.precisions"] = trained.class_stats.precisions
+    for field, name in STATS.items():
+        tensors[name] = getattr(trained.class_stats, field)
     tensors["cache.features"] = trained.train_features
     tensors["cache.logits"] = trained.train_logits
 
@@ -83,21 +81,22 @@ def _check_state(tensors: dict, model: FusionModel, manifest: Path) -> None:
     k, d = model.num_classes, model.d_shared
     features = tensors["cache.features"]
     n = features.shape[0] if features.ndim else 0
-    shapes = {"stats.means": (k, d), "stats.covs": (k, d, d),
-              "stats.counts": (k,), "stats.eps": (k,),
-              "stats.precisions": (k, d, d), "cache.features": (n, d),
+    shapes = {STATS["means"]: (k, d), STATS["covs"]: (k, d, d),
+              STATS["counts"]: (k,), STATS["eps"]: (k,),
+              STATS["precisions"]: (k, d, d), "cache.features": (n, d),
               "cache.logits": (n, k)}
     for name, shape in shapes.items():
         if tensors[name].shape != shape:
             raise FormatError(f"checkpoint: {manifest}: tensor {name!r} has "
                               f"shape {tensors[name].shape}, expected {shape}")
-    counts = tensors["stats.counts"]
+    counts = tensors[STATS["counts"]]
     # bounded by n before the sum, so a huge count cannot overflow it
     if not (np.all(counts == np.floor(counts))
             and np.all((counts >= 2) & (counts <= n)) and counts.sum() == n):
-        raise FormatError(f"checkpoint: {manifest}: tensor 'stats.counts' "
-                          f"holds {counts.tolist()}; expected whole numbers "
-                          f">= 2 that sum to the {n} cached rows")
+        raise FormatError(f"checkpoint: {manifest}: tensor "
+                          f"{STATS['counts']!r} holds {counts.tolist()}; "
+                          f"expected whole numbers >= 2 that sum to the {n} "
+                          "cached rows")
 
 
 def load_checkpoint(directory):
@@ -133,11 +132,7 @@ def load_checkpoint(directory):
         param.value[...] = value
 
     _check_state(tensors, model, manifest)
-    stats = ClassStats(
-        means=tensors["stats.means"],
-        covs=tensors["stats.covs"],
-        counts=tensors["stats.counts"].astype(np.int64),
-        eps=tensors["stats.eps"],
-        precisions=tensors["stats.precisions"],
-    )
+    stats = ClassStats(**{field: tensors[name]
+                          for field, name in STATS.items()})
+    stats.counts = stats.counts.astype(np.int64)
     return model, stats, tensors["cache.features"], tensors["cache.logits"], meta

@@ -8,10 +8,11 @@ seed; the single timestamp lives in the training-log header line.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, astuple, fields, replace
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
@@ -23,7 +24,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
 from .corpus import MODALITIES, Corpus, load_corpus, save_corpus, synth_corpus
 from .errors import FormatError, ParameterError, PipelineError
-from .metrics import EvalReport, id_metrics, ood_metrics
+from .metrics import EvalReport, OodMetrics, id_metrics, ood_metrics
 from .model import SLOT_SYNTH
 from .numerics import component_rng
 from .scoring import apply_scorer, fit_scorer, normalize_scores
@@ -31,20 +32,15 @@ from .train import ABLATION_VARIANTS, train, variant_config
 
 ABLATION_SLUGS = {slug: name for name, (slug, _) in ABLATION_VARIANTS.items()}
 
-ABLATION_METRICS = ("acc", "wf1", "auroc", "aupr_in", "aupr_out", "fpr95", "der")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+OOD_METRICS = tuple(f.name for f in fields(OodMetrics))
+ABLATION_METRICS = ("acc", "wf1", *OOD_METRICS)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _mean_std(rows: list[dict], keys) -> dict[str, tuple[float, float]]:
@@ -73,7 +69,8 @@ def _unique(items: list, flag: str, noun: str) -> list:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
+                               default=np.ndarray.tolist) + "\n",
                     encoding="utf-8")
 
 
@@ -125,7 +122,7 @@ def _test_row(trained, corpus: Corpus) -> dict:
         ["mahalanobis"] if test.is_ood.any() else [])
     row = {"acc": idm.acc, "wf1": idm.wf1}
     for raw in scores.values():
-        row.update(ood_metrics(raw, flags).as_dict())
+        row.update(asdict(ood_metrics(raw, flags)))
     return row
 
 
@@ -199,12 +196,9 @@ def run_eval(checkpoint_dir, test: Corpus, scorers: list[str],
             for rec_id, flag, value, norm in zip(
                 ids, is_id, raw.tolist(), normalize_scores(raw).tolist())))
 
-    _write_json(out_dir / "eval_report.json", report.as_dict())
-    header = ["scorer", "auroc", "aupr_in", "aupr_out", "fpr95", "der"]
-    _write_csv(out_dir / "metrics.csv", header, [
-        [v, m.auroc, m.aupr_in, m.aupr_out, m.fpr95, m.der]
-        for v, m in sorted(report.ood_metrics.items())
-    ])
+    _write_json(out_dir / "eval_report.json", asdict(report))
+    _write_csv(out_dir / "metrics.csv", ["scorer", *OOD_METRICS], [
+        [v, *astuple(m)] for v, m in sorted(report.ood_metrics.items())])
     return report
 
 
@@ -292,16 +286,22 @@ def run_report(eval_dir, out_dir=None) -> Path:
         if not scores_path.exists():
             raise ParameterError(f"cli: {scores_path} not found; the eval "
                                  f"report lists scorer {scorer!r}")
-        lines = scores_path.read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            try:
+        lineno = 0
+        try:
+            lines = scores_path.read_text(encoding="utf-8").splitlines()
+            for lineno, line in enumerate(lines, start=1):
                 row = json.loads(line)
-                long_rows.append([scorer, row["id"], int(row["is_id"]),
-                                  float(row["raw"]), float(row["norm"])])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(
-                    f"cli: {scores_path} line {lineno}: malformed score row "
-                    f"({type(exc).__name__}: {exc})") from exc
+                values = row["id"], row["is_id"], row["raw"], row["norm"]
+                if tuple(map(type, values)) != (str, bool, float, float):
+                    raise TypeError(f"(id, is_id, raw, norm) = {values!r}; "
+                                    "expected a string, a bool and two floats")
+                long_rows.append([scorer, values[0], int(values[1]),
+                                  values[2], values[3]])
+        except (KeyError, TypeError, ValueError) as exc:
+            where = f" line {lineno}: malformed score row" if lineno \
+                else ": unreadable score file"
+            raise FormatError(f"cli: {scores_path}{where} "
+                              f"({type(exc).__name__}: {exc})") from exc
 
     out_dir = Path(out_dir) if out_dir is not None else eval_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -335,9 +335,10 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _resolve_out(args, cfg: RunConfig) -> str:
-    out = args.out if args.out is not None else cfg.out_dir
-    if out is None:
+def _resolve_out(out: str | None, default: str | None) -> str:
+    """``out``, else ``default``; a blank value counts as missing."""
+    out = out if out is not None else default
+    if out is None or not out.strip():
         raise ParameterError(
             "cli: no output directory; pass --out or set [run] out_dir"
         )
@@ -383,10 +384,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "report":
-            print(f"wrote report tables to {run_report(args.eval_dir, args.out)}")
+            out = _resolve_out(args.out, args.eval_dir)
+            print(f"wrote report tables to {run_report(args.eval_dir, out)}")
             return 0
         cfg = _load_run_config(args)
-        out = _resolve_out(args, cfg)
+        out = _resolve_out(args.out, cfg.out_dir)
         if args.command == "synth":
             seeds = _parse_seeds(args.seed)
             if len(seeds) != 1:

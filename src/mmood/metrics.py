@@ -30,39 +30,21 @@ class IdMetrics:
     per_class_acc: list[float]
     confusion: np.ndarray  # (K, K), rows = gold, cols = prediction
 
-    def as_dict(self) -> dict:
-        return {
-            "acc": self.acc, "precision": self.precision, "recall": self.recall,
-            "f1": self.f1, "wp": self.wp, "wf1": self.wf1,
-            "per_class_acc": list(self.per_class_acc),
-            "confusion": self.confusion.tolist(),
-        }
-
 
 @dataclass
 class OodMetrics:
-    fpr95: float
-    der: float
+    """The threshold metrics, in the column order of the CSV tables."""
+    auroc: float
     aupr_in: float
     aupr_out: float
-    auroc: float
-
-    def as_dict(self) -> dict:
-        return {"fpr95": self.fpr95, "der": self.der, "aupr_in": self.aupr_in,
-                "aupr_out": self.aupr_out, "auroc": self.auroc}
+    fpr95: float
+    der: float
 
 
 @dataclass
 class EvalReport:
     id_metrics: IdMetrics
     ood_metrics: dict[str, OodMetrics]
-
-    def as_dict(self) -> dict:
-        return {
-            "id_metrics": self.id_metrics.as_dict(),
-            "ood_metrics": {k: v.as_dict() for k, v in
-                            sorted(self.ood_metrics.items())},
-        }
 
 
 def confusion_matrix(preds, golds, num_classes: int) -> Array:
@@ -120,8 +102,6 @@ def id_metrics(preds, golds, num_classes: int) -> IdMetrics:
 def _check_two_classes(scores, is_id):
     scores = np.asarray(scores, dtype=np.float64)
     flags = np.asarray(is_id, dtype=bool)
-    if scores.shape != flags.shape:
-        raise ParameterError("metrics: scores and flags must have equal length")
     if flags.all() or not flags.any():
         raise MetricError(
             "metrics: both ID and OOD samples are required for a threshold sweep"
@@ -207,9 +187,5 @@ def fpr95_der(scores, is_id):
 def ood_metrics(scores, is_id) -> OodMetrics:
     _, auroc = roc_auroc(scores, is_id)
     fpr95, der = fpr95_der(scores, is_id)
-    return OodMetrics(
-        fpr95=fpr95, der=der,
-        aupr_in=aupr(scores, is_id, "ID"),
-        aupr_out=aupr(scores, is_id, "OOD"),
-        auroc=auroc,
-    )
+    return OodMetrics(auroc=auroc, aupr_in=aupr(scores, is_id, "ID"),
+                      aupr_out=aupr(scores, is_id, "OOD"), fpr95=fpr95, der=der)

@@ -130,10 +130,8 @@ def covariance(rows) -> Array:
 
 
 def _symmetric(m, who: str) -> Array:
-    """``m`` validated as a square, symmetric matrix for function ``who``."""
+    """``m`` validated as a symmetric matrix for function ``who``."""
     mm = as_matrix(m, f"{who} input")
-    if mm.shape[0] != mm.shape[1]:
-        raise ParameterError(f"numerics: {who} needs a square matrix")
     scale = max(1.0, float(np.abs(mm).max()))
     if not np.allclose(mm, mm.T, atol=1e-8 * scale):
         raise ParameterError(f"numerics: {who} input must be symmetric")

@@ -47,8 +47,6 @@ def fit_class_stats(features: Array, labels, num_classes: int,
     """Per-class means and unbiased covariances with precomputed inverses."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=int)
-    if features.ndim != 2 or len(labels) != features.shape[0]:
-        raise ParameterError("scoring: features must be (N, D) with N labels")
     d = features.shape[1]
     means = np.zeros((num_classes, d))
     covs = np.zeros((num_classes, d, d))
@@ -109,8 +107,6 @@ def fit_residual(features: Array, num_components: int) -> ResidualState:
     every residual is zero; that state is flagged, not rejected.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ParameterError("scoring: residual fit expects (N, D) features")
     d = features.shape[1]
     degenerate = num_components >= d
     if degenerate:

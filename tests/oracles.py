@@ -14,6 +14,7 @@ contrastive loss and the scorers each wrote out are kept as they were
 before ``numerics`` held the one copy of each.
 """
 
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -244,7 +245,7 @@ def mahalanobis_row_oracle(trained, corpus):
                            trained.train_logits, trained.class_stats,
                            corpus.num_classes)
         scores = apply_scorer(state, feats, logits)
-        row.update(ood_metrics(scores, flags).as_dict())
+        row.update(dataclasses.asdict(ood_metrics(scores, flags)))
     return row
 
 

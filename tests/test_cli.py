@@ -1,4 +1,5 @@
 import configparser
+import csv
 import io
 import json
 import re
@@ -15,7 +16,7 @@ import mmood.cli
 from mmood.checkpoint import load_checkpoint
 from mmood.cli import main, run_ablation, run_eval, run_synth, run_training
 from mmood.config import load_config
-from mmood.corpus import load_corpus
+from mmood.corpus import load_corpus, save_corpus
 from mmood.errors import ParameterError, PipelineError
 from mmood.model import FusionModel
 from mmood.scoring import SCORERS, apply_scorer, fit_scorer, normalize_scores
@@ -1090,4 +1091,120 @@ class TestConfigGate:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def _eval_cli(micro, run, out, corpus=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                     str(run), "--corpus", str(corpus or micro["corpus"]),
+                     "--out", str(out), "--scorer", "msp"])
+
+
+class TestCsvQuoting:
+    AWKWARD = 'x,"y"\nz'
+
+    def test_awkward_record_id_survives_eval_and_report(self, micro):
+        run, evaled = micro["tmp"] / "run", micro["tmp"] / "eval"
+        _train_cli(micro, run)
+        corpus = load_corpus(micro["corpus"])
+        ids = corpus.ids.tolist()
+        ids[ids.index(corpus.split("test").ids[0])] = self.AWKWARD
+        corpus.ids = np.array(ids, dtype=str)
+        save_corpus(corpus, micro["tmp"] / "corpus_q")
+        assert _eval_cli(micro, run, evaled, micro["tmp"] / "corpus_q") == 0
+        assert main(["report", str(evaled)]) == 0
+        with open(evaled / "scores_long.csv", encoding="utf-8",
+                  newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 36
+        assert all(len(row) == 5 for row in rows)
+        assert [row[1] for row in rows].count(self.AWKWARD) == 1
+
+
+class TestReportScoreTypes:
+    @pytest.mark.parametrize("field, value", [
+        ("id", 3), ("is_id", 7), ("raw", True), ("norm", "nan"),
+        ("raw", 1), ("is_id", None)])
+    def test_ill_typed_row_exits_1(self, micro, capsys, field, value):
+        run, evaled = micro["tmp"] / "run", micro["tmp"] / "eval"
+        _train_cli(micro, run)
+        assert _eval_cli(micro, run, evaled) == 0
+        scores = evaled / "scores_msp.jsonl"
+        rows = [json.loads(line) for line in scores.read_text().splitlines()]
+        rows[1][field] = value
+        scores.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        capsys.readouterr()
+        out = micro["tmp"] / "new"
+        assert main(["report", str(evaled), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: cli: .*scores_msp\.jsonl line 2: malformed "
+                        r"score row \(TypeError: ", err)
+        assert not out.exists()
+
+    def test_non_utf8_score_file_exits_1(self, micro, capsys):
+        run, evaled = micro["tmp"] / "run", micro["tmp"] / "eval"
+        _train_cli(micro, run)
+        assert _eval_cli(micro, run, evaled) == 0
+        scores = evaled / "scores_msp.jsonl"
+        scores.write_bytes(b"\xff\xfe" + scores.read_bytes())
+        capsys.readouterr()
+        out = micro["tmp"] / "new"
+        assert main(["report", str(evaled), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: cli: .*scores_msp\.jsonl: unreadable score "
+                        r"file \(UnicodeDecodeError: ", err)
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestBlankOutDir:
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    @pytest.mark.parametrize("blank", ["", "  "])
+    def test_synth_and_eval_exit_1(self, micro, capsys, monkeypatch,
+                                   spelling, blank):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        cwd = micro["tmp"] / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        cfg, out = micro["cfg"], ["--out", blank]
+        if spelling == "config":
+            cfg, out = micro["tmp"] / "blank.ini", []
+            cfg.write_text(MICRO_INI + f"\n[run]\nout_dir = {blank}\n")
+        for argv in (["synth", "--config", str(cfg), *out],
+                     ["eval", "--config", str(cfg), "--checkpoint", str(run),
+                      "--corpus", str(micro["corpus"]), *out]):
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith(
+                "error: cli: no output directory; ")
+        assert list(cwd.iterdir()) == []
+
+    def test_report_exits_1(self, micro, capsys, monkeypatch):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        assert _eval_cli(micro, run, micro["tmp"] / "eval") == 0
+        cwd = micro["tmp"] / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        capsys.readouterr()
+        assert main(["report", str(micro["tmp"] / "eval"), "--out", ""]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: cli: no output directory; ")
+        assert list(cwd.iterdir()) == []
+
+
+class TestEmptyTestSplit:
+    def test_eval_exits_1_writing_nothing(self, micro, capsys):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        cfg, corpus = micro["tmp"] / "no_test.ini", micro["tmp"] / "no_test"
+        cfg.write_text(MICRO_INI.replace("n_test_id = 24\nn_test_ood = 12",
+                                         "n_test_id = 0\nn_test_ood = 0"))
+        assert main(["synth", "--config", str(cfg), "--out", str(corpus),
+                     "--seed", "0"]) == 0
+        capsys.readouterr()
+        out = micro["tmp"] / "e"
+        assert _eval_cli(micro, run, out, corpus) == 1
+        assert capsys.readouterr().err == (
+            "error: cli: corpus has no test records to evaluate\n")
         assert not out.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -259,7 +260,7 @@ class TestOodMetricsBundle:
         assert bundle.aupr_in == aupr(scores, flags, "ID")
         assert bundle.aupr_out == aupr(scores, flags, "OOD")
         assert (bundle.fpr95, bundle.der) == fpr95_der(scores, flags)
-        for value in bundle.as_dict().values():
+        for value in dataclasses.asdict(bundle).values():
             assert 0.0 <= value <= 1.0
 
     def test_permutation_invariance_of_bundle(self):
