@@ -51,6 +51,22 @@ def write_jsonl(path: Path, objects) -> Path:
     return path
 
 
+_DECODER = json.JSONDecoder()
+
+
+def loads_line(line: str):
+    """``json.loads(line)``, minus its whitespace scans when ``line`` is one
+    bare JSON value; any other line goes to ``json.loads``, so every value
+    it accepts and every error it raises stay ``json.loads``'s."""
+    try:
+        value, end = _DECODER.raw_decode(line)
+        if end == len(line):
+            return value
+    except ValueError:
+        pass
+    return json.loads(line)
+
+
 def read_manifest(path: Path, schema: Schema, parse_header, parse_entry):
     """``(parse_header(header), rows)`` of a checked manifest; a row is an
     entry's line number and ``parse_entry(entry, parsed header)``, whose
@@ -67,7 +83,7 @@ def read_manifest(path: Path, schema: Schema, parse_header, parse_entry):
     if not lines:
         raise FormatError(f"{mod}: manifest {path} is empty")
     try:
-        header = json.loads(lines[0])
+        header = loads_line(lines[0])
         if not isinstance(header, dict) or \
                 header.get("format") != schema.format:
             raise FormatError(f"{mod}: {path} is not a {schema.kind}")
@@ -81,7 +97,7 @@ def read_manifest(path: Path, schema: Schema, parse_header, parse_entry):
             continue
         entry = None
         try:
-            entry = json.loads(line)
+            entry = loads_line(line)
             row = (lineno, *parse_entry(entry, parsed))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             name = entry.get(schema.key, "<unnamed>") \

@@ -11,19 +11,21 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, astuple, fields, replace
 from datetime import datetime, timezone
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .blobio import write_jsonl
+from .blobio import loads_line, write_jsonl
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
 from .corpus import MODALITIES, Corpus, load_corpus, save_corpus, synth_corpus
-from .errors import FormatError, ParameterError, PipelineError
+from .errors import FormatError, NumericalError, ParameterError, PipelineError
 from .metrics import EvalReport, OodMetrics, id_metrics, ood_metrics
 from .model import SLOT_SYNTH
 from .numerics import component_rng
@@ -185,16 +187,33 @@ def run_eval(checkpoint_dir, test: Corpus, scorers: list[str],
         raise ParameterError("cli: corpus has no test records to evaluate")
     flags, idm, scores = _score(model, stats, train_feats, train_logits, test,
                                 scorers)
+    ids = test.ids.tolist()
+    norms = {}
+    for variant, raw in scores.items():
+        # an overflowing min-max range warns; the check below names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms[variant] = normalize_scores(raw)
+        for kind, values in (("raw", raw), ("normalised", norms[variant])):
+            bad = ~np.isfinite(values)
+            if bad.any():
+                i = int(bad.argmax())
+                raise NumericalError(
+                    f"cli: scorer {variant!r} gives record {ids[i]!r} the "
+                    f"non-finite {kind} score {float(values[i])!r}")
     report = EvalReport(id_metrics=idm, ood_metrics={
         variant: ood_metrics(raw, flags) for variant, raw in scores.items()})
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ids, is_id = test.ids.tolist(), flags.tolist()
+    # json.dumps(row, sort_keys=True) for finite scores, one f-string a row
+    heads = [f'{{"id": {encode_basestring_ascii(rec_id)}, "is_id": '
+             f'{"true" if flag else "false"}, "norm": '
+             for rec_id, flag in zip(ids, flags.tolist())]
     for variant, raw in scores.items():
-        write_jsonl(out_dir / f"scores_{variant}.jsonl", (
-            {"id": rec_id, "is_id": flag, "raw": value, "norm": norm}
-            for rec_id, flag, value, norm in zip(
-                ids, is_id, raw.tolist(), normalize_scores(raw).tolist())))
+        with open(out_dir / f"scores_{variant}.jsonl", "w",
+                  encoding="utf-8") as fh:
+            fh.writelines([f'{head}{norm!r}, "raw": {value!r}}}\n'
+                           for head, value, norm in zip(
+                               heads, raw.tolist(), norms[variant].tolist())])
 
     _write_json(out_dir / "eval_report.json", asdict(report))
     _write_csv(out_dir / "metrics.csv", ["scorer", *OOD_METRICS], [
@@ -262,6 +281,63 @@ def run_ablation(corpus: Corpus, cfg: RunConfig, variants: list[str],
 
 # -- report -----------------------------------------------------------------
 
+SCORE_KEYS = ("id", "is_id", "raw", "norm")
+SCORE_TYPES = (str, bool, float, float)
+_CSV_SPECIAL = re.compile('[,"\n\r]').search
+
+
+def _finite_float(value) -> float:
+    if type(value) is not float or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite float")
+    return value
+
+
+def _score_row(row) -> tuple:
+    """One score row's checked ``(id, is_id, raw, norm)``."""
+    values = tuple(row[key] for key in SCORE_KEYS)
+    if tuple(map(type, values)) != SCORE_TYPES:
+        raise TypeError(f"(id, is_id, raw, norm) = {values!r}; "
+                        "expected a string, a bool and two floats")
+    if not all(map(math.isfinite, values[2:])):
+        raise ValueError(f"(raw, norm) = {values[2:]!r}; expected two "
+                         "finite floats")
+    return values
+
+
+def _read_scores(path: Path) -> list[list]:
+    """The id, is_id, raw and norm columns of a score file, checked a column
+    at a time; a file that fails is walked row by row to name its first bad
+    line."""
+    lineno = 0
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        try:
+            rows = list(map(loads_line, lines))
+            columns = [[row[key] for row in rows] for key in SCORE_KEYS]
+            if all(set(map(type, column)) <= {kind}
+                   for column, kind in zip(columns, SCORE_TYPES)) and \
+                    all(map(math.isfinite, chain(*columns[2:]))):
+                return columns
+        except (KeyError, TypeError, ValueError):
+            pass
+        checked = []
+        for lineno, line in enumerate(lines, start=1):
+            checked.append(_score_row(loads_line(line)))
+    except (KeyError, TypeError, ValueError) as exc:
+        where = f" line {lineno}: malformed score row" if lineno \
+            else ": unreadable score file"
+        raise FormatError(f"cli: {path}{where} "
+                          f"({type(exc).__name__}: {exc})") from exc
+    return list(map(list, zip(*checked)))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted as ``csv.writer`` quotes it, and
+    also when it holds a carriage return."""
+    if _CSV_SPECIAL(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
 
 def run_report(eval_dir, out_dir=None) -> Path:
     """Re-shape an eval directory into plot-ready CSV tables."""
@@ -271,8 +347,9 @@ def run_report(eval_dir, out_dir=None) -> Path:
         raise ParameterError(f"cli: {report_path} not found; run eval first")
     try:
         report = json.loads(report_path.read_text(encoding="utf-8"))
-        per_class = [float(v) for v in report["id_metrics"]["per_class_acc"]]
-        id_rows = [[k, float(v)]
+        per_class = list(map(_finite_float,
+                             report["id_metrics"]["per_class_acc"]))
+        id_rows = [[k, _finite_float(v)]
                    for k, v in sorted(report["id_metrics"].items())
                    if k not in ("per_class_acc", "confusion")]
         scorers = sorted(report["ood_metrics"])
@@ -280,35 +357,26 @@ def run_report(eval_dir, out_dir=None) -> Path:
         raise FormatError(f"cli: {report_path}: malformed eval report "
                           f"({type(exc).__name__}: {exc})") from exc
 
-    long_rows = []
+    columns = {}
     for scorer in scorers:
         scores_path = eval_dir / f"scores_{scorer}.jsonl"
         if not scores_path.exists():
             raise ParameterError(f"cli: {scores_path} not found; the eval "
                                  f"report lists scorer {scorer!r}")
-        lineno = 0
-        try:
-            lines = scores_path.read_text(encoding="utf-8").splitlines()
-            for lineno, line in enumerate(lines, start=1):
-                row = json.loads(line)
-                values = row["id"], row["is_id"], row["raw"], row["norm"]
-                if tuple(map(type, values)) != (str, bool, float, float):
-                    raise TypeError(f"(id, is_id, raw, norm) = {values!r}; "
-                                    "expected a string, a bool and two floats")
-                long_rows.append([scorer, values[0], int(values[1]),
-                                  values[2], values[3]])
-        except (KeyError, TypeError, ValueError) as exc:
-            where = f" line {lineno}: malformed score row" if lineno \
-                else ": unreadable score file"
-            raise FormatError(f"cli: {scores_path}{where} "
-                              f"({type(exc).__name__}: {exc})") from exc
+        columns[scorer] = _read_scores(scores_path)
 
     out_dir = Path(out_dir) if out_dir is not None else eval_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "per_class_acc.csv", ["class", "accuracy"],
                [[i, v] for i, v in enumerate(per_class)])
-    _write_csv(out_dir / "scores_long.csv",
-               ["scorer", "sample_id", "is_id", "raw", "normalized"], long_rows)
+    with open(out_dir / "scores_long.csv", "w", encoding="utf-8",
+              newline="") as fh:
+        fh.write("scorer,sample_id,is_id,raw,normalized\n")
+        for scorer, (ids, is_id, raw, norm) in columns.items():
+            name = _csv_field(scorer)
+            fh.writelines([
+                f"{name},{_csv_field(rec_id)},{flag:d},{r!r},{n!r}\n"
+                for rec_id, flag, r, n in zip(ids, is_id, raw, norm)])
     _write_csv(out_dir / "id_metrics.csv", ["metric", "value"], id_rows)
     return out_dir
 

@@ -1208,3 +1208,133 @@ class TestEmptyTestSplit:
         assert capsys.readouterr().err == (
             "error: cli: corpus has no test records to evaluate\n")
         assert not out.exists()
+
+
+ID_METRICS = {"acc": 0.75, "f1": 0.5, "precision": 0.5, "recall": 0.5,
+              "wf1": 0.625, "wp": 0.625, "per_class_acc": [1.0, 0.5],
+              "confusion": [[2, 0], [1, 1]]}
+
+
+def _score_rows(ids):
+    return [{"id": rec_id, "is_id": k % 2 == 0, "norm": k / len(ids),
+             "raw": 1.5 - k} for k, rec_id in enumerate(ids)]
+
+
+def _eval_dir(path, rows, id_metrics=ID_METRICS):
+    """A hand-written eval directory with one scorer, msp, whose score file
+    holds ``rows`` as ``json.dumps`` writes them."""
+    path.mkdir()
+    (path / "eval_report.json").write_text(json.dumps(
+        {"id_metrics": id_metrics, "ood_metrics": {"msp": {}}}))
+    (path / "scores_msp.jsonl").write_text("".join(
+        json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    return path
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("edits, index, message", [
+        ({3: float("nan")}, 3, "raw score nan"),
+        ({3: float("inf")}, 3, "raw score inf"),
+        ({3: -float("inf")}, 3, "raw score -inf"),
+        ({0: -1e308, 5: 1e308}, 5, "normalised score nan"),
+    ], ids=["nan", "inf", "-inf", "overflowing-range"])
+    def test_eval_exits_1_writing_nothing(self, micro, capsys, monkeypatch,
+                                          edits, index, message):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        real_apply = mmood.cli.apply_scorer
+
+        def apply(state, feats, logits):
+            scores = real_apply(state, feats, logits).copy()
+            for i, value in edits.items():
+                scores[i] = value
+            return scores
+
+        monkeypatch.setattr(mmood.cli, "apply_scorer", apply)
+        rec_id = load_corpus(micro["corpus"]).split("test").ids.tolist()[index]
+        capsys.readouterr()
+        out = micro["tmp"] / "e"
+        assert _eval_cli(micro, run, out) == 1
+        assert capsys.readouterr().err == (
+            f"error: cli: scorer 'msp' gives record {rec_id!r} the "
+            f"non-finite {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["raw", "norm"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_report_rejects_literal(self, tmp_path, capsys, field, literal):
+        rows = _score_rows(["a", "b", "c"])
+        rows[1][field] = json.loads(literal)
+        evaled = _eval_dir(tmp_path / "eval", rows)
+        assert f'"{field}": {literal}' in (evaled / "scores_msp.jsonl") \
+            .read_text().splitlines()[1]
+        out = tmp_path / "new"
+        assert main(["report", str(evaled), "--out", str(out)]) == 1
+        assert re.match(r"error: cli: .*scores_msp\.jsonl line 2: malformed "
+                        r"score row \(ValueError: ", capsys.readouterr().err)
+        assert not out.exists()
+
+
+class TestEvalReportIdMetrics:
+    @pytest.mark.parametrize("key", ["acc", "per_class_acc"])
+    @pytest.mark.parametrize("value", ["nan", True, 1, float("nan"),
+                                       float("inf")],
+                             ids=["string", "true", "int", "NaN", "Infinity"])
+    def test_not_a_finite_float_exits_1(self, tmp_path, capsys, key, value):
+        id_metrics = json.loads(json.dumps(ID_METRICS))
+        if key == "per_class_acc":
+            id_metrics[key][1] = value
+        else:
+            id_metrics[key] = value
+        evaled = _eval_dir(tmp_path / "eval", _score_rows(["a", "b"]),
+                           id_metrics)
+        out = tmp_path / "new"
+        assert main(["report", str(evaled), "--out", str(out)]) == 1
+        assert re.match(r"error: cli: .*eval_report\.json: malformed eval "
+                        r"report \(ValueError: ", capsys.readouterr().err)
+        assert not out.exists()
+
+
+class TestScoreIoBytes:
+    """Score files are ``json.dumps(row, sort_keys=True)`` row for row, and
+    ``scores_long.csv`` is ``csv.writer``'s output, whatever the ids hold."""
+
+    AWKWARD = ["", "a,b", 'q"q', "n\nl", "é", "back\\slash", "ctl\x01\x1f\t",
+               "ls\u2028ps\u2029", "emoji\U0001F600"]
+
+    def test_awkward_ids_match_json_and_csv_writers(self, micro):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        test = load_corpus(micro["corpus"]).split("test")
+        n = len(self.AWKWARD)
+        ids = [f"{self.AWKWARD[i % n]}{i // n or ''}"
+               for i in range(len(test))]
+        test.ids = np.array(ids, dtype=str)
+        assert test.ids.tolist() == ids
+        out = micro["tmp"] / "eval"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_eval(run, test, list(SCORERS), out)
+        assert main(["report", str(out)]) == 0
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["scorer", "sample_id", "is_id", "raw", "normalized"])
+        for scorer in sorted(SCORERS):
+            lines = (out / f"scores_{scorer}.jsonl").read_bytes() \
+                .decode("ascii").splitlines()
+            rows = [json.loads(line) for line in lines]
+            assert [json.dumps(row, sort_keys=True) for row in rows] == lines
+            assert [row["id"] for row in rows] == ids
+            assert [row["is_id"] for row in rows] == (~test.is_ood).tolist()
+            writer.writerows([scorer, row["id"], int(row["is_id"]), row["raw"],
+                              row["norm"]] for row in rows)
+        assert (out / "scores_long.csv").read_bytes() == \
+            expected.getvalue().encode("utf-8")
+
+    def test_carriage_return_id_round_trips(self, tmp_path):
+        ids = ["a\rb", "plain", "c\r\nd", "\r"]
+        evaled = _eval_dir(tmp_path / "eval", _score_rows(ids))
+        assert main(["report", str(evaled)]) == 0
+        with open(evaled / "scores_long.csv", encoding="utf-8",
+                  newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[1] for row in rows[1:]] == ids
+        assert all(len(row) == 5 for row in rows)

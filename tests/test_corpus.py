@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmood.blobio import (
+    loads_line,
     read_tensor_blob,
     read_tensor_manifest,
     write_tensor_store,
@@ -496,3 +497,24 @@ class TestContainerRules:
         assert tensors["a"].dtype == np.float64
         assert np.array_equal(tensors["a"], a)
         assert np.array_equal(tensors["b"], b)
+
+
+class TestLoadsLine:
+    """``loads_line`` is ``json.loads`` on every line: the same value, or
+    the same exception type and message."""
+
+    @pytest.mark.parametrize("line", [
+        '{"id": "test-00001", "is_id": true, "norm": 0.25, "raw": -1.5}',
+        '[1, 2.5e-300, "\\u00e9\\ud83d\\ude00", null, false]', '"x"', "7",
+        '  {"a": 1}', '{"a": 1}  ', "\t[]\t", "{}{}", '{"a": 1} 2', "",
+        "   ", "\ufeff{}", "NaN", '{"raw": -Infinity}', '{"a": 1', "tru",
+        '{"a": 1,}', "\u2028{}",
+    ])
+    def test_same_as_json_loads(self, line):
+        outcomes = []
+        for load in (json.loads, loads_line):
+            try:
+                outcomes.append(("value", repr(load(line))))
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
