@@ -8,16 +8,18 @@ seed; the single timestamp lives in the training-log header line.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
+import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, fields, replace
 from datetime import datetime, timezone
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 
@@ -38,11 +40,21 @@ OOD_METRICS = tuple(f.name for f in fields(OodMetrics))
 ABLATION_METRICS = ("acc", "wf1", *OOD_METRICS)
 
 
+_CSV_SPECIAL = re.compile('[,"\n\r]').search
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted when it holds a comma, a double
+    quote, a newline or a carriage return, with inner quotes doubled."""
+    if _CSV_SPECIAL(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(",".join([_csv_field(str(value)) for value in row]) + "\n"
+                      for row in chain([header], rows))
 
 
 def _mean_std(rows: list[dict], keys) -> dict[str, tuple[float, float]]:
@@ -70,6 +82,23 @@ def _unique(items: list, flag: str, noun: str) -> list:
     return items
 
 
+@contextmanager
+def _staged(out):
+    """A scratch directory in ``out`` or its nearest existing ancestor, so a
+    move is a rename: on normal exit each file moves with ``os.replace`` to
+    its path under ``out``, creating it; on any exception it is deleted."""
+    out = Path(out)
+    home = next(path for path in (out, *out.parents) if path.exists())
+    if not home.is_dir():
+        raise ParameterError(f"cli: output {home} is not a directory")
+    with TemporaryDirectory(prefix=f"{out.name}.partial-", dir=home) as scratch:
+        yield Path(scratch)
+        for path in sorted(p for p in Path(scratch).rglob("*") if p.is_file()):
+            target = out / path.relative_to(scratch)
+            os.makedirs(target.parent, exist_ok=True)
+            os.replace(path, target)
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2,
                                default=np.ndarray.tolist) + "\n",
@@ -80,16 +109,17 @@ def _write_json(path: Path, payload) -> None:
 
 
 def run_synth(cfg: RunConfig, out_dir, seed: int) -> Path:
-    corpus = synth_corpus(cfg.synth, component_rng(seed, SLOT_SYNTH))
-    manifest = save_corpus(corpus, out_dir)
-    loaded = load_corpus(manifest)  # verification pass: an exact round trip
-    same = all(np.array_equal(getattr(loaded, c), getattr(corpus, c))
-               for c in ("ids", "splits", "labels")) and \
-        all(np.array_equal(loaded.seqs[m], corpus.seqs[m]) for m in MODALITIES)
-    if not same:
-        raise PipelineError(f"cli: corpus {manifest} does not reload to the "
-                            "synthesized corpus")
-    return manifest
+    with _staged(out_dir) as stage:
+        corpus = synth_corpus(cfg.synth, component_rng(seed, SLOT_SYNTH))
+        manifest = save_corpus(corpus, stage)
+        loaded = load_corpus(manifest)  # verification pass: an exact round trip
+        same = all(np.array_equal(getattr(loaded, c), getattr(corpus, c))
+                   for c in ("ids", "splits", "labels")) and all(
+            np.array_equal(loaded.seqs[m], corpus.seqs[m]) for m in MODALITIES)
+        if not same:
+            raise PipelineError(f"cli: corpus {out_dir} does not reload to the "
+                                "synthesized corpus")
+    return Path(out_dir) / manifest.name
 
 
 # -- scoring ----------------------------------------------------------------
@@ -142,29 +172,28 @@ def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
     _unique(seeds, "--seed", "seed")
     configs = [variant_config(replace(cfg.train, seed=seed), variant)
                for seed in seeds]
-    out_dir = Path(out_dir)
     rows = []
-    for seed, train_cfg in zip(seeds, configs):
-        trained = train(corpus, train_cfg, cfg.oodgen)
-        row = {"seed": seed}
-        if trained.best:
-            row.update(best_epoch=trained.best["epoch"],
-                       val_wf1=trained.best["wf1"])
-        row.update(_test_row(trained, corpus))
-        rows.append(row)
-        target = out_dir if len(seeds) == 1 else out_dir / f"seed_{seed}"
-        target.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(trained, target)
-        header = {"event": "start", "seed": seed, "variant": variant,
-                  "time": datetime.now(timezone.utc).isoformat()}
-        write_jsonl(target / "train_log.jsonl", chain(
-            [header], trained.log, [{"event": "end", "best": trained.best}]))
+    with _staged(out_dir) as stage:
+        for seed, train_cfg in zip(seeds, configs):
+            trained = train(corpus, train_cfg, cfg.oodgen)
+            row = {"seed": seed}
+            if trained.best:
+                row.update(best_epoch=trained.best["epoch"],
+                           val_wf1=trained.best["wf1"])
+            row.update(_test_row(trained, corpus))
+            rows.append(row)
+            target = stage if len(seeds) == 1 else stage / f"seed_{seed}"
+            save_checkpoint(trained, target)
+            header = {"event": "start", "seed": seed, "variant": variant,
+                      "time": datetime.now(timezone.utc).isoformat()}
+            write_jsonl(target / "train_log.jsonl", chain(
+                [header], trained.log, [{"event": "end", "best": trained.best}]))
 
-    keys = sorted({k for row in rows for k in row} - {"seed"})
-    _write_csv(out_dir / "results.csv", ["seed"] + keys,
-               [[row["seed"]] + [row.get(k, "") for k in keys] for row in rows])
-    _write_csv(out_dir / "results_summary.csv", ["metric", "mean", "std"],
-               [[key, *ms] for key, ms in _mean_std(rows, keys).items()])
+        keys = sorted({k for row in rows for k in row} - {"seed"})
+        _write_csv(stage / "results.csv", ["seed"] + keys, [
+            [row["seed"]] + [row.get(k, "") for k in keys] for row in rows])
+        _write_csv(stage / "results_summary.csv", ["metric", "mean", "std"],
+                   [[key, *ms] for key, ms in _mean_std(rows, keys).items()])
     return rows
 
 
@@ -174,50 +203,43 @@ def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
 def run_eval(checkpoint_dir, test: Corpus, scorers: list[str],
              out_dir) -> EvalReport:
     """Score the test split ``test`` (``corpus.split("test")``) with a
-    checkpoint; the caller need not keep the rest of the corpus. Nothing
-    is written until the report is built."""
-    model, stats, train_feats, train_logits, _ = load_checkpoint(checkpoint_dir)
-    if test.num_classes != model.num_classes:
-        raise ParameterError(
-            f"cli: corpus has {test.num_classes} classes, checkpoint "
-            f"{checkpoint_dir} was trained on {model.num_classes}"
-        )
+    checkpoint; the caller need not keep the rest of the corpus."""
+    with _staged(out_dir) as stage:
+        model, *fitted, _ = load_checkpoint(checkpoint_dir)
+        if test.num_classes != model.num_classes:
+            raise ParameterError(
+                f"cli: corpus has {test.num_classes} classes, checkpoint "
+                f"{checkpoint_dir} was trained on {model.num_classes}"
+            )
+        if len(test) == 0:
+            raise ParameterError("cli: corpus has no test records to evaluate")
+        flags, idm, scores = _score(model, *fitted, test, scorers)
+        ids = test.ids.tolist()
+        # json.dumps(row, sort_keys=True) for finite scores, one f-string a row
+        heads = [f'{{"id": {encode_basestring_ascii(rec_id)}, "is_id": '
+                 f'{"true" if flag else "false"}, "norm": '
+                 for rec_id, flag in zip(ids, flags.tolist())]
+        for variant, raw in scores.items():
+            # an overflowing min-max range warns; the check below names it
+            with np.errstate(over="ignore", invalid="ignore"):
+                norm = normalize_scores(raw)
+            for kind, values in (("raw", raw), ("normalised", norm)):
+                bad = ~np.isfinite(values)
+                if bad.any():
+                    i = int(bad.argmax())
+                    raise NumericalError(
+                        f"cli: scorer {variant!r} gives record {ids[i]!r} the "
+                        f"non-finite {kind} score {float(values[i])!r}")
+            with open(stage / f"scores_{variant}.jsonl", "w",
+                      encoding="utf-8") as fh:
+                fh.writelines([f'{head}{n!r}, "raw": {r!r}}}\n' for head, r, n
+                               in zip(heads, raw.tolist(), norm.tolist())])
 
-    if len(test) == 0:
-        raise ParameterError("cli: corpus has no test records to evaluate")
-    flags, idm, scores = _score(model, stats, train_feats, train_logits, test,
-                                scorers)
-    ids = test.ids.tolist()
-    norms = {}
-    for variant, raw in scores.items():
-        # an overflowing min-max range warns; the check below names it
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms[variant] = normalize_scores(raw)
-        for kind, values in (("raw", raw), ("normalised", norms[variant])):
-            bad = ~np.isfinite(values)
-            if bad.any():
-                i = int(bad.argmax())
-                raise NumericalError(
-                    f"cli: scorer {variant!r} gives record {ids[i]!r} the "
-                    f"non-finite {kind} score {float(values[i])!r}")
-    report = EvalReport(id_metrics=idm, ood_metrics={
-        variant: ood_metrics(raw, flags) for variant, raw in scores.items()})
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # json.dumps(row, sort_keys=True) for finite scores, one f-string a row
-    heads = [f'{{"id": {encode_basestring_ascii(rec_id)}, "is_id": '
-             f'{"true" if flag else "false"}, "norm": '
-             for rec_id, flag in zip(ids, flags.tolist())]
-    for variant, raw in scores.items():
-        with open(out_dir / f"scores_{variant}.jsonl", "w",
-                  encoding="utf-8") as fh:
-            fh.writelines([f'{head}{norm!r}, "raw": {value!r}}}\n'
-                           for head, value, norm in zip(
-                               heads, raw.tolist(), norms[variant].tolist())])
-
-    _write_json(out_dir / "eval_report.json", asdict(report))
-    _write_csv(out_dir / "metrics.csv", ["scorer", *OOD_METRICS], [
-        [v, *astuple(m)] for v, m in sorted(report.ood_metrics.items())])
+        report = EvalReport(id_metrics=idm, ood_metrics={
+            variant: ood_metrics(raw, flags) for variant, raw in scores.items()})
+        _write_json(stage / "eval_report.json", asdict(report))
+        _write_csv(stage / "metrics.csv", ["scorer", *OOD_METRICS], [
+            [v, *astuple(m)] for v, m in sorted(report.ood_metrics.items())])
     return report
 
 
@@ -241,41 +263,41 @@ def run_ablation(corpus: Corpus, cfg: RunConfig, variants: list[str],
             "variant")
 
     rows = []
-    for variant, seed, train_cfg in grid:
-        row = {"variant": variant, "seed": seed}
-        row.update(_test_row(train(corpus, train_cfg, cfg.oodgen), corpus))
-        rows.append(row)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _staged(out_dir) as stage:
+        for variant, seed, train_cfg in grid:
+            row = {"variant": variant, "seed": seed}
+            row.update(_test_row(train(corpus, train_cfg, cfg.oodgen), corpus))
+            rows.append(row)
 
-    metric_keys = [k for k in ABLATION_METRICS if all(k in r for r in rows)]
-    _write_csv(out_dir / "ablation.csv", ["variant", "seed"] + metric_keys, [
-        [r["variant"], r["seed"]] + [r[k] for k in metric_keys] for r in rows
-    ])
+        metric_keys = [k for k in ABLATION_METRICS if all(k in r for r in rows)]
+        _write_csv(stage / "ablation.csv", ["variant", "seed"] + metric_keys, [
+            [r["variant"], r["seed"]] + [r[k] for k in metric_keys] for r in rows
+        ])
 
-    aggregate: dict[str, dict[str, dict[str, float]]] = {}
-    for variant in variants:
-        runs = [r for r in rows if r["variant"] == variant]
-        aggregate[variant] = {key: {"mean": mean, "std": std} for key, (mean, std)
-                              in _mean_std(runs, metric_keys).items()}
-    _write_csv(out_dir / "aggregate.csv", ["variant", "metric", "mean", "std"], [
-        [variant, key, ms["mean"], ms["std"]]
-        for variant, per_key in aggregate.items() for key, ms in per_key.items()
-    ])
+        aggregate: dict[str, dict[str, dict[str, float]]] = {}
+        for variant in variants:
+            runs = [r for r in rows if r["variant"] == variant]
+            aggregate[variant] = {key: {"mean": mean, "std": std}
+                                  for key, (mean, std)
+                                  in _mean_std(runs, metric_keys).items()}
+        _write_csv(stage / "aggregate.csv", ["variant", "metric", "mean", "std"],
+                   [[variant, key, ms["mean"], ms["std"]]
+                    for variant, per_key in aggregate.items()
+                    for key, ms in per_key.items()])
 
-    auroc = {variant: per_key["auroc"]["mean"]
-             for variant, per_key in aggregate.items() if "auroc" in per_key}
-    checks = {label: bool(auroc["Full"] >= auroc[other])
-              for label, other in (("weighted_ge_add", "Fusion (Add)"),
-                                   ("weighted_ge_concat", "Fusion (Concat)"),
-                                   ("full_ge_no_binary", "w / o Binary"))
-              if "Full" in auroc and other in auroc}
-    summary = {
-        "aggregate": aggregate,
-        "ordering_checks": checks,
-        "ordering_ok": all(checks.values()) if checks else None,
-    }
-    _write_json(out_dir / "ablation_summary.json", summary)
+        auroc = {variant: per_key["auroc"]["mean"]
+                 for variant, per_key in aggregate.items() if "auroc" in per_key}
+        checks = {label: bool(auroc["Full"] >= auroc[other])
+                  for label, other in (("weighted_ge_add", "Fusion (Add)"),
+                                       ("weighted_ge_concat", "Fusion (Concat)"),
+                                       ("full_ge_no_binary", "w / o Binary"))
+                  if "Full" in auroc and other in auroc}
+        summary = {
+            "aggregate": aggregate,
+            "ordering_checks": checks,
+            "ordering_ok": all(checks.values()) if checks else None,
+        }
+        _write_json(stage / "ablation_summary.json", summary)
     return {"rows": rows, "aggregate": aggregate, "checks": checks}
 
 
@@ -283,7 +305,6 @@ def run_ablation(corpus: Corpus, cfg: RunConfig, variants: list[str],
 
 SCORE_KEYS = ("id", "is_id", "raw", "norm")
 SCORE_TYPES = (str, bool, float, float)
-_CSV_SPECIAL = re.compile('[,"\n\r]').search
 
 
 def _finite_float(value) -> float:
@@ -301,6 +322,7 @@ def _score_row(row) -> tuple:
     if not all(map(math.isfinite, values[2:])):
         raise ValueError(f"(raw, norm) = {values[2:]!r}; expected two "
                          "finite floats")
+    values[0].encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
     return values
 
 
@@ -317,6 +339,7 @@ def _read_scores(path: Path) -> list[list]:
             if all(set(map(type, column)) <= {kind}
                    for column, kind in zip(columns, SCORE_TYPES)) and \
                     all(map(math.isfinite, chain(*columns[2:]))):
+                "".join(columns[0]).encode("utf-8")
                 return columns
         except (KeyError, TypeError, ValueError):
             pass
@@ -331,53 +354,42 @@ def _read_scores(path: Path) -> list[list]:
     return list(map(list, zip(*checked)))
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as one CSV field: quoted as ``csv.writer`` quotes it, and
-    also when it holds a carriage return."""
-    if _CSV_SPECIAL(text):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def run_report(eval_dir, out_dir=None) -> Path:
     """Re-shape an eval directory into plot-ready CSV tables."""
     eval_dir = Path(eval_dir)
-    report_path = eval_dir / "eval_report.json"
-    if not report_path.exists():
-        raise ParameterError(f"cli: {report_path} not found; run eval first")
-    try:
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-        per_class = list(map(_finite_float,
-                             report["id_metrics"]["per_class_acc"]))
-        id_rows = [[k, _finite_float(v)]
-                   for k, v in sorted(report["id_metrics"].items())
-                   if k not in ("per_class_acc", "confusion")]
-        scorers = sorted(report["ood_metrics"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"cli: {report_path}: malformed eval report "
-                          f"({type(exc).__name__}: {exc})") from exc
-
-    columns = {}
-    for scorer in scorers:
-        scores_path = eval_dir / f"scores_{scorer}.jsonl"
-        if not scores_path.exists():
-            raise ParameterError(f"cli: {scores_path} not found; the eval "
-                                 f"report lists scorer {scorer!r}")
-        columns[scorer] = _read_scores(scores_path)
-
     out_dir = Path(out_dir) if out_dir is not None else eval_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "per_class_acc.csv", ["class", "accuracy"],
-               [[i, v] for i, v in enumerate(per_class)])
-    with open(out_dir / "scores_long.csv", "w", encoding="utf-8",
-              newline="") as fh:
-        fh.write("scorer,sample_id,is_id,raw,normalized\n")
-        for scorer, (ids, is_id, raw, norm) in columns.items():
-            name = _csv_field(scorer)
-            fh.writelines([
-                f"{name},{_csv_field(rec_id)},{flag:d},{r!r},{n!r}\n"
-                for rec_id, flag, r, n in zip(ids, is_id, raw, norm)])
-    _write_csv(out_dir / "id_metrics.csv", ["metric", "value"], id_rows)
+    with _staged(out_dir) as stage:
+        report_path = eval_dir / "eval_report.json"
+        if not report_path.exists():
+            raise ParameterError(f"cli: {report_path} not found; run eval first")
+        try:
+            report = json.loads(report_path.read_text(encoding="utf-8"))
+            per_class = list(map(_finite_float,
+                                 report["id_metrics"]["per_class_acc"]))
+            id_rows = [[k, _finite_float(v)]
+                       for k, v in sorted(report["id_metrics"].items())
+                       if k not in ("per_class_acc", "confusion")]
+            scorers = sorted(report["ood_metrics"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"cli: {report_path}: malformed eval report "
+                              f"({type(exc).__name__}: {exc})") from exc
+
+        _write_csv(stage / "per_class_acc.csv", ["class", "accuracy"],
+                   [[i, v] for i, v in enumerate(per_class)])
+        with open(stage / "scores_long.csv", "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write("scorer,sample_id,is_id,raw,normalized\n")
+            for scorer in scorers:
+                scores_path = eval_dir / f"scores_{scorer}.jsonl"
+                if not scores_path.exists():
+                    raise ParameterError(f"cli: {scores_path} not found; the "
+                                         f"eval report lists scorer {scorer!r}")
+                ids, is_id, raw, norm = _read_scores(scores_path)
+                name = _csv_field(scorer)
+                fh.writelines([
+                    f"{name},{_csv_field(rec_id)},{flag:d},{r!r},{n!r}\n"
+                    for rec_id, flag, r, n in zip(ids, is_id, raw, norm)])
+        _write_csv(stage / "id_metrics.csv", ["metric", "value"], id_rows)
     return out_dir
 
 

@@ -114,6 +114,12 @@ def _validate(corpus: Corpus) -> None:
             f"label {label!r}; splits are {SPLITS}, labels 0..{k - 1}, and "
             f"{OOD_SENTINEL} records (OOD) may only appear in the test split"
         )
+    try:  # JSON escapes a lone surrogate, but no UTF-8 file can hold it
+        "".join(ids.tolist()).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        i = np.searchsorted(np.cumsum(np.char.str_len(ids)), exc.start, "right")
+        raise FormatError(f"corpus: record {str(ids[i])!r} has an id that is "
+                          f"not valid UTF-8 ({exc.reason})") from exc
     for m in MODALITIES:
         seqs, expected = corpus.seqs[m], (len(ids), *corpus.meta.shapes[m])
         if seqs.shape != expected:

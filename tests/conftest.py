@@ -8,6 +8,15 @@ from mmood.oodgen import OodGenConfig
 from mmood.train import TrainConfig, train
 
 
+@pytest.fixture(autouse=True)
+def no_scratch_left(tmp_path):
+    """Fail a test that leaves a command's ``*.partial-*`` scratch directory
+    anywhere under its ``tmp_path``: a finished command, failed or not,
+    deletes it."""
+    yield
+    assert sorted(tmp_path.rglob("*.partial-*")) == []
+
+
 @pytest.fixture(scope="session")
 def separable_pipeline():
     """The canonical separable corpus (K=3, sigma=0.3, r=5) trained once.

@@ -17,7 +17,7 @@ from mmood.checkpoint import load_checkpoint
 from mmood.cli import main, run_ablation, run_eval, run_synth, run_training
 from mmood.config import load_config
 from mmood.corpus import load_corpus, save_corpus
-from mmood.errors import ParameterError, PipelineError
+from mmood.errors import NumericalError, ParameterError, PipelineError
 from mmood.model import FusionModel
 from mmood.scoring import SCORERS, apply_scorer, fit_scorer, normalize_scores
 from mmood.train import train
@@ -1122,6 +1122,19 @@ class TestCsvQuoting:
         assert all(len(row) == 5 for row in rows)
         assert [row[1] for row in rows].count(self.AWKWARD) == 1
 
+    def test_tables_quote_as_csv_writer_and_carriage_returns(self, tmp_path):
+        rows = [["a,b", 3, 0.1], ['q"q', -2, 1e-300], ["", 0, 2.0 ** 60],
+                [self.AWKWARD, 1, -0.0]]
+        mmood.cli._write_csv(tmp_path / "t.csv", ["x", "y", "z"], rows)
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(
+            [["x", "y", "z"], *rows])
+        assert (tmp_path / "t.csv").read_bytes() == \
+            expected.getvalue().encode("utf-8")
+        mmood.cli._write_csv(tmp_path / "r.csv", ["x"], [["a\rb"], ["c"]])
+        with open(tmp_path / "r.csv", encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh)) == [["x"], ["a\rb"], ["c"]]
+
 
 class TestReportScoreTypes:
     @pytest.mark.parametrize("field, value", [
@@ -1220,15 +1233,21 @@ def _score_rows(ids):
              "raw": 1.5 - k} for k, rec_id in enumerate(ids)]
 
 
-def _eval_dir(path, rows, id_metrics=ID_METRICS):
-    """A hand-written eval directory with one scorer, msp, whose score file
-    holds ``rows`` as ``json.dumps`` writes them."""
+def _eval_dir(path, rows, id_metrics=ID_METRICS, scorers=("msp",)):
+    """A hand-written eval directory whose scorers (default: msp) each have
+    a score file holding ``rows`` as ``json.dumps`` writes them."""
     path.mkdir()
     (path / "eval_report.json").write_text(json.dumps(
-        {"id_metrics": id_metrics, "ood_metrics": {"msp": {}}}))
-    (path / "scores_msp.jsonl").write_text("".join(
-        json.dumps(row, sort_keys=True) + "\n" for row in rows))
+        {"id_metrics": id_metrics,
+         "ood_metrics": {scorer: {} for scorer in scorers}}))
+    for scorer in scorers:
+        _write_score_rows(path / f"scores_{scorer}.jsonl", rows)
     return path
+
+
+def _write_score_rows(path, rows):
+    path.write_text("".join(json.dumps(row, sort_keys=True) + "\n"
+                            for row in rows))
 
 
 class TestNonFiniteScores:
@@ -1338,3 +1357,128 @@ class TestScoreIoBytes:
             rows = list(csv.reader(fh))
         assert [row[1] for row in rows[1:]] == ids
         assert all(len(row) == 5 for row in rows)
+
+
+def _tree(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestStagedOutputs:
+    """A command stages its files in a scratch directory and moves them
+    under --out only when it succeeds."""
+
+    @pytest.mark.parametrize("out", ["run", "a/b/c"])
+    def test_failed_second_seed_leaves_nothing(self, micro, capsys,
+                                               monkeypatch, out):
+        calls = []
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NumericalError("train: diverged")
+            return train(*args)
+
+        monkeypatch.setattr(mmood.cli, "train", second_fails)
+        capsys.readouterr()
+        assert main(["train", "--config", str(micro["cfg"]), "--corpus",
+                     str(micro["corpus"]), "--out", str(micro["tmp"] / out),
+                     "--seed", "0,1"]) == 1
+        assert capsys.readouterr().err == "error: train: diverged\n"
+        assert len(calls) == 2
+        assert not (micro["tmp"] / out.split("/")[0]).exists()
+        assert sorted(micro["tmp"].rglob("*.partial-*")) == []
+
+    def test_failed_report_leaves_eval_dir_unchanged(self, tmp_path, capsys):
+        rows = _score_rows(["a", "b", "c"])
+        evaled = _eval_dir(tmp_path / "eval", rows, scorers=("energy", "msp"))
+        assert main(["report", str(evaled)]) == 0
+        assert "scores_long.csv" in _tree(evaled)
+        rows[1]["id"] = "b\ud800"  # the last scorer's file fails
+        _write_score_rows(evaled / "scores_msp.jsonl", rows)
+        before = _tree(evaled)
+        capsys.readouterr()
+        assert main(["report", str(evaled)]) == 1
+        assert re.match(r"error: cli: .*scores_msp\.jsonl line 2: malformed "
+                        r"score row \(UnicodeEncodeError: ",
+                        capsys.readouterr().err)
+        assert _tree(evaled) == before
+
+    def test_interrupted_eval_leaves_nothing(self, micro, monkeypatch):
+        run = _train_cli(micro, micro["tmp"] / "run")
+
+        def interrupt(path, payload):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(mmood.cli, "_write_json", interrupt)
+        out = micro["tmp"] / "e"
+        with pytest.raises(KeyboardInterrupt):
+            _eval_cli(micro, run, out)
+        assert not out.exists()
+        assert sorted(micro["tmp"].rglob("*.partial-*")) == []
+
+    def test_train_into_existing_dir_replaces_and_keeps(self, micro):
+        fresh = _train_cli(micro, micro["tmp"] / "fresh")
+        out = micro["tmp"] / "run"
+        (out / "seed_7").mkdir(parents=True)
+        (out / "results.csv").write_text("stale\n")
+        (out / "notes.txt").write_text("kept\n")
+        (out / "seed_7" / "notes.txt").write_text("kept too\n")
+        _train_cli(micro, out)
+        got, want = _tree(out), _tree(fresh)
+        assert set(got) == set(want) | {"notes.txt", "seed_7/notes.txt"}
+        assert got["notes.txt"] == b"kept\n"
+        assert got["seed_7/notes.txt"] == b"kept too\n"
+        for name in set(want) - {"train_log.jsonl"}:
+            assert got[name] == want[name], name
+
+
+class TestOutIsAFile:
+    @pytest.mark.parametrize("nested", [False, True])
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "ablate",
+                                         "report"])
+    def test_exits_1_before_any_work(self, micro, capsys, monkeypatch,
+                                     command, nested):
+        def no_training(*args):
+            raise AssertionError("trained before checking --out")
+
+        monkeypatch.setattr(mmood.cli, "train", no_training)
+        afile, missing = micro["tmp"] / "afile", str(micro["tmp"] / "none")
+        afile.write_text("kept\n")
+        cfg, corpus = str(micro["cfg"]), str(micro["corpus"])
+        argv = {"synth": ["synth", "--config", cfg],
+                "train": ["train", "--config", cfg, "--corpus", corpus],
+                "eval": ["eval", "--config", cfg, "--corpus", corpus,
+                         "--checkpoint", missing],
+                "ablate": ["ablate", "--config", cfg, "--corpus", corpus],
+                "report": ["report", missing]}[command]
+        out = afile / "sub" if nested else afile
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: cli: output {afile} is not a directory\n"
+        assert afile.read_text() == "kept\n"
+
+
+class TestLoneSurrogateId:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_corpus_exits_1(self, micro, capsys, command):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        manifest = micro["corpus"] / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        entry = json.loads(lines[-1])  # a test record
+        entry["id"] = "ood\ud800"
+        lines[-1] = json.dumps(entry, sort_keys=True)
+        manifest.write_text("\n".join(lines) + "\n")
+        out = micro["tmp"] / "out"
+        argv = ["--config", str(micro["cfg"]), "--corpus",
+                str(micro["corpus"]), "--out", str(out)]
+        argv = ["train", *argv] if command == "train" \
+            else ["eval", *argv, "--checkpoint", str(run)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: corpus: record 'ood\\ud800' has an id that is not valid "
+            "UTF-8 (surrogates not allowed)\n")
+        assert not out.exists()

@@ -2,7 +2,8 @@
 
 An INI with one to three keys of one section set to an edge value must
 either run, or exit 1 with one ``error: <module>: ...`` line, no traceback
-and no ``--out`` directory. ``[model]``, ``[train]`` and ``[oodgen]`` run
+and no ``--out`` directory. Either way no ``*.partial-*`` scratch directory
+is left next to ``--out``. ``[model]``, ``[train]`` and ``[oodgen]`` run
 ``mmood train`` on the micro corpus; ``[corpus]`` runs ``mmood synth``.
 """
 
@@ -70,6 +71,7 @@ def _runs_or_fails_cleanly(section, items, corpus) -> None:
         else:
             assert re.fullmatch(r"error: [a-z]+: [^\n]+\n", err), (items, err)
             assert not out.exists(), (items, err)
+        assert list(Path(tmp).rglob("*.partial-*")) == [], (items, err)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,17 @@ class TestRoundTrip:
         with pytest.raises(FormatError, match=f"{corpus.ids[2]}.*modality V"):
             save_corpus(corpus, tmp_path / "bad")
 
+    @pytest.mark.parametrize("row", [0, 2, -1])
+    def test_lone_surrogate_id_rejected_on_save(self, tmp_path, row):
+        corpus = synth_corpus(tiny_cfg(), make_rng(6))
+        ids = corpus.ids.tolist()
+        ids[1], ids[row] = "", "x\udc80"  # an empty id shifts no position
+        corpus.ids = np.array(ids, dtype=str)
+        with pytest.raises(FormatError, match=re.escape(
+                "corpus: record 'x\\udc80' has an id that is not valid UTF-8")):
+            save_corpus(corpus, tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
+
 
 class TestLoadErrors:
     def _saved(self, tmp_path):
@@ -198,6 +210,18 @@ class TestLoadErrors:
         lines[2] = json.dumps(second, sort_keys=True)
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="line 2: record 'train-00000'.*offset"):
+            load_corpus(manifest)
+
+    def test_lone_surrogate_id_rejected(self, tmp_path):
+        manifest, _ = self._saved(tmp_path)
+        lines = manifest.read_text().splitlines()
+        entry = json.loads(lines[3])
+        entry["id"] = "a\ud800"
+        lines[3] = json.dumps(entry, sort_keys=True)
+        assert '"a\\ud800"' in lines[3]
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=re.escape(
+                "record 'a\\ud800' has an id that is not valid UTF-8")):
             load_corpus(manifest)
 
     def test_ood_in_train_rejected(self, tmp_path):
