@@ -2,7 +2,9 @@
 """End-to-end run on the canonical separable corpus.
 
 Generates the corpus, trains with the default two-stage schedule, evaluates
-every scorer, and emits the plot-ready tables, all under --out.
+every scorer, and emits the plot-ready tables, all under --out, with the
+config of scripts/canonical.ini. Every file comes from an mmood command, so
+a failed step leaves nothing of its own behind.
 """
 
 import argparse
@@ -12,19 +14,7 @@ from pathlib import Path
 from mmood.cli import main as cli
 
 
-PIPELINE_INI = """\
-[model]
-fusion_hidden = 32
-
-[train]
-batch_size = 32
-stage1_epochs = 5
-stage2_epochs = 25
-learning_rate = 0.002
-
-[eval]
-scorer = all
-"""
+CANONICAL_INI = Path(__file__).with_name("canonical.ini")
 
 
 def main() -> int:
@@ -33,11 +23,7 @@ def main() -> int:
     parser.add_argument("--seed", default="0")
     args = parser.parse_args()
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = out / "run.ini"
-    cfg.write_text(PIPELINE_INI)
-
+    out, cfg = Path(args.out), CANONICAL_INI
     steps = [
         ["synth", "--config", str(cfg), "--out", str(out / "corpus"),
          "--seed", args.seed],

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Compare the six OOD scoring functions on one trained checkpoint.
 
-Trains once on the canonical separable corpus (or reuses --checkpoint),
-then evaluates mahalanobis/energy/msp/maxlogit/residual/vim on the same
-test split and prints the AUROC table.
+Trains once on the canonical separable corpus with scripts/canonical.ini
+(or reuses --checkpoint and its --corpus), then evaluates
+mahalanobis/energy/msp/maxlogit/residual/vim on the same test split and
+prints the AUROC table. Every file comes from an mmood command.
 """
 
 import argparse
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 from mmood.cli import main as cli
+
+CANONICAL_INI = Path(__file__).with_name("canonical.ini")
 
 
 def main() -> int:
@@ -24,27 +27,22 @@ def main() -> int:
     args = parser.parse_args()
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     checkpoint, corpus = args.checkpoint, args.corpus
+    if checkpoint is not None and corpus is None:
+        print("error: --checkpoint needs --corpus", file=sys.stderr)
+        return 1
     if checkpoint is None:
-        cfg = out / "run.ini"
-        cfg.write_text("[model]\nfusion_hidden = 32\n\n[train]\n"
-                       "stage1_epochs = 5\nstage2_epochs = 25\n"
-                       "learning_rate = 0.002\n")
         corpus = str(out / "corpus")
         checkpoint = str(out / "run")
         for step in (
-            ["synth", "--config", str(cfg), "--out", corpus, "--seed",
-             args.seed],
-            ["train", "--config", str(cfg), "--corpus", corpus, "--out",
-             checkpoint, "--seed", args.seed],
+            ["synth", "--config", str(CANONICAL_INI), "--out", corpus,
+             "--seed", args.seed],
+            ["train", "--config", str(CANONICAL_INI), "--corpus", corpus,
+             "--out", checkpoint, "--seed", args.seed],
         ):
             code = cli(step)
             if code != 0:
                 return code
-    elif corpus is None:
-        print("error: --checkpoint needs --corpus", file=sys.stderr)
-        return 1
 
     code = cli(["eval", "--checkpoint", checkpoint, "--corpus", corpus,
                 "--out", str(out / "eval"), "--scorer", "all"])

@@ -303,8 +303,10 @@ def run_ablation(corpus: Corpus, cfg: RunConfig, variants: list[str],
 
 # -- report -----------------------------------------------------------------
 
-SCORE_KEYS = ("id", "is_id", "raw", "norm")
-SCORE_TYPES = (str, bool, float, float)
+_NUMBER = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+_SCORE_ROW = re.compile(r'^\{"id": "([ !#-\[\]-~]*(?:\\.[ !#-\[\]-~]*)*)", '
+                        r'"is_id": (true|false), "norm": %s, "raw": %s\}$'
+                        % (_NUMBER, _NUMBER), re.M)
 
 
 def _finite_float(value) -> float:
@@ -315,8 +317,8 @@ def _finite_float(value) -> float:
 
 def _score_row(row) -> tuple:
     """One score row's checked ``(id, is_id, raw, norm)``."""
-    values = tuple(row[key] for key in SCORE_KEYS)
-    if tuple(map(type, values)) != SCORE_TYPES:
+    values = (row["id"], row["is_id"], row["raw"], row["norm"])
+    if tuple(map(type, values)) != (str, bool, float, float):
         raise TypeError(f"(id, is_id, raw, norm) = {values!r}; "
                         "expected a string, a bool and two floats")
     if not all(map(math.isfinite, values[2:])):
@@ -326,32 +328,34 @@ def _score_row(row) -> tuple:
     return values
 
 
-def _read_scores(path: Path) -> list[list]:
-    """The id, is_id, raw and norm columns of a score file, checked a column
-    at a time; a file that fails is walked row by row to name its first bad
-    line."""
+def _read_scores(path: Path, name: str) -> list[str]:
+    """The ``scores_long.csv`` lines, led by ``name``, of a score file. One
+    in eval's row layout (ASCII ids, JSON floats) passes its number text
+    through; any other is walked row by row, which names a bad line."""
     lineno = 0
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        text = path.read_text(encoding="utf-8")
+        lines, rows = text.splitlines(), _SCORE_ROW.findall(text)
         try:
-            rows = list(map(loads_line, lines))
-            columns = [[row[key] for row in rows] for key in SCORE_KEYS]
-            if all(set(map(type, column)) <= {kind}
-                   for column, kind in zip(columns, SCORE_TYPES)) and \
-                    all(map(math.isfinite, chain(*columns[2:]))):
-                "".join(columns[0]).encode("utf-8")
-                return columns
-        except (KeyError, TypeError, ValueError):
+            ids, flags, norms, raws = zip(*rows)
+            ids = [json.loads(f'"{i}"') if "\\" in i else i for i in ids]
+            "".join(ids).encode("utf-8")
+            if len(rows) == len(lines) and all(map(math.isfinite,
+                                                   map(float, norms + raws))):
+                return [f"{name},{_csv_field(i)},{int(f == 'true')},{r},{n}\n"
+                        for i, f, r, n in zip(ids, flags, raws, norms)]
+        except ValueError:  # also an empty file, which the walk returns
             pass
-        checked = []
+        out = []
         for lineno, line in enumerate(lines, start=1):
-            checked.append(_score_row(loads_line(line)))
+            i, flag, r, n = _score_row(loads_line(line))
+            out.append(f"{name},{_csv_field(i)},{flag:d},{r!r},{n!r}\n")
     except (KeyError, TypeError, ValueError) as exc:
         where = f" line {lineno}: malformed score row" if lineno \
             else ": unreadable score file"
         raise FormatError(f"cli: {path}{where} "
                           f"({type(exc).__name__}: {exc})") from exc
-    return list(map(list, zip(*checked)))
+    return out
 
 
 def run_report(eval_dir, out_dir=None) -> Path:
@@ -384,11 +388,7 @@ def run_report(eval_dir, out_dir=None) -> Path:
                 if not scores_path.exists():
                     raise ParameterError(f"cli: {scores_path} not found; the "
                                          f"eval report lists scorer {scorer!r}")
-                ids, is_id, raw, norm = _read_scores(scores_path)
-                name = _csv_field(scorer)
-                fh.writelines([
-                    f"{name},{_csv_field(rec_id)},{flag:d},{r!r},{n!r}\n"
-                    for rec_id, flag, r, n in zip(ids, is_id, raw, norm)])
+                fh.writelines(_read_scores(scores_path, _csv_field(scorer)))
         _write_csv(stage / "id_metrics.csv", ["metric", "value"], id_rows)
     return out_dir
 

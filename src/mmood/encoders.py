@@ -74,8 +74,9 @@ class ModalityEncoder:
         y, proj_cache = self.out_proj.forward(pooled)
         return y, ("pool", block_cache, out.shape, proj_cache)
 
-    def backward_batch(self, g: Array, cache) -> Array:
-        """Accumulates parameter gradients; returns the input gradient."""
+    def backward_batch(self, g: Array, cache) -> None:
+        """Accumulates the parameter gradients. The encoder reads data, so
+        no input gradient is built beyond row 0's, the class token's."""
         kind = cache[0]
         if kind == "cls":
             _, block_cache, shape = cache
@@ -83,11 +84,11 @@ class ModalityEncoder:
             g_block[:, 0, :] = g
             gx = self.block.backward(g_block, block_cache)
             self.class_token.grad += gx[:, 0, :].sum(axis=0)
-            return gx[:, 1:, :]
+            return
         _, block_cache, shape, proj_cache = cache
         g_pooled = self.out_proj.backward(g, proj_cache)
         g_block = np.repeat(g_pooled[:, None, :], shape[1], axis=1) / shape[1]
-        return self.block.backward(g_block, block_cache)
+        self.block.backward(g_block, block_cache, input_grad=False)
 
     def params(self) -> list[Param]:
         out = self.block.params()

@@ -76,14 +76,15 @@ class Affine:
             y = y + self.b.value
         return y, x
 
-    def backward(self, g: Array, cache: Array) -> Array:
+    def backward(self, g: Array, cache: Array,
+                 input_grad: bool = True) -> Array | None:
         x = cache
         x2 = x.reshape(-1, self.d_in)
         g2 = g.reshape(-1, self.d_out)
         self.W.grad += x2.T @ g2
         if self.b is not None:
             self.b.grad += g2.sum(axis=0)
-        return g @ self.W.value.T
+        return g @ self.W.value.T if input_grad else None
 
     def params(self) -> list[Param]:
         return [self.W] + ([self.b] if self.b is not None else [])
@@ -148,16 +149,20 @@ class SelfAttention:
         y, co = self.proj_o.forward(ctx)
         return y, (cq, ck, cv, co, q, k, v, attn)
 
-    def backward(self, g: Array, cache) -> Array:
+    def backward(self, g: Array, cache, input_grad: bool = True) -> Array | None:
+        """With ``input_grad`` off, only the parameter gradients."""
         cq, ck, cv, co, q, k, v, attn = cache
         g_ctx = self._split(self.proj_o.backward(g, co))
         gv = attn.swapaxes(-1, -2) @ g_ctx
         g_scores = softmax_backward(g_ctx @ v.swapaxes(-1, -2), attn)
         gq = g_scores @ k * self.scale
         gk = g_scores.swapaxes(-1, -2) @ q * self.scale
-        gx = self.proj_q.backward(self._merge(gq), cq)
-        gx += self.proj_k.backward(self._merge(gk), ck)
-        gx += self.proj_v.backward(self._merge(gv), cv)
+        gx = self.proj_q.backward(self._merge(gq), cq, input_grad)
+        gx_k = self.proj_k.backward(self._merge(gk), ck, input_grad)
+        gx_v = self.proj_v.backward(self._merge(gv), cv, input_grad)
+        if input_grad:
+            gx += gx_k
+            gx += gx_v
         return gx
 
     def params(self) -> list[Param]:
@@ -218,10 +223,12 @@ class TransformerBlock:
         f, cf = self.ffn.forward(h)
         return h + f, (ca, cf)
 
-    def backward(self, g: Array, cache) -> Array:
+    def backward(self, g: Array, cache, input_grad: bool = True) -> Array | None:
+        """With ``input_grad`` off, only the parameter gradients."""
         ca, cf = cache
         gh = g + self.ffn.backward(g, cf)
-        return gh + self.attn.backward(gh, ca)
+        ga = self.attn.backward(gh, ca, input_grad)
+        return gh + ga if input_grad else None
 
     def params(self) -> list[Param]:
         return self.attn.params() + self.ffn.params()

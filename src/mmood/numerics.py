@@ -64,10 +64,35 @@ def dirichlet_sample(alpha: float, k, rng: np.random.Generator) -> Array:
 
 
 def softmax(v) -> Array:
-    """Shift-invariant softmax over the last axis."""
+    """Shift-invariant softmax over the last axis.
+
+    Numpy pays per row to reduce a short last axis. So at least 384 rows of
+    2 to 32 go key-axis first, one whole-array step per key, and are summed
+    in ``np.add.reduce``'s own order: row after row below 8 terms, else 8
+    accumulators added pairwise and then the tail. The result, a transposed
+    view, has numpy's bits; longer rows pay more to transpose than they save.
+    """
     x = np.asarray(v, dtype=np.float64)
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    n = x.shape[-1] if x.ndim else 0
+    if not 2 <= n <= 32 or x.size < 384 * n:
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+    t = np.moveaxis(x, -1, 0).copy()
+    t -= t.max(axis=0)
+    np.exp(t, out=t)
+    if n < 8:
+        total = t.sum(axis=0)
+    else:
+        stop = n - n % 8
+        acc = t[:8]
+        for i in range(8, stop, 8):
+            acc = acc + t[i:i + 8]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + \
+            ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for row in t[stop:]:
+            total += row
+    t /= total
+    return np.moveaxis(t, 0, -1)
 
 
 def softmax_backward(g, p) -> Array:

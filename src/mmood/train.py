@@ -75,18 +75,28 @@ class AdamW:
         self.t = 0
         self.m = np.zeros_like(self.values)
         self.v = np.zeros_like(self.values)
+        self._buf = np.empty((2,) + self.values.shape)
 
     def step(self) -> None:
+        """``values -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd values)``
+        in that operation order, into ``m``, ``v`` and two buffers."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         m, v, g = self.m, self.v, self.grads
+        a, b = self._buf
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += np.multiply(g, 1.0 - self.beta1, out=a)
         v *= self.beta2
-        v += (1.0 - self.beta2) * g ** 2
-        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-        self.values -= self.lr * (update + self.wd * self.values)
+        np.multiply(g, g, out=a)
+        v += np.multiply(a, 1.0 - self.beta2, out=a)
+        np.divide(m, bc1, out=a)
+        np.sqrt(np.divide(v, bc2, out=b), out=b)
+        b += self.eps
+        a /= b
+        a += np.multiply(self.values, self.wd, out=b)
+        a *= self.lr
+        self.values -= a
 
     def zero_grad(self) -> None:
         self.grads[...] = 0.0

@@ -11,7 +11,8 @@ were before one scoring core and one JSON-lines writer served every
 command, to pin those. The softmax, softmax backward, unit-norm and
 log-sum-exp copies that attention, fusion, the cosine head, the
 contrastive loss and the scorers each wrote out are kept as they were
-before ``numerics`` held the one copy of each.
+before ``numerics`` held the one copy of each. The AdamW step is kept as it
+was before it wrote into preallocated buffers.
 """
 
 import dataclasses
@@ -169,6 +170,31 @@ def adamw_loop_oracle(values, grads_per_step, lr, weight_decay,
             update = (m / bc1) / (np.sqrt(v / bc2) + eps)
             value -= lr * (update + weight_decay * value)
     return values
+
+
+class AdamWStepOracle:
+    """The former ``AdamW.step`` over one slice: the same formula, with a
+    temporary for each operation."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, values, grads, lr, weight_decay):
+        self.values, self.grads = values, grads
+        self.lr, self.wd, self.t = lr, weight_decay, 0
+        self.m = np.zeros_like(values)
+        self.v = np.zeros_like(values)
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        m, v, g = self.m, self.v, self.grads
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g ** 2
+        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.values -= self.lr * (update + self.wd * self.values)
 
 
 def coarse_step_oracle(model, batch, rng):

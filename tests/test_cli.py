@@ -14,10 +14,12 @@ import pytest
 
 import mmood.cli
 from mmood.checkpoint import load_checkpoint
-from mmood.cli import main, run_ablation, run_eval, run_synth, run_training
+from mmood.cli import (main, run_ablation, run_eval, run_report, run_synth,
+                       run_training)
 from mmood.config import load_config
 from mmood.corpus import load_corpus, save_corpus
-from mmood.errors import NumericalError, ParameterError, PipelineError
+from mmood.errors import (FormatError, NumericalError, ParameterError,
+                          PipelineError)
 from mmood.model import FusionModel
 from mmood.scoring import SCORERS, apply_scorer, fit_scorer, normalize_scores
 from mmood.train import train
@@ -1482,3 +1484,84 @@ class TestLoneSurrogateId:
             "error: corpus: record 'ood\\ud800' has an id that is not valid "
             "UTF-8 (surrogates not allowed)\n")
         assert not out.exists()
+
+
+class TestReportFastPath:
+    """``mmood report`` reads a score file whose every line is in eval's row
+    layout in one regex pass and passes its number text through; any other
+    file goes to the row walk, which checks each row and names a bad one."""
+
+    @staticmethod
+    def _fast(evaled, out, monkeypatch):
+        """``scores_long.csv`` with the row walk disabled."""
+        def no_walk(line):
+            raise AssertionError(f"row walk reached: {line!r}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mmood.cli, "loads_line", no_walk)
+            return (run_report(evaled, out) / "scores_long.csv").read_bytes()
+
+    @staticmethod
+    def _walked(evaled, out, monkeypatch):
+        """``scores_long.csv`` with every file sent to the row walk."""
+        with monkeypatch.context() as patch:
+            patch.setattr(mmood.cli, "_SCORE_ROW", re.compile("(?!)"))
+            return (run_report(evaled, out) / "scores_long.csv").read_bytes()
+
+    def test_escaped_ids_match_row_walk(self, tmp_path, monkeypatch):
+        ids = ["back\\slash", 'q"uote', "\u00e9t\u00e9", "a,b", "tab\t",
+               "ls\u2028", "plain"]
+        evaled = _eval_dir(tmp_path / "eval", _score_rows(ids))
+        fast = self._fast(evaled, tmp_path / "fast", monkeypatch)
+        assert fast == self._walked(evaled, tmp_path / "walk", monkeypatch)
+        rows = list(csv.reader(io.StringIO(fast.decode("utf-8"), newline="")))
+        assert [row[1] for row in rows[1:]] == ids
+
+    def test_eval_written_files_match_row_walk(self, micro, monkeypatch):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        evaled = micro["tmp"] / "eval"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["eval", "--config", str(micro["cfg"]),
+                         "--checkpoint", str(run), "--corpus",
+                         str(micro["corpus"]), "--out", str(evaled)]) == 0
+        fast = self._fast(evaled, micro["tmp"] / "fast", monkeypatch)
+        assert fast.count(b"\n") == 1 + len(SCORERS) * 36
+        assert fast == self._walked(evaled, micro["tmp"] / "walk",
+                                    monkeypatch)
+
+    ROWS = ['{"id": "a", "is_id": true, "norm": 1.50, "raw": -2.0E+3}',
+            '{"id": "b", "is_id": false, "norm": 0.0, "raw": 1e-5}']
+
+    def test_number_text_passes_through(self, tmp_path, monkeypatch):
+        evaled = _eval_dir(tmp_path / "eval", [])
+        (evaled / "scores_msp.jsonl").write_text("\n".join(self.ROWS) + "\n")
+        assert self._fast(evaled, tmp_path / "fast", monkeypatch) == (
+            b"scorer,sample_id,is_id,raw,normalized\n"
+            b"msp,a,1,-2.0E+3,1.50\nmsp,b,0,1e-5,0.0\n")
+
+    def test_file_with_another_layout_is_walked(self, tmp_path):
+        """One reordered row sends the whole file to the walk, which writes
+        each float as ``repr`` writes it."""
+        evaled = _eval_dir(tmp_path / "eval", [])
+        reordered = '{"raw": 0.25, "norm": 0.5, "is_id": true, "id": "c"}'
+        (evaled / "scores_msp.jsonl").write_text(
+            "\n".join([*self.ROWS, reordered]) + "\n")
+        assert (run_report(evaled, tmp_path / "out")
+                / "scores_long.csv").read_bytes() == (
+            b"scorer,sample_id,is_id,raw,normalized\n"
+            b"msp,a,1,-2000.0,1.5\nmsp,b,0,1e-05,0.0\nmsp,c,1,0.25,0.5\n")
+
+    @pytest.mark.parametrize("line", [
+        '{"id": "b", "is_id": false, "norm": 0.5, "raw": 1e999}',
+        '{"raw": 0.5, "norm": -1e999, "is_id": false, "id": "b"}',
+        '{"is_id": false, "id": "b\\ud800", "norm": 0.5, "raw": 0.5}',
+    ], ids=["overflow", "reordered-overflow", "reordered-surrogate"])
+    def test_bad_line_is_named(self, tmp_path, line):
+        evaled = _eval_dir(tmp_path / "eval", [])
+        (evaled / "scores_msp.jsonl").write_text(
+            "\n".join([self.ROWS[0], line, self.ROWS[1]]) + "\n")
+        with pytest.raises(FormatError, match=r"scores_msp\.jsonl line 2: "
+                                              r"malformed score row"):
+            run_report(evaled, tmp_path / "out")
+        assert not (tmp_path / "out").exists()

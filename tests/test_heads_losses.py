@@ -182,7 +182,8 @@ class TestMulticlassLoss:
         assert l1 == l2
 
 
-from oracles import adamw_loop_oracle, contrastive_anchor_loop_oracle
+from oracles import AdamWStepOracle, adamw_loop_oracle
+from oracles import contrastive_anchor_loop_oracle
 from oracles import coarse_step_oracle, fine_step_oracle
 from oracles import contrastive_double_loop_oracle as contrastive_oracle
 
@@ -387,6 +388,25 @@ class TestAdamW:
             p.grad[...] = 2.0 * p.value
             opt.step()
         assert abs(p.value[0]) < 1e-3
+
+
+class TestAdamWStepOracle:
+    @pytest.mark.parametrize("size", [7, 12_345, 61_283])
+    def test_in_place_step_is_former_step(self, size):
+        rng = make_rng(44)
+        init = rng.normal(size=size)
+        grads = np.zeros(size)
+        opt = AdamW(init.copy(), grads, lr=0.01, weight_decay=0.05)
+        former = AdamWStepOracle(init.copy(), grads, lr=0.01,
+                                 weight_decay=0.05)
+        for _ in range(100):
+            grads[...] = rng.normal(size=size) * rng.choice([1e-6, 1.0, 1e3])
+            grads[rng.random(size) < 0.1] = 0.0
+            opt.step()
+            former.step()
+        for got, want in ((opt.values, former.values), (opt.m, former.m),
+                          (opt.v, former.v)):
+            assert np.array_equal(got, want)
 
 
 class TestFlatAdamW:

@@ -144,3 +144,21 @@ class TestBlock:
             return scalar_readout(y, probe)
 
         assert check_gradients(run, ffn.params()) == []
+
+    @pytest.mark.parametrize("layer", ["attn", "block"])
+    def test_parameter_only_backward(self, layer):
+        """Without the input gradient, the same parameter gradients."""
+        rng = make_rng(9)
+        unit = SelfAttention("a", 4, 2, rng) if layer == "attn" \
+            else TransformerBlock("b", 4, 2, 4, rng)
+        x = rng.normal(size=(3, 5, 4))
+        probe = rng.normal(size=(3, 5, 4))
+        _, cache = unit.forward(x)
+        grads = []
+        for input_grad in (True, False):
+            for p in unit.params():
+                p.zero_grad()
+            gx = unit.backward(probe, cache, input_grad)
+            assert (gx is None) != input_grad
+            grads.append([p.grad.copy() for p in unit.params()])
+        assert all(map(np.array_equal, *grads))

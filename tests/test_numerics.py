@@ -190,8 +190,14 @@ FEATURE_SHAPES = [(64, 16), (32, 64), (48, 7), (4, 16, 8)]
 class TestSharedFormulasMatchFormerCopies:
     """Each shared formula gives the bits of the copies it replaced."""
 
-    @pytest.mark.parametrize("shape", [(32, 4, 7, 7), (32, 2, 11, 11),
-                                       (32, 3), (300, 3)])
+    # every row length from 2 to 129, each at row counts either side of the
+    # 384 rows from which lengths 2 to 32 go key-axis first; a numpy whose
+    # add.reduce sums in another order fails here
+    @pytest.mark.parametrize("shape", [
+        (32, 4, 7, 7), (32, 2, 11, 11), (32, 3), (300, 3),
+        (256, 4, 7, 7), (256, 4, 8, 8), (256, 4, 10, 10), (12000, 3),
+        *[(rows, n) for n in range(2, 130) for rows in (383, 384)],
+        *[(2, 4, 48, n) for n in (8, 10, 16, 17, 31, 32, 33, 127, 128, 129)]])
     def test_softmax_and_backward(self, shape):
         rng = make_rng(20)
         x = rng.normal(size=shape) * 5.0
