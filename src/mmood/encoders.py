@@ -5,6 +5,13 @@ output is the utterance vector. Video/audio mean-pool the transformed
 sequence and project into the shared (text) dimension. All variants are a
 single self-attention + feed-forward block; positional encodings are off
 by default since the synthetic corpora are order-free.
+
+The class-token readout reads row 0 alone, so its block takes every row as
+a key and a value but computes queries, attention output, residual and
+feed-forward, forward and backward, for the first two rows only. Two, not
+one: every product stays a gemm, whose row 0 has the bits of the full
+computation's row 0, where a one-row product goes to gemv and rounds
+differently.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ from .errors import ParameterError
 from .layers import Affine, Param, TransformerBlock, glorot_uniform
 
 Array = np.ndarray
+
+QUERY_ROWS = 2  # of the class-token block; see the module docstring
 
 
 def sinusoidal_positions(length: int, dim: int) -> Array:
@@ -67,7 +76,7 @@ class ModalityEncoder:
         if self.use_class_token:
             tok = np.broadcast_to(self.class_token.value, (b, 1, self.d_in))
             h = np.concatenate([tok, x], axis=1)
-            out, block_cache = self.block.forward(h)
+            out, block_cache = self.block.forward(h, rows=QUERY_ROWS)
             return out[:, 0, :], ("cls", block_cache, out.shape)
         out, block_cache = self.block.forward(x)
         pooled = out.mean(axis=1)
@@ -76,7 +85,8 @@ class ModalityEncoder:
 
     def backward_batch(self, g: Array, cache) -> None:
         """Accumulates the parameter gradients. The encoder reads data, so
-        no input gradient is built beyond row 0's, the class token's."""
+        no input gradient is built beyond the query rows', for the class
+        token in row 0."""
         kind = cache[0]
         if kind == "cls":
             _, block_cache, shape = cache

@@ -139,8 +139,10 @@ class SelfAttention:
         b, h, l, dh = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
-    def forward(self, x: Array):
-        qf, cq = self.proj_q.forward(x)
+    def forward(self, x: Array, rows: int | None = None):
+        """Keys and values over all of ``x``; queries, and so the output,
+        over its first ``rows`` rows (all of them when None)."""
+        qf, cq = self.proj_q.forward(x[:, :rows])
         kf, ck = self.proj_k.forward(x)
         vf, cv = self.proj_v.forward(x)
         q, k, v = self._split(qf), self._split(kf), self._split(vf)
@@ -150,19 +152,21 @@ class SelfAttention:
         return y, (cq, ck, cv, co, q, k, v, attn)
 
     def backward(self, g: Array, cache, input_grad: bool = True) -> Array | None:
-        """With ``input_grad`` off, only the parameter gradients."""
+        """The input gradient of the query rows; with ``input_grad`` off,
+        only the parameter gradients."""
         cq, ck, cv, co, q, k, v, attn = cache
         g_ctx = self._split(self.proj_o.backward(g, co))
-        gv = attn.swapaxes(-1, -2) @ g_ctx
+        gv = self._merge(attn.swapaxes(-1, -2) @ g_ctx)
         g_scores = softmax_backward(g_ctx @ v.swapaxes(-1, -2), attn)
         gq = g_scores @ k * self.scale
-        gk = g_scores.swapaxes(-1, -2) @ q * self.scale
+        gk = self._merge(g_scores.swapaxes(-1, -2) @ q * self.scale)
         gx = self.proj_q.backward(self._merge(gq), cq, input_grad)
-        gx_k = self.proj_k.backward(self._merge(gk), ck, input_grad)
-        gx_v = self.proj_v.backward(self._merge(gv), cv, input_grad)
+        self.proj_k.backward(gk, ck, input_grad=False)
+        self.proj_v.backward(gv, cv, input_grad=False)
         if input_grad:
-            gx += gx_k
-            gx += gx_v
+            rows = gx.shape[1]
+            gx += gk[:, :rows] @ self.proj_k.W.value.T
+            gx += gv[:, :rows] @ self.proj_v.W.value.T
         return gx
 
     def params(self) -> list[Param]:
@@ -217,14 +221,17 @@ class TransformerBlock:
         self.attn = SelfAttention(f"{name}.attn", d_model, n_heads, rng)
         self.ffn = FeedForward(f"{name}.ffn", d_model, ffn_hidden, rng)
 
-    def forward(self, x: Array):
-        a, ca = self.attn.forward(x)
-        h = x + a
+    def forward(self, x: Array, rows: int | None = None):
+        """The output of the first ``rows`` rows (all of them when None);
+        every row of ``x`` is a key and a value."""
+        a, ca = self.attn.forward(x, rows)
+        h = x[:, :rows] + a
         f, cf = self.ffn.forward(h)
         return h + f, (ca, cf)
 
     def backward(self, g: Array, cache, input_grad: bool = True) -> Array | None:
-        """With ``input_grad`` off, only the parameter gradients."""
+        """The input gradient of the query rows; with ``input_grad`` off,
+        only the parameter gradients."""
         ca, cf = cache
         gh = g + self.ffn.backward(g, cf)
         ga = self.attn.backward(gh, ca, input_grad)

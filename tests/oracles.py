@@ -8,11 +8,12 @@ sum for the pseudo-OOD mix. The two per-stage training steps are kept as
 they were before one step function served every stage, to pin it; the
 CLI's train/ablate test row and its per-row score writer are kept as they
 were before one scoring core and one JSON-lines writer served every
-command, to pin those. The softmax, softmax backward, unit-norm and
-log-sum-exp copies that attention, fusion, the cosine head, the
-contrastive loss and the scorers each wrote out are kept as they were
-before ``numerics`` held the one copy of each. The AdamW step is kept as it
-was before it wrote into preallocated buffers.
+command, to pin those. The class-token encoder is kept as it was before
+it computed only the query rows its readout reads. The softmax, softmax
+backward, unit-norm and log-sum-exp copies that attention, fusion, the
+cosine head, the contrastive loss and the scorers each wrote out are kept
+as they were before ``numerics`` held the one copy of each. The AdamW
+step is kept as it was before it wrote into preallocated buffers.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from mmood.corpus import MODALITIES
+from mmood.encoders import sinusoidal_positions
 from mmood.heads import (
     coarse_loss,
     contrastive_from_views,
@@ -369,3 +371,20 @@ def contrastive_unit_backward_oracle(g_u, u, norms, live):
     """The former view-normalisation backward of ``contrastive_from_views``."""
     g_views = (g_u - (g_u * u).sum(axis=1, keepdims=True) * u) / np.maximum(norms, NORM_EPS)
     return np.where(live, g_views, 0.0)
+
+
+def class_token_encoder_oracle(enc, x, g=None):
+    """The former class-token ``ModalityEncoder.forward_batch``: the block
+    over every row of ``[class token; x]``, then row 0. With ``g``, the
+    former ``backward_batch`` accumulates into ``enc``'s gradients."""
+    b, length, d = x.shape
+    if enc.positional:
+        x = x + sinusoidal_positions(length, d)
+    tok = np.broadcast_to(enc.class_token.value, (b, 1, d))
+    out, cache = enc.block.forward(np.concatenate([tok, x], axis=1))
+    if g is not None:
+        g_block = np.zeros(out.shape)
+        g_block[:, 0, :] = g
+        gx = enc.block.backward(g_block, cache)
+        enc.class_token.grad += gx[:, 0, :].sum(axis=0)
+    return out[:, 0, :]

@@ -5,6 +5,7 @@ from mmood.encoders import ModalityEncoder, sinusoidal_positions
 from mmood.errors import ParameterError
 from mmood.layers import check_gradients
 from mmood.numerics import make_rng
+from oracles import class_token_encoder_oracle
 
 
 def encode(enc, seq):
@@ -19,9 +20,10 @@ def pool_encoder(rng, d_in=6, d_out=4, positional=False):
                            positional=positional)
 
 
-def cls_encoder(rng, d=6):
-    return ModalityEncoder("enc.T", d_in=d, d_out=d, n_heads=2, ffn_hidden=d,
-                           rng=rng, use_class_token=True)
+def cls_encoder(rng, d=6, n_heads=2, positional=False):
+    return ModalityEncoder("enc.T", d_in=d, d_out=d, n_heads=n_heads,
+                           ffn_hidden=d, rng=rng, use_class_token=True,
+                           positional=positional)
 
 
 class TestShapes:
@@ -103,12 +105,17 @@ class TestDeterminism:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("kind", ["pool", "cls"])
-    def test_param_gradients_match_finite_differences(self, kind):
+    @pytest.mark.parametrize("kind, positional, length", [
+        ("pool", False, 3), ("cls", False, 3), ("cls", True, 3),
+        ("cls", False, 1), ("cls", False, 5),
+    ], ids=["pool", "cls", "cls-positional", "cls-length1", "cls-length5"])
+    def test_param_gradients_match_finite_differences(self, kind, positional,
+                                                      length):
         rng = make_rng(16)
-        enc = pool_encoder(rng) if kind == "pool" else cls_encoder(rng, d=6)
+        enc = pool_encoder(rng) if kind == "pool" \
+            else cls_encoder(rng, d=6, positional=positional)
         d_out = enc.d_out
-        x = make_rng(17).normal(size=(2, 3, enc.d_in))
+        x = make_rng(17).normal(size=(2, length, enc.d_in))
         probe = make_rng(18).normal(size=(2, d_out))
 
         def run(compute_grads):
@@ -118,3 +125,34 @@ class TestGradients:
             return float((y * probe).sum())
 
         assert check_gradients(run, enc.params()) == []
+
+
+class TestClassTokenQueryRows:
+    """The class-token readout computes its two query rows only; the former
+    path ran the block over every row. Both give the same bits."""
+
+    @staticmethod
+    def make(batch, rows, d, seed):
+        enc = cls_encoder(make_rng(seed), d=d, n_heads=4)
+        x = make_rng(seed + 1).normal(size=(batch, rows - 1, d))
+        return enc, x
+
+    @pytest.mark.parametrize("rows, d", [(2, 8), (7, 16), (7, 64)])
+    def test_output_and_gradients_equal_full_rows(self, rows, d):
+        enc, x = self.make(32, rows, d, seed=30 + rows + d)
+        g = make_rng(29).normal(size=(32, d))
+        y, cache = enc.forward_batch(x)
+        enc.backward_batch(g, cache)
+        grads = [p.grad.copy() for p in enc.params()]
+        for p in enc.params():
+            p.zero_grad()
+        assert np.array_equal(y, class_token_encoder_oracle(enc, x, g))
+        assert all(np.array_equal(got, p.grad)
+                   for got, p in zip(grads, enc.params()))
+        assert np.any(enc.class_token.grad != 0.0)
+
+    @pytest.mark.parametrize("batch", [1, 13, 256])
+    def test_forward_equals_full_rows(self, batch):
+        enc, x = self.make(batch, 7, 64, seed=40 + batch)
+        y, _ = enc.forward_batch(x)
+        assert np.array_equal(y, class_token_encoder_oracle(enc, x))
