@@ -85,14 +85,23 @@ def _unique(items: list, flag: str, noun: str) -> list:
 @contextmanager
 def _staged(out):
     """A scratch directory in ``out`` or its nearest existing ancestor, so a
-    move is a rename: on normal exit each file moves with ``os.replace`` to
-    its path under ``out``, creating it; on any exception it is deleted."""
+    move is a rename. On normal exit a new ``out`` is the scratch directory
+    itself, renamed with one ``os.replace`` (parents created, mode as
+    ``os.makedirs`` gives); into an existing ``out`` each file moves with
+    ``os.replace`` to its path. On any exception it is deleted."""
     out = Path(out)
     home = next(path for path in (out, *out.parents) if path.exists())
     if not home.is_dir():
         raise ParameterError(f"cli: output {home} is not a directory")
     with TemporaryDirectory(prefix=f"{out.name}.partial-", dir=home) as scratch:
         yield Path(scratch)
+        os.makedirs(out.parent, exist_ok=True)
+        if not out.exists():
+            umask = os.umask(0o077)
+            os.umask(umask)
+            os.chmod(scratch, 0o777 & ~umask)
+            os.replace(scratch, out)
+            return
         for path in sorted(p for p in Path(scratch).rglob("*") if p.is_file()):
             target = out / path.relative_to(scratch)
             os.makedirs(target.parent, exist_ok=True)

@@ -3,13 +3,15 @@
 Everything runs in 64-bit floats on C-ordered numpy arrays. Matrices are
 plain 2-D ``np.ndarray``; callers that need validated inputs go through
 :func:`as_matrix`. Random draws take an explicit ``np.random.Generator``
-(PCG64) so that identical seeds give identical sample streams.
+(PCG64) so that identical seeds give identical sample streams. scipy is
+loaded only when :func:`regularized_inverse` first runs, that is when class
+statistics are fitted (``train``, ``ablate``); ``synth``, ``eval`` and
+``report`` start without it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InsufficientDataError, NumericalError, ParameterError
 
@@ -171,6 +173,7 @@ def default_reg_eps(m) -> float:
 
 def regularized_inverse(m, eps: float) -> Array:
     """Inverse of (m + eps*I) via Cholesky factorization of the SPD shift."""
+    import scipy.linalg  # about 0.26 s to import, which only fits need
     mm = _symmetric(m, "regularized_inverse")
     shifted = mm + eps * np.eye(mm.shape[0])
     try:

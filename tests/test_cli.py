@@ -2,8 +2,11 @@ import configparser
 import csv
 import io
 import json
+import os
 import re
 import runpy
+import stat
+import subprocess
 import sys
 import warnings
 import weakref
@@ -1435,6 +1438,62 @@ class TestStagedOutputs:
         for name in set(want) - {"train_log.jsonl"}:
             assert got[name] == want[name], name
 
+    @staticmethod
+    def _count_replaces(monkeypatch):
+        """The ``(src, dst)`` of every ``os.replace`` call from now on."""
+        calls, real = [], os.replace
+
+        def counted(src, dst):
+            calls.append((src, dst))
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", counted)
+        return calls
+
+    def _synth(self, micro, out) -> int:
+        return main(["synth", "--config", str(micro["cfg"]), "--out", str(out),
+                     "--seed", "0"])
+
+    def test_new_out_is_one_rename(self, micro, monkeypatch):
+        calls = self._count_replaces(monkeypatch)
+        out = micro["tmp"] / "a" / "b" / "c"
+        assert self._synth(micro, out) == 0
+        assert len(calls) == 1 and Path(calls[0][1]) == out
+        assert _tree(out) == _tree(micro["corpus"])
+
+    def test_existing_out_moves_each_file(self, micro, monkeypatch):
+        out = micro["tmp"] / "old"
+        out.mkdir()
+        calls = self._count_replaces(monkeypatch)
+        assert self._synth(micro, out) == 0
+        assert len(calls) == len(_tree(out)) > 1
+        assert _tree(out) == _tree(micro["corpus"])
+
+    def test_new_out_has_makedirs_mode(self, micro):
+        old = os.umask(0o027)
+        try:
+            assert self._synth(micro, micro["tmp"] / "a" / "c") == 0
+            os.makedirs(micro["tmp"] / "plain")
+        finally:
+            os.umask(old)
+        modes = {stat.S_IMODE((micro["tmp"] / name).stat().st_mode)
+                 for name in ("a", "a/c", "plain")}
+        assert modes == {0o750}
+
+    def test_failed_new_out_leaves_nothing(self, micro, capsys, monkeypatch):
+        def save_then_fail(corpus, out):
+            save_corpus(corpus, out)
+            raise FormatError("corpus: disk full")
+
+        monkeypatch.setattr(mmood.cli, "save_corpus", save_then_fail)
+        calls = self._count_replaces(monkeypatch)
+        capsys.readouterr()
+        assert self._synth(micro, micro["tmp"] / "a" / "c") == 1
+        assert capsys.readouterr().err == "error: corpus: disk full\n"
+        assert calls == []
+        assert not (micro["tmp"] / "a").exists()
+        assert sorted(micro["tmp"].rglob("*.partial-*")) == []
+
 
 class TestOutIsAFile:
     @pytest.mark.parametrize("nested", [False, True])
@@ -1565,3 +1624,40 @@ class TestReportFastPath:
                                               r"malformed score row"):
             run_report(evaled, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+
+STARTUP_PROBE = """
+import sys
+import numpy as np
+import mmood.cli
+from mmood.errors import NumericalError
+from mmood.numerics import regularized_inverse
+cfg, corpus, run, out = sys.argv[1:]
+assert mmood.cli.main(["synth", "--config", cfg, "--out", out + "/corpus"]) == 0
+assert mmood.cli.main(["eval", "--config", cfg, "--corpus", corpus,
+                       "--checkpoint", run, "--out", out + "/eval"]) == 0
+assert mmood.cli.main(["report", out + "/eval"]) == 0
+assert "scipy" not in sys.modules, "scipy loaded before any fit"
+try:
+    regularized_inverse(np.diag([1.0, -1.0]), 0.0)
+except NumericalError:
+    pass
+else:
+    raise AssertionError("a non-SPD matrix factorized")
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_scipy_loads_at_first_fit_only(micro):
+    """``synth``, ``eval`` and ``report`` run in a fresh process without
+    importing scipy; the first covariance inversion imports it, and its
+    failure path still raises ``NumericalError``."""
+    run = _train_cli(micro, micro["tmp"] / "run")
+    src = Path(__file__).parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, str(micro["cfg"]),
+         str(micro["corpus"]), str(run), str(micro["tmp"] / "probe")],
+        env=env, capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
