@@ -114,10 +114,10 @@ def read_manifest(path: Path, schema: Schema, parse_header, parse_entry):
 
 
 def read_blob(path: Path, schema: Schema, blob: str, lines: list[int], label,
-              offsets: list[int], counts: list[int], dtypes: list[str]):
-    """One blob's values, flat float64 in manifest order; entry i declares
-    a chunk of ``counts[i]`` values of ``dtypes[i]`` at byte ``offsets[i]``,
-    and ``label(i)`` names it in errors."""
+              offsets: list[int], counts: list[int], dtypes: list[str], out_dtype):
+    """One blob's values, flat in manifest order as ``out_dtype``; entry i
+    declares a chunk of ``counts[i]`` values of ``dtypes[i]`` at byte
+    ``offsets[i]``, and ``label(i)`` names it in errors."""
     blob_path = path.parent / blob
     if not blob_path.exists():
         raise FormatError(f"{schema.module}: missing blob file {blob_path}")
@@ -136,7 +136,7 @@ def read_blob(path: Path, schema: Schema, blob: str, lines: list[int], label,
                           f"order it starts at {starts[i]}")
     end = starts[-1]
     if len(buf) >= end:  # a short blob has no values for its last chunks
-        values, i = np.empty(stops[-1]), 0
+        values, i = np.empty(stops[-1], out_dtype), 0
         for dtype, run in groupby(dtypes):
             j = i + len(list(run))
             # a signalling NaN warns as it widens; the check below names it
@@ -200,13 +200,14 @@ def read_tensor_manifest(manifest_path) -> tuple[dict, list[tuple]]:
 
 
 def read_tensor_blob(manifest_path, entries) -> dict[str, np.ndarray]:
-    """The tensors of a store whose manifest ``read_tensor_manifest`` read."""
+    """The float64 tensors of a store that ``read_tensor_manifest`` read."""
     manifest_path = Path(manifest_path)
     lines, names, dtypes, offsets, shapes = zip(*entries) if entries else [()] * 5
     counts = list(map(math.prod, shapes))
     values = read_blob(manifest_path, STORE,
                        manifest_path.with_suffix(".blob").name, lines,
-                       lambda i: f"tensor {names[i]!r}", offsets, counts, dtypes)
+                       lambda i: f"tensor {names[i]!r}", offsets, counts, dtypes,
+                       np.float64)
     stops = list(accumulate(counts, initial=0))
     return {name: values[start:stop].reshape(shape) for name, shape, start, stop
             in zip(names, shapes, stops, stops[1:])}

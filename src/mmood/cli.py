@@ -8,9 +8,11 @@ seed; the single timestamp lives in the training-log header line.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
+import platform
 import re
 import sys
 from contextlib import contextmanager
@@ -38,6 +40,10 @@ ABLATION_SLUGS = {slug: name for name, (slug, _) in ABLATION_VARIANTS.items()}
 
 OOD_METRICS = tuple(f.name for f in fields(OodMetrics))
 ABLATION_METRICS = ("acc", "wf1", *OOD_METRICS)
+
+# fixed glibc heap thresholds: left dynamic, steps re-fault after large frees
+M_MMAP_THRESHOLD, MMAP_THRESHOLD = -3, 4 << 20
+M_TRIM_THRESHOLD, TRIM_THRESHOLD = -1, 64 << 20
 
 
 _CSV_SPECIAL = re.compile('[,"\n\r]').search
@@ -435,6 +441,11 @@ def _resolve_out(out: str | None, default: str | None) -> str:
 
 
 def main(argv=None) -> int:
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int,) * 2, ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
     parser = argparse.ArgumentParser(
         prog="mmood",
         description="Multimodal intent classification and OOD detection.",

@@ -9,11 +9,12 @@ starts at byte ``i * L*D*4``.
 
 Labels are class indices 0..K-1; out-of-distribution records carry the
 sentinel string ``__OOD__`` in the manifest (index -1 in memory) and may
-only appear in the test split. Values are stored at 32-bit and promoted
-to 64-bit on load, so a loaded corpus round-trips bit-exactly.
+only appear in the test split. Values are stored at 32-bit and stay
+32-bit in memory, so a loaded corpus round-trips bit-exactly; the model
+widens them to float64 where it reads them (``train``, ``features_for``).
 
 In memory a ``Corpus`` holds ``ids``, ``splits`` and ``labels`` columns
-and one (N, L, D) float64 array per modality, in file order; saving and
+and one (N, L, D) float32 array per modality, in file order; saving and
 loading validate whole columns and name the first offending record.
 """
 
@@ -76,7 +77,7 @@ class Corpus:
     ids: np.ndarray                # (N,) str
     splits: np.ndarray             # (N,) str, one of SPLITS
     labels: np.ndarray             # (N,) int64, 0..K-1 or OOD_LABEL
-    seqs: dict[str, np.ndarray]    # modality -> (N, seq_len, dim) float64
+    seqs: dict[str, np.ndarray]    # modality -> (N, seq_len, dim) float32
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -126,10 +127,6 @@ def _validate(corpus: Corpus) -> None:
             first = f" (first record {str(ids[0])!r})" if len(ids) else ""
             raise FormatError(f"corpus: modality {m} has shape {seqs.shape}, "
                               f"manifest declares {expected}{first}")
-        if not np.isfinite(seqs).all():
-            i = int(np.argwhere(~np.isfinite(seqs))[0, 0])
-            raise FormatError(f"corpus: record {str(ids[i])!r} modality {m} "
-                              "holds a non-finite value (NaN or Inf)")
 
 
 def save_corpus(corpus: Corpus, directory) -> Path:
@@ -141,6 +138,12 @@ def save_corpus(corpus: Corpus, directory) -> Path:
     """
     directory = Path(directory)
     _validate(corpus)
+    for m in MODALITIES:  # load_corpus's blob read makes the same scan
+        finite = np.isfinite(corpus.seqs[m])
+        if not finite.all():
+            i = int(np.argwhere(~finite)[0, 0])
+            raise FormatError(f"corpus: record {str(corpus.ids[i])!r} modality "
+                              f"{m} holds a non-finite value (NaN or Inf)")
     directory.mkdir(parents=True, exist_ok=True)
     meta = corpus.meta
     header = {"format": "corpus", "version": 1, "num_classes": meta.num_classes,
@@ -200,7 +203,7 @@ def load_corpus(manifest_path) -> Corpus:
     n = len(ids)
     seqs = {m: read_blob(manifest_path, SCHEMA, blob_files[m], lines,
                          lambda i: f"record {ids[i]!r} modality {m}", offs,
-                         [math.prod(shapes[m])] * n, [STORAGE.str] * n)
+                         [math.prod(shapes[m])] * n, [STORAGE.str] * n, STORAGE)
             .reshape(n, *shapes[m]) for m, offs in zip(MODALITIES, offsets)}
     corpus = Corpus(meta, np.array(ids, dtype=str), np.array(splits, dtype=str),
                     np.array(labels, dtype=np.int64), seqs)
@@ -322,7 +325,7 @@ def synth_corpus(cfg: SynthConfig, rng: np.random.Generator) -> Corpus:
         ids=np.array([p[0] for p in plan], dtype=str),
         splits=np.array([p[1] for p in plan], dtype=str),
         labels=np.array([p[2] for p in plan], dtype=np.int64),
-        seqs={m: s.astype(np.float64) for m, s in seqs.items()},
+        seqs=seqs,
     )
 
 

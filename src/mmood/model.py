@@ -126,10 +126,12 @@ class FusionModel:
     # -- evaluation helpers ------------------------------------------------
 
     def features_for(self, corpus: Corpus) -> Array:
-        """Eval-mode fused features, (N, d_shared), 256 records at a time."""
+        """Eval-mode fused features, (N, d_shared), 256 records at a time,
+        each chunk widened to float64 from the corpus's storage precision."""
         out, chunk = [], 256
         for start in range(0, len(corpus), chunk):
-            seqs = {m: corpus.seqs[m][start:start + chunk] for m in MODALITIES}
+            seqs = {m: corpus.seqs[m][start:start + chunk].astype(np.float64)
+                    for m in MODALITIES}
             xs, _ = self.encode_batch(seqs)
             z, _, _ = self.fusion.forward(xs, False, None)
             out.append(z)

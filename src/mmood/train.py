@@ -172,6 +172,9 @@ def _validation_wf1(model: FusionModel, valid: Corpus) -> float | None:
 def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedModel:
     """Run the full schedule on a corpus and fit inference statistics."""
     train_split = corpus.split("train")
+    # every step reads its rows, so widen them to the model's float64 once
+    train_split.seqs = {m: s.astype(np.float64)
+                        for m, s in train_split.seqs.items()}
     valid_split = corpus.split("valid")
     half = cfg.batch_size // 2
     if half > len(train_split):

@@ -1,11 +1,40 @@
 import numpy as np
 import pytest
 
+from mmood.cli import main
 from mmood.corpus import SynthConfig, synth_corpus
 from mmood.model import ModelHyper, SLOT_SYNTH
 from mmood.numerics import component_rng
 from mmood.oodgen import OodGenConfig
 from mmood.train import TrainConfig, train
+
+MICRO_INI = """
+[corpus]
+num_classes = 3
+n_train = 48
+n_valid = 24
+n_test_id = 24
+n_test_ood = 12
+seq_len_t = 3
+dim_t = 8
+seq_len_v = 3
+dim_v = 8
+seq_len_a = 3
+dim_a = 4
+
+[model]
+attn_heads = 2
+fusion_hidden = 8
+
+[train]
+batch_size = 16
+stage1_epochs = 1
+stage2_epochs = 2
+learning_rate = 0.002
+
+[eval]
+scorer = all
+"""
 
 
 @pytest.fixture(autouse=True)
@@ -15,6 +44,18 @@ def no_scratch_left(tmp_path):
     deletes it."""
     yield
     assert sorted(tmp_path.rglob("*.partial-*")) == []
+
+
+@pytest.fixture()
+def micro(tmp_path):
+    """A small corpus synthesized by ``mmood synth`` from ``MICRO_INI``:
+    ``{"cfg": INI path, "corpus": corpus directory, "tmp": tmp_path}``."""
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(MICRO_INI)
+    corpus_dir = tmp_path / "corpus"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(corpus_dir),
+                 "--seed", "0"]) == 0
+    return {"cfg": cfg_path, "corpus": corpus_dir, "tmp": tmp_path}
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import platform
 import re
 import runpy
 import stat
@@ -26,35 +27,8 @@ from mmood.errors import (FormatError, NumericalError, ParameterError,
 from mmood.model import FusionModel
 from mmood.scoring import SCORERS, apply_scorer, fit_scorer, normalize_scores
 from mmood.train import train
+from conftest import MICRO_INI
 from oracles import mahalanobis_row_oracle, score_file_oracle
-
-MICRO_INI = """
-[corpus]
-num_classes = 3
-n_train = 48
-n_valid = 24
-n_test_id = 24
-n_test_ood = 12
-seq_len_t = 3
-dim_t = 8
-seq_len_v = 3
-dim_v = 8
-seq_len_a = 3
-dim_a = 4
-
-[model]
-attn_heads = 2
-fusion_hidden = 8
-
-[train]
-batch_size = 16
-stage1_epochs = 1
-stage2_epochs = 2
-learning_rate = 0.002
-
-[eval]
-scorer = all
-"""
 
 
 def ini_with(section: str, items: dict[str, str]) -> str:
@@ -67,16 +41,6 @@ def ini_with(section: str, items: dict[str, str]) -> str:
     text = io.StringIO()
     parser.write(text)
     return text.getvalue()
-
-
-@pytest.fixture()
-def micro(tmp_path):
-    cfg_path = tmp_path / "run.ini"
-    cfg_path.write_text(MICRO_INI)
-    corpus_dir = tmp_path / "corpus"
-    assert main(["synth", "--config", str(cfg_path), "--out", str(corpus_dir),
-                 "--seed", "0"]) == 0
-    return {"cfg": cfg_path, "corpus": corpus_dir, "tmp": tmp_path}
 
 
 class TestSynth:
@@ -1653,11 +1617,47 @@ def test_scipy_loads_at_first_fit_only(micro):
     importing scipy; the first covariance inversion imports it, and its
     failure path still raises ``NumericalError``."""
     run = _train_cli(micro, micro["tmp"] / "run")
+    done = _fresh_process(STARTUP_PROBE, micro["cfg"], micro["corpus"], run,
+                          micro["tmp"] / "probe")
+    assert done.returncode == 0, done.stderr
+
+
+def _fresh_process(code: str, *argv) -> subprocess.CompletedProcess:
+    """``code`` run by a new ``sys.executable`` that imports this ``src``."""
     src = Path(__file__).parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", STARTUP_PROBE, str(micro["cfg"]),
-         str(micro["corpus"]), str(run), str(micro["tmp"] / "probe")],
-        env=env, capture_output=True, text=True, check=False)
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          env=env, capture_output=True, text=True, check=False)
+
+
+HEAP_PROBE = """
+import resource
+import sys
+import numpy as np
+import mmood.cli
+assert mmood.cli.main(["report", sys.argv[1]]) == 1  # fails, settings stay
+
+
+def churn(rounds):
+    for _ in range(rounds):
+        arrays = [np.ones(1 << 17) for _ in range(3)]  # 1 MiB each, touched
+        del arrays
+
+
+churn(5)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+churn(50)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+def test_heap_settings_keep_step_temporaries(tmp_path):
+    """After ``main``, allocating and dropping a training step's worth of
+    1 MiB arrays reuses the heap: glibc's default thresholds hand its top
+    back to the kernel each round, and the next round faults it in again
+    (some 24,000 minor faults over these 50 rounds)."""
+    done = _fresh_process(HEAP_PROBE, tmp_path / "no-eval")
     assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) < 1000

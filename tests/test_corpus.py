@@ -23,6 +23,7 @@ from mmood.corpus import (
     save_corpus,
     synth_corpus,
 )
+from mmood.config import load_config
 from mmood.errors import FormatError, ParameterError
 from mmood.numerics import make_rng
 from mmood.oodgen import OodGenConfig
@@ -408,6 +409,53 @@ class TestMalformedTensorStore:
         _rewrite_line(manifest, 2, _edit_json(lambda e: e.update(shape=[-1])))
         with pytest.raises(FormatError, match="line 3.*non-negative"):
             read_tensor_store(manifest)
+
+
+def widened(corpus: Corpus) -> Corpus:
+    """``corpus`` with its sequences widened to float64 by the caller."""
+    return Corpus(corpus.meta, corpus.ids, corpus.splits, corpus.labels,
+                  {m: s.astype(np.float64) for m, s in corpus.seqs.items()})
+
+
+class TestStoragePrecision:
+    def test_synthesized_and_loaded_hold_float32(self, tmp_path):
+        corpus = synth_corpus(tiny_cfg(), make_rng(3))
+        loaded = load_corpus(save_corpus(corpus, tmp_path / "c"))
+        for m in MODALITIES:
+            assert corpus.seqs[m].dtype == np.float32
+            assert loaded.seqs[m].dtype == np.float32
+
+    def test_float64_corpus_saves_the_same_bytes(self, tmp_path):
+        corpus = synth_corpus(tiny_cfg(), make_rng(3))
+        save_corpus(corpus, tmp_path / "a")
+        save_corpus(widened(corpus), tmp_path / "b")
+        for name in ["manifest.jsonl"] + [f"seq_{m}.blob" for m in MODALITIES]:
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
+
+    def test_float32_store_loads_float64(self, tmp_path):
+        # checkpoints load as float64 whatever the corpus reads as
+        a, b = np.array([1.5, -2.0, 3.25]), np.arange(4.0).reshape(2, 2)
+        (tmp_path / "f4.blob").write_bytes(
+            a.astype("<f4").tobytes() + b.astype("<f4").tobytes())
+        lines = [
+            {"format": "tensor-store", "version": 1, "meta": {}},
+            {"name": "a", "shape": [3], "dtype": "<f4", "offset": 0},
+            {"name": "b", "shape": [2, 2], "dtype": "<f4", "offset": 12},
+        ]
+        (tmp_path / "f4.json").write_text(
+            "".join(json.dumps(line) + "\n" for line in lines))
+        _, tensors = read_tensor_store(tmp_path / "f4.json")
+        assert tensors["a"].dtype == tensors["b"].dtype == np.float64
+        assert np.array_equal(tensors["a"], a)
+        assert np.array_equal(tensors["b"], b)
+
+    def test_training_reads_float32_as_float64(self, micro):
+        cfg = load_config(micro["cfg"])
+        corpus = load_corpus(micro["corpus"])
+        narrow = train(corpus, cfg.train, cfg.oodgen)
+        wide = train(widened(corpus), cfg.train, cfg.oodgen)
+        assert np.array_equal(narrow.model.values, wide.model.values)
 
 
 class TestBatches:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from mmood.config import load_config
+from mmood.corpus import Corpus, load_corpus
 from mmood.encoders import ModalityEncoder, sinusoidal_positions
 from mmood.errors import ParameterError
 from mmood.layers import check_gradients
+from mmood.model import FusionModel
 from mmood.numerics import make_rng
 from oracles import class_token_encoder_oracle
 
@@ -156,3 +159,16 @@ class TestClassTokenQueryRows:
         enc, x = self.make(batch, 7, 64, seed=40 + batch)
         y, _ = enc.forward_batch(x)
         assert np.array_equal(y, class_token_encoder_oracle(enc, x))
+
+
+def test_features_read_float32_as_float64(micro):
+    """``features_for`` widens the corpus's float32 chunks itself, so a
+    caller's float64 copy of the corpus gives the same features."""
+    cfg = load_config(micro["cfg"])
+    corpus = load_corpus(micro["corpus"])
+    wide = Corpus(corpus.meta, corpus.ids, corpus.splits, corpus.labels,
+                  {m: s.astype(np.float64) for m, s in corpus.seqs.items()})
+    model = FusionModel(corpus.meta, cfg.train.model, seed=0)
+    feats = model.features_for(corpus)
+    assert feats.dtype == np.float64
+    assert np.array_equal(feats, model.features_for(wide))
