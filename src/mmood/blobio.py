@@ -2,11 +2,12 @@
 
 A container is a UTF-8 manifest of JSON lines -- line 1 a header object
 whose ``format`` names the schema, then one object per entry -- plus
-sidecar blob files of raw little-endian floats, row-major. Each entry owns
-one chunk of each blob, and the layout is strict: every chunk starts where
-the one before it in manifest order ends, every value is finite, and the
-blob ends exactly where the last chunk ends. A schema (the corpus, the
-tensor store below) checks only its own header and entry fields.
+sidecar blob files of raw little-endian floats, row-major, each in the one
+dtype its schema fixes and read once, straight into the array returned.
+Each entry owns one chunk of each blob, and the layout is strict: every
+chunk starts where the one before it in manifest order ends, every value
+is finite, and the blob ends exactly where the last chunk ends. A schema
+(the corpus, the tensor store) checks only its own header and entry fields.
 """
 
 from __future__ import annotations
@@ -15,15 +16,13 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby
-from operator import mul, ne
+from itertools import accumulate, chain
+from operator import ne
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError
-
-DTYPES = {"<f4": 4, "<f8": 8}  # stored dtype -> bytes per value
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,7 @@ class Schema:
     key_noun: str  # "duplicate <key_noun> <value>"
 
 
-def array_to_bytes(arr: np.ndarray, dtype: str) -> bytes:
+def array_to_bytes(arr: np.ndarray, dtype: np.dtype) -> bytes:
     return np.ascontiguousarray(arr).astype(dtype).tobytes()
 
 
@@ -73,7 +72,7 @@ def read_manifest(path: Path, schema: Schema, parse_header, parse_entry):
     first item is the entry's unique key. The parsers raise
     ``AttributeError``, ``KeyError``, ``TypeError`` or ``ValueError``."""
     mod = schema.module
-    if not path.exists():
+    if not path.is_file():
         raise FormatError(f"{mod}: manifest {path} does not exist")
     try:
         lines = path.read_bytes().decode("utf-8").splitlines()
@@ -114,45 +113,37 @@ def read_manifest(path: Path, schema: Schema, parse_header, parse_entry):
 
 
 def read_blob(path: Path, schema: Schema, blob: str, lines: list[int], label,
-              offsets: list[int], counts: list[int], dtypes: list[str], out_dtype):
-    """One blob's values, flat in manifest order as ``out_dtype``; entry i
-    declares a chunk of ``counts[i]`` values of ``dtypes[i]`` at byte
-    ``offsets[i]``, and ``label(i)`` names it in errors."""
+              offsets: list[int], counts: list[int], dtype: np.dtype):
+    """One blob's values in manifest order, read by one ``np.fromfile``
+    straight into the returned array; entry i is ``counts[i]`` values of
+    ``dtype`` at byte ``offsets[i]``, and ``label(i)`` names it in errors."""
     blob_path = path.parent / blob
-    if not blob_path.exists():
+    if not blob_path.is_file():
         raise FormatError(f"{schema.module}: missing blob file {blob_path}")
-    buf = blob_path.read_bytes()
+    size = blob_path.stat().st_size
 
     def at(i: int, last: str = "") -> str:
         return f"{schema.module}: {path} line {lines[i]}: {last}{label(i)}"
 
-    starts = list(accumulate(map(mul, counts, map(DTYPES.get, dtypes)),
-                             initial=0))
     stops = list(accumulate(counts, initial=0))
+    starts = [stop * dtype.itemsize for stop in stops]
     moved = list(map(ne, offsets, starts))
     if any(moved):
         i = moved.index(True)
         raise FormatError(f"{at(i)} has offset {offsets[i]}; in manifest "
                           f"order it starts at {starts[i]}")
     end = starts[-1]
-    if len(buf) >= end:  # a short blob has no values for its last chunks
-        values, i = np.empty(stops[-1], out_dtype), 0
-        for dtype, run in groupby(dtypes):
-            j = i + len(list(run))
-            # a signalling NaN warns as it widens; the check below names it
-            with np.errstate(invalid="ignore"):
-                values[stops[i]:stops[j]] = np.frombuffer(
-                    buf, dtype, stops[j] - stops[i], starts[i])
-            i = j
+    if size >= end:  # a short blob has no values for its last chunks
+        values = np.fromfile(blob_path, dtype, stops[-1])
         finite = np.isfinite(values)
         if not finite.all():
             i = bisect.bisect_right(stops, int(np.argmin(finite))) - 1
             raise FormatError(f"{at(i)} holds a non-finite value "
                               "(NaN or Inf)")
-    if len(buf) != end:
+    if size != end:
         last = f"{at(len(lines) - 1, 'last ')}:" if lines \
             else f"{schema.module}: {path}"
-        raise FormatError(f"{last} blob {blob} holds {len(buf)} bytes, but "
+        raise FormatError(f"{last} blob {blob} holds {size} bytes, but "
                           f"its {schema.entry}s take {end}")
     return values
 
@@ -161,19 +152,19 @@ def read_blob(path: Path, schema: Schema, blob: str, lines: list[int], label,
 
 STORE = Schema(module="blobio", format="tensor-store", kind="tensor store",
                entry="tensor", key="name", key_noun="tensor")
+STORE_DTYPE = np.dtype("<f8")  # the one dtype of every store entry
 
 
 def write_tensor_store(directory, name: str, tensors: dict[str, np.ndarray],
                        meta: dict) -> Path:
     """Write named tensors as ``<name>.json`` + ``<name>.blob``, float64."""
-    dtype = "<f8"
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     names = sorted(tensors)
-    data = [array_to_bytes(tensors[tname], dtype) for tname in names]
+    data = [array_to_bytes(tensors[tname], STORE_DTYPE) for tname in names]
     (directory / f"{name}.blob").write_bytes(b"".join(data))
     entries = ({"name": tname, "shape": list(tensors[tname].shape),
-                "dtype": dtype, "offset": offset}
+                "dtype": STORE_DTYPE.str, "offset": offset}
                for tname, offset in zip(names, accumulate(map(len, data),
                                                           initial=0)))
     header = {"format": "tensor-store", "version": 1, "meta": meta}
@@ -183,17 +174,18 @@ def write_tensor_store(directory, name: str, tensors: dict[str, np.ndarray],
 def _tensor_entry(entry, meta) -> tuple:
     name, dtype = entry["name"], entry["dtype"]
     offset, shape = int(entry["offset"]), tuple(entry["shape"])
-    if not isinstance(name, str) or dtype not in DTYPES:
-        raise ValueError(f"name {name!r} is not a string or dtype "
-                         f"{dtype!r} is not one of {sorted(DTYPES)}")
+    if not isinstance(name, str):
+        raise ValueError(f"name {name!r} is not a string")
+    if dtype != STORE_DTYPE.str:
+        raise ValueError(f"dtype {dtype!r} is not {STORE_DTYPE.str!r}")
     if any(type(d) is not int or d < 0 for d in shape):
         raise ValueError(f"shape {list(shape)} is not a list of "
                          "non-negative integers")
-    return name, dtype, offset, shape
+    return name, offset, shape
 
 
 def read_tensor_manifest(manifest_path) -> tuple[dict, list[tuple]]:
-    """A tensor store's meta and its ``(line, name, dtype, offset, shape)``
+    """A tensor store's meta and its ``(line, name, offset, shape)``
     entries, in manifest order; reads no blob bytes."""
     return read_manifest(Path(manifest_path), STORE,
                          lambda header: header.get("meta", {}), _tensor_entry)
@@ -202,12 +194,12 @@ def read_tensor_manifest(manifest_path) -> tuple[dict, list[tuple]]:
 def read_tensor_blob(manifest_path, entries) -> dict[str, np.ndarray]:
     """The float64 tensors of a store that ``read_tensor_manifest`` read."""
     manifest_path = Path(manifest_path)
-    lines, names, dtypes, offsets, shapes = zip(*entries) if entries else [()] * 5
+    lines, names, offsets, shapes = zip(*entries) if entries else [()] * 4
     counts = list(map(math.prod, shapes))
     values = read_blob(manifest_path, STORE,
                        manifest_path.with_suffix(".blob").name, lines,
-                       lambda i: f"tensor {names[i]!r}", offsets, counts, dtypes,
-                       np.float64)
+                       lambda i: f"tensor {names[i]!r}", offsets, counts,
+                       STORE_DTYPE)
     stops = list(accumulate(counts, initial=0))
     return {name: values[start:stop].reshape(shape) for name, shape, start, stop
             in zip(names, shapes, stops, stops[1:])}

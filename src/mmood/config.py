@@ -116,35 +116,33 @@ def load_config(path) -> RunConfig:
         raise ParameterError(f"config: file {path} does not exist")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read_string(path.read_text(encoding="utf-8"), str(path))
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"config: cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ParameterError(f"config: cannot parse {path}: {exc}") from exc
-    return config_from_parser(parser)
-
-
-def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
     cfg = RunConfig()
     known = {"corpus", "oodgen", "model", "train", "eval", "run"}
-    for section in parser.sections():
+    for section in sections:
         if section not in known:
             raise ParameterError(f"config: unknown section [{section}]")
-    if parser.has_section("corpus"):
-        cfg.synth = _apply_corpus_section(cfg.synth, dict(parser["corpus"]))
-    if parser.has_section("oodgen"):
-        cfg.oodgen = _apply_section(cfg.oodgen, dict(parser["oodgen"]), "oodgen")
-    if parser.has_section("model"):
-        hyper = _apply_section(cfg.train.model, dict(parser["model"]), "model")
+    if "corpus" in sections:
+        cfg.synth = _apply_corpus_section(cfg.synth, sections["corpus"])
+    if "oodgen" in sections:
+        cfg.oodgen = _apply_section(cfg.oodgen, sections["oodgen"], "oodgen")
+    if "model" in sections:
+        hyper = _apply_section(cfg.train.model, sections["model"], "model")
         cfg.train = dataclasses.replace(cfg.train, model=hyper)
-    if parser.has_section("train"):
-        cfg.train = _apply_section(cfg.train, dict(parser["train"]), "train")
-    if parser.has_section("eval"):
-        cfg.eval = _apply_section(cfg.eval, dict(parser["eval"]), "eval")
-    if parser.has_section("run"):
-        items = dict(parser["run"])
-        unknown = set(items) - {"out_dir"}
+    if "train" in sections:
+        cfg.train = _apply_section(cfg.train, sections["train"], "train")
+    if "eval" in sections:
+        cfg.eval = _apply_section(cfg.eval, sections["eval"], "eval")
+    if "run" in sections:
+        unknown = set(sections["run"]) - {"out_dir"}
         if unknown:
             raise ParameterError(
                 f"config: unknown key {sorted(unknown)[0]!r} in [run]"
             )
-        cfg.out_dir = items.get("out_dir")
+        cfg.out_dir = sections["run"].get("out_dir")
     return cfg

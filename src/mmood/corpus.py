@@ -152,7 +152,7 @@ def save_corpus(corpus: Corpus, directory) -> Path:
                              for m, (length, dim) in meta.shapes.items()}}
     for m in MODALITIES:
         (directory / f"seq_{m}.blob").write_bytes(
-            array_to_bytes(corpus.seqs[m], STORAGE.str))
+            array_to_bytes(corpus.seqs[m], STORAGE))
     row_bytes = {m: math.prod(meta.shapes[m]) * STORAGE.itemsize
                  for m in MODALITIES}
     columns = zip(corpus.ids.tolist(), corpus.splits.tolist(),
@@ -203,7 +203,7 @@ def load_corpus(manifest_path) -> Corpus:
     n = len(ids)
     seqs = {m: read_blob(manifest_path, SCHEMA, blob_files[m], lines,
                          lambda i: f"record {ids[i]!r} modality {m}", offs,
-                         [math.prod(shapes[m])] * n, [STORAGE.str] * n, STORAGE)
+                         [math.prod(shapes[m])] * n, STORAGE)
             .reshape(n, *shapes[m]) for m, offs in zip(MODALITIES, offsets)}
     corpus = Corpus(meta, np.array(ids, dtype=str), np.array(splits, dtype=str),
                     np.array(labels, dtype=np.int64), seqs)

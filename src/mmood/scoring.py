@@ -42,11 +42,24 @@ class ClassStats:
         return self.means.shape[0]
 
 
+def check_class_counts(labels, num_classes: int) -> None:
+    """Raise unless each class 0..K-1 holds >= 2 of ``labels`` (all >= 0);
+    only the classes present are counted, so a huge K builds nothing K-sized."""
+    classes, counts = np.unique(labels, return_counts=True)
+    ok = (classes == np.arange(len(classes))) & (counts >= 2)
+    k = len(classes) if ok.all() else int(np.argmin(ok))  # first short class
+    if k < num_classes:
+        n = int(counts[k]) if k < len(classes) and classes[k] == k else 0
+        raise InsufficientDataError(f"scoring: class {k} has {n} training "
+                                    "records, need >= 2 for a covariance")
+
+
 def fit_class_stats(features: Array, labels, num_classes: int,
                     eps: float | None = None) -> ClassStats:
     """Per-class means and unbiased covariances with precomputed inverses."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=int)
+    check_class_counts(labels, num_classes)
     d = features.shape[1]
     means = np.zeros((num_classes, d))
     covs = np.zeros((num_classes, d, d))
@@ -55,11 +68,6 @@ def fit_class_stats(features: Array, labels, num_classes: int,
     precisions = np.zeros((num_classes, d, d))
     for k in range(num_classes):
         rows = features[labels == k]
-        if rows.shape[0] < 2:
-            raise InsufficientDataError(
-                f"scoring: class {k} has {rows.shape[0]} training features, "
-                "need >= 2 for a covariance"
-            )
         means[k] = rows.mean(axis=0)
         covs[k] = covariance(rows)
         eff = default_reg_eps(covs[k]) if eps is None else float(eps)

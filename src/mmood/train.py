@@ -29,7 +29,7 @@ from .metrics import id_metrics
 from .model import SLOT_TRAIN_LOOP, FusionModel, ModelHyper
 from .numerics import component_rng
 from .oodgen import Batch, OodGenConfig, build_mixed_batch
-from .scoring import ClassStats, fit_class_stats
+from .scoring import ClassStats, check_class_counts, fit_class_stats
 
 Array = np.ndarray
 
@@ -183,6 +183,7 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
     if ood_cfg.mix_count > half:
         raise ParameterError(f"train: mix_count must be <= batch_size // 2 "
                              f"= {half}, got {ood_cfg.mix_count}")
+    check_class_counts(train_split.labels, corpus.num_classes)
 
     hyper = cfg.model
     model = FusionModel(corpus.meta, hyper, cfg.seed)

@@ -32,8 +32,9 @@ from oracles import mahalanobis_row_oracle, score_file_oracle
 
 
 def ini_with(section: str, items: dict[str, str]) -> str:
-    """MICRO_INI with each ``key: value`` of ``items`` set in ``[section]``."""
-    parser = configparser.ConfigParser()
+    """MICRO_INI with each ``key: value`` of ``items`` set in ``[section]``,
+    written as given (a ``%`` is not escaped)."""
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(MICRO_INI)
     if not parser.has_section(section):
         parser.add_section(section)
@@ -452,7 +453,9 @@ def _corrupt_entry(path, corruption):
     if corruption == "trailing":
         blob.write_bytes(blob.read_bytes() + b"\0" * 8)
         return
-    if corruption == "truncated":
+    if corruption == "swap":
+        lines[1], lines[2] = lines[2], lines[1]
+    elif corruption == "truncated":
         lines[2] = lines[2][:-5]
     else:
         entry = json.loads(lines[2])
@@ -500,6 +503,21 @@ class TestMalformedManifests:
         assert re.search("'train-00000' modality T.*non-finite", err)
         assert not (micro["tmp"] / "r" / "checkpoint.json").exists()
 
+    def test_blob_naming_a_directory(self, micro, capsys):
+        manifest = micro["corpus"] / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["modalities"]["V"]["blob"] = "."
+        lines[0] = json.dumps(header, sort_keys=True)
+        manifest.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--config", str(micro["cfg"]), "--corpus",
+                     str(micro["corpus"]), "--out", str(micro["tmp"] / "r")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: corpus: missing blob file ")
+        assert len(err.splitlines()) == 1
+        assert not (micro["tmp"] / "r").exists()
+
     @pytest.mark.parametrize("corruption, message", [
         ("truncated", "line 3"),
         ("offset", "line 3.*'offset'"),
@@ -507,6 +525,8 @@ class TestMalformedManifests:
         ("non_finite", "line 3: tensor .*non-finite"),
         ("overlap", "line 3: tensor .* has offset 0; in manifest order"),
         ("trailing", "last tensor .*checkpoint.blob holds"),
+        ("swap", "line 2: tensor .* has offset [1-9][0-9]*; in manifest "
+                 "order it starts at 0"),
     ])
     def test_eval_exits_1_with_error(self, micro, capsys, corruption,
                                      message):
@@ -890,6 +910,27 @@ class TestNestedConfigKey:
         assert capsys.readouterr().err == \
             "error: config: unknown key 'model' in [train]\n"
         assert not out.exists()
+
+
+class TestClassCountCheckedFirst:
+    def test_train_fails_before_any_batch(self, micro, capsys, monkeypatch):
+        # classes 3..49 have no record, so no covariance can be fitted
+        manifest = micro["corpus"] / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["num_classes"] = 50
+        lines[0] = json.dumps(header, sort_keys=True)
+        manifest.write_text("\n".join(lines) + "\n")
+
+        def no_batches(*args):
+            raise AssertionError("a batch was drawn")
+        monkeypatch.setattr("mmood.train.make_batches", no_batches)
+        out = micro["tmp"] / "run"
+        _exits_1_writing_nothing(
+            capsys, ["train", "--config", str(micro["cfg"]), "--corpus",
+                     str(micro["corpus"]), "--out", str(out)],
+            out, "scoring: class 3 has 0 training records, need >= 2 for a "
+                 "covariance")
 
 
 class TestNoValidatedEpoch:

@@ -137,6 +137,28 @@ scorer = all
         with pytest.raises(ParameterError):
             load_config(tmp_path / "absent.ini")
 
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(ParameterError, match="config: cannot read"):
+            load_config(tmp_path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[run]\nout_dir = caf\xe9\n")
+        with pytest.raises(ParameterError,
+                           match="config: cannot read .*can't decode"):
+            load_config(path)
+
+    def test_interpolation_and_escaped_percent(self, tmp_path):
+        cfg = load_config(write(tmp_path, "[train]\nstage1_epochs = 3\n"
+                                "stage2_epochs = %(stage1_epochs)s\n"
+                                "[run]\nout_dir = runs/a%%b\n"))
+        assert cfg.train.stage2_epochs == 3
+        assert cfg.out_dir == "runs/a%b"
+
+    def test_lone_percent_rejected(self, tmp_path):
+        with pytest.raises(ParameterError, match="config: cannot parse"):
+            load_config(write(tmp_path, "[run]\nout_dir = runs/a%b\n"))
+
     def test_bad_scorer_rejected(self, tmp_path):
         with pytest.raises(ParameterError, match="scorer"):
             load_config(write(tmp_path, "[eval]\nscorer = knn\n"))

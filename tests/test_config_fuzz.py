@@ -25,7 +25,8 @@ from mmood.oodgen import OodGenConfig
 from mmood.train import TrainConfig
 from test_cli import MICRO_INI, ini_with
 
-VALUES = ["0", "-1", "0.5", "1.5", "nan", "inf", "-inf", "1e300", "x"]
+VALUES = ["0", "-1", "0.5", "1.5", "nan", "inf", "-inf", "1e300", "x",
+          "50%"]
 KEYS = {
     "model": [f.name for f in fields(ModelHyper)],
     "train": [f.name for f in fields(TrainConfig) if f.name != "model"],

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,23 +434,6 @@ class TestStoragePrecision:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
-    def test_float32_store_loads_float64(self, tmp_path):
-        # checkpoints load as float64 whatever the corpus reads as
-        a, b = np.array([1.5, -2.0, 3.25]), np.arange(4.0).reshape(2, 2)
-        (tmp_path / "f4.blob").write_bytes(
-            a.astype("<f4").tobytes() + b.astype("<f4").tobytes())
-        lines = [
-            {"format": "tensor-store", "version": 1, "meta": {}},
-            {"name": "a", "shape": [3], "dtype": "<f4", "offset": 0},
-            {"name": "b", "shape": [2, 2], "dtype": "<f4", "offset": 12},
-        ]
-        (tmp_path / "f4.json").write_text(
-            "".join(json.dumps(line) + "\n" for line in lines))
-        _, tensors = read_tensor_store(tmp_path / "f4.json")
-        assert tensors["a"].dtype == tensors["b"].dtype == np.float64
-        assert np.array_equal(tensors["a"], a)
-        assert np.array_equal(tensors["b"], b)
-
     def test_training_reads_float32_as_float64(self, micro):
         cfg = load_config(micro["cfg"])
         corpus = load_corpus(micro["corpus"])
@@ -552,23 +536,35 @@ class TestContainerRules:
                            "tensors take 24"):
             read_tensor_store(manifest)
 
-    def test_store_mixing_dtypes_loads(self, tmp_path):
-        # the writer uses one dtype, but each entry declares its own
-        a, b = np.array([1.5, -2.0, 3.25]), np.arange(4.0).reshape(2, 2)
-        (tmp_path / "mixed.blob").write_bytes(
-            a.astype("<f4").tobytes() + b.astype("<f8").tobytes())
-        lines = [
-            {"format": "tensor-store", "version": 1, "meta": {"k": 2}},
-            {"name": "a", "shape": [3], "dtype": "<f4", "offset": 0},
-            {"name": "b", "shape": [2, 2], "dtype": "<f8", "offset": 12},
-        ]
-        (tmp_path / "mixed.json").write_text(
-            "".join(json.dumps(line) + "\n" for line in lines))
-        meta, tensors = read_tensor_store(tmp_path / "mixed.json")
-        assert meta == {"k": 2}
-        assert tensors["a"].dtype == np.float64
-        assert np.array_equal(tensors["a"], a)
-        assert np.array_equal(tensors["b"], b)
+    def test_store_entry_of_another_dtype_rejected(self, tmp_path):
+        # the writer stores every tensor as <f8; the reader takes no other
+        manifest = write_tensor_store(tmp_path, "store",
+                                      {"a": np.ones(3), "b": np.ones(2)}, {})
+        _rewrite_line(manifest, 2, _edit_json(lambda e: e.update(dtype="<f4")))
+        with pytest.raises(FormatError, match="store.json line 3: malformed "
+                           "tensor 'b' .*dtype '<f4' is not '<f8'"):
+            read_tensor_store(manifest)
+
+
+class TestOneBufferDecode:
+    def test_load_peaks_below_a_quarter_of_the_largest_blob(self, tmp_path):
+        # each blob is read straight into its array: no whole-file bytes
+        # buffer is alive beside it while it decodes
+        cfg = tiny_cfg(n_train=140, n_valid=30, n_test_id=20, n_test_ood=10,
+                       modalities={"T": ModalitySynth(seq_len=64, dim=64),
+                                   "V": ModalitySynth(seq_len=32, dim=32),
+                                   "A": ModalitySynth(seq_len=16, dim=16)})
+        manifest = save_corpus(synth_corpus(cfg, make_rng(0)), tmp_path / "c")
+        largest = max((tmp_path / "c" / f"seq_{m}.blob").stat().st_size
+                      for m in MODALITIES)
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(manifest)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 200
+        assert peak - held < 0.25 * largest
 
 
 class TestLoadsLine:

@@ -14,6 +14,7 @@ from mmood.numerics import default_reg_eps, make_rng, regularized_inverse
 from mmood.scoring import (
     SCORERS,
     apply_scorer,
+    check_class_counts,
     fit_class_stats,
     fit_residual,
     fit_scorer,
@@ -62,6 +63,16 @@ class TestClassStats:
         feats = np.zeros((3, 2))
         with pytest.raises(InsufficientDataError, match="class 1"):
             fit_class_stats(feats, [0, 0, 1], 2)
+
+    @pytest.mark.parametrize("labels, num_classes, message", [
+        ([0, 0, 2, 2], 3, "class 1 has 0 "),
+        ([1, 0, 1, 2, 0], 3, "class 2 has 1 "),
+        ([0, 0, 1, 1], 10**12, "class 2 has 0 "),  # nothing K-sized is built
+        ([], 2, "class 0 has 0 "),
+    ])
+    def test_first_short_class_named(self, labels, num_classes, message):
+        with pytest.raises(InsufficientDataError, match=message):
+            check_class_counts(np.array(labels, dtype=int), num_classes)
 
     def test_default_eps_is_scale_aware(self):
         # covariances near 1e4 * I: the default 1e-6 * trace / dim is ~1e-2
