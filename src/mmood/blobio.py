@@ -37,10 +37,6 @@ class Schema:
     key_noun: str  # "duplicate <key_noun> <value>"
 
 
-def array_to_bytes(arr: np.ndarray, dtype: np.dtype) -> bytes:
-    return np.ascontiguousarray(arr).astype(dtype).tobytes()
-
-
 def write_jsonl(path: Path, objects) -> Path:
     """Write one JSON object per line, keys sorted: a manifest is its header
     followed by its entries."""
@@ -161,7 +157,8 @@ def write_tensor_store(directory, name: str, tensors: dict[str, np.ndarray],
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     names = sorted(tensors)
-    data = [array_to_bytes(tensors[tname], STORE_DTYPE) for tname in names]
+    data = [np.asarray(tensors[tname], STORE_DTYPE).tobytes()
+            for tname in names]
     (directory / f"{name}.blob").write_bytes(b"".join(data))
     entries = ({"name": tname, "shape": list(tensors[tname].shape),
                 "dtype": STORE_DTYPE.str, "offset": offset}

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CorpusMeta
+from .corpus import MODALITIES, CorpusMeta
 from .blobio import read_tensor_blob, read_tensor_manifest, write_tensor_store
 from .errors import FormatError
 from .model import FusionModel, ModelHyper
@@ -48,10 +48,35 @@ def save_checkpoint(trained: TrainedModel, directory) -> Path:
     return write_tensor_store(directory, CHECKPOINT_NAME, tensors, meta)
 
 
-def _model_from_header(meta, manifest: Path) -> FusionModel:
+def _check_sizes(meta: CorpusMeta, hyper: ModelHyper, stored: dict,
+                 manifest: Path) -> None:
+    """Each size the header sets matches a stored tensor that carries it,
+    before the model allocates anything; a carrier that is not stored is
+    left to the tensor-name check."""
+    k, d = meta.num_classes, meta.shapes["T"][1]
+    carriers = {STATS["means"]: ((k, d), "num_classes, shapes.T")}
+    for m in MODALITIES:
+        d_in = meta.shapes[m][1]
+        carriers[f"encoder.{m}.block.ffn.lin1.W"] = (
+            (d_in, hyper.ffn_hidden or d_in), f"shapes.{m}, hyper.ffn_hidden")
+    if hyper.fusion_mode == "weighted":
+        carriers["fusion.score.T.in.W"] = ((d, hyper.fusion_hidden),
+                                           "shapes.T, hyper.fusion_hidden")
+    if not hyper.no_contrast:
+        carriers["contrast.proj.W"] = ((d, hyper.contrast_dim or d),
+                                       "shapes.T, hyper.contrast_dim")
+    for name, (shape, keys) in carriers.items():
+        if stored.get(name, shape) != shape:
+            raise FormatError(f"checkpoint: {manifest}: tensor {name!r} has "
+                              f"shape {stored[name]}, but the header "
+                              f"({keys}) implies {shape}")
+
+
+def _model_from_header(meta, manifest: Path, entries) -> FusionModel:
     """The untrained model a checkpoint header describes; ``hyper`` must
     carry exactly the ``ModelHyper`` fields, each of the type of its
-    default (an int stands for a float)."""
+    default (an int stands for a float), and its sizes must match the
+    stored tensors' shapes."""
     try:
         hyper = meta["hyper"]
         kinds = {f.name: type(f.default) for f in fields(ModelHyper)}
@@ -68,8 +93,10 @@ def _model_from_header(meta, manifest: Path) -> FusionModel:
             num_classes=int(meta["num_classes"]),
             shapes={m: tuple(s) for m, s in meta["shapes"].items()},
         )
-        return FusionModel(corpus_meta, ModelHyper(**hyper),
-                           seed=int(meta.get("seed", 0)))
+        hyper = ModelHyper(**hyper)
+        _check_sizes(corpus_meta, hyper,
+                     {name: shape for _, name, _, shape in entries}, manifest)
+        return FusionModel(corpus_meta, hyper, seed=int(meta.get("seed", 0)))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint: {manifest}: malformed header "
                           f"({type(exc).__name__}: {exc})") from exc
@@ -110,7 +137,7 @@ def load_checkpoint(directory):
     # parameter names are checked before the blob is read, so a dropped
     # manifest entry is reported by name, not as the layout gap it leaves
     meta, entries = read_tensor_manifest(manifest)
-    model = _model_from_header(meta, manifest)
+    model = _model_from_header(meta, manifest, entries)
 
     named = model.named_params()
     expected = set(named) | set(STATE_TENSORS)

@@ -15,21 +15,27 @@ widens them to float64 where it reads them (``train``, ``features_for``).
 
 In memory a ``Corpus`` holds ``ids``, ``splits`` and ``labels`` columns
 and one (N, L, D) float32 array per modality, in file order; saving and
-loading validate whole columns and name the first offending record.
+loading validate whole columns and name the first offending record. All
+three operations work by column: ``synth_corpus`` draws its noise in
+record order, in chunks of records; ``save_corpus`` writes each entry line
+from one template, byte-identical to ``json.dumps(entry, sort_keys=True)``;
+``load_corpus`` reads a manifest in exactly that layout with one regex, and
+walks any other line by line (``blobio.read_manifest``), with its errors.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from dataclasses import dataclass, field
-from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .blobio import (Schema, array_to_bytes, read_blob, read_manifest,
-                     write_jsonl)
+from .blobio import Schema, loads_line, read_blob, read_manifest
 from .errors import FormatError, ParameterError, check_fields
 from .numerics import l2_normalize
 
@@ -43,6 +49,23 @@ STORAGE = np.dtype("<f4")  # blob precision
 SCHEMA = Schema(module="corpus", format="corpus", kind="corpus manifest",
                 entry="record", key="id", key_noun="record id")
 _OFFSETS = itemgetter(*MODALITIES)  # a record's offsets, in MODALITIES order
+_SYNTH_CHUNK = 1024  # records per noise draw; bounds its temporaries
+
+# An entry line as ``json.dumps(entry, sort_keys=True)`` writes it (keys
+# id, label, offsets, split; offsets by sorted modality), and the pattern
+# that reads exactly that layout back: ids and splits of printable ASCII
+# and JSON escapes, labels a class index or the OOD sentinel.
+_SORTED = tuple(sorted(MODALITIES))
+_OOD_JSON = json.dumps(OOD_SENTINEL)
+_ENTRY_LINE = ('{{"id": {}, "label": {}, "offsets": {{'
+               + ", ".join(f'"{m}": {{}}' for m in _SORTED)
+               + '}}, "split": {}}}\n')
+_STRING = r'"([ !#-\[\]-~]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[ !#-\[\]-~]*)*)"'
+_INDEX = "0|[1-9][0-9]*"
+_ENTRY = re.compile(
+    r'^\{"id": %s, "label": (%s|%s), "offsets": \{%s\}, "split": %s\}$' % (
+        _STRING, _INDEX, re.escape(_OOD_JSON),
+        ", ".join(f'"{m}": ({_INDEX})' for m in _SORTED), _STRING), re.M)
 
 
 @dataclass
@@ -151,17 +174,22 @@ def save_corpus(corpus: Corpus, directory) -> Path:
                                  "blob": f"seq_{m}.blob"}
                              for m, (length, dim) in meta.shapes.items()}}
     for m in MODALITIES:
-        (directory / f"seq_{m}.blob").write_bytes(
-            array_to_bytes(corpus.seqs[m], STORAGE))
-    row_bytes = {m: math.prod(meta.shapes[m]) * STORAGE.itemsize
-                 for m in MODALITIES}
-    columns = zip(corpus.ids.tolist(), corpus.splits.tolist(),
-                  corpus.labels.tolist())
-    return write_jsonl(directory / MANIFEST_NAME, chain([header], (
-        {"id": rec_id, "split": split,
-         "label": OOD_SENTINEL if label == OOD_LABEL else label,
-         "offsets": {m: row * row_bytes[m] for m in MODALITIES}}
-        for row, (rec_id, split, label) in enumerate(columns))))
+        corpus.seqs[m].astype(STORAGE, copy=False).tofile(
+            directory / f"seq_{m}.blob")
+    row_bytes = [math.prod(meta.shapes[m]) * STORAGE.itemsize
+                 for m in _SORTED]
+    path = directory / MANIFEST_NAME
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.writelines(_ENTRY_LINE.format(
+            encode_basestring_ascii(rec_id),
+            _OOD_JSON if label == OOD_LABEL else label,
+            *(row * size for size in row_bytes),
+            encode_basestring_ascii(split))
+            for row, (rec_id, split, label) in enumerate(zip(
+                corpus.ids.tolist(), corpus.splits.tolist(),
+                corpus.labels.tolist())))
+    return path
 
 
 def _header(header) -> tuple:
@@ -190,16 +218,63 @@ def _record(entry, header: tuple) -> tuple:
     return (rec_id, split, label, *offsets)
 
 
+def _walk(path: Path) -> tuple:
+    """``(header, lines, ids, splits, labels, offsets per modality)`` of any
+    manifest, line by line; the one reader that names a bad line."""
+    parsed, rows = read_manifest(path, SCHEMA, _header, _record)
+    lines, ids, splits, labels, *offsets = \
+        zip(*rows) if rows else [()] * (4 + len(MODALITIES))
+    return parsed, lines, ids, splits, labels, offsets
+
+
+def _unescape(strings) -> list[str]:
+    return [json.loads(f'"{s}"') if "\\" in s else s for s in strings]
+
+
+def _match(path: Path) -> tuple:
+    """A manifest's first line, its line count and its entry-regex matches.
+    Neither the lines nor the text outlive their use: held while the
+    matches or the columns are built, they raise the process's peak RSS."""
+    text = path.read_bytes().decode("utf-8")
+    lines = text.splitlines()
+    first, count = lines[0], len(lines)
+    del lines
+    return first, count, _ENTRY.findall(text)
+
+
+def _scan(path: Path):
+    """``_walk(path)`` by one regex over the text, for a manifest in exactly
+    ``save_corpus``'s layout whose ids are unique and labels in range; None
+    for any other, which the walk then reads (or names its bad line)."""
+    try:
+        first, n_lines, rows = _match(path)
+        header = loads_line(first)
+        if header.get("format") != SCHEMA.format or len(rows) != n_lines - 1:
+            return None
+        parsed = _header(header)
+        ids, labels, *offsets, splits = \
+            zip(*rows) if rows else [()] * (3 + len(MODALITIES))
+        ids = _unescape(ids)
+        labels = [OOD_LABEL if label == _OOD_JSON else int(label)
+                  for label in labels]
+        if len(set(ids)) != len(ids) or max(labels, default=0) >= parsed[0]:
+            return None
+        offsets = dict(zip(_SORTED, offsets))
+        return (parsed, range(2, len(ids) + 2), ids, _unescape(splits), labels,
+                [list(map(int, offsets[m])) for m in MODALITIES])
+    except (OSError, IndexError, AttributeError, KeyError, TypeError,
+            ValueError):
+        return None
+
+
 def load_corpus(manifest_path) -> Corpus:
     """Load and fully validate a corpus; errors name the offending record."""
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / MANIFEST_NAME
-    (num_classes, shapes, blob_files), rows = read_manifest(
-        manifest_path, SCHEMA, _header, _record)
+    (num_classes, shapes, blob_files), lines, ids, splits, labels, offsets = \
+        _scan(manifest_path) or _walk(manifest_path)
     meta = CorpusMeta(num_classes=num_classes, shapes=shapes)
-    lines, ids, splits, labels, *offsets = \
-        zip(*rows) if rows else [()] * (4 + len(MODALITIES))
     n = len(ids)
     seqs = {m: read_blob(manifest_path, SCHEMA, blob_files[m], lines,
                          lambda i: f"record {ids[i]!r} modality {m}", offs,
@@ -272,7 +347,10 @@ def synth_corpus(cfg: SynthConfig, rng: np.random.Generator) -> Corpus:
     true-OOD clusters use independently drawn means and appear only in the
     test split. Per-class counts are assigned round-robin, so class
     frequencies are deterministic. Values are quantized to float32, the
-    storage precision; draws run record by record, modality inside.
+    storage precision. The noise is drawn in record order, modality inside,
+    one standard-normal draw per chunk of up to ``_SYNTH_CHUNK`` records: the
+    same stream and float64 operations as one ``rng.normal(scale=sigma)``
+    draw per record and modality.
     """
     meta = cfg.meta()
     k = cfg.num_classes
@@ -287,46 +365,60 @@ def synth_corpus(cfg: SynthConfig, rng: np.random.Generator) -> Corpus:
         for m, spec in cfg.modalities.items()
     }
 
-    def class_sigma(spec: ModalitySynth, label: int) -> float:
-        if spec.class_sigma_spread == 0.0:
-            return spec.sigma
-        return spec.sigma * (1.0 + spec.class_sigma_spread * label / (k - 1))
-
-    # (id, split, label, mean table, mean index, sigma label) in file order
-    plan = []
+    # the columns in file order; row r reads mean and sigma row ``rows[r]``
+    # of its modality's tables: K classes, then the OOD clusters
+    ids, splits = [], []
     for split, count in (("train", cfg.n_train), ("valid", cfg.n_valid),
                          ("test", cfg.n_test_id)):
         tag = "test-id" if split == "test" else split
-        plan += [(f"{tag}-{i:05d}", split, i % k, class_means, i % k, i % k)
-                 for i in range(count)]
-    plan += [(f"test-ood-{j:05d}", "test", OOD_LABEL, ood_means,
-              j % cfg.ood_clusters, None) for j in range(cfg.n_test_ood)]
+        ids += [f"{tag}-{i:05d}" for i in range(count)]
+        splits += [split] * count
+    n_ood = cfg.n_test_ood
+    ids += [f"test-ood-{j:05d}" for j in range(n_ood)]
+    splits += ["test"] * n_ood
+    n = len(ids)
+    id_labels = np.concatenate([np.arange(count) % k for count in
+                                (cfg.n_train, cfg.n_valid, cfg.n_test_id)])
+    labels = np.concatenate([id_labels, np.full(n_ood, OOD_LABEL)])
+    rows = np.concatenate([id_labels,
+                           k + np.arange(n_ood) % max(cfg.ood_clusters, 1)])
 
-    seqs = {m: np.empty((len(plan), spec.seq_len, spec.dim), dtype=STORAGE)
+    means = {m: np.concatenate([class_means[m], ood_means[m]])
+             for m in cfg.modalities}
+    # sigma_k = sigma * (1 + spread*k/(K-1)), exactly sigma at spread 0
+    sigmas = {m: np.array([spec.sigma * (1.0 + spec.class_sigma_spread * c
+                                         / (k - 1)) for c in range(k)]
+                          + [spec.sigma] * len(ood_means[m]))
+              for m, spec in cfg.modalities.items()}
+    # a modality with sigma 0 draws nothing; the others own a column span
+    spans, width = {}, 0
+    for m, spec in cfg.modalities.items():
+        if spec.sigma > 0:
+            spans[m] = slice(width, width + spec.seq_len * spec.dim)
+            width = spans[m].stop
+    seqs = {m: np.empty((n, spec.seq_len, spec.dim), dtype=STORAGE)
             for m, spec in cfg.modalities.items()}
     # a draw past the float32 range is stored as inf; the check after the
     # loop names the scale keys that caused it
     with np.errstate(over="ignore"):
-        for row, (_, _, _, means, midx, sigma_label) in enumerate(plan):
+        for start in range(0, n, _SYNTH_CHUNK):
+            chunk = rows[start:start + _SYNTH_CHUNK]
+            z = rng.standard_normal((len(chunk), width)) if width else None
             for m, spec in cfg.modalities.items():
-                sig = spec.sigma if sigma_label is None \
-                    else class_sigma(spec, sigma_label)
-                noise = rng.normal(scale=sig, size=(spec.seq_len, spec.dim)) \
-                    if sig > 0 else 0.0
-                seqs[m][row] = means[m][midx] + noise
+                noise = 0.0
+                if m in spans:  # rng.normal(scale=sig)'s loc + scale * z
+                    noise = 0.0 + sigmas[m][chunk, None, None] * \
+                        z[:, spans[m]].reshape(-1, spec.seq_len, spec.dim)
+                seqs[m][start:start + len(chunk)] = \
+                    means[m][chunk, None, :] + noise
     for m, spec in cfg.modalities.items():
         if not np.isfinite(seqs[m]).all():
             keys = ", ".join(f"{key}_{m.lower()} = {getattr(spec, key)!r}"
                              for key in _MODALITY_RULES)
             raise ParameterError(
                 f"corpus: modality {m} draws overflow float32 storage ({keys})")
-    return Corpus(
-        meta=meta,
-        ids=np.array([p[0] for p in plan], dtype=str),
-        splits=np.array([p[1] for p in plan], dtype=str),
-        labels=np.array([p[2] for p in plan], dtype=np.int64),
-        seqs=seqs,
-    )
+    return Corpus(meta=meta, ids=np.array(ids, dtype=str),
+                  splits=np.array(splits, dtype=str), labels=labels, seqs=seqs)
 
 
 def make_batches(corpus: Corpus, batch_size: int,

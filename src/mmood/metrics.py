@@ -99,7 +99,13 @@ def id_metrics(preds, golds, num_classes: int) -> IdMetrics:
     )
 
 
-def _check_two_classes(scores, is_id):
+def _tied_groups(scores, is_id):
+    """The one threshold sweep: (ID count, OOD count) per tied-score group.
+
+    One O(n log n) sort (``np.unique``) groups equal scores, returned in
+    descending order, so the cumulative sums of the two counts are the
+    ID/OOD counts with score >= t at each threshold t.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     flags = np.asarray(is_id, dtype=bool)
     if flags.all() or not flags.any():
@@ -108,21 +114,17 @@ def _check_two_classes(scores, is_id):
         )
     if np.isnan(scores).any():
         raise MetricError("metrics: scores contain NaN")
-    return scores, flags
-
-
-def _tied_groups(scores: Array, flags: Array):
-    """The one threshold sweep: (ID count, OOD count) per tied-score group.
-
-    One O(n log n) sort (``np.unique``) groups equal scores, returned in
-    descending order, so the cumulative sums of the two counts are the
-    ID/OOD counts with score >= t at each threshold t.
-    """
     _, group = np.unique(scores, return_inverse=True)
     n_groups = int(group.max()) + 1
     id_counts = np.bincount(group[flags], minlength=n_groups)[::-1]
     ood_counts = np.bincount(group[~flags], minlength=n_groups)[::-1]
     return id_counts, ood_counts
+
+
+def _auroc(a: Array, b: Array) -> float:
+    cum_id = np.cumsum(a)
+    n_id, n_ood = int(cum_id[-1]), int(b.sum())
+    return int(np.sum(b * (2 * cum_id - a))) / (2 * n_id * n_ood)
 
 
 def roc_auroc(scores, is_id):
@@ -133,13 +135,19 @@ def roc_auroc(scores, is_id):
     numerator / (2 * n_id * n_ood)), so the result equals the
     Mann-Whitney statistic bit-for-bit.
     """
-    scores, flags = _check_two_classes(scores, is_id)
-    a, b = _tied_groups(scores, flags)
+    a, b = _tied_groups(scores, is_id)
     cum_id, cum_ood = np.cumsum(a), np.cumsum(b)
-    n_id, n_ood = int(cum_id[-1]), int(cum_ood[-1])
-    numerator = int(np.sum(b * (2 * cum_id - a)))
-    points = list(zip((cum_ood / n_ood).tolist(), (cum_id / n_id).tolist()))
-    return [(0.0, 0.0)] + points, numerator / (2 * n_id * n_ood)
+    points = list(zip((cum_ood / cum_ood[-1]).tolist(),
+                      (cum_id / cum_id[-1]).tolist()))
+    return [(0.0, 0.0)] + points, _auroc(a, b)
+
+
+def _aupr(pos: Array, neg: Array) -> float:
+    tp = np.cumsum(pos)
+    recall = tp / tp[-1]
+    precision = tp / (tp + np.cumsum(neg))
+    # steps summed left to right in sweep order (cumsum, not pairwise sum)
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def aupr(scores, is_id, positive: str = "ID") -> float:
@@ -148,18 +156,26 @@ def aupr(scores, is_id, positive: str = "ID") -> float:
     ``positive`` selects which side counts as the positive class; the OOD
     sweep runs in ascending score order (predict OOD iff score <= t).
     """
-    scores, flags = _check_two_classes(scores, is_id)
+    a, b = _tied_groups(scores, is_id)
     if positive not in ("ID", "OOD"):
         raise ParameterError(f"metrics: positive must be 'ID' or 'OOD', "
                              f"got {positive!r}")
-    pos, neg = _tied_groups(scores, flags)
-    if positive == "OOD":  # ascending sweep with the roles swapped
-        pos, neg = neg[::-1], pos[::-1]
-    tp = np.cumsum(pos)
-    recall = tp / tp[-1]
-    precision = tp / (tp + np.cumsum(neg))
-    # steps summed left to right in sweep order (cumsum, not pairwise sum)
-    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
+    # the OOD sweep is the ascending one, with the roles swapped
+    return _aupr(a, b) if positive == "ID" else _aupr(b[::-1], a[::-1])
+
+
+def _fpr95_der(a: Array, b: Array) -> tuple[float, float]:
+    if int(a.sum()) < 20:
+        warnings.warn(
+            "metrics: fewer than 20 ID samples; TPR granularity is coarser "
+            "than 5%", stacklevel=3,
+        )
+    cum_id, cum_ood = np.cumsum(a), np.cumsum(b)
+    tpr, fpr = cum_id / cum_id[-1], cum_ood / cum_ood[-1]
+    idx = int(np.argmax(tpr >= 0.95))  # first (largest) qualifying threshold
+    fpr95 = float(fpr[idx])
+    der = float(0.5 * (1.0 - tpr[idx]) + 0.5 * fpr[idx])
+    return fpr95, der
 
 
 def fpr95_der(scores, is_id):
@@ -169,23 +185,12 @@ def fpr95_der(scores, is_id):
     (which also minimizes FPR among qualifying thresholds); DER assumes
     equal ID/OOD priors.
     """
-    scores, flags = _check_two_classes(scores, is_id)
-    if int(flags.sum()) < 20:
-        warnings.warn(
-            "metrics: fewer than 20 ID samples; TPR granularity is coarser "
-            "than 5%", stacklevel=2,
-        )
-    a, b = _tied_groups(scores, flags)
-    cum_id, cum_ood = np.cumsum(a), np.cumsum(b)
-    tpr, fpr = cum_id / cum_id[-1], cum_ood / cum_ood[-1]
-    idx = int(np.argmax(tpr >= 0.95))  # first (largest) qualifying threshold
-    fpr95 = float(fpr[idx])
-    der = float(0.5 * (1.0 - tpr[idx]) + 0.5 * fpr[idx])
-    return fpr95, der
+    return _fpr95_der(*_tied_groups(scores, is_id))
 
 
 def ood_metrics(scores, is_id) -> OodMetrics:
-    _, auroc = roc_auroc(scores, is_id)
-    fpr95, der = fpr95_der(scores, is_id)
-    return OodMetrics(auroc=auroc, aupr_in=aupr(scores, is_id, "ID"),
-                      aupr_out=aupr(scores, is_id, "OOD"), fpr95=fpr95, der=der)
+    """The four public metrics above, from one sweep."""
+    a, b = _tied_groups(scores, is_id)
+    fpr95, der = _fpr95_der(a, b)
+    return OodMetrics(auroc=_auroc(a, b), aupr_in=_aupr(a, b),
+                      aupr_out=_aupr(b[::-1], a[::-1]), fpr95=fpr95, der=der)

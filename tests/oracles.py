@@ -13,7 +13,9 @@ it computed only the query rows its readout reads. The softmax, softmax
 backward, unit-norm and log-sum-exp copies that attention, fusion, the
 cosine head, the contrastive loss and the scorers each wrote out are kept
 as they were before ``numerics`` held the one copy of each. The AdamW
-step is kept as it was before it wrote into preallocated buffers.
+step is kept as it was before it wrote into preallocated buffers. The
+synthetic corpus draw is kept as it was before it drew its noise in
+chunks of records.
 """
 
 import dataclasses
@@ -23,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from mmood.corpus import MODALITIES
+from mmood.corpus import MODALITIES, STORAGE, _sphere_point
 from mmood.encoders import sinusoidal_positions
 from mmood.heads import (
     coarse_loss,
@@ -388,3 +390,40 @@ def class_token_encoder_oracle(enc, x, g=None):
         gx = enc.block.backward(g_block, cache)
         enc.class_token.grad += gx[:, 0, :].sum(axis=0)
     return out[:, 0, :]
+
+
+def synth_loop_oracle(cfg, rng):
+    """The former ``synth_corpus`` draw: one ``rng.normal(scale=sigma)``
+    call per record and modality, in file order; returns the seqs dict."""
+    k = cfg.num_classes
+    class_means = {
+        m: np.stack([_sphere_point(rng, spec.dim, spec.radius) for _ in range(k)])
+        for m, spec in cfg.modalities.items()
+    }
+    ood_means = {
+        m: np.stack([_sphere_point(rng, spec.dim, spec.radius)
+                     for _ in range(max(cfg.ood_clusters, 1))])
+        for m, spec in cfg.modalities.items()
+    }
+
+    def class_sigma(spec, label):
+        if spec.class_sigma_spread == 0.0:
+            return spec.sigma
+        return spec.sigma * (1.0 + spec.class_sigma_spread * label / (k - 1))
+
+    plan = []
+    for count in (cfg.n_train, cfg.n_valid, cfg.n_test_id):
+        plan += [(class_means, i % k, i % k) for i in range(count)]
+    plan += [(ood_means, j % cfg.ood_clusters, None)
+             for j in range(cfg.n_test_ood)]
+    seqs = {m: np.empty((len(plan), spec.seq_len, spec.dim), dtype=STORAGE)
+            for m, spec in cfg.modalities.items()}
+    with np.errstate(over="ignore"):
+        for row, (means, midx, sigma_label) in enumerate(plan):
+            for m, spec in cfg.modalities.items():
+                sig = spec.sigma if sigma_label is None \
+                    else class_sigma(spec, sigma_label)
+                noise = rng.normal(scale=sig, size=(spec.seq_len, spec.dim)) \
+                    if sig > 0 else 0.0
+                seqs[m][row] = means[m][midx] + noise
+    return seqs

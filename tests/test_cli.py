@@ -674,6 +674,53 @@ class TestCheckpointHeader:
         assert err.startswith(f"error: checkpoint: {manifest}: malformed header")
 
 
+class TestCheckpointHeaderSizes:
+    """A header size that disagrees with its stored tensor fails before the
+    model is built, so a huge one allocates nothing."""
+
+    @pytest.mark.parametrize("edit, name, keys, shape", [
+        (lambda h: h["hyper"].update(fusion_hidden=10**12),
+         "fusion.score.T.in.W", "shapes.T, hyper.fusion_hidden",
+         (8, 10**12)),
+        (lambda h: h["hyper"].update(ffn_hidden=10**9),
+         "encoder.T.block.ffn.lin1.W", "shapes.T, hyper.ffn_hidden",
+         (8, 10**9)),
+        (lambda h: h["hyper"].update(contrast_dim=10**9),
+         "contrast.proj.W", "shapes.T, hyper.contrast_dim", (8, 10**9)),
+        (lambda h: h.update(num_classes=10**9),
+         "stats.means", "num_classes, shapes.T", (10**9, 8)),
+        (lambda h: h["shapes"].update(V=[3, 10**9]),
+         "encoder.V.block.ffn.lin1.W", "shapes.V, hyper.ffn_hidden",
+         (10**9, 10**9)),
+    ], ids=["fusion_hidden", "ffn_hidden", "contrast_dim", "num_classes",
+            "dim_v"])
+    def test_named_before_the_model_is_built(self, micro, capsys, monkeypatch,
+                                             edit, name, keys, shape):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        manifest = run / "checkpoint.json"
+        lines = manifest.read_text().splitlines()
+        header = json.loads(lines[0])
+        stored = next(json.loads(line)["shape"] for line in lines[1:]
+                      if json.loads(line)["name"] == name)
+        edit(header["meta"])
+        lines[0] = json.dumps(header, sort_keys=True)
+        manifest.write_text("\n".join(lines) + "\n")
+
+        def unbuildable(*args, **kwargs):
+            raise AssertionError("FusionModel built from an unchecked header")
+
+        monkeypatch.setattr("mmood.checkpoint.FusionModel", unbuildable)
+        capsys.readouterr()
+        code = main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                     str(run), "--corpus", str(micro["corpus"]),
+                     "--out", str(micro["tmp"] / "e")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint: {manifest}: tensor {name!r} has shape "
+            f"{tuple(stored)}, but the header ({keys}) implies {shape}\n")
+        assert not (micro["tmp"] / "e").exists()
+
+
 def _train_cli(micro, out, *extra):
     assert main(["train", "--config", str(micro["cfg"]), "--corpus",
                  str(micro["corpus"]), "--out", str(out), "--seed", "0",

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -262,6 +263,28 @@ class TestOodMetricsBundle:
         assert (bundle.fpr95, bundle.der) == fpr95_der(scores, flags)
         for value in dataclasses.asdict(bundle).values():
             assert 0.0 <= value <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_one_sweep_equals_the_public_metrics_on_ties(self, seed):
+        rng = make_rng(seed)
+        scores, flags = random_case(rng, max_n=300, ties=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with mock.patch("numpy.unique", wraps=np.unique) as unique:
+                bundle = ood_metrics(scores, flags)
+            assert unique.call_count == 1
+            fpr95, der = fpr95_der(scores, flags)
+        assert (bundle.auroc, bundle.aupr_in, bundle.aupr_out, bundle.fpr95,
+                bundle.der) == (roc_auroc(scores, flags)[1],
+                                aupr(scores, flags, "ID"),
+                                aupr(scores, flags, "OOD"), fpr95, der)
+
+    def test_few_id_samples_warn_once(self):
+        scores, flags = np.arange(12.0), np.arange(12) % 2 == 0
+        with pytest.warns(UserWarning, match="fewer than 20") as caught:
+            ood_metrics(scores, flags)
+        assert len(caught) == 1
 
     def test_permutation_invariance_of_bundle(self):
         rng = make_rng(6)
