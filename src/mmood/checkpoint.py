@@ -50,9 +50,8 @@ def save_checkpoint(trained: TrainedModel, directory) -> Path:
 
 def _check_sizes(meta: CorpusMeta, hyper: ModelHyper, stored: dict,
                  manifest: Path) -> None:
-    """Each size the header sets matches a stored tensor that carries it,
-    before the model allocates anything; a carrier that is not stored is
-    left to the tensor-name check."""
+    """Each size the header sets is carried by a stored tensor of the shape
+    it implies, checked before the model allocates anything."""
     k, d = meta.num_classes, meta.shapes["T"][1]
     carriers = {STATS["means"]: ((k, d), "num_classes, shapes.T")}
     for m in MODALITIES:
@@ -65,8 +64,13 @@ def _check_sizes(meta: CorpusMeta, hyper: ModelHyper, stored: dict,
     if not hyper.no_contrast:
         carriers["contrast.proj.W"] = ((d, hyper.contrast_dim or d),
                                        "shapes.T, hyper.contrast_dim")
+    missing = sorted(set(carriers) - set(stored))
+    if missing:
+        raise FormatError(f"checkpoint: {manifest}: tensor mismatch "
+                          f"(missing={missing}), so the header sizes they "
+                          "carry cannot be checked")
     for name, (shape, keys) in carriers.items():
-        if stored.get(name, shape) != shape:
+        if stored[name] != shape:
             raise FormatError(f"checkpoint: {manifest}: tensor {name!r} has "
                               f"shape {stored[name]}, but the header "
                               f"({keys}) implies {shape}")

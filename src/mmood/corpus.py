@@ -15,27 +15,21 @@ widens them to float64 where it reads them (``train``, ``features_for``).
 
 In memory a ``Corpus`` holds ``ids``, ``splits`` and ``labels`` columns
 and one (N, L, D) float32 array per modality, in file order; saving and
-loading validate whole columns and name the first offending record. All
-three operations work by column: ``synth_corpus`` draws its noise in
-record order, in chunks of records; ``save_corpus`` writes each entry line
-from one template, byte-identical to ``json.dumps(entry, sort_keys=True)``;
-``load_corpus`` reads a manifest in exactly that layout with one regex, and
-walks any other line by line (``blobio.read_manifest``), with its errors.
+loading validate whole columns and name the first offending record.
+``synth_corpus`` draws its noise in record order, in chunks of records.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import re
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .blobio import Schema, loads_line, read_blob, read_manifest
+from .blobio import Schema, read_blob, read_manifest, write_jsonl
 from .errors import FormatError, ParameterError, check_fields
 from .numerics import l2_normalize
 
@@ -49,23 +43,7 @@ STORAGE = np.dtype("<f4")  # blob precision
 SCHEMA = Schema(module="corpus", format="corpus", kind="corpus manifest",
                 entry="record", key="id", key_noun="record id")
 _OFFSETS = itemgetter(*MODALITIES)  # a record's offsets, in MODALITIES order
-_SYNTH_CHUNK = 1024  # records per noise draw; bounds its temporaries
-
-# An entry line as ``json.dumps(entry, sort_keys=True)`` writes it (keys
-# id, label, offsets, split; offsets by sorted modality), and the pattern
-# that reads exactly that layout back: ids and splits of printable ASCII
-# and JSON escapes, labels a class index or the OOD sentinel.
-_SORTED = tuple(sorted(MODALITIES))
-_OOD_JSON = json.dumps(OOD_SENTINEL)
-_ENTRY_LINE = ('{{"id": {}, "label": {}, "offsets": {{'
-               + ", ".join(f'"{m}": {{}}' for m in _SORTED)
-               + '}}, "split": {}}}\n')
-_STRING = r'"([ !#-\[\]-~]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[ !#-\[\]-~]*)*)"'
-_INDEX = "0|[1-9][0-9]*"
-_ENTRY = re.compile(
-    r'^\{"id": %s, "label": (%s|%s), "offsets": \{%s\}, "split": %s\}$' % (
-        _STRING, _INDEX, re.escape(_OOD_JSON),
-        ", ".join(f'"{m}": ({_INDEX})' for m in _SORTED), _STRING), re.M)
+_SYNTH_CHUNK = 256  # records per noise draw; bounds its float64 temporaries
 
 
 @dataclass
@@ -176,20 +154,15 @@ def save_corpus(corpus: Corpus, directory) -> Path:
     for m in MODALITIES:
         corpus.seqs[m].astype(STORAGE, copy=False).tofile(
             directory / f"seq_{m}.blob")
-    row_bytes = [math.prod(meta.shapes[m]) * STORAGE.itemsize
-                 for m in _SORTED]
-    path = directory / MANIFEST_NAME
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.writelines(_ENTRY_LINE.format(
-            encode_basestring_ascii(rec_id),
-            _OOD_JSON if label == OOD_LABEL else label,
-            *(row * size for size in row_bytes),
-            encode_basestring_ascii(split))
-            for row, (rec_id, split, label) in enumerate(zip(
-                corpus.ids.tolist(), corpus.splits.tolist(),
-                corpus.labels.tolist())))
-    return path
+    row_bytes = {m: math.prod(meta.shapes[m]) * STORAGE.itemsize
+                 for m in MODALITIES}
+    columns = zip(corpus.ids.tolist(), corpus.splits.tolist(),
+                  corpus.labels.tolist())
+    return write_jsonl(directory / MANIFEST_NAME, chain([header], (
+        {"id": rec_id, "split": split,
+         "label": OOD_SENTINEL if label == OOD_LABEL else label,
+         "offsets": {m: row * row_bytes[m] for m in MODALITIES}}
+        for row, (rec_id, split, label) in enumerate(columns))))
 
 
 def _header(header) -> tuple:
@@ -218,63 +191,16 @@ def _record(entry, header: tuple) -> tuple:
     return (rec_id, split, label, *offsets)
 
 
-def _walk(path: Path) -> tuple:
-    """``(header, lines, ids, splits, labels, offsets per modality)`` of any
-    manifest, line by line; the one reader that names a bad line."""
-    parsed, rows = read_manifest(path, SCHEMA, _header, _record)
-    lines, ids, splits, labels, *offsets = \
-        zip(*rows) if rows else [()] * (4 + len(MODALITIES))
-    return parsed, lines, ids, splits, labels, offsets
-
-
-def _unescape(strings) -> list[str]:
-    return [json.loads(f'"{s}"') if "\\" in s else s for s in strings]
-
-
-def _match(path: Path) -> tuple:
-    """A manifest's first line, its line count and its entry-regex matches.
-    Neither the lines nor the text outlive their use: held while the
-    matches or the columns are built, they raise the process's peak RSS."""
-    text = path.read_bytes().decode("utf-8")
-    lines = text.splitlines()
-    first, count = lines[0], len(lines)
-    del lines
-    return first, count, _ENTRY.findall(text)
-
-
-def _scan(path: Path):
-    """``_walk(path)`` by one regex over the text, for a manifest in exactly
-    ``save_corpus``'s layout whose ids are unique and labels in range; None
-    for any other, which the walk then reads (or names its bad line)."""
-    try:
-        first, n_lines, rows = _match(path)
-        header = loads_line(first)
-        if header.get("format") != SCHEMA.format or len(rows) != n_lines - 1:
-            return None
-        parsed = _header(header)
-        ids, labels, *offsets, splits = \
-            zip(*rows) if rows else [()] * (3 + len(MODALITIES))
-        ids = _unescape(ids)
-        labels = [OOD_LABEL if label == _OOD_JSON else int(label)
-                  for label in labels]
-        if len(set(ids)) != len(ids) or max(labels, default=0) >= parsed[0]:
-            return None
-        offsets = dict(zip(_SORTED, offsets))
-        return (parsed, range(2, len(ids) + 2), ids, _unescape(splits), labels,
-                [list(map(int, offsets[m])) for m in MODALITIES])
-    except (OSError, IndexError, AttributeError, KeyError, TypeError,
-            ValueError):
-        return None
-
-
 def load_corpus(manifest_path) -> Corpus:
     """Load and fully validate a corpus; errors name the offending record."""
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / MANIFEST_NAME
-    (num_classes, shapes, blob_files), lines, ids, splits, labels, offsets = \
-        _scan(manifest_path) or _walk(manifest_path)
+    (num_classes, shapes, blob_files), rows = read_manifest(
+        manifest_path, SCHEMA, _header, _record)
     meta = CorpusMeta(num_classes=num_classes, shapes=shapes)
+    lines, ids, splits, labels, *offsets = \
+        zip(*rows) if rows else [()] * (4 + len(MODALITIES))
     n = len(ids)
     seqs = {m: read_blob(manifest_path, SCHEMA, blob_files[m], lines,
                          lambda i: f"record {ids[i]!r} modality {m}", offs,

@@ -720,6 +720,33 @@ class TestCheckpointHeaderSizes:
             f"{tuple(stored)}, but the header ({keys}) implies {shape}\n")
         assert not (micro["tmp"] / "e").exists()
 
+    def test_missing_carrier_named_before_the_model_is_built(
+            self, micro, capsys, monkeypatch):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        manifest = run / "checkpoint.json"
+        lines = manifest.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["meta"]["hyper"]["fusion_hidden"] = 10**12
+        lines = [json.dumps(header, sort_keys=True)] + [
+            line for line in lines[1:]
+            if json.loads(line)["name"] != "fusion.score.T.in.W"]
+        manifest.write_text("\n".join(lines) + "\n")
+
+        def unbuildable(*args, **kwargs):
+            raise AssertionError("FusionModel built from an unchecked header")
+
+        monkeypatch.setattr("mmood.checkpoint.FusionModel", unbuildable)
+        capsys.readouterr()
+        code = main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                     str(run), "--corpus", str(micro["corpus"]),
+                     "--out", str(micro["tmp"] / "e")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint: {manifest}: tensor mismatch "
+            "(missing=['fusion.score.T.in.W']), so the header sizes they "
+            "carry cannot be checked\n")
+        assert not (micro["tmp"] / "e").exists()
+
 
 def _train_cli(micro, out, *extra):
     assert main(["train", "--config", str(micro["cfg"]), "--corpus",

@@ -1,28 +1,20 @@
-"""The corpus's column-wise draw, writer and reader against the record-wise
-code they replaced: the same noise stream, the same manifest bytes, and the
-same columns or the same error as the manifest walk."""
+"""The corpus's chunked draw against the record-wise loop it replaced, the
+pinned bytes of a synthesized corpus, and its manifest lines against
+``json.dumps``."""
 
 import hashlib
 import json
-import re
-import shutil
-import tempfile
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import mmood.corpus as corpus_mod
 from mmood.cli import main
 from mmood.corpus import (
     MODALITIES,
     OOD_LABEL,
     OOD_SENTINEL,
-    Corpus,
     ModalitySynth,
     SynthConfig,
     load_corpus,
@@ -124,7 +116,7 @@ def _entry(rec_id, split, label, row, sizes):
 
 
 class TestManifestWriter:
-    IDS = ['a"b', "back\\slash", "new\nline", "sep arator", "café",
+    IDS = ['a"b', "back\\slash", "new\nline", "sep\u2028arator", "café",
            "雨-\U0001f600", "tab\there", "plain"]
 
     def test_lines_are_json_dumps(self, tmp_path):
@@ -143,89 +135,3 @@ class TestManifestWriter:
             assert line == json.dumps(entry, sort_keys=True)
         loaded = load_corpus(manifest)
         assert loaded.ids.tolist() == self.IDS
-        assert corpus_mod._scan(manifest) is not None  # the one-pass read
-
-    def test_one_pass_read_equals_walk(self, tmp_path):
-        manifest = save_corpus(synth_corpus(small_cfg(), make_rng(4)),
-                               tmp_path / "c")
-        scanned, walked = corpus_mod._scan(manifest), corpus_mod._walk(manifest)
-        assert scanned is not None
-        assert scanned[0] == walked[0]
-        assert list(scanned[1]) == list(walked[1])
-        for got, want in zip(scanned[2:5], walked[2:5]):
-            assert list(got) == list(want)
-        assert [list(col) for col in scanned[5]] == \
-            [list(col) for col in walked[5]]
-
-
-# -- the one-pass read against the walk, on mutated manifests ----------------
-
-LABELS = ["3", "-1", '"3"', "1.0", "9" * 5000, "2", '"__OOD__"', "0"]
-MUTATIONS = ["flip", "crlf", "blank", "swap", "duplicate", "u2028", "label"]
-
-
-@pytest.fixture(scope="module")
-def saved(tmp_path_factory):
-    corpus = synth_corpus(small_cfg(), make_rng(11))
-    return save_corpus(corpus, tmp_path_factory.mktemp("io") / "c").parent
-
-
-def _mutate(text: str, mutation: str, data) -> str:
-    lines = text.split("\n")[:-1]
-    i = data.draw(st.integers(1, len(lines) - 1))
-    if mutation == "flip":
-        raw = bytearray(text.encode("utf-8"))
-        at = data.draw(st.integers(0, len(raw) - 1))
-        raw[at] = data.draw(st.integers(0, 255))
-        return raw.decode("utf-8", errors="surrogateescape")
-    if mutation == "crlf":
-        return text.replace("\n", "\r\n")
-    if mutation == "blank":
-        lines.insert(data.draw(st.integers(1, len(lines))), "")
-    elif mutation == "swap":
-        j = data.draw(st.integers(1, len(lines) - 1))
-        lines[i], lines[j] = lines[j], lines[i]
-    elif mutation == "duplicate":
-        lines.insert(i, lines[i])
-    elif mutation == "u2028":
-        lines[i] = lines[i].replace('"id": "', '"id": "\u2028', 1)
-    else:
-        label = data.draw(st.sampled_from(LABELS))
-        lines[i] = re.sub(r'"label": [^,]*,', f'"label": {label},', lines[i])
-    return "\n".join(lines) + "\n"
-
-
-def _outcome(directory):
-    try:
-        corpus = load_corpus(directory)
-    except Exception as exc:  # noqa: BLE001 -- compared, not swallowed
-        return type(exc), str(exc)
-    return (corpus.ids.tolist(), corpus.splits.tolist(),
-            corpus.labels.tolist(), corpus.meta,
-            [corpus.seqs[m].tobytes() for m in MODALITIES])
-
-
-def _load_both(directory) -> tuple:
-    """``load_corpus`` as it is, and with every manifest read by the walk."""
-    with mock.patch.object(corpus_mod, "_scan", lambda path: None):
-        walked = _outcome(directory)
-    return _outcome(directory), walked
-
-
-@settings(max_examples=300, deadline=None)
-@given(mutation=st.sampled_from(MUTATIONS), data=st.data())
-def test_mutated_manifest_reads_as_the_walk(saved, mutation, data):
-    with tempfile.TemporaryDirectory() as tmp:
-        directory = Path(shutil.copytree(saved, Path(tmp) / "c"))
-        manifest = directory / "manifest.jsonl"
-        text = _mutate(manifest.read_text(encoding="utf-8"), mutation, data)
-        manifest.write_bytes(text.encode("utf-8", errors="surrogateescape"))
-        fast, walked = _load_both(directory)
-        assert fast == walked
-
-
-def test_unmutated_manifest_takes_the_one_pass_read(saved):
-    fast, walked = _load_both(saved)
-    assert fast == walked and isinstance(fast[0], list)
-    with mock.patch.object(corpus_mod, "_walk", side_effect=AssertionError):
-        assert isinstance(load_corpus(saved), Corpus)
