@@ -12,12 +12,10 @@ is finite, and the blob ends exactly where the last chunk ends. A schema
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import ne
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +106,21 @@ def read_manifest(path: Path, schema: Schema, parse_header, parse_entry):
     return parsed, rows
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _ints(values, bound: int) -> np.ndarray:
+    """``values`` as int64 when each lies within +-``bound``, else as Python
+    ints (dtype object), whose sums and comparisons are exact at any size."""
+    try:
+        column = np.array(values, np.int64)
+        if not column.size or -bound <= column.min() <= column.max() <= bound:
+            return column
+    except OverflowError:
+        pass
+    return np.array(values, object)
+
+
 def read_blob(path: Path, schema: Schema, blob: str, lines: list[int], label,
               offsets: list[int], counts: list[int], dtype: np.dtype):
     """One blob's values in manifest order, read by one ``np.fromfile``
@@ -121,19 +134,21 @@ def read_blob(path: Path, schema: Schema, blob: str, lines: list[int], label,
     def at(i: int, last: str = "") -> str:
         return f"{schema.module}: {path} line {lines[i]}: {last}{label(i)}"
 
-    stops = list(accumulate(counts, initial=0))
-    starts = [stop * dtype.itemsize for stop in stops]
-    moved = list(map(ne, offsets, starts))
-    if any(moved):
-        i = moved.index(True)
+    # byte starts stay below 2**63 in int64; larger ones are Python ints
+    stops = np.concatenate(([0], np.cumsum(_ints(
+        counts, _INT64_MAX // dtype.itemsize // max(len(counts), 1)))))
+    starts = stops * dtype.itemsize
+    moved = np.flatnonzero(_ints(offsets, _INT64_MAX) != starts[:-1])
+    if moved.size:
+        i = int(moved[0])
         raise FormatError(f"{at(i)} has offset {offsets[i]}; in manifest "
-                          f"order it starts at {starts[i]}")
-    end = starts[-1]
+                          f"order it starts at {int(starts[i])}")
+    end = int(starts[-1])
     if size >= end:  # a short blob has no values for its last chunks
-        values = np.fromfile(blob_path, dtype, stops[-1])
+        values = np.fromfile(blob_path, dtype, int(stops[-1]))
         finite = np.isfinite(values)
         if not finite.all():
-            i = bisect.bisect_right(stops, int(np.argmin(finite))) - 1
+            i = int(np.searchsorted(stops, np.argmin(finite), "right")) - 1
             raise FormatError(f"{at(i)} holds a non-finite value "
                               "(NaN or Inf)")
     if size != end:

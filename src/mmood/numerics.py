@@ -3,10 +3,9 @@
 Everything runs in 64-bit floats on C-ordered numpy arrays. Matrices are
 plain 2-D ``np.ndarray``; callers that need validated inputs go through
 :func:`as_matrix`. Random draws take an explicit ``np.random.Generator``
-(PCG64) so that identical seeds give identical sample streams. scipy is
-loaded only when :func:`regularized_inverse` first runs, that is when class
-statistics are fitted (``train``, ``ablate``); ``synth``, ``eval`` and
-``report`` start without it.
+(PCG64) so that identical seeds give identical sample streams. numpy is
+the only dependency: the Cholesky inverse uses ``np.linalg``, which
+``import numpy`` already loads.
 """
 
 from __future__ import annotations
@@ -172,17 +171,19 @@ def default_reg_eps(m) -> float:
 
 
 def regularized_inverse(m, eps: float) -> Array:
-    """Inverse of (m + eps*I) via Cholesky factorization of the SPD shift."""
-    import scipy.linalg  # about 0.26 s to import, which only fits need
+    """Inverse of the SPD shift ``m + eps*I``, exactly symmetric: with its
+    Cholesky factor ``L``, ``inv(L).T @ inv(L)``, averaged with its
+    transpose. A shift that is not positive definite raises
+    ``NumericalError``."""
     mm = _symmetric(m, "regularized_inverse")
-    shifted = mm + eps * np.eye(mm.shape[0])
     try:
-        factor = scipy.linalg.cho_factor(shifted, lower=True)
-        inv = scipy.linalg.cho_solve(factor, np.eye(mm.shape[0]))
-    except scipy.linalg.LinAlgError as exc:
+        factor = np.linalg.cholesky(mm + eps * np.eye(mm.shape[0]))
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"numerics: factorization failed even with eps={eps}"
         ) from exc
+    li = np.linalg.inv(factor)
+    inv = li.T @ li
     return (inv + inv.T) / 2.0
 
 

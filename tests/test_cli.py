@@ -1711,29 +1711,29 @@ import numpy as np
 import mmood.cli
 from mmood.errors import NumericalError
 from mmood.numerics import regularized_inverse
-cfg, corpus, run, out = sys.argv[1:]
-assert mmood.cli.main(["synth", "--config", cfg, "--out", out + "/corpus"]) == 0
-assert mmood.cli.main(["eval", "--config", cfg, "--corpus", corpus,
-                       "--checkpoint", run, "--out", out + "/eval"]) == 0
+cfg, out = sys.argv[1:]
+for argv in (["synth", "--seed", "0", "--out", out + "/corpus"],
+             ["train", "--corpus", out + "/corpus", "--out", out + "/run"],
+             ["eval", "--corpus", out + "/corpus", "--checkpoint", out + "/run",
+              "--out", out + "/eval"],
+             ["ablate", "--corpus", out + "/corpus", "--out", out + "/ablate"]):
+    assert mmood.cli.main([*argv, "--config", cfg]) == 0, argv
 assert mmood.cli.main(["report", out + "/eval"]) == 0
-assert "scipy" not in sys.modules, "scipy loaded before any fit"
 try:
     regularized_inverse(np.diag([1.0, -1.0]), 0.0)
 except NumericalError:
     pass
 else:
     raise AssertionError("a non-SPD matrix factorized")
-assert "scipy.linalg" in sys.modules
+assert "scipy" not in sys.modules, "a command imported scipy"
 """
 
 
-def test_scipy_loads_at_first_fit_only(micro):
-    """``synth``, ``eval`` and ``report`` run in a fresh process without
-    importing scipy; the first covariance inversion imports it, and its
-    failure path still raises ``NumericalError``."""
-    run = _train_cli(micro, micro["tmp"] / "run")
-    done = _fresh_process(STARTUP_PROBE, micro["cfg"], micro["corpus"], run,
-                          micro["tmp"] / "probe")
+def test_commands_run_without_scipy(micro):
+    """``synth``, ``train``, ``eval``, ``report`` and ``ablate`` run in a
+    fresh process without importing scipy, and a non-SPD matrix still
+    raises ``NumericalError``."""
+    done = _fresh_process(STARTUP_PROBE, micro["cfg"], micro["tmp"] / "probe")
     assert done.returncode == 0, done.stderr
 
 

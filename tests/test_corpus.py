@@ -214,6 +214,29 @@ class TestLoadErrors:
         with pytest.raises(FormatError, match="line 2: record 'train-00000'.*offset"):
             load_corpus(manifest)
 
+    @pytest.mark.parametrize("offset", [10**30, -10**30, -4])
+    def test_offset_beyond_int64_or_negative_rejected(self, tmp_path, offset):
+        manifest, corpus = self._saved(tmp_path)
+        row_bytes = corpus.seqs["V"][0].size * 4
+        _rewrite_line(manifest, 2, _edit_json(
+            lambda e: e["offsets"].update(V=offset)))
+        with pytest.raises(FormatError, match=re.escape(
+                f"line 3: record '{corpus.ids[1]}' modality V has offset "
+                f"{offset}; in manifest order it starts at {row_bytes}")):
+            load_corpus(manifest)
+
+    def test_start_beyond_int64_named_exactly(self, tmp_path):
+        # a declared record of 6 * 10**18 float32 values puts record 1 at
+        # byte 2.4e19, past int64; the message still gives the exact start
+        manifest, corpus = self._saved(tmp_path)
+        _rewrite_line(manifest, 0, _edit_json(lambda h: h["modalities"]["T"]
+                                              .update(seq_len=6, dim=10**18)))
+        with pytest.raises(FormatError, match=re.escape(
+                f"line 3: record '{corpus.ids[1]}' modality T has offset "
+                f"{corpus.seqs['T'][0].size * 4}; in manifest order it starts "
+                f"at {6 * 10**18 * 4}")):
+            load_corpus(manifest)
+
     def test_lone_surrogate_id_rejected(self, tmp_path):
         manifest, _ = self._saved(tmp_path)
         lines = manifest.read_text().splitlines()
@@ -395,10 +418,11 @@ class TestMalformedTensorStore:
         with pytest.raises(FormatError, match="tensor 'w'.*non-finite"):
             read_tensor_store(manifest)
 
-    @pytest.mark.parametrize("offset", [0, 8, 40, 56])
+    @pytest.mark.parametrize("offset", [0, 8, 40, 56, -8, 10**30, -10**30,
+                                        2**63])
     def test_overlapping_or_gapped_offsets_rejected(self, tmp_path, offset):
         # 'b' starts right after the 48 bytes of 'a'; any other offset
-        # overlaps 'a' or leaves a gap
+        # overlaps 'a' or leaves a gap, even one no int64 holds
         manifest = self._saved(tmp_path)
         _rewrite_line(manifest, 2, _edit_json(lambda e: e.update(offset=offset)))
         with pytest.raises(FormatError, match="line 3: tensor 'b' has offset "

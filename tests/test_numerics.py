@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
+from mmood.config import load_config
+from mmood.corpus import load_corpus
 from mmood.errors import InsufficientDataError, NumericalError, ParameterError
 from mmood.heads import CosineHead
 from mmood.oodgen import OodGenConfig
@@ -23,6 +25,8 @@ from mmood.numerics import (
     unit_rows,
     unit_rows_backward,
 )
+from mmood.scoring import fit_class_stats
+from mmood.train import train
 from oracles import (
     CosineHeadOracle,
     contrastive_unit_backward_oracle,
@@ -308,6 +312,52 @@ class TestRegularizedInverse:
         bad = -1e12 * np.eye(2)
         with pytest.raises(NumericalError):
             regularized_inverse(bad, eps=1e-6)
+
+
+def _cholesky_oracle(shifted):
+    """scipy's Cholesky solve against I, symmetrized as the package does."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    inv = cho_solve(cho_factor(shifted, lower=True), np.eye(len(shifted)))
+    return (inv + inv.T) / 2.0
+
+
+def _spd(rng, d, cond):
+    """A random SPD matrix with condition number ``cond`` at a random scale."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    m = (q * np.logspace(0.0, -np.log10(cond), d)) @ q.T * 10 ** rng.uniform(-3, 3)
+    return (m + m.T) / 2.0
+
+
+class TestRegularizedInverseOracle:
+    """numpy's Cholesky inverse against scipy's ``cho_factor``/``cho_solve``."""
+
+    @pytest.mark.parametrize("d", [2, 16, 64])
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("shift", ["zero", "default"])
+    def test_matches_scipy(self, d, cond, shift):
+        rng = make_rng(d + int(np.log10(cond)))
+        for _ in range(5):
+            m = _spd(rng, d, cond)
+            eps = 0.0 if shift == "zero" else default_reg_eps(m)
+            shifted = m + eps * np.eye(d)
+            inv = regularized_inverse(m, eps)
+            want = _cholesky_oracle(shifted)
+            assert np.abs(inv - want).max() <= 1e-8 * np.abs(want).max()
+            assert np.array_equal(inv, inv.T)
+            assert np.allclose(shifted @ inv, np.eye(d), rtol=0.0,
+                               atol=max(1e-13, 1e-15 * np.linalg.cond(shifted)))
+
+    def test_class_precisions_match_scipy(self, micro):
+        cfg = load_config(micro["cfg"])
+        corpus = load_corpus(micro["corpus"])
+        trained = train(corpus, cfg.train, cfg.oodgen)
+        stats = fit_class_stats(trained.train_features,
+                                corpus.split("train").labels,
+                                corpus.num_classes, eps=cfg.train.cov_eps)
+        for cov, eps, got in zip(stats.covs, stats.eps, stats.precisions):
+            want = _cholesky_oracle(cov + eps * np.eye(len(cov)))
+            assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
 
 def _eig_oracle_projector(cov, d):
