@@ -4,18 +4,21 @@ A container is a UTF-8 manifest of JSON lines -- line 1 a header object
 whose ``format`` names the schema, then one object per entry -- plus
 sidecar blob files of raw little-endian floats, row-major, each in the one
 dtype its schema fixes and read once, straight into the array returned.
-Each entry owns one chunk of each blob, and the layout is strict: every
-chunk starts where the one before it in manifest order ends, every value
-is finite, and the blob ends exactly where the last chunk ends. A schema
-(the corpus, the tensor store) checks only its own header and entry fields.
+Each entry owns one chunk of each blob, and the layout is strict, checked
+in exact integers: every chunk starts where the one before it in manifest
+order ends, every value is finite, and the blob ends exactly where the last
+chunk ends. A schema (the corpus, the tensor store) checks only its own
+header and entry fields.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
+from operator import ne
 from pathlib import Path
 
 import numpy as np
@@ -106,21 +109,6 @@ def read_manifest(path: Path, schema: Schema, parse_header, parse_entry):
     return parsed, rows
 
 
-_INT64_MAX = np.iinfo(np.int64).max
-
-
-def _ints(values, bound: int) -> np.ndarray:
-    """``values`` as int64 when each lies within +-``bound``, else as Python
-    ints (dtype object), whose sums and comparisons are exact at any size."""
-    try:
-        column = np.array(values, np.int64)
-        if not column.size or -bound <= column.min() <= column.max() <= bound:
-            return column
-    except OverflowError:
-        pass
-    return np.array(values, object)
-
-
 def read_blob(path: Path, schema: Schema, blob: str, lines: list[int], label,
               offsets: list[int], counts: list[int], dtype: np.dtype):
     """One blob's values in manifest order, read by one ``np.fromfile``
@@ -134,21 +122,20 @@ def read_blob(path: Path, schema: Schema, blob: str, lines: list[int], label,
     def at(i: int, last: str = "") -> str:
         return f"{schema.module}: {path} line {lines[i]}: {last}{label(i)}"
 
-    # byte starts stay below 2**63 in int64; larger ones are Python ints
-    stops = np.concatenate(([0], np.cumsum(_ints(
-        counts, _INT64_MAX // dtype.itemsize // max(len(counts), 1)))))
-    starts = stops * dtype.itemsize
-    moved = np.flatnonzero(_ints(offsets, _INT64_MAX) != starts[:-1])
-    if moved.size:
-        i = int(moved[0])
+    # the layout is checked in Python ints, exact at any size
+    stops = list(accumulate(counts, initial=0))
+    starts = [stop * dtype.itemsize for stop in stops]
+    moved = list(map(ne, offsets, starts))
+    if any(moved):
+        i = moved.index(True)
         raise FormatError(f"{at(i)} has offset {offsets[i]}; in manifest "
-                          f"order it starts at {int(starts[i])}")
-    end = int(starts[-1])
+                          f"order it starts at {starts[i]}")
+    end = starts[-1]
     if size >= end:  # a short blob has no values for its last chunks
-        values = np.fromfile(blob_path, dtype, int(stops[-1]))
+        values = np.fromfile(blob_path, dtype, stops[-1])
         finite = np.isfinite(values)
         if not finite.all():
-            i = int(np.searchsorted(stops, np.argmin(finite), "right")) - 1
+            i = bisect_right(stops, int(np.argmin(finite))) - 1
             raise FormatError(f"{at(i)} holds a non-finite value "
                               "(NaN or Inf)")
     if size != end:

@@ -22,7 +22,6 @@ CHECKPOINT_NAME = "checkpoint"
 # fitted inference state stored beside the model parameters: one tensor per
 # ClassStats field, then the training feature cache
 STATS = {f.name: f"stats.{f.name}" for f in fields(ClassStats)}
-STATE_TENSORS = (*STATS.values(), "cache.features", "cache.logits")
 
 
 def save_checkpoint(trained: TrainedModel, directory) -> Path:
@@ -76,7 +75,7 @@ def _check_sizes(meta: CorpusMeta, hyper: ModelHyper, stored: dict,
                               f"({keys}) implies {shape}")
 
 
-def _model_from_header(meta, manifest: Path, entries) -> FusionModel:
+def _model_from_header(meta, manifest: Path, stored: dict) -> FusionModel:
     """The untrained model a checkpoint header describes; ``hyper`` must
     carry exactly the ``ModelHyper`` fields, each of the type of its
     default (an int stands for a float), and its sizes must match the
@@ -98,36 +97,11 @@ def _model_from_header(meta, manifest: Path, entries) -> FusionModel:
             shapes={m: tuple(s) for m, s in meta["shapes"].items()},
         )
         hyper = ModelHyper(**hyper)
-        _check_sizes(corpus_meta, hyper,
-                     {name: shape for _, name, _, shape in entries}, manifest)
+        _check_sizes(corpus_meta, hyper, stored, manifest)
         return FusionModel(corpus_meta, hyper, seed=int(meta.get("seed", 0)))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint: {manifest}: malformed header "
                           f"({type(exc).__name__}: {exc})") from exc
-
-
-def _check_state(tensors: dict, model: FusionModel, manifest: Path) -> None:
-    """The fitted state fits K classes, D shared dims and N cached rows;
-    counts are whole numbers >= 2 that sum to N."""
-    k, d = model.num_classes, model.d_shared
-    features = tensors["cache.features"]
-    n = features.shape[0] if features.ndim else 0
-    shapes = {STATS["means"]: (k, d), STATS["covs"]: (k, d, d),
-              STATS["counts"]: (k,), STATS["eps"]: (k,),
-              STATS["precisions"]: (k, d, d), "cache.features": (n, d),
-              "cache.logits": (n, k)}
-    for name, shape in shapes.items():
-        if tensors[name].shape != shape:
-            raise FormatError(f"checkpoint: {manifest}: tensor {name!r} has "
-                              f"shape {tensors[name].shape}, expected {shape}")
-    counts = tensors[STATS["counts"]]
-    # bounded by n before the sum, so a huge count cannot overflow it
-    if not (np.all(counts == np.floor(counts))
-            and np.all((counts >= 2) & (counts <= n)) and counts.sum() == n):
-        raise FormatError(f"checkpoint: {manifest}: tensor "
-                          f"{STATS['counts']!r} holds {counts.tolist()}; "
-                          f"expected whole numbers >= 2 that sum to the {n} "
-                          "cached rows")
 
 
 def load_checkpoint(directory):
@@ -138,31 +112,41 @@ def load_checkpoint(directory):
     manifest = Path(directory)
     if manifest.is_dir():
         manifest = manifest / f"{CHECKPOINT_NAME}.json"
-    # parameter names are checked before the blob is read, so a dropped
-    # manifest entry is reported by name, not as the layout gap it leaves
     meta, entries = read_tensor_manifest(manifest)
-    model = _model_from_header(meta, manifest, entries)
+    stored = {name: shape for _, name, _, shape in entries}
+    model = _model_from_header(meta, manifest, stored)
 
+    # every name and shape is checked once, before the blob is read, so a
+    # dropped or reshaped entry is named, not reported as the layout gap it
+    # leaves; the fitted state fits K classes, D shared dims and N cached rows
     named = model.named_params()
-    expected = set(named) | set(STATE_TENSORS)
-    stored = {name for _, name, *_ in entries}
-    missing = sorted(expected - stored)
-    extra = sorted(stored - expected)
+    k, d = model.num_classes, model.d_shared
+    n = (stored.get("cache.features") or (0,))[0]
+    expected = {**{name: p.value.shape for name, p in named.items()},
+                STATS["means"]: (k, d), STATS["covs"]: (k, d, d),
+                STATS["counts"]: (k,), STATS["eps"]: (k,),
+                STATS["precisions"]: (k, d, d),
+                "cache.features": (n, d), "cache.logits": (n, k)}
+    missing = sorted(expected.keys() - stored.keys())
+    extra = sorted(stored.keys() - expected.keys())
     if missing or extra:
-        raise FormatError(
-            f"checkpoint: tensor mismatch (missing={missing}, extra={extra})"
-        )
+        raise FormatError(f"checkpoint: {manifest}: tensor mismatch "
+                          f"(missing={missing}, extra={extra})")
+    for name, shape in stored.items():
+        if shape != expected[name]:
+            raise FormatError(f"checkpoint: {manifest}: tensor {name!r} has "
+                              f"shape {shape}, expected {expected[name]}")
     tensors = read_tensor_blob(manifest, entries)
     for name, param in named.items():
-        value = tensors[name]
-        if value.shape != param.value.shape:
-            raise FormatError(
-                f"checkpoint: tensor {name!r} has shape {value.shape}, "
-                f"model expects {param.value.shape}"
-            )
-        param.value[...] = value
-
-    _check_state(tensors, model, manifest)
+        param.value[...] = tensors[name]
+    counts = tensors[STATS["counts"]]
+    # bounded by n before the sum, so a huge count cannot overflow it
+    if not (np.all(counts == np.floor(counts))
+            and np.all((counts >= 2) & (counts <= n)) and counts.sum() == n):
+        raise FormatError(f"checkpoint: {manifest}: tensor "
+                          f"{STATS['counts']!r} holds {counts.tolist()}; "
+                          f"expected whole numbers >= 2 that sum to the {n} "
+                          "cached rows")
     stats = ClassStats(**{field: tensors[name]
                           for field, name in STATS.items()})
     stats.counts = stats.counts.astype(np.int64)

@@ -379,7 +379,7 @@ def run_report(eval_dir, out_dir=None) -> Path:
     out_dir = Path(out_dir) if out_dir is not None else eval_dir
     with _staged(out_dir) as stage:
         report_path = eval_dir / "eval_report.json"
-        if not report_path.exists():
+        if not report_path.is_file():
             raise ParameterError(f"cli: {report_path} not found; run eval first")
         try:
             report = json.loads(report_path.read_text(encoding="utf-8"))
@@ -400,7 +400,7 @@ def run_report(eval_dir, out_dir=None) -> Path:
             fh.write("scorer,sample_id,is_id,raw,normalized\n")
             for scorer in scorers:
                 scores_path = eval_dir / f"scores_{scorer}.jsonl"
-                if not scores_path.exists():
+                if not scores_path.is_file():
                     raise ParameterError(f"cli: {scores_path} not found; the "
                                          f"eval report lists scorer {scorer!r}")
                 fh.writelines(_read_scores(scores_path, _csv_field(scorer)))

@@ -7,7 +7,6 @@ away never changes how the remaining ones are initialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -101,15 +100,10 @@ class FusionModel:
             hyper.contrast_dim or self.d_shared, hyper.dropout,
             component_rng(seed, SLOT_CONTRAST),
         )
-        # One flat value and one flat grad buffer back every Param. Sorting
-        # the stage tuples puts the binary head (1,) first, then encoders
-        # and fusion (1, 2), then the class and contrast heads (2,), so each
-        # stage's parameters are one contiguous slice (see stage_slice).
-        bound = sorted(((c.params(), stages) for c, stages in self._components()
-                        if c is not None), key=lambda ps: ps[1])
-        self._layout = [(stages, sum(p.value.size for p in ps))
-                        for ps, stages in bound]
-        self.values, self.grads = bind_flat([p for ps, _ in bound for p in ps])
+        # One flat value and one flat grad buffer back every Param, in
+        # params() order, so each stage's parameters are one contiguous
+        # slice (see stage_slice).
+        self.values, self.grads = bind_flat(self.params())
 
     # -- forward/backward -------------------------------------------------
 
@@ -148,29 +142,29 @@ class FusionModel:
     # -- parameter bookkeeping ----------------------------------------------
 
     def _components(self) -> list[tuple]:
-        """(component or None, training stages that update it)."""
-        return [(self.encoders[m], (1, 2)) for m in MODALITIES] + [
+        """(component or None, training stages that update it): stage 1's
+        binary head first, then the encoders and fusion that both stages
+        update, then stage 2's class and contrast heads."""
+        return [(self.binary_head, (1,))] + [
+            (self.encoders[m], (1, 2)) for m in MODALITIES] + [
             (self.fusion, (1, 2)),
-            (self.binary_head, (1,)),
             (self.class_head, (2,)),
             (self.contrast_head, (2,)),
         ]
 
     def params(self, stage: int | None = None) -> list[Param]:
-        """Parameters in checkpoint order; ``stage`` keeps only the
-        components that training stage updates."""
+        """Parameters in buffer order; ``stage`` keeps only the components
+        that training stage updates."""
         return [p for c, stages in self._components()
                 if c is not None and (stage is None or stage in stages)
                 for p in c.params()]
 
     def stage_slice(self, stage: int) -> tuple[Array, Array]:
-        """The ``(values, grads)`` views that ``params(stage)`` cover: one
-        range of the flat buffers, found from the order they were bound in."""
-        keep = [stage in stages for stages, _ in self._layout]
-        sizes = [size for _, size in self._layout]
-        start = sum(sizes[:keep.index(True)])
-        stop = start + sum(compress(sizes, keep))
-        return self.values[start:stop], self.grads[start:stop]
+        """The ``(values, grads)`` views that ``params(stage)`` cover: a
+        prefix of the flat buffers for stage 1, a suffix for stage 2."""
+        size = sum(p.value.size for p in self.params(stage))
+        start = 0 if stage == 1 else self.values.size - size
+        return self.values[start:start + size], self.grads[start:start + size]
 
     def named_params(self) -> dict[str, Param]:
         named = {}

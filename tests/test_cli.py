@@ -748,6 +748,52 @@ class TestCheckpointHeaderSizes:
         assert not (micro["tmp"] / "e").exists()
 
 
+class TestCheckpointTensorTable:
+    """Every stored name and shape is checked against the model's table
+    before any blob byte is read, so the offending tensor is named."""
+
+    @staticmethod
+    def _eval_without_blob_read(micro, capsys, monkeypatch, run):
+        def unread(*args, **kwargs):
+            raise AssertionError("blob read before names and shapes checked")
+
+        monkeypatch.setattr("mmood.checkpoint.read_tensor_blob", unread)
+        capsys.readouterr()
+        code = main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                     str(run), "--corpus", str(micro["corpus"]),
+                     "--out", str(micro["tmp"] / "e")])
+        assert code == 1
+        assert not (micro["tmp"] / "e").exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["encoder.A.out_proj.W", "stats.covs"])
+    def test_reshaped_tensor_named(self, micro, capsys, monkeypatch, name):
+        # one more value than stored, so the layout after it is off too
+        run = _train_cli(micro, micro["tmp"] / "run")
+        manifest = run / "checkpoint.json"
+        lines = manifest.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines)
+                 if json.loads(line).get("name") == name)
+        entry = json.loads(lines[i])
+        stored = tuple(entry["shape"])
+        entry["shape"] = [*stored[:-1], stored[-1] + 1]
+        lines[i] = json.dumps(entry, sort_keys=True)
+        manifest.write_text("\n".join(lines) + "\n")
+        err = self._eval_without_blob_read(micro, capsys, monkeypatch, run)
+        assert err == (f"error: checkpoint: {manifest}: tensor {name!r} has "
+                       f"shape {tuple(entry['shape'])}, expected {stored}\n")
+
+    def test_name_mismatch_carries_manifest_path(self, micro, capsys,
+                                                 monkeypatch):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        manifest = run / "checkpoint.json"
+        manifest.write_text(manifest.read_text().replace('"class.W_cos"',
+                                                         '"class.W_coz"'))
+        err = self._eval_without_blob_read(micro, capsys, monkeypatch, run)
+        assert err == (f"error: checkpoint: {manifest}: tensor mismatch "
+                       "(missing=['class.W_cos'], extra=['class.W_coz'])\n")
+
+
 def _train_cli(micro, out, *extra):
     assert main(["train", "--config", str(micro["cfg"]), "--corpus",
                  str(micro["corpus"]), "--out", str(out), "--seed", "0",
@@ -889,7 +935,8 @@ class TestFailedReportWritesNothing:
         assert not missing.exists()
 
     @pytest.mark.parametrize("broken", ["no_report", "no_scores",
-                                        "bad_score_row"])
+                                        "bad_score_row", "report_is_dir",
+                                        "scores_is_dir"])
     def test_out_dir_not_created(self, micro, capsys, broken):
         run, evaled = micro["tmp"] / "run", micro["tmp"] / "eval"
         _train_cli(micro, run)
@@ -903,6 +950,11 @@ class TestFailedReportWritesNothing:
             (evaled / "eval_report.json").unlink()
         elif broken == "no_scores":
             scores.unlink()
+        elif broken.endswith("_is_dir"):
+            path = evaled / "eval_report.json" \
+                if broken == "report_is_dir" else scores
+            path.unlink()
+            path.mkdir()
         else:
             scores.write_text(scores.read_text() + "{}\n")
         capsys.readouterr()
