@@ -67,7 +67,8 @@ def read_manifest(path: Path, schema: Schema, parse_header, parse_entry):
     """``(parse_header(header), rows)`` of a checked manifest; a row is an
     entry's line number and ``parse_entry(entry, parsed header)``, whose
     first item is the entry's unique key. The parsers raise
-    ``AttributeError``, ``KeyError``, ``TypeError`` or ``ValueError``."""
+    ``AttributeError``, ``KeyError``, ``TypeError`` or ``ValueError``, and
+    a line nested too deep to decode raises ``RecursionError``."""
     mod = schema.module
     if not path.is_file():
         raise FormatError(f"{mod}: manifest {path} does not exist")
@@ -84,7 +85,8 @@ def read_manifest(path: Path, schema: Schema, parse_header, parse_entry):
                 header.get("format") != schema.format:
             raise FormatError(f"{mod}: {path} is not a {schema.kind}")
         parsed = parse_header(header)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            RecursionError) as exc:
         raise FormatError(f"{mod}: {path} line 1: malformed header "
                           f"({type(exc).__name__}: {exc})") from exc
     rows, seen = [], set()
@@ -95,7 +97,8 @@ def read_manifest(path: Path, schema: Schema, parse_header, parse_entry):
         try:
             entry = loads_line(line)
             row = (lineno, *parse_entry(entry, parsed))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError,
+                RecursionError) as exc:
             name = entry.get(schema.key, "<unnamed>") \
                 if isinstance(entry, dict) else "<unparsed>"
             raise FormatError(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import MODALITIES, CorpusMeta
+from .corpus import CorpusMeta
 from .blobio import read_tensor_blob, read_tensor_manifest, write_tensor_store
 from .errors import FormatError
 from .model import FusionModel, ModelHyper
@@ -47,39 +47,10 @@ def save_checkpoint(trained: TrainedModel, directory) -> Path:
     return write_tensor_store(directory, CHECKPOINT_NAME, tensors, meta)
 
 
-def _check_sizes(meta: CorpusMeta, hyper: ModelHyper, stored: dict,
-                 manifest: Path) -> None:
-    """Each size the header sets is carried by a stored tensor of the shape
-    it implies, checked before the model allocates anything."""
-    k, d = meta.num_classes, meta.shapes["T"][1]
-    carriers = {STATS["means"]: ((k, d), "num_classes, shapes.T")}
-    for m in MODALITIES:
-        d_in = meta.shapes[m][1]
-        carriers[f"encoder.{m}.block.ffn.lin1.W"] = (
-            (d_in, hyper.ffn_hidden or d_in), f"shapes.{m}, hyper.ffn_hidden")
-    if hyper.fusion_mode == "weighted":
-        carriers["fusion.score.T.in.W"] = ((d, hyper.fusion_hidden),
-                                           "shapes.T, hyper.fusion_hidden")
-    if not hyper.no_contrast:
-        carriers["contrast.proj.W"] = ((d, hyper.contrast_dim or d),
-                                       "shapes.T, hyper.contrast_dim")
-    missing = sorted(set(carriers) - set(stored))
-    if missing:
-        raise FormatError(f"checkpoint: {manifest}: tensor mismatch "
-                          f"(missing={missing}), so the header sizes they "
-                          "carry cannot be checked")
-    for name, (shape, keys) in carriers.items():
-        if stored[name] != shape:
-            raise FormatError(f"checkpoint: {manifest}: tensor {name!r} has "
-                              f"shape {stored[name]}, but the header "
-                              f"({keys}) implies {shape}")
-
-
-def _model_from_header(meta, manifest: Path, stored: dict) -> FusionModel:
-    """The untrained model a checkpoint header describes; ``hyper`` must
+def _model_from_header(meta, manifest: Path) -> FusionModel:
+    """The unbound model a checkpoint header describes; ``hyper`` must
     carry exactly the ``ModelHyper`` fields, each of the type of its
-    default (an int stands for a float), and its sizes must match the
-    stored tensors' shapes."""
+    default (an int stands for a float)."""
     try:
         hyper = meta["hyper"]
         kinds = {f.name: type(f.default) for f in fields(ModelHyper)}
@@ -96,9 +67,7 @@ def _model_from_header(meta, manifest: Path, stored: dict) -> FusionModel:
             num_classes=int(meta["num_classes"]),
             shapes={m: tuple(s) for m, s in meta["shapes"].items()},
         )
-        hyper = ModelHyper(**hyper)
-        _check_sizes(corpus_meta, hyper, stored, manifest)
-        return FusionModel(corpus_meta, hyper, seed=int(meta.get("seed", 0)))
+        return FusionModel(corpus_meta, ModelHyper(**hyper))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint: {manifest}: malformed header "
                           f"({type(exc).__name__}: {exc})") from exc
@@ -114,15 +83,16 @@ def load_checkpoint(directory):
         manifest = manifest / f"{CHECKPOINT_NAME}.json"
     meta, entries = read_tensor_manifest(manifest)
     stored = {name: shape for _, name, _, shape in entries}
-    model = _model_from_header(meta, manifest, stored)
+    model = _model_from_header(meta, manifest)
 
-    # every name and shape is checked once, before the blob is read, so a
-    # dropped or reshaped entry is named, not reported as the layout gap it
-    # leaves; the fitted state fits K classes, D shared dims and N cached rows
+    # every name and shape is checked once, before anything is allocated or
+    # the blob is read, so a huge header size costs nothing and a dropped or
+    # reshaped entry is named, not reported as the layout gap it leaves; the
+    # fitted state fits K classes, D shared dims and N cached rows
     named = model.named_params()
     k, d = model.num_classes, model.d_shared
     n = (stored.get("cache.features") or (0,))[0]
-    expected = {**{name: p.value.shape for name, p in named.items()},
+    expected = {**{name: p.shape for name, p in named.items()},
                 STATS["means"]: (k, d), STATS["covs"]: (k, d, d),
                 STATS["counts"]: (k,), STATS["eps"]: (k,),
                 STATS["precisions"]: (k, d, d),
@@ -137,6 +107,7 @@ def load_checkpoint(directory):
             raise FormatError(f"checkpoint: {manifest}: tensor {name!r} has "
                               f"shape {shape}, expected {expected[name]}")
     tensors = read_tensor_blob(manifest, entries)
+    model.bind()
     for name, param in named.items():
         param.value[...] = tensors[name]
     counts = tensors[STATS["counts"]]

@@ -365,12 +365,22 @@ def _read_scores(path: Path, name: str) -> list[str]:
         for lineno, line in enumerate(lines, start=1):
             i, flag, r, n = _score_row(loads_line(line))
             out.append(f"{name},{_csv_field(i)},{flag:d},{r!r},{n!r}\n")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         where = f" line {lineno}: malformed score row" if lineno \
             else ": unreadable score file"
         raise FormatError(f"cli: {path}{where} "
                           f"({type(exc).__name__}: {exc})") from exc
     return out
+
+
+def _check_input(path: Path, hint: str) -> None:
+    """``path`` is a file; if it is not, the error says whether it is
+    missing (with ``hint``) or something else."""
+    if path.is_file():
+        return
+    if path.exists():
+        raise ParameterError(f"cli: {path} is not a file")
+    raise ParameterError(f"cli: {path} not found; {hint}")
 
 
 def run_report(eval_dir, out_dir=None) -> Path:
@@ -379,8 +389,7 @@ def run_report(eval_dir, out_dir=None) -> Path:
     out_dir = Path(out_dir) if out_dir is not None else eval_dir
     with _staged(out_dir) as stage:
         report_path = eval_dir / "eval_report.json"
-        if not report_path.is_file():
-            raise ParameterError(f"cli: {report_path} not found; run eval first")
+        _check_input(report_path, "run eval first")
         try:
             report = json.loads(report_path.read_text(encoding="utf-8"))
             per_class = list(map(_finite_float,
@@ -389,7 +398,8 @@ def run_report(eval_dir, out_dir=None) -> Path:
                        for k, v in sorted(report["id_metrics"].items())
                        if k not in ("per_class_acc", "confusion")]
             scorers = sorted(report["ood_metrics"])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError,
+                RecursionError) as exc:
             raise FormatError(f"cli: {report_path}: malformed eval report "
                               f"({type(exc).__name__}: {exc})") from exc
 
@@ -400,9 +410,8 @@ def run_report(eval_dir, out_dir=None) -> Path:
             fh.write("scorer,sample_id,is_id,raw,normalized\n")
             for scorer in scorers:
                 scores_path = eval_dir / f"scores_{scorer}.jsonl"
-                if not scores_path.is_file():
-                    raise ParameterError(f"cli: {scores_path} not found; the "
-                                         f"eval report lists scorer {scorer!r}")
+                _check_input(scores_path, "the eval report lists scorer "
+                             f"{scorer!r}")
                 fh.writelines(_read_scores(scores_path, _csv_field(scorer)))
         _write_csv(stage / "id_metrics.csv", ["metric", "value"], id_rows)
     return out_dir

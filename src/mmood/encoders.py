@@ -38,8 +38,8 @@ class ModalityEncoder:
     """One transformer block plus class-token or mean-pool readout."""
 
     def __init__(self, name: str, d_in: int, d_out: int, n_heads: int,
-                 ffn_hidden: int, rng: np.random.Generator,
-                 use_class_token: bool, positional: bool = False):
+                 ffn_hidden: int, use_class_token: bool,
+                 positional: bool = False):
         self.name = name
         self.d_in = d_in
         self.d_out = d_out
@@ -51,17 +51,14 @@ class ModalityEncoder:
                 f"got {d_in} != {d_out}"
             )
         self.block = TransformerBlock(f"{name}.block", d_in, n_heads,
-                                      ffn_hidden, rng)
+                                      ffn_hidden)
         if use_class_token:
-            self.class_token = Param(
-                f"{name}.class_token",
-                glorot_uniform(rng, d_in, d_in, (d_in,)),
-            )
+            self.class_token = Param(f"{name}.class_token", (d_in,),
+                                     glorot_uniform(d_in, d_in))
             self.out_proj = None
         else:
             self.class_token = None
-            self.out_proj = Affine(f"{name}.out_proj", d_in, d_out, rng,
-                                   bias=False)
+            self.out_proj = Affine(f"{name}.out_proj", d_in, d_out, bias=False)
 
     def forward_batch(self, x: Array):
         """(B, L, d_in) -> ((B, d_out), cache)."""

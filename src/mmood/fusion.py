@@ -22,7 +22,7 @@ FUSION_MODES = ("weighted", "add", "concat")
 
 class FusionNetwork:
     def __init__(self, name: str, d_model: int, hidden: int, dropout: float,
-                 mode: str, rng: np.random.Generator):
+                 mode: str):
         self.d = d_model
         self.mode = mode
         self.score: dict[str, MLP] = {}
@@ -31,10 +31,10 @@ class FusionNetwork:
             for m in MODALITIES:
                 self.score[m] = MLP(f"{name}.score.{m}.in",
                                     f"{name}.score.{m}.out", d_model, hidden,
-                                    1, rng, dropout)
+                                    1, dropout)
         elif mode == "concat":
             self.concat_proj = Affine(f"{name}.concat_proj", 3 * d_model,
-                                      d_model, rng)
+                                      d_model)
 
     def modality_scores(self, xs: dict[str, Array], train: bool,
                         rng: np.random.Generator | None):

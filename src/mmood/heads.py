@@ -23,9 +23,8 @@ LOG_CLAMP = 1e-12
 class BinaryHead(MLP):
     """Two-layer ID-vs-OOD classifier: affine -> ReLU -> affine -> 2 logits."""
 
-    def __init__(self, name: str, d_model: int, rng: np.random.Generator):
-        super().__init__(f"{name}.lin1", f"{name}.lin2", d_model, d_model, 2,
-                         rng)
+    def __init__(self, name: str, d_model: int):
+        super().__init__(f"{name}.lin1", f"{name}.lin2", d_model, d_model, 2)
 
 
 class CosineHead:
@@ -36,12 +35,11 @@ class CosineHead:
     by zero.
     """
 
-    def __init__(self, name: str, d_model: int, num_classes: int, gamma: float,
-                 rng: np.random.Generator):
+    def __init__(self, name: str, d_model: int, num_classes: int,
+                 gamma: float):
         self.gamma = gamma
-        self.W = Param(f"{name}.W_cos",
-                       glorot_uniform(rng, d_model, num_classes,
-                                      (num_classes, d_model)))
+        self.W = Param(f"{name}.W_cos", (num_classes, d_model),
+                       glorot_uniform(d_model, num_classes))
 
     def forward(self, z: Array):
         z_unit, w_unit = unit_rows(z), unit_rows(self.W.value)
@@ -61,18 +59,16 @@ class CosineHead:
 class LinearHead(Affine):
     """Plain affine classifier (cosine-classifier ablation)."""
 
-    def __init__(self, name: str, d_model: int, num_classes: int,
-                 rng: np.random.Generator):
-        super().__init__(f"{name}.linear", d_model, num_classes, rng)
+    def __init__(self, name: str, d_model: int, num_classes: int):
+        super().__init__(f"{name}.linear", d_model, num_classes)
 
 
 class ContrastHead:
     """Dropout + linear projection producing contrastive features."""
 
-    def __init__(self, name: str, d_model: int, d_proj: int, dropout: float,
-                 rng: np.random.Generator):
+    def __init__(self, name: str, d_model: int, d_proj: int, dropout: float):
         self.dropout = Dropout(dropout)
-        self.lin = Affine(f"{name}.proj", d_model, d_proj, rng)
+        self.lin = Affine(f"{name}.proj", d_model, d_proj)
 
     def forward(self, z: Array, train: bool, rng: np.random.Generator | None):
         d, cd = self.dropout.forward(z, train, rng)

@@ -7,13 +7,19 @@ implements ``forward(...) -> (output, cache)`` plus
 several forward passes (e.g. two dropout views of one batch) before the
 matching backward calls.
 
+A constructor only describes its ``Param`` tensors (name, shape, init): a
+Param holds no storage until ``bind_flat`` backs it with a slice of flat
+buffers, and ``initialize`` then draws its first value.
+
 Inputs are batched with the batch on the leading axis; affine transforms
 act on the trailing axis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,51 +30,55 @@ from .numerics import softmax, softmax_backward
 Array = np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class Param:
-    name: str
-    value: Array
-    grad: Array = field(init=False)
+    """A tensor described until bound: ``init(rng, shape)`` draws its first
+    value (None: zeros), and ``bind_flat`` gives it ``value`` and ``grad``."""
 
-    def __post_init__(self):
-        self.value = np.ascontiguousarray(self.value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+    name: str
+    shape: tuple[int, ...]
+    init: Callable[[np.random.Generator, tuple], Array] | None = None
+    value: Array = field(init=False, repr=False)
+    grad: Array = field(init=False, repr=False)
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 
 
 def bind_flat(params: Sequence[Param]) -> tuple[Array, Array]:
-    """Move ``params`` into one flat value and one flat grad buffer.
+    """Back ``params`` with one zeroed flat value and one flat grad buffer.
 
     Each ``Param.value`` and ``Param.grad`` becomes a view of its slice,
     laid out in the given order; returns ``(values, grads)``.
     """
-    values = np.concatenate([p.value.reshape(-1) for p in params])
-    grads = np.concatenate([p.grad.reshape(-1) for p in params])
-    start = 0
-    for p in params:
-        stop = start + p.value.size
-        p.value = values[start:stop].reshape(p.value.shape)
-        p.grad = grads[start:stop].reshape(p.grad.shape)
-        start = stop
+    stops = list(accumulate((math.prod(p.shape) for p in params), initial=0))
+    values, grads = np.zeros(stops[-1]), np.zeros(stops[-1])
+    for p, start, stop in zip(params, stops, stops[1:]):
+        p.value = values[start:stop].reshape(p.shape)
+        p.grad = grads[start:stop].reshape(p.shape)
     return values, grads
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape: tuple[int, ...]) -> Array:
+def initialize(params: Sequence[Param], rng: np.random.Generator) -> None:
+    """Draw each bound Param's first value from ``rng``, in order."""
+    for p in params:
+        if p.init is not None:
+            p.value[...] = p.init(rng, p.shape)
+
+
+def glorot_uniform(fan_in: int, fan_out: int):
+    """The init drawing U(-b, b), b = sqrt(6 / (fan_in + fan_out))."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+    return lambda rng, shape: rng.uniform(-bound, bound, size=shape)
 
 
 class Affine:
     """y = x @ W + b on the trailing axis."""
 
-    def __init__(self, name: str, d_in: int, d_out: int,
-                 rng: np.random.Generator, bias: bool = True):
+    def __init__(self, name: str, d_in: int, d_out: int, bias: bool = True):
         self.d_in, self.d_out = d_in, d_out
-        self.W = Param(f"{name}.W", glorot_uniform(rng, d_in, d_out, (d_in, d_out)))
-        self.b = Param(f"{name}.b", np.zeros(d_out)) if bias else None
+        self.W = Param(f"{name}.W", (d_in, d_out), glorot_uniform(d_in, d_out))
+        self.b = Param(f"{name}.b", (d_out,)) if bias else None
 
     def forward(self, x: Array):
         y = x @ self.W.value
@@ -120,16 +130,15 @@ class Dropout:
 class SelfAttention:
     """Single multi-head self-attention layer on (B, L, D) inputs."""
 
-    def __init__(self, name: str, d_model: int, n_heads: int,
-                 rng: np.random.Generator):
+    def __init__(self, name: str, d_model: int, n_heads: int):
         self.d = d_model
         self.h = n_heads
         self.dh = d_model // n_heads
         self.scale = 1.0 / np.sqrt(self.dh)
-        self.proj_q = Affine(f"{name}.q", d_model, d_model, rng)
-        self.proj_k = Affine(f"{name}.k", d_model, d_model, rng)
-        self.proj_v = Affine(f"{name}.v", d_model, d_model, rng)
-        self.proj_o = Affine(f"{name}.o", d_model, d_model, rng)
+        self.proj_q = Affine(f"{name}.q", d_model, d_model)
+        self.proj_k = Affine(f"{name}.k", d_model, d_model)
+        self.proj_v = Affine(f"{name}.v", d_model, d_model)
+        self.proj_o = Affine(f"{name}.o", d_model, d_model)
 
     def _split(self, x: Array) -> Array:
         b, l, _ = x.shape
@@ -182,9 +191,9 @@ class MLP:
     """
 
     def __init__(self, name1: str, name2: str, d_in: int, hidden: int,
-                 d_out: int, rng: np.random.Generator, dropout: float = 0.0):
-        self.lin1 = Affine(name1, d_in, hidden, rng)
-        self.lin2 = Affine(name2, hidden, d_out, rng)
+                 d_out: int, dropout: float = 0.0):
+        self.lin1 = Affine(name1, d_in, hidden)
+        self.lin2 = Affine(name2, hidden, d_out)
         self.dropout = Dropout(dropout)
 
     def forward(self, x: Array, train: bool = False,
@@ -207,19 +216,17 @@ class MLP:
 class FeedForward(MLP):
     """The transformer block's affine -> ReLU -> affine."""
 
-    def __init__(self, name: str, d_model: int, hidden: int,
-                 rng: np.random.Generator):
+    def __init__(self, name: str, d_model: int, hidden: int):
         super().__init__(f"{name}.lin1", f"{name}.lin2", d_model, hidden,
-                         d_model, rng)
+                         d_model)
 
 
 class TransformerBlock:
     """x + attn(x), then + ffn(...); residuals, no normalization layers."""
 
-    def __init__(self, name: str, d_model: int, n_heads: int, ffn_hidden: int,
-                 rng: np.random.Generator):
-        self.attn = SelfAttention(f"{name}.attn", d_model, n_heads, rng)
-        self.ffn = FeedForward(f"{name}.ffn", d_model, ffn_hidden, rng)
+    def __init__(self, name: str, d_model: int, n_heads: int, ffn_hidden: int):
+        self.attn = SelfAttention(f"{name}.attn", d_model, n_heads)
+        self.ffn = FeedForward(f"{name}.ffn", d_model, ffn_hidden)
 
     def forward(self, x: Array, rows: int | None = None):
         """The output of the first ``rows`` rows (all of them when None);

@@ -1,7 +1,9 @@
 """Full model assembly: three modality encoders, fusion, and heads.
 
-Component initialization uses fixed seed slots, so ablating one component
-away never changes how the remaining ones are initialized.
+A model is first a description: every Param's name, shape and init. Given
+a seed, it allocates its buffers and draws each component's initial values
+from that component's fixed seed slot, so ablating one component away never
+changes how the remaining ones are initialized.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .encoders import ModalityEncoder
 from .errors import ParameterError, check_fields
 from .fusion import FUSION_MODES, FusionNetwork
 from .heads import BinaryHead, ContrastHead, CosineHead, LinearHead
-from .layers import Param, bind_flat
+from .layers import Param, bind_flat, initialize
 from .numerics import component_rng
 
 Array = np.ndarray
@@ -57,10 +59,13 @@ class ModelHyper:
 
 
 class FusionModel:
-    def __init__(self, meta: CorpusMeta, hyper: ModelHyper, seed: int):
+    def __init__(self, meta: CorpusMeta, hyper: ModelHyper,
+                 seed: int | None = None):
+        """With a seed, bound and initialized: each component draws its
+        Params' first values, in params() order, from its own slot's
+        stream. Without one, only the description (see ``bind``)."""
         self.meta = meta
         self.hyper = hyper
-        self.seed = seed
         self.d_shared = meta.shapes["T"][1]
         self.num_classes = meta.num_classes
 
@@ -74,35 +79,35 @@ class FusionModel:
                 f"encoder.{m}", d_in=d_in, d_out=self.d_shared,
                 n_heads=hyper.attn_heads,
                 ffn_hidden=hyper.ffn_hidden or d_in,
-                rng=component_rng(seed, SLOT_ENCODER[m]),
                 use_class_token=(m == "T"),
                 positional=hyper.positional_encoding,
             )
         self.fusion = FusionNetwork(
             "fusion", self.d_shared, hyper.fusion_hidden, hyper.dropout,
-            hyper.fusion_mode, component_rng(seed, SLOT_FUSION),
+            hyper.fusion_mode,
         )
         self.binary_head = None if hyper.no_binary else BinaryHead(
-            "binary", self.d_shared, component_rng(seed, SLOT_BINARY)
-        )
+            "binary", self.d_shared)
         if hyper.no_cosine:
-            self.class_head = LinearHead(
-                "class", self.d_shared, self.num_classes,
-                component_rng(seed, SLOT_CLASS),
-            )
+            self.class_head = LinearHead("class", self.d_shared,
+                                         self.num_classes)
         else:
-            self.class_head = CosineHead(
-                "class", self.d_shared, self.num_classes, hyper.gamma,
-                component_rng(seed, SLOT_CLASS),
-            )
+            self.class_head = CosineHead("class", self.d_shared,
+                                         self.num_classes, hyper.gamma)
         self.contrast_head = None if hyper.no_contrast else ContrastHead(
             "contrast", self.d_shared,
             hyper.contrast_dim or self.d_shared, hyper.dropout,
-            component_rng(seed, SLOT_CONTRAST),
         )
-        # One flat value and one flat grad buffer back every Param, in
-        # params() order, so each stage's parameters are one contiguous
-        # slice (see stage_slice).
+        if seed is not None:
+            self.bind()
+            for c, slot, _ in self._components():
+                if c is not None:
+                    initialize(c.params(), component_rng(seed, slot))
+
+    def bind(self) -> None:
+        """Back every Param with one zeroed flat value and one flat grad
+        buffer, in params() order, so each stage's parameters are one
+        contiguous slice (see stage_slice)."""
         self.values, self.grads = bind_flat(self.params())
 
     # -- forward/backward -------------------------------------------------
@@ -142,20 +147,21 @@ class FusionModel:
     # -- parameter bookkeeping ----------------------------------------------
 
     def _components(self) -> list[tuple]:
-        """(component or None, training stages that update it): stage 1's
-        binary head first, then the encoders and fusion that both stages
-        update, then stage 2's class and contrast heads."""
-        return [(self.binary_head, (1,))] + [
-            (self.encoders[m], (1, 2)) for m in MODALITIES] + [
-            (self.fusion, (1, 2)),
-            (self.class_head, (2,)),
-            (self.contrast_head, (2,)),
+        """(component or None, its rng slot, training stages that update
+        it): stage 1's binary head first, then the encoders and fusion that
+        both stages update, then stage 2's class and contrast heads."""
+        return [(self.binary_head, SLOT_BINARY, (1,))] + [
+            (self.encoders[m], SLOT_ENCODER[m], (1, 2)) for m in MODALITIES
+        ] + [
+            (self.fusion, SLOT_FUSION, (1, 2)),
+            (self.class_head, SLOT_CLASS, (2,)),
+            (self.contrast_head, SLOT_CONTRAST, (2,)),
         ]
 
     def params(self, stage: int | None = None) -> list[Param]:
         """Parameters in buffer order; ``stage`` keeps only the components
         that training stage updates."""
-        return [p for c, stages in self._components()
+        return [p for c, _, stages in self._components()
                 if c is not None and (stage is None or stage in stages)
                 for p in c.params()]
 

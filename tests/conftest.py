@@ -3,6 +3,7 @@ import pytest
 
 from mmood.cli import main
 from mmood.corpus import SynthConfig, synth_corpus
+from mmood.layers import Param, bind_flat, initialize
 from mmood.model import ModelHyper, SLOT_SYNTH
 from mmood.numerics import component_rng
 from mmood.oodgen import OodGenConfig
@@ -35,6 +36,22 @@ learning_rate = 0.002
 [eval]
 scorer = all
 """
+
+
+def built(layer, rng):
+    """``layer`` bound to buffers of its own, then its inits drawn from
+    ``rng`` in ``params()`` order."""
+    bind_flat(layer.params())
+    initialize(layer.params(), rng)
+    return layer
+
+
+def param(name, value):
+    """A bound ``Param`` holding a copy of ``value``."""
+    p = Param(name, np.shape(value))
+    bind_flat([p])
+    p.value[...] = value
+    return p
 
 
 @pytest.fixture(autouse=True)

@@ -96,6 +96,16 @@ class TestTrain:
         assert (out / "train_log.jsonl").exists()
         assert (out / "results.csv").exists()
 
+    def test_reload_draws_nothing(self, micro, monkeypatch):
+        run = _train_cli(micro, micro["tmp"] / "run")
+
+        def undrawable(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew initial weights")
+
+        monkeypatch.setattr("mmood.model.component_rng", undrawable)
+        model = load_checkpoint(run)[0]
+        assert model.values.size == sum(p.value.size for p in model.params())
+
     def test_ablation_flag_changes_head(self, micro):
         out = micro["tmp"] / "run_nocos"
         assert main(["train", "--config", str(micro["cfg"]), "--corpus",
@@ -674,28 +684,44 @@ class TestCheckpointHeader:
         assert err.startswith(f"error: checkpoint: {manifest}: malformed header")
 
 
-class TestCheckpointHeaderSizes:
-    """A header size that disagrees with its stored tensor fails before the
-    model is built, so a huge one allocates nothing."""
+# ``mmood.cli.main`` on argv in a process whose address space is capped at
+# 1 GiB; one BLAS thread keeps numpy's own start-up within the cap
+CAPPED_MAIN = """
+import os
+import resource
+import sys
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import mmood.cli
+sys.exit(mmood.cli.main(sys.argv[1:]))
+"""
 
-    @pytest.mark.parametrize("edit, name, keys, shape", [
+
+def _unallocatable(*args, **kwargs):
+    raise AssertionError("parameters allocated from an unchecked header")
+
+
+class TestCheckpointHeaderSizes:
+    """A header size that disagrees with its stored tensors fails in the one
+    name and shape table, before any parameter is allocated, so a huge one
+    allocates nothing. The table names the first differing tensor in
+    manifest order."""
+
+    @pytest.mark.parametrize("edit, name, shape", [
         (lambda h: h["hyper"].update(fusion_hidden=10**12),
-         "fusion.score.T.in.W", "shapes.T, hyper.fusion_hidden",
-         (8, 10**12)),
+         "fusion.score.A.in.W", (8, 10**12)),
         (lambda h: h["hyper"].update(ffn_hidden=10**9),
-         "encoder.T.block.ffn.lin1.W", "shapes.T, hyper.ffn_hidden",
-         (8, 10**9)),
+         "encoder.A.block.ffn.lin1.W", (4, 10**9)),
         (lambda h: h["hyper"].update(contrast_dim=10**9),
-         "contrast.proj.W", "shapes.T, hyper.contrast_dim", (8, 10**9)),
+         "contrast.proj.W", (8, 10**9)),
         (lambda h: h.update(num_classes=10**9),
-         "stats.means", "num_classes, shapes.T", (10**9, 8)),
+         "cache.logits", (48, 10**9)),
         (lambda h: h["shapes"].update(V=[3, 10**9]),
-         "encoder.V.block.ffn.lin1.W", "shapes.V, hyper.ffn_hidden",
-         (10**9, 10**9)),
+         "encoder.V.block.attn.k.W", (10**9, 10**9)),
     ], ids=["fusion_hidden", "ffn_hidden", "contrast_dim", "num_classes",
             "dim_v"])
     def test_named_before_the_model_is_built(self, micro, capsys, monkeypatch,
-                                             edit, name, keys, shape):
+                                             edit, name, shape):
         run = _train_cli(micro, micro["tmp"] / "run")
         manifest = run / "checkpoint.json"
         lines = manifest.read_text().splitlines()
@@ -706,10 +732,7 @@ class TestCheckpointHeaderSizes:
         lines[0] = json.dumps(header, sort_keys=True)
         manifest.write_text("\n".join(lines) + "\n")
 
-        def unbuildable(*args, **kwargs):
-            raise AssertionError("FusionModel built from an unchecked header")
-
-        monkeypatch.setattr("mmood.checkpoint.FusionModel", unbuildable)
+        monkeypatch.setattr("mmood.model.bind_flat", _unallocatable)
         capsys.readouterr()
         code = main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
                      str(run), "--corpus", str(micro["corpus"]),
@@ -717,7 +740,7 @@ class TestCheckpointHeaderSizes:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: checkpoint: {manifest}: tensor {name!r} has shape "
-            f"{tuple(stored)}, but the header ({keys}) implies {shape}\n")
+            f"{tuple(stored)}, expected {shape}\n")
         assert not (micro["tmp"] / "e").exists()
 
     def test_missing_carrier_named_before_the_model_is_built(
@@ -732,10 +755,7 @@ class TestCheckpointHeaderSizes:
             if json.loads(line)["name"] != "fusion.score.T.in.W"]
         manifest.write_text("\n".join(lines) + "\n")
 
-        def unbuildable(*args, **kwargs):
-            raise AssertionError("FusionModel built from an unchecked header")
-
-        monkeypatch.setattr("mmood.checkpoint.FusionModel", unbuildable)
+        monkeypatch.setattr("mmood.model.bind_flat", _unallocatable)
         capsys.readouterr()
         code = main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
                      str(run), "--corpus", str(micro["corpus"]),
@@ -743,8 +763,27 @@ class TestCheckpointHeaderSizes:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: checkpoint: {manifest}: tensor mismatch "
-            "(missing=['fusion.score.T.in.W']), so the header sizes they "
-            "carry cannot be checked\n")
+            "(missing=['fusion.score.T.in.W'], extra=[])\n")
+        assert not (micro["tmp"] / "e").exists()
+
+    def test_huge_size_allocates_nothing(self, micro):
+        """With its address space capped at 1 GiB, a fresh process loading
+        a header of ``fusion_hidden = 10**12`` exits 1 with the table's
+        message, not a ``MemoryError``."""
+        run = _train_cli(micro, micro["tmp"] / "run")
+        manifest = run / "checkpoint.json"
+        lines = manifest.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["meta"]["hyper"]["fusion_hidden"] = 10**12
+        lines[0] = json.dumps(header, sort_keys=True)
+        manifest.write_text("\n".join(lines) + "\n")
+        done = _fresh_process(CAPPED_MAIN, "eval", "--config", micro["cfg"],
+                              "--checkpoint", run, "--corpus", micro["corpus"],
+                              "--out", micro["tmp"] / "e")
+        assert done.returncode == 1
+        assert done.stderr == (
+            f"error: checkpoint: {manifest}: tensor 'fusion.score.A.in.W' "
+            f"has shape (8, 8), expected (8, {10**12})\n")
         assert not (micro["tmp"] / "e").exists()
 
 
@@ -960,7 +999,58 @@ class TestFailedReportWritesNothing:
         capsys.readouterr()
         out = micro["tmp"] / "new"
         assert main(["report", str(evaled), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: cli: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: cli: ")
+        path = evaled / "eval_report.json" if "report" in broken else scores
+        if broken.endswith("_is_dir"):
+            assert err == f"error: cli: {path} is not a file\n"
+        elif broken.startswith("no_"):
+            assert err.startswith(f"error: cli: {path} not found; ")
+        assert not out.exists()
+
+
+class TestDeeplyNestedJson:
+    """A JSON line nested too deep to decode is a malformed input: one
+    ``error:`` line and exit 1, not a ``RecursionError`` traceback."""
+
+    @pytest.mark.parametrize("target", ["corpus_manifest", "checkpoint",
+                                        "eval_report", "scores"])
+    def test_exits_1_with_one_error_line(self, micro, capsys, target):
+        run, evaled = micro["tmp"] / "run", micro["tmp"] / "eval"
+        _train_cli(micro, run)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                         str(run), "--corpus", str(micro["corpus"]), "--out",
+                         str(evaled), "--scorer", "msp"]) == 0
+        out = micro["tmp"] / "new"
+        nested = "[" * 100_000
+        path, line, argv = {
+            # the corpus header, a checkpoint entry, the report's first line
+            # and a score row after the good ones
+            "corpus_manifest": (micro["corpus"] / "manifest.jsonl", 0,
+                                ["train", "--config", str(micro["cfg"]),
+                                 "--corpus", str(micro["corpus"])]),
+            "checkpoint": (run / "checkpoint.json", 1,
+                           ["eval", "--config", str(micro["cfg"]),
+                            "--checkpoint", str(run),
+                            "--corpus", str(micro["corpus"])]),
+            "eval_report": (evaled / "eval_report.json", 0,
+                            ["report", str(evaled)]),
+            "scores": (evaled / "scores_msp.jsonl", None,
+                       ["report", str(evaled)]),
+        }[target]
+        lines = path.read_text().splitlines()
+        if line is None:
+            lines.append(nested)
+        else:
+            lines[line] = nested
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "RecursionError" in err
         assert not out.exists()
 
 

@@ -8,6 +8,7 @@ from mmood.errors import ParameterError
 from mmood.layers import check_gradients
 from mmood.model import FusionModel
 from mmood.numerics import make_rng
+from conftest import built
 from oracles import class_token_encoder_oracle
 
 
@@ -18,15 +19,15 @@ def encode(enc, seq):
 
 
 def pool_encoder(rng, d_in=6, d_out=4, positional=False):
-    return ModalityEncoder("enc.V", d_in=d_in, d_out=d_out, n_heads=2,
-                           ffn_hidden=d_in, rng=rng, use_class_token=False,
-                           positional=positional)
+    return built(ModalityEncoder("enc.V", d_in=d_in, d_out=d_out, n_heads=2,
+                                 ffn_hidden=d_in, use_class_token=False,
+                                 positional=positional), rng)
 
 
 def cls_encoder(rng, d=6, n_heads=2, positional=False):
-    return ModalityEncoder("enc.T", d_in=d, d_out=d, n_heads=n_heads,
-                           ffn_hidden=d, rng=rng, use_class_token=True,
-                           positional=positional)
+    return built(ModalityEncoder("enc.T", d_in=d, d_out=d, n_heads=n_heads,
+                                 ffn_hidden=d, use_class_token=True,
+                                 positional=positional), rng)
 
 
 class TestShapes:
@@ -40,7 +41,7 @@ class TestShapes:
     def test_class_token_needs_matching_dims(self):
         with pytest.raises(ParameterError):
             ModalityEncoder("enc.T", d_in=6, d_out=4, n_heads=2, ffn_hidden=6,
-                            rng=make_rng(2), use_class_token=True)
+                            use_class_token=True)
 
     def test_wrong_input_dim_rejected(self):
         enc = pool_encoder(make_rng(3))

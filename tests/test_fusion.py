@@ -7,10 +7,12 @@ from mmood.fusion import FusionNetwork
 from mmood.layers import check_gradients
 from mmood.model import ModelHyper
 from mmood.numerics import make_rng
+from conftest import built
 
 
 def make_net(mode="weighted", d=5, hidden=4, dropout=0.0, seed=0):
-    return FusionNetwork("fusion", d, hidden, dropout, mode, make_rng(seed))
+    return built(FusionNetwork("fusion", d, hidden, dropout, mode),
+                 make_rng(seed))
 
 
 def rand_inputs(d=5, b=3, seed=1):

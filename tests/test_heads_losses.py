@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -23,12 +24,13 @@ from mmood.heads import (
     make_view_ids,
     multiclass_loss,
 )
-from mmood.layers import Param, check_gradients
+from mmood.layers import check_gradients
 from mmood.model import FusionModel, ModelHyper
 from mmood.numerics import make_rng
 from mmood.oodgen import OodGenConfig, build_mixed_batch
 from mmood.train import (ABLATION_VARIANTS, AdamW, TrainConfig, _step, train,
                          variant_config)
+from conftest import built, param
 
 
 def contrastive_loss(z, labels, binary, head, tau, rng, train=True):
@@ -93,7 +95,7 @@ class TestCoarseLoss:
 
     def test_gradient(self):
         rng = make_rng(0)
-        logits_p = Param("logits", rng.normal(size=(6, 2)))
+        logits_p = param("logits", rng.normal(size=(6, 2)))
         binary = np.array([1, 0, 0, 1, 1, 0])
 
         def run(compute_grads):
@@ -107,7 +109,7 @@ class TestCoarseLoss:
 
 class TestCosineHead:
     def test_parallel_and_orthogonal(self):
-        head = CosineHead("class", 4, 2, gamma=16.0, rng=make_rng(1))
+        head = built(CosineHead("class", 4, 2, gamma=16.0), make_rng(1))
         head.W.value[0] = [1.0, 0.0, 0.0, 0.0]
         head.W.value[1] = [0.0, 2.0, 0.0, 0.0]
         z = np.array([[3.0, 0.0, 0.0, 0.0]])
@@ -116,12 +118,12 @@ class TestCosineHead:
         assert logits[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_logits_bounded_by_gamma(self):
-        head = CosineHead("class", 5, 3, gamma=8.0, rng=make_rng(2))
+        head = built(CosineHead("class", 5, 3, gamma=8.0), make_rng(2))
         logits, _ = head.forward(make_rng(3).normal(size=(10, 5)))
         assert np.all(np.abs(logits) <= 8.0 + 1e-12)
 
     def test_scale_invariance(self):
-        head = CosineHead("class", 5, 3, gamma=16.0, rng=make_rng(4))
+        head = built(CosineHead("class", 5, 3, gamma=16.0), make_rng(4))
         z = make_rng(5).normal(size=(4, 5))
         base, _ = head.forward(z)
         exact, _ = head.forward(2.0 * z)  # power-of-two scale: bit-exact
@@ -131,15 +133,15 @@ class TestCosineHead:
         assert np.array_equal(base.argmax(axis=1), close.argmax(axis=1))
 
     def test_zero_feature_guard(self):
-        head = CosineHead("class", 3, 2, gamma=16.0, rng=make_rng(6))
+        head = built(CosineHead("class", 3, 2, gamma=16.0), make_rng(6))
         logits, cache = head.forward(np.zeros((1, 3)))
         assert np.array_equal(logits, np.zeros((1, 2)))
         gz = head.backward(np.ones((1, 2)), cache)
         assert np.array_equal(gz, np.zeros((1, 3)))
 
     def test_gradients(self):
-        head = CosineHead("class", 4, 3, gamma=4.0, rng=make_rng(7))
-        z_p = Param("z", make_rng(8).normal(size=(5, 4)))
+        head = built(CosineHead("class", 4, 3, gamma=4.0), make_rng(7))
+        z_p = param("z", make_rng(8).normal(size=(5, 4)))
         labels = np.array([0, 1, 2, 1, 0])
 
         def run(compute_grads):
@@ -174,7 +176,7 @@ class TestMulticlassLoss:
             multiclass_loss(np.zeros((2, 3)), np.array([0, OOD_LABEL]))
 
     def test_rescaling_features_keeps_loss(self):
-        head = CosineHead("class", 6, 3, gamma=16.0, rng=make_rng(9))
+        head = built(CosineHead("class", 6, 3, gamma=16.0), make_rng(9))
         z = make_rng(10).normal(size=(5, 6))
         labels = np.array([0, 1, 2, 0, 1])
         l1, _ = multiclass_loss(head.forward(z)[0], labels)
@@ -269,7 +271,7 @@ class TestContrastive:
 
     def test_gradients_wrt_views(self):
         rng = make_rng(13)
-        views_p = Param("views", rng.normal(size=(8, 5)))
+        views_p = param("views", rng.normal(size=(8, 5)))
         labels, is_id, partner = make_view_ids(
             np.array([0, 1, OOD_LABEL, 1]), np.array([1, 1, 0, 1])
         )
@@ -285,8 +287,8 @@ class TestContrastive:
 
     def test_full_op_with_dropout_head(self):
         rng = make_rng(14)
-        head = ContrastHead("contrast", 6, 4, dropout=0.3, rng=make_rng(15))
-        z_p = Param("z", rng.normal(size=(4, 6)))
+        head = built(ContrastHead("contrast", 6, 4, dropout=0.3), make_rng(15))
+        z_p = param("z", rng.normal(size=(4, 6)))
         labels = np.array([0, 1, OOD_LABEL, 0])
         binary = np.array([1, 1, 0, 1])
 
@@ -347,8 +349,8 @@ class TestContrastiveMask:
 
 class TestBinaryHeadLinearHead:
     def test_binary_head_gradients(self):
-        head = BinaryHead("binary", 5, make_rng(16))
-        z_p = Param("z", make_rng(17).normal(size=(6, 5)))
+        head = built(BinaryHead("binary", 5), make_rng(16))
+        z_p = param("z", make_rng(17).normal(size=(6, 5)))
         binary = np.array([1, 0, 1, 0, 0, 1])
 
         def run(compute_grads):
@@ -361,27 +363,27 @@ class TestBinaryHeadLinearHead:
         assert check_gradients(run, [z_p] + head.params()) == []
 
     def test_linear_head_shape(self):
-        head = LinearHead("class", 5, 3, make_rng(18))
+        head = built(LinearHead("class", 5, 3), make_rng(18))
         logits, _ = head.forward(np.zeros((2, 5)))
         assert logits.shape == (2, 3)
 
 
 class TestAdamW:
     def test_zero_lr_is_identity(self):
-        p = Param("p", np.array([1.0, -2.0]))
+        p = param("p", np.array([1.0, -2.0]))
         opt = AdamW(p.value, p.grad, lr=0.0, weight_decay=0.5)
         p.grad[...] = [10.0, -3.0]
         opt.step()
         assert np.array_equal(p.value, [1.0, -2.0])
 
     def test_decoupled_decay_with_zero_gradient(self):
-        p = Param("p", np.array([2.0]))
+        p = param("p", np.array([2.0]))
         opt = AdamW(p.value, p.grad, lr=0.1, weight_decay=0.5)
         opt.step()  # grad 0: adaptive term 0, decay only
         assert p.value[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0, abs=1e-15)
 
     def test_minimizes_quadratic(self):
-        p = Param("p", np.array([5.0]))
+        p = param("p", np.array([5.0]))
         opt = AdamW(p.value, p.grad, lr=0.1, weight_decay=0.0)
         for _ in range(500):
             opt.zero_grad()
@@ -627,6 +629,27 @@ class TestAblationAudit:
         got = sorted((name, p.value.shape)
                      for name, p in model.named_params().items())
         assert got == expected
+
+    @pytest.mark.parametrize("overrides, digest", [
+        ({},
+         "ee642eff8d0a895fe8af314a19dd85b04f1dda03f3dbeba15947915d9a5f3e9f"),
+        ({"fusion_mode": "add"},
+         "c046f25d523658d9c29f6ddbb1d40e4a335272582a156d6577cc4a1afec95dea"),
+        ({"fusion_mode": "concat"},
+         "fcbbd3bc2efc7c230ef27b2af60e6276ceae935c2c631819799a08e2b45b0ada"),
+        ({"no_contrast": True},
+         "d65ccaee3a103118f31fe704218f8f05e4c3020b77764f5745d7533ce8491f9b"),
+        ({"no_cosine": True},
+         "623a03e9a7156e49b16407bd40d257bc2862bbd111c8053cb039d42e161fdcd6"),
+        ({"no_binary": True},
+         "600f760171bcc547c55e8748dac15ad315b6e2dbe4e05be91d1c54fedbeac109"),
+    ], ids=["full", "add", "concat", "no_contrast", "no_cosine", "no_binary"])
+    def test_init_stream_pinned(self, overrides, digest):
+        """Each component draws its initial values, in params() order, from
+        its own slot's stream; these bytes pin both."""
+        model = FusionModel(SynthConfig().meta(),
+                            replace(ModelHyper(), **overrides), 0)
+        assert hashlib.sha256(model.values.tobytes()).hexdigest() == digest
 
     def test_variant_param_sets(self):
         corpus = desk_corpus(n_train=60)

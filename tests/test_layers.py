@@ -15,6 +15,7 @@ from mmood.layers import (
 )
 from mmood.model import FusionModel, ModelHyper
 from mmood.numerics import make_rng
+from conftest import built
 
 
 def scalar_readout(y, probe):
@@ -24,14 +25,14 @@ def scalar_readout(y, probe):
 class TestAffine:
     def test_forward_matches_manual(self):
         rng = make_rng(0)
-        lin = Affine("lin", 3, 2, rng)
+        lin = built(Affine("lin", 3, 2), rng)
         x = rng.normal(size=(5, 3))
         y, _ = lin.forward(x)
         assert np.allclose(y, x @ lin.W.value + lin.b.value)
 
     def test_gradients(self):
         rng = make_rng(1)
-        lin = Affine("lin", 4, 3, rng)
+        lin = built(Affine("lin", 4, 3), rng)
         x = rng.normal(size=(6, 4))
         probe = rng.normal(size=(6, 3))
 
@@ -45,7 +46,7 @@ class TestAffine:
 
     def test_input_gradient(self):
         rng = make_rng(2)
-        lin = Affine("lin", 3, 3, rng)
+        lin = built(Affine("lin", 3, 3), rng)
         x = rng.normal(size=(2, 3))
         probe = rng.normal(size=(2, 3))
         y, cache = lin.forward(x)
@@ -94,7 +95,7 @@ class TestAttention:
 
     def test_gradients(self):
         rng = make_rng(5)
-        attn = SelfAttention("a", 6, 2, rng)
+        attn = built(SelfAttention("a", 6, 2), rng)
         x = rng.normal(size=(2, 3, 6))
         probe = rng.normal(size=(2, 3, 6))
 
@@ -108,7 +109,7 @@ class TestAttention:
 
     def test_permutation_equivariance(self):
         rng = make_rng(6)
-        attn = SelfAttention("a", 4, 2, rng)
+        attn = built(SelfAttention("a", 4, 2), rng)
         x = rng.normal(size=(1, 5, 4))
         perm = rng.permutation(5)
         y, _ = attn.forward(x)
@@ -119,7 +120,7 @@ class TestAttention:
 class TestBlock:
     def test_gradients(self):
         rng = make_rng(7)
-        block = TransformerBlock("b", 4, 2, 4, rng)
+        block = built(TransformerBlock("b", 4, 2, 4), rng)
         x = rng.normal(size=(2, 3, 4))
         probe = rng.normal(size=(2, 3, 4))
 
@@ -133,7 +134,7 @@ class TestBlock:
 
     def test_ffn_gradients(self):
         rng = make_rng(8)
-        ffn = FeedForward("f", 4, 6, rng)
+        ffn = built(FeedForward("f", 4, 6), rng)
         x = rng.normal(size=(5, 4))
         probe = rng.normal(size=(5, 4))
 
@@ -149,8 +150,8 @@ class TestBlock:
     def test_parameter_only_backward(self, layer):
         """Without the input gradient, the same parameter gradients."""
         rng = make_rng(9)
-        unit = SelfAttention("a", 4, 2, rng) if layer == "attn" \
-            else TransformerBlock("b", 4, 2, 4, rng)
+        unit = built(SelfAttention("a", 4, 2) if layer == "attn"
+                     else TransformerBlock("b", 4, 2, 4), rng)
         x = rng.normal(size=(3, 5, 4))
         probe = rng.normal(size=(3, 5, 4))
         _, cache = unit.forward(x)

@@ -27,6 +27,7 @@ from mmood.numerics import (
 )
 from mmood.scoring import fit_class_stats
 from mmood.train import train
+from conftest import built
 from oracles import (
     CosineHeadOracle,
     contrastive_unit_backward_oracle,
@@ -238,7 +239,7 @@ class TestSharedFormulasMatchFormerCopies:
     @pytest.mark.parametrize("n, d, k", [(64, 16, 3), (32, 64, 5), (8, 7, 2)])
     def test_cosine_head_is_former_head(self, n, d, k):
         rng = make_rng(25)
-        head = CosineHead("h", d, k, 16.0, rng)
+        head = built(CosineHead("h", d, k, 16.0), rng)
         ref = CosineHeadOracle(head)
         z = _feature_rows(rng, n, d)
         g = rng.normal(size=(n, k))
@@ -251,7 +252,7 @@ class TestSharedFormulasMatchFormerCopies:
 
     def test_cosine_head_dead_weight_row_is_zero(self):
         rng = make_rng(26)
-        head = CosineHead("h", 6, 3, 16.0, rng)
+        head = built(CosineHead("h", 6, 3, 16.0), rng)
         head.W.value[1] = 0.0
         head.W.value[2] = 0.0
         head.W.value[2, 0] = NORM_EPS
