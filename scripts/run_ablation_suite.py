@@ -58,7 +58,7 @@ def main() -> int:
     parser.add_argument("--seed", default="0,1,2,3,4",
                         help="comma-separated training seeds")
     parser.add_argument("--ablation", default=",".join(
-        slug for slug, _ in ABLATION_VARIANTS.values()),
+        slug for slug, *_ in ABLATION_VARIANTS.values()),
         help="comma-separated variant slugs")
     args = parser.parse_args()
 

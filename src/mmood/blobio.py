@@ -18,7 +18,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import ne
 from pathlib import Path
 
 import numpy as np
@@ -128,10 +127,11 @@ def read_blob(path: Path, schema: Schema, blob: str, lines: list[int], label,
     # the layout is checked in Python ints, exact at any size
     stops = list(accumulate(counts, initial=0))
     starts = [stop * dtype.itemsize for stop in stops]
-    moved = list(map(ne, offsets, starts))
+    moved = [type(offset) is not int or offset != start
+             for offset, start in zip(offsets, starts)]
     if any(moved):
         i = moved.index(True)
-        raise FormatError(f"{at(i)} has offset {offsets[i]}; in manifest "
+        raise FormatError(f"{at(i)} has offset {offsets[i]!r}; in manifest "
                           f"order it starts at {starts[i]}")
     end = starts[-1]
     if size >= end:  # a short blob has no values for its last chunks
@@ -175,7 +175,7 @@ def write_tensor_store(directory, name: str, tensors: dict[str, np.ndarray],
 
 def _tensor_entry(entry, meta) -> tuple:
     name, dtype = entry["name"], entry["dtype"]
-    offset, shape = int(entry["offset"]), tuple(entry["shape"])
+    offset, shape = entry["offset"], tuple(entry["shape"])
     if not isinstance(name, str):
         raise ValueError(f"name {name!r} is not a string")
     if dtype != STORE_DTYPE.str:

@@ -64,11 +64,12 @@ def _model_from_header(meta, manifest: Path) -> FusionModel:
                 raise TypeError(f"hyper.{key} = {value!r} is not a "
                                 f"{kinds[key].__name__}")
         corpus_meta = CorpusMeta(
-            num_classes=int(meta["num_classes"]),
+            num_classes=meta["num_classes"],
             shapes={m: tuple(s) for m, s in meta["shapes"].items()},
         )
         return FusionModel(corpus_meta, ModelHyper(**hyper))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         raise FormatError(f"checkpoint: {manifest}: malformed header "
                           f"({type(exc).__name__}: {exc})") from exc
 

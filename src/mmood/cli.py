@@ -36,7 +36,7 @@ from .numerics import component_rng
 from .scoring import apply_scorer, fit_scorer, normalize_scores
 from .train import ABLATION_VARIANTS, train, variant_config
 
-ABLATION_SLUGS = {slug: name for name, (slug, _) in ABLATION_VARIANTS.items()}
+ABLATION_SLUGS = {slug: name for name, (slug, *_) in ABLATION_VARIANTS.items()}
 
 OOD_METRICS = tuple(f.name for f in fields(OodMetrics))
 ABLATION_METRICS = ("acc", "wf1", *OOD_METRICS)
@@ -303,10 +303,8 @@ def run_ablation(corpus: Corpus, cfg: RunConfig, variants: list[str],
         auroc = {variant: per_key["auroc"]["mean"]
                  for variant, per_key in aggregate.items() if "auroc" in per_key}
         checks = {label: bool(auroc["Full"] >= auroc[other])
-                  for label, other in (("weighted_ge_add", "Fusion (Add)"),
-                                       ("weighted_ge_concat", "Fusion (Concat)"),
-                                       ("full_ge_no_binary", "w / o Binary"))
-                  if "Full" in auroc and other in auroc}
+                  for other, (*_, label) in ABLATION_VARIANTS.items()
+                  if label and "Full" in auroc and other in auroc}
         summary = {
             "aggregate": aggregate,
             "ordering_checks": checks,

@@ -52,19 +52,18 @@ class CorpusMeta:
     shapes: dict[str, tuple[int, int]]  # modality -> (seq_len, dim)
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ParameterError(
-                f"corpus: num_classes must be >= 2, got {self.num_classes}"
-            )
+        if type(self.num_classes) is not int or self.num_classes < 2:
+            raise ParameterError("corpus: num_classes must be an integer "
+                                 f">= 2, got {self.num_classes!r}")
         if set(self.shapes) != set(MODALITIES):
             raise ParameterError(
                 f"corpus: shapes must cover modalities {MODALITIES}"
             )
         for m, (length, dim) in self.shapes.items():
-            if length < 1 or dim < 1:
-                raise ParameterError(
-                    f"corpus: modality {m} has invalid shape ({length}, {dim})"
-                )
+            if type(length) is not int or type(dim) is not int or \
+                    length < 1 or dim < 1:
+                raise ParameterError(f"corpus: modality {m} has invalid "
+                                     f"shape ({length!r}, {dim!r})")
 
 
 @dataclass(eq=False)
@@ -166,25 +165,25 @@ def save_corpus(corpus: Corpus, directory) -> Path:
 
 
 def _header(header) -> tuple:
-    """``(num_classes, shapes, blob file per modality)`` of a header."""
+    """``(CorpusMeta, blob file per modality)`` of a header."""
     shapes, blob_files = {}, {}
     for m, spec in header["modalities"].items():
-        shapes[m] = (int(spec["seq_len"]), int(spec["dim"]))
+        shapes[m] = (spec["seq_len"], spec["dim"])
         blob_files[m] = spec["blob"]
         if not isinstance(blob_files[m], str):
             raise TypeError(f"modality {m} blob must be a file name")
-    return int(header["num_classes"]), shapes, blob_files
+    return CorpusMeta(header["num_classes"], shapes), blob_files
 
 
 def _record(entry, header: tuple) -> tuple:
     """``(id, split, label, offset per modality)`` of one manifest entry."""
-    num_classes, label = header[0], entry["label"]
+    num_classes, label = header[0].num_classes, entry["label"]
     if label == OOD_SENTINEL:
         label = OOD_LABEL
     elif type(label) is not int or not 0 <= label < num_classes:
         raise ValueError(f"label {label!r} is neither {OOD_SENTINEL} "
                          f"nor a class index 0..{num_classes - 1}")
-    offsets = map(int, _OFFSETS(entry["offsets"]))
+    offsets = _OFFSETS(entry["offsets"])
     rec_id, split = entry["id"], entry["split"]
     if not isinstance(rec_id, str) or not isinstance(split, str):
         raise TypeError("id and split must be strings")
@@ -196,16 +195,16 @@ def load_corpus(manifest_path) -> Corpus:
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / MANIFEST_NAME
-    (num_classes, shapes, blob_files), rows = read_manifest(
-        manifest_path, SCHEMA, _header, _record)
-    meta = CorpusMeta(num_classes=num_classes, shapes=shapes)
+    (meta, blob_files), rows = read_manifest(manifest_path, SCHEMA, _header,
+                                             _record)
     lines, ids, splits, labels, *offsets = \
         zip(*rows) if rows else [()] * (4 + len(MODALITIES))
     n = len(ids)
     seqs = {m: read_blob(manifest_path, SCHEMA, blob_files[m], lines,
                          lambda i: f"record {ids[i]!r} modality {m}", offs,
-                         [math.prod(shapes[m])] * n, STORAGE)
-            .reshape(n, *shapes[m]) for m, offs in zip(MODALITIES, offsets)}
+                         [math.prod(meta.shapes[m])] * n, STORAGE)
+            .reshape(n, *meta.shapes[m])
+            for m, offs in zip(MODALITIES, offsets)}
     corpus = Corpus(meta, np.array(ids, dtype=str), np.array(splits, dtype=str),
                     np.array(labels, dtype=np.int64), seqs)
     _validate(corpus)

@@ -74,25 +74,24 @@ class ModalityEncoder:
             tok = np.broadcast_to(self.class_token.value, (b, 1, self.d_in))
             h = np.concatenate([tok, x], axis=1)
             out, block_cache = self.block.forward(h, rows=QUERY_ROWS)
-            return out[:, 0, :], ("cls", block_cache, out.shape)
+            return out[:, 0, :], (block_cache, out.shape)
         out, block_cache = self.block.forward(x)
         pooled = out.mean(axis=1)
         y, proj_cache = self.out_proj.forward(pooled)
-        return y, ("pool", block_cache, out.shape, proj_cache)
+        return y, (block_cache, out.shape, proj_cache)
 
     def backward_batch(self, g: Array, cache) -> None:
         """Accumulates the parameter gradients. The encoder reads data, so
         no input gradient is built beyond the query rows', for the class
         token in row 0."""
-        kind = cache[0]
-        if kind == "cls":
-            _, block_cache, shape = cache
+        if self.use_class_token:
+            block_cache, shape = cache
             g_block = np.zeros(shape)
             g_block[:, 0, :] = g
             gx = self.block.backward(g_block, block_cache)
             self.class_token.grad += gx[:, 0, :].sum(axis=0)
             return
-        _, block_cache, shape, proj_cache = cache
+        block_cache, shape, proj_cache = cache
         g_pooled = self.out_proj.backward(g, proj_cache)
         g_block = np.repeat(g_pooled[:, None, :], shape[1], axis=1) / shape[1]
         self.block.backward(g_block, block_cache, input_grad=False)

@@ -51,15 +51,15 @@ class FusionNetwork:
         if self.mode == "add":
             z = xs["T"] + xs["V"] + xs["A"]
             w = np.full(xs["T"].shape[:-1] + (3,), 1.0 / 3.0)
-            return z, w, ("add",)
+            return z, w, None
         if self.mode == "concat":
             flat = np.concatenate([xs[m] for m in MODALITIES], axis=-1)
             z, c_proj = self.concat_proj.forward(flat)
-            return z, None, ("concat", c_proj)
+            return z, None, c_proj
         scores, score_caches = self.modality_scores(xs, train, rng)
         w = softmax(np.stack([scores[m] for m in MODALITIES], axis=-1))
         z = sum(w[..., i:i + 1] * xs[m] for i, m in enumerate(MODALITIES))
-        return z, w, ("weighted", xs, w, score_caches)
+        return z, w, (xs, w, score_caches)
 
     def backward(self, g_z: Array, cache, g_w: Array | None = None):
         """Returns per-modality input gradients.
@@ -67,15 +67,13 @@ class FusionNetwork:
         ``g_w`` optionally carries a gradient on the reported weights
         (weighted mode only; add-mode weights are constants).
         """
-        kind = cache[0]
-        if kind == "add":
+        if self.mode == "add":
             return {m: g_z for m in MODALITIES}
-        if kind == "concat":
-            _, c_proj = cache
-            g_flat = self.concat_proj.backward(g_z, c_proj)
+        if self.mode == "concat":
+            g_flat = self.concat_proj.backward(g_z, cache)
             return {m: g_flat[..., i * self.d:(i + 1) * self.d]
                     for i, m in enumerate(MODALITIES)}
-        _, xs, w, score_caches = cache
+        xs, w, score_caches = cache
         g_w_total = np.stack(
             [(g_z * xs[m]).sum(axis=-1) for m in MODALITIES], axis=-1
         )

@@ -52,7 +52,11 @@ def bind_flat(params: Sequence[Param]) -> tuple[Array, Array]:
     laid out in the given order; returns ``(values, grads)``.
     """
     stops = list(accumulate((math.prod(p.shape) for p in params), initial=0))
-    values, grads = np.zeros(stops[-1]), np.zeros(stops[-1])
+    try:
+        values, grads = np.zeros(stops[-1]), np.zeros(stops[-1])
+    except ValueError as exc:  # more values than numpy can index
+        raise ParameterError(f"layers: cannot allocate {stops[-1]} parameter "
+                             f"values ({exc})") from exc
     for p, start, stop in zip(params, stops, stops[1:]):
         p.value = values[start:stop].reshape(p.shape)
         p.grad = grads[start:stop].reshape(p.shape)
@@ -67,9 +71,12 @@ def initialize(params: Sequence[Param], rng: np.random.Generator) -> None:
 
 
 def glorot_uniform(fan_in: int, fan_out: int):
-    """The init drawing U(-b, b), b = sqrt(6 / (fan_in + fan_out))."""
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return lambda rng, shape: rng.uniform(-bound, bound, size=shape)
+    """The init drawing U(-b, b), b = sqrt(6 / (fan_in + fan_out)); b is
+    computed at draw time, so describing a huge layer computes nothing."""
+    def init(rng, shape):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-bound, bound, size=shape)
+    return init
 
 
 class Affine:

@@ -8,8 +8,8 @@ only: (N, D) features and (N, K) logits in, (N,) scores out.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -112,17 +112,13 @@ def fit_residual(features: Array, num_components: int) -> ResidualState:
 
     ``num_components`` is conventionally the number of ID classes. When it
     reaches the feature dimension the orthogonal complement is empty and
-    every residual is zero; that state is flagged, not rejected.
+    every residual is zero; that state is flagged as ``degenerate``, which
+    ``fit_vim`` rejects and the residual scorer scores as all zero.
     """
     features = np.asarray(features, dtype=np.float64)
     d = features.shape[1]
     degenerate = num_components >= d
-    if degenerate:
-        warnings.warn(
-            "scoring: residual subspace covers the whole feature space; "
-            "residual scores are identically zero", stacklevel=2,
-        )
-        num_components = d
+    num_components = min(num_components, d)
     normalized = l2_normalize(features)
     mean = normalized.mean(axis=0)
     basis = principal_subspace(covariance(normalized - mean), num_components)
@@ -182,41 +178,39 @@ def normalize_scores(scores) -> Array:
 
 @dataclass
 class ScorerState:
-    """One fitted scoring function, applied uniformly to (features, logits)."""
+    """One fitted scoring function: ``score(features, logits)`` gives the
+    (N,) scores of (N, D) features and their (N, K) logits."""
     variant: str
-    class_stats: ClassStats | None = None
-    residual: ResidualState | None = None
-    vim: VimState | None = None
+    score: Callable[[Array, Array], Array]
+
+
+_LOGIT_SCORERS = {"energy": score_energy, "msp": score_msp,
+                  "maxlogit": score_maxlogit}
 
 
 def fit_scorer(variant: str, train_features: Array, train_logits: Array,
                class_stats: ClassStats, num_classes: int) -> ScorerState:
+    """The ``variant`` scorer fitted once: Mahalanobis reads
+    ``class_stats``, the logit scorers fit nothing, and residual and vim
+    fit a ``num_classes``-dimensional principal subspace of the training
+    features (vim also its virtual-logit scale)."""
     if variant not in SCORERS:
         raise ParameterError(
             f"scoring: unknown scorer {variant!r}, expected one of {SCORERS}"
         )
+    if variant in _LOGIT_SCORERS:
+        score_logits = _LOGIT_SCORERS[variant]
+        return ScorerState(variant, lambda z, logits: score_logits(logits))
     if variant == "mahalanobis":
-        return ScorerState(variant, class_stats=class_stats)
-    if variant in ("residual", "vim"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            residual = fit_residual(train_features, num_classes)
-        if variant == "residual":
-            return ScorerState(variant, residual=residual)
-        return ScorerState(variant, residual=residual,
-                           vim=fit_vim(train_features, train_logits, residual))
-    return ScorerState(variant)
+        return ScorerState(
+            variant, lambda z, logits: score_mahalanobis(z, class_stats))
+    residual = fit_residual(train_features, num_classes)
+    if variant == "residual":
+        return ScorerState(variant,
+                           lambda z, logits: score_residual(z, residual))
+    vim = fit_vim(train_features, train_logits, residual)
+    return ScorerState(variant, lambda z, logits: score_vim(z, logits, vim))
 
 
 def apply_scorer(state: ScorerState, features: Array, logits: Array) -> Array:
-    if state.variant == "mahalanobis":
-        return score_mahalanobis(features, state.class_stats)
-    if state.variant == "energy":
-        return score_energy(logits)
-    if state.variant == "msp":
-        return score_msp(logits)
-    if state.variant == "maxlogit":
-        return score_maxlogit(logits)
-    if state.variant == "residual":
-        return score_residual(features, state.residual)
-    return score_vim(features, logits, state.vim)
+    return state.score(features, logits)

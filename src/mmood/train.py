@@ -133,7 +133,7 @@ def _step(model: FusionModel, batch: Batch, rng: np.random.Generator,
         out["multiclass"] = l_m
 
     g_z2 = fc2 = None
-    if "contrastive" in losses and not hyper.no_contrast:
+    if "contrastive" in losses and model.contrast_head is not None:
         # the augmented view re-runs the fusion score network and the
         # projection head with fresh dropout masks over the same encodings
         z2, _, fc2 = model.fusion.forward(xs, train=True, rng=rng)
@@ -185,8 +185,7 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
                              f"= {half}, got {ood_cfg.mix_count}")
     check_class_counts(train_split.labels, corpus.num_classes)
 
-    hyper = cfg.model
-    model = FusionModel(corpus.meta, hyper, cfg.seed)
+    model = FusionModel(corpus.meta, cfg.model, cfg.seed)
     loop_rng = component_rng(cfg.seed, SLOT_TRAIN_LOOP)
     log: list[dict] = []
 
@@ -242,8 +241,8 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
             model.values[...] = best_values
         return best
 
-    run_stage("coarse", 0 if hyper.no_binary else cfg.stage1_epochs, 1,
-              ("coarse",))
+    run_stage("coarse", 0 if model.binary_head is None
+              else cfg.stage1_epochs, 1, ("coarse",))
     best = run_stage("fine", cfg.stage2_epochs, 2, ("multiclass", "contrastive"))
 
     train_features = model.features_for(train_split)
@@ -257,14 +256,16 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
     )
 
 
-# display name -> (CLI slug, ModelHyper overrides)
+# display name -> (CLI slug, ModelHyper overrides, label of the ablation
+# check that Full's mean AUROC is at least this variant's, or None)
 ABLATION_VARIANTS = {
-    "Full": ("full", {}),
-    "Fusion (Add)": ("add", {"fusion_mode": "add"}),
-    "Fusion (Concat)": ("concat", {"fusion_mode": "concat"}),
-    "w / o Contrast": ("no_contrast", {"no_contrast": True}),
-    "w / o Cosine": ("no_cosine", {"no_cosine": True}),
-    "w / o Binary": ("no_binary", {"no_binary": True}),
+    "Full": ("full", {}, None),
+    "Fusion (Add)": ("add", {"fusion_mode": "add"}, "weighted_ge_add"),
+    "Fusion (Concat)": ("concat", {"fusion_mode": "concat"},
+                        "weighted_ge_concat"),
+    "w / o Contrast": ("no_contrast", {"no_contrast": True}, None),
+    "w / o Cosine": ("no_cosine", {"no_cosine": True}, None),
+    "w / o Binary": ("no_binary", {"no_binary": True}, "full_ge_no_binary"),
 }
 
 
@@ -275,5 +276,5 @@ def variant_config(cfg: TrainConfig, variant: str) -> TrainConfig:
             f"train: unknown ablation variant {variant!r}; "
             f"expected one of {sorted(ABLATION_VARIANTS)}"
         )
-    _, overrides = ABLATION_VARIANTS[variant]
+    overrides = ABLATION_VARIANTS[variant][1]
     return replace(cfg, model=replace(cfg.model, **overrides))

@@ -787,6 +787,96 @@ class TestCheckpointHeaderSizes:
         assert not (micro["tmp"] / "e").exists()
 
 
+def _edit_line(path, line, edit):
+    """Apply ``edit`` to the JSON object on ``line`` (0-based) of ``path``."""
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[line])
+    edit(obj)
+    lines[line] = json.dumps(obj, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestWholeNumberSizes:
+    """A size or an offset in a corpus manifest, a checkpoint header or a
+    tensor entry must be a JSON integer: a string, a float or a bool fails
+    as a ``FormatError`` that names the manifest, not as a value that
+    ``int()`` converts or a traceback."""
+
+    @pytest.mark.parametrize("target, line, edit", [
+        ("corpus", 0, lambda h: h.update(num_classes=3.9)),
+        ("corpus", 0, lambda h: h.update(num_classes="3")),
+        ("corpus", 0, lambda h: h["modalities"]["T"].update(seq_len="3")),
+        ("corpus", 0, lambda h: h["modalities"]["T"].update(seq_len=3.0)),
+        ("corpus", 1, lambda e: e["offsets"].update(T="0")),
+        ("corpus", 1, lambda e: e["offsets"].update(T=0.9)),
+        ("corpus", 1, lambda e: e["offsets"].update(T=False)),
+        ("checkpoint", 0, lambda h: h["meta"].update(num_classes=3.9)),
+        ("checkpoint", 0, lambda h: h["meta"].update(num_classes="3")),
+        ("checkpoint", 0, lambda h: h["meta"]["shapes"].update(V=[3.0, 8])),
+        ("checkpoint", 0, lambda h: h["meta"]["shapes"].update(V=[3, 8.0])),
+        ("checkpoint", 1, lambda e: e.update(offset=0.5)),
+        ("checkpoint", 1, lambda e: e.update(offset="0")),
+        ("checkpoint", 1, lambda e: e.update(offset=False)),
+    ], ids=["corpus-num_classes-3.9", "corpus-num_classes-str",
+            "corpus-seq_len-str", "corpus-seq_len-float", "corpus-offset-str",
+            "corpus-offset-0.9", "corpus-offset-false",
+            "checkpoint-num_classes-3.9", "checkpoint-num_classes-str",
+            "checkpoint-shape-len-float", "checkpoint-shape-dim-float",
+            "tensor-offset-0.5", "tensor-offset-str", "tensor-offset-false"])
+    def test_eval_exits_1_naming_the_manifest(self, micro, capsys, target,
+                                              line, edit):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        manifest = micro["corpus"] / "manifest.jsonl" if target == "corpus" \
+            else run / "checkpoint.json"
+        _edit_line(manifest, line, edit)
+        capsys.readouterr()
+        out = micro["tmp"] / "e"
+        assert _eval_cli(micro, run, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(manifest) in err
+        assert not out.exists()
+
+
+class TestFourHundredDigitInts:
+    """An int of 400 digits, too large for a float or a numpy size, exits 1
+    with one ``error:`` line instead of an ``OverflowError`` or
+    ``ValueError`` traceback."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["hyper"].update(gamma=10**400),
+        lambda m: m["hyper"].update(tau=10**400),
+        lambda m: m["hyper"].update(fusion_hidden=10**400),
+        lambda m: m["hyper"].update(ffn_hidden=10**400),
+        lambda m: m["hyper"].update(contrast_dim=10**400),
+        lambda m: m.update(num_classes=10**400),
+    ], ids=["gamma", "tau", "fusion_hidden", "ffn_hidden", "contrast_dim",
+            "num_classes"])
+    def test_checkpoint_header_exits_1(self, micro, capsys, edit):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        manifest = run / "checkpoint.json"
+        _edit_line(manifest, 0, lambda header: edit(header["meta"]))
+        capsys.readouterr()
+        out = micro["tmp"] / "e"
+        assert _eval_cli(micro, run, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint: {manifest}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_ini_model_size_exits_1(self, micro, capsys):
+        micro["cfg"].write_text(ini_with("model",
+                                         {"fusion_hidden": str(10**400)}))
+        out = micro["tmp"] / "run"
+        capsys.readouterr()
+        assert main(["train", "--config", str(micro["cfg"]), "--corpus",
+                     str(micro["corpus"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: layers: cannot allocate ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestCheckpointTensorTable:
     """Every stored name and shape is checked against the model's table
     before any blob byte is read, so the offending tensor is named."""
