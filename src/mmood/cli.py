@@ -28,7 +28,7 @@ import numpy as np
 from .blobio import loads_line, write_jsonl
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
-from .corpus import MODALITIES, Corpus, load_corpus, save_corpus, synth_corpus
+from .corpus import Corpus, load_corpus, save_corpus, synth_corpus
 from .errors import FormatError, NumericalError, ParameterError, PipelineError
 from .metrics import EvalReport, OodMetrics, id_metrics, ood_metrics
 from .model import SLOT_SYNTH
@@ -123,14 +123,27 @@ def _write_json(path: Path, payload) -> None:
 # -- synth ------------------------------------------------------------------
 
 
+def _columns_and_digests(corpus: Corpus) -> tuple:
+    """``(ids, splits, labels, {modality: (shape, sha256 of its bytes)})``,
+    enough to tell a corpus bit for bit without keeping its sequences."""
+    from hashlib import sha256  # so eval and report never load its 3.5 MiB
+
+    return corpus.ids, corpus.splits, corpus.labels, {
+        m: (s.shape, sha256(s).digest()) for m, s in corpus.seqs.items()}
+
+
 def run_synth(cfg: RunConfig, out_dir, seed: int) -> Path:
+    """Synthesize, save and reload a corpus; the reload must match the
+    synthesized corpus bit for bit, checked by digest so that only one copy
+    of the sequences is alive at a time."""
     with _staged(out_dir) as stage:
         corpus = synth_corpus(cfg.synth, component_rng(seed, SLOT_SYNTH))
         manifest = save_corpus(corpus, stage)
-        loaded = load_corpus(manifest)  # verification pass: an exact round trip
-        same = all(np.array_equal(getattr(loaded, c), getattr(corpus, c))
-                   for c in ("ids", "splits", "labels")) and all(
-            np.array_equal(loaded.seqs[m], corpus.seqs[m]) for m in MODALITIES)
+        *columns, digests = _columns_and_digests(corpus)
+        del corpus
+        *loaded, loaded_digests = _columns_and_digests(load_corpus(manifest))
+        same = digests == loaded_digests and all(
+            map(np.array_equal, columns, loaded))
         if not same:
             raise PipelineError(f"cli: corpus {out_dir} does not reload to the "
                                 "synthesized corpus")
@@ -140,19 +153,20 @@ def run_synth(cfg: RunConfig, out_dir, seed: int) -> Path:
 # -- scoring ----------------------------------------------------------------
 
 
-def _score(model, stats, train_feats, train_logits, test: Corpus,
-           scorers: list[str]):
-    """``(ID flags, IdMetrics, {scorer: OOD scores})`` of the test split
-    ``test``; every command that reports on a model scores through it."""
-    feats = model.features_for(test)
+def _score(model, stats, train_feats, train_logits, corpus: Corpus,
+           rows: np.ndarray, scorers: list[str]):
+    """``(ID flags, IdMetrics, {scorer: OOD scores})`` of ``corpus``'s
+    records ``rows`` (the test split), read by row index, so no copy of
+    them is made; every command that reports on a model scores through it."""
+    feats = model.features_for(corpus, rows)
     logits = model.logits_for(feats)
-    flags = ~test.is_ood
-    idm = id_metrics(logits[flags].argmax(axis=1), test.labels[flags],
-                     test.num_classes)
+    flags = ~corpus.is_ood[rows]
+    idm = id_metrics(logits[flags].argmax(axis=1), corpus.labels[rows][flags],
+                     corpus.num_classes)
     scores = {}
     for variant in scorers:
         state = fit_scorer(variant, train_feats, train_logits, stats,
-                           test.num_classes)
+                           corpus.num_classes)
         scores[variant] = apply_scorer(state, feats, logits)
     return flags, idm, scores
 
@@ -160,13 +174,13 @@ def _score(model, stats, train_feats, train_logits, test: Corpus,
 def _test_row(trained, corpus: Corpus) -> dict:
     """ID accuracy and WF1 on the test split, plus the Mahalanobis OOD
     metrics when the split holds OOD records."""
-    test = corpus.split("test")
-    if len(test) == 0:
+    rows = np.flatnonzero(corpus.splits == "test")
+    if len(rows) == 0:
         return {}
     flags, idm, scores = _score(
         trained.model, trained.class_stats, trained.train_features,
-        trained.train_logits, test,
-        ["mahalanobis"] if test.is_ood.any() else [])
+        trained.train_logits, corpus, rows,
+        ["mahalanobis"] if corpus.is_ood[rows].any() else [])
     row = {"acc": idm.acc, "wf1": idm.wf1}
     for raw in scores.values():
         row.update(asdict(ood_metrics(raw, flags)))
@@ -215,21 +229,25 @@ def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
 # -- eval -------------------------------------------------------------------
 
 
-def run_eval(checkpoint_dir, test: Corpus, scorers: list[str],
+def run_eval(checkpoint_dir, corpus: Corpus, scorers: list[str],
              out_dir) -> EvalReport:
-    """Score the test split ``test`` (``corpus.split("test")``) with a
-    checkpoint; the caller need not keep the rest of the corpus."""
+    """Score ``corpus``'s test split with a checkpoint, reading its records
+    by row index. Its ids are taken before this function drops its
+    reference to ``corpus``, so a caller that keeps none (as ``main`` does)
+    writes the score files with no sequences alive."""
     with _staged(out_dir) as stage:
         model, *fitted, _ = load_checkpoint(checkpoint_dir)
-        if test.num_classes != model.num_classes:
+        if corpus.num_classes != model.num_classes:
             raise ParameterError(
-                f"cli: corpus has {test.num_classes} classes, checkpoint "
+                f"cli: corpus has {corpus.num_classes} classes, checkpoint "
                 f"{checkpoint_dir} was trained on {model.num_classes}"
             )
-        if len(test) == 0:
+        rows = np.flatnonzero(corpus.splits == "test")
+        if len(rows) == 0:
             raise ParameterError("cli: corpus has no test records to evaluate")
-        flags, idm, scores = _score(model, *fitted, test, scorers)
-        ids = test.ids.tolist()
+        flags, idm, scores = _score(model, *fitted, corpus, rows, scorers)
+        ids = corpus.ids[rows].tolist()
+        del corpus
         # json.dumps(row, sort_keys=True) for finite scores, one f-string a row
         heads = [f'{{"id": {encode_basestring_ascii(rec_id)}, "is_id": '
                  f'{"true" if flag else "false"}, "norm": '
@@ -510,9 +528,10 @@ def main(argv=None) -> int:
                 print(json.dumps(row, sort_keys=True))
             print(f"wrote {len(rows)} result row(s) to {out}")
         elif args.command == "eval":
-            # only the test split stays alive while scoring
-            test = load_corpus(Path(args.corpus)).split("test")
-            report = run_eval(args.checkpoint, test, cfg.eval.selected(), out)
+            # unnamed here, the corpus dies inside run_eval, before the
+            # score files are written
+            report = run_eval(args.checkpoint, load_corpus(Path(args.corpus)),
+                              cfg.eval.selected(), out)
             for scorer, m in sorted(report.ood_metrics.items()):
                 print(f"{scorer}: auroc={m.auroc:.4f} fpr95={m.fpr95:.4f} "
                       f"der={m.der:.4f}")

@@ -15,7 +15,9 @@ widens them to float64 where it reads them (``train``, ``features_for``).
 
 In memory a ``Corpus`` holds ``ids``, ``splits`` and ``labels`` columns
 and one (N, L, D) float32 array per modality, in file order; saving and
-loading validate whole columns and name the first offending record.
+loading validate whole columns and name the first offending record. The
+commands read the valid and test records by row index, so the only split
+they copy is the train split, which ``train`` widens once.
 ``synth_corpus`` draws its noise in record order, in chunks of records.
 """
 
@@ -275,8 +277,19 @@ def synth_corpus(cfg: SynthConfig, rng: np.random.Generator) -> Corpus:
     storage precision. The noise is drawn in record order, modality inside,
     one standard-normal draw per chunk of up to ``_SYNTH_CHUNK`` records: the
     same stream and float64 operations as one ``rng.normal(scale=sigma)``
-    draw per record and modality.
+    draw per record and modality. A corpus too large for memory is a
+    ``ParameterError`` that names the record counts.
     """
+    try:
+        return _draw(cfg, rng)
+    except MemoryError as exc:
+        counts = ", ".join(f"{key} = {getattr(cfg, key)}" for key in
+                           ("n_train", "n_valid", "n_test_id", "n_test_ood"))
+        raise ParameterError(
+            f"corpus: the records do not fit in memory ({counts})") from exc
+
+
+def _draw(cfg: SynthConfig, rng: np.random.Generator) -> Corpus:
     meta = cfg.meta()
     k = cfg.num_classes
 

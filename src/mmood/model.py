@@ -124,12 +124,17 @@ class FusionModel:
 
     # -- evaluation helpers ------------------------------------------------
 
-    def features_for(self, corpus: Corpus) -> Array:
-        """Eval-mode fused features, (N, d_shared), 256 records at a time,
-        each chunk widened to float64 from the corpus's storage precision."""
+    def features_for(self, corpus: Corpus, rows: Array | None = None) -> Array:
+        """Eval-mode fused features of the records ``rows`` (by default
+        every record), (len(rows), d_shared), 256 records at a time: each
+        chunk is gathered by row index and widened to float64 from the
+        corpus's storage precision (a gathered float64 chunk is not copied
+        again), so no split of the corpus is copied."""
+        rows = np.arange(len(corpus)) if rows is None else rows
         out, chunk = [], 256
-        for start in range(0, len(corpus), chunk):
-            seqs = {m: corpus.seqs[m][start:start + chunk].astype(np.float64)
+        for start in range(0, len(rows), chunk):
+            idx = rows[start:start + chunk]
+            seqs = {m: corpus.seqs[m][idx].astype(np.float64, copy=False)
                     for m in MODALITIES}
             xs, _ = self.encode_batch(seqs)
             z, _, _ = self.fusion.forward(xs, False, None)
@@ -139,10 +144,6 @@ class FusionModel:
     def logits_for(self, features: Array) -> Array:
         logits, _ = self.class_head.forward(features)
         return logits
-
-    def predict(self, corpus: Corpus) -> np.ndarray:
-        feats = self.features_for(corpus)
-        return self.logits_for(feats).argmax(axis=1)
 
     # -- parameter bookkeeping ----------------------------------------------
 

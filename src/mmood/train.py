@@ -163,10 +163,15 @@ def _step(model: FusionModel, batch: Batch, rng: np.random.Generator,
     return out
 
 
-def _validation_wf1(model: FusionModel, valid: Corpus) -> float | None:
-    if len(valid) == 0:
+def _validation_wf1(model: FusionModel, corpus: Corpus,
+                    rows: Array) -> float | None:
+    """Weighted F1 of the predicted classes of ``corpus``'s records
+    ``rows`` (the valid split), read by row index; None when empty."""
+    if len(rows) == 0:
         return None
-    return id_metrics(model.predict(valid), valid.labels, model.num_classes).wf1
+    logits = model.logits_for(model.features_for(corpus, rows))
+    return id_metrics(logits.argmax(axis=1), corpus.labels[rows],
+                      model.num_classes).wf1
 
 
 def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedModel:
@@ -175,7 +180,7 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
     # every step reads its rows, so widen them to the model's float64 once
     train_split.seqs = {m: s.astype(np.float64)
                         for m, s in train_split.seqs.items()}
-    valid_split = corpus.split("valid")
+    valid_rows = np.flatnonzero(corpus.splits == "valid")
     half = cfg.batch_size // 2
     if half > len(train_split):
         raise ParameterError(f"train: batch_size must be <= 2 * n_train = "
@@ -222,7 +227,7 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
             entry.update({f"loss_{k}": v / max(count, 1)
                           for k, v in sorted(sums.items())})
             if name == "fine":  # only stage 2 keeps its best validation epoch
-                wf1 = _validation_wf1(model, valid_split)
+                wf1 = _validation_wf1(model, corpus, valid_rows)
                 if wf1 is not None:
                     entry["val_wf1"] = wf1
                     prev = best.get("wf1", -1.0)

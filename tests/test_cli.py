@@ -9,6 +9,7 @@ import runpy
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -74,6 +75,20 @@ class TestSynth:
         cfg = load_config(micro["cfg"])
         with pytest.raises(PipelineError, match="does not reload"):
             run_synth(cfg, micro["tmp"] / "again", 0)
+
+    def test_huge_count_is_a_parameter_error(self, tmp_path):
+        """With its address space capped at 1 GiB, a fresh ``mmood synth``
+        of 10**8 train records exits 1 naming the counts, not with a
+        ``MemoryError`` traceback."""
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text("[corpus]\nn_train = 100000000\n")
+        done = _fresh_process(CAPPED_MAIN, "synth", "--config", cfg,
+                              "--out", tmp_path / "c")
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: corpus: the records do not fit in memory (n_train = "
+            "100000000, n_valid = 200, n_test_id = 200, n_test_ood = 100)\n")
+        assert not (tmp_path / "c").exists()
 
     def test_invalid_class_count_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -294,28 +309,96 @@ class TestEval:
             assert re.search(r"error: cli: .*eval_report\.json: malformed",
                              capsys.readouterr().err)
 
-    def test_only_test_split_alive_while_scoring(self, micro, trained,
-                                                 monkeypatch):
-        loaded, alive = [], []
+    def test_scores_loaded_arrays_then_writes_with_corpus_dead(
+            self, micro, trained, monkeypatch):
+        """``features_for`` reads the very arrays ``load_corpus`` returned
+        (no copy of the test split), and the loaded corpus and its arrays
+        are dead before the first score file is opened."""
+        loaded, same, dead = [], [], []
         real_load = mmood.cli.load_corpus
         real_features = FusionModel.features_for
 
         def load(path):
             corpus = real_load(path)
-            loaded.append(weakref.ref(corpus))
+            loaded.extend(map(weakref.ref, [corpus, *corpus.seqs.values()]))
             return corpus
 
-        def features_for(model, corpus):
-            alive.append(loaded[0]() is not None)
-            return real_features(model, corpus)
+        def features_for(model, corpus, *rows):
+            same.append(all(obj is ref() for obj, ref in zip(
+                [corpus, *corpus.seqs.values()], loaded, strict=True)))
+            return real_features(model, corpus, *rows)
+
+        def traced_open(path, *args, **kwargs):
+            if Path(path).name.startswith("scores_"):
+                dead.append(all(ref() is None for ref in loaded))
+            return open(path, *args, **kwargs)
 
         monkeypatch.setattr(mmood.cli, "load_corpus", load)
         monkeypatch.setattr(FusionModel, "features_for", features_for)
+        monkeypatch.setattr(mmood.cli, "open", traced_open, raising=False)
         assert main(["eval", "--config", str(micro["cfg"]),
                      "--checkpoint", str(trained), "--corpus",
                      str(micro["corpus"]), "--out", str(micro["tmp"] / "e"),
                      "--scorer", "msp"]) == 0
-        assert alive == [False]
+        assert same == [True]
+        assert dead == [True]
+
+
+# eval-large's corpus sizes: 12,000 of 12,872 records are test records, so
+# the sequences (1,088 bytes a record) outweigh what else a command holds
+# at its peak: the parsed manifest, some 670 bytes a record, and one
+# 256-record chunk's activations. At 6,000 test records eval's traced peak
+# (13.8 MB) is above the bound (13.1 MB) even with one copy.
+ONE_COPY_INI = ini_with("corpus", {
+    "n_test_id": "8000", "n_test_ood": "4000", "seq_len_t": "6",
+    "dim_t": "16", "seq_len_v": "8", "dim_v": "12", "seq_len_a": "10",
+    "dim_a": "8"})
+
+
+def _traced_peak(argv: list[str]) -> int:
+    """The peak of the bytes tracemalloc traces while ``main(argv)`` runs,
+    numpy's array buffers included."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneCorpusCopy:
+    """A command holds one copy of the corpus's sequences at a time: its
+    traced peak stays below the bytes of the corpus's sequences plus those
+    of its test split, which a copy of the test split (or of the corpus)
+    beside the corpus would reach."""
+
+    @pytest.fixture(scope="class")
+    def peaks(self, tmp_path_factory):
+        """The traced peaks of synth, train and eval, run in that order on
+        one corpus, and the bytes of the corpus's and its test split's
+        sequences."""
+        tmp = tmp_path_factory.mktemp("one-copy")
+        cfg, corpus, run = tmp / "run.ini", tmp / "corpus", tmp / "run"
+        cfg.write_text(ONE_COPY_INI)
+        peaks = {
+            "synth": _traced_peak(["synth", "--config", str(cfg), "--out",
+                                   str(corpus), "--seed", "0"]),
+            "train": _traced_peak(["train", "--config", str(cfg), "--corpus",
+                                   str(corpus), "--out", str(run),
+                                   "--seed", "0"]),
+            "eval": _traced_peak(["eval", "--config", str(cfg),
+                                  "--checkpoint", str(run), "--corpus",
+                                  str(corpus), "--out", str(tmp / "eval")]),
+        }
+        loaded = load_corpus(corpus)
+        test = loaded.splits == "test"
+        return peaks, sum(s.nbytes + s[test].nbytes
+                          for s in loaded.seqs.values())
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
+    def test_peak_below_two_copies(self, peaks, command):
+        peak, two_copies = peaks[0][command], peaks[1]
+        assert peak < two_copies
 
 
 class TestAblate:
@@ -1966,6 +2049,29 @@ def test_commands_run_without_scipy(micro):
     fresh process without importing scipy, and a non-SPD matrix still
     raises ``NumericalError``."""
     done = _fresh_process(STARTUP_PROBE, micro["cfg"], micro["tmp"] / "probe")
+    assert done.returncode == 0, done.stderr
+
+
+HASHLIB_PROBE = """
+import sys
+import mmood.cli
+cfg, corpus, run, out = sys.argv[1:]
+assert mmood.cli.main(["eval", "--corpus", corpus, "--checkpoint", run,
+                       "--out", out, "--config", cfg]) == 0
+assert mmood.cli.main(["report", out]) == 0
+assert "_hashlib" not in sys.modules, "eval or report imported hashlib"
+"""
+
+
+def test_eval_and_report_run_without_hashlib(micro):
+    """``eval`` and ``report`` run in a fresh process without importing
+    hashlib (some 3.5 MiB of a fresh process), which synth's round-trip
+    check imports for itself. ``synth``, ``train`` and ``ablate`` load it
+    anyway: they draw from ``numpy.random``, whose bit generators import
+    ``secrets``, and ``secrets`` imports ``hmac`` and ``hashlib``."""
+    run = _train_cli(micro, micro["tmp"] / "run")
+    done = _fresh_process(HASHLIB_PROBE, micro["cfg"], micro["corpus"], run,
+                          micro["tmp"] / "eval")
     assert done.returncode == 0, done.stderr
 
 

@@ -8,7 +8,9 @@ corpus manifest's header and first record and a checkpoint manifest's
 header and first tensor, read by ``mmood eval``, and the eval report and a
 score file's first row, read by ``mmood report --out``. Each run exits 0,
 or exits 1 with exactly one ``error: `` line on stderr and no output
-directory; any other exception fails the example. Values that are
+directory; any other exception fails the example. The same holds when one
+key of an input is written twice, and every input file (the config and
+the blobs too) replaced by a dangling symlink exits 1. Values that are
 representable but huge are left to the capped-address-space tests in
 ``test_cli.py``.
 """
@@ -100,7 +102,6 @@ def test_exits_0_or_one_error_line(evaluated, target, examples):
     original = path.read_text(encoding="utf-8")
     lines = original.splitlines()
     value = json.loads(original if line is None else lines[line])
-    out = root / "out"
 
     @settings(max_examples=examples, derandomize=True, deadline=None)
     @given(st.sampled_from(_mutations(value)))
@@ -111,20 +112,99 @@ def test_exits_0_or_one_error_line(evaluated, target, examples):
         else:
             text = "\n".join(lines[:line] + [json.dumps(mutated, sort_keys=True)]
                              + lines[line + 1:]) + "\n"
-        err = io.StringIO()
         try:
             path.write_text(text, encoding="utf-8")
-            with redirect_stderr(err), redirect_stdout(io.StringIO()):
-                code = main([*argv, "--out", str(out)])
+            _exits_0_or_one_error_line(root, argv)
         finally:
             path.write_text(original, encoding="utf-8")
-        if code == 0:
-            shutil.rmtree(out)
-            return
-        assert code == 1
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1
-        assert not out.exists()
-        assert not list(root.glob("*.partial-*"))
 
     run()
+
+
+def _exits_0_or_one_error_line(root, argv) -> int:
+    """``main(argv)`` into ``root/out`` exits 0, or exits 1 with exactly
+    one ``error: `` line on stderr and no output or scratch directory;
+    returns the exit code."""
+    out = root / "out"
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main([*argv, "--out", str(out)])
+    if code == 0:
+        shutil.rmtree(out)
+        return code
+    assert code == 1
+    assert err.getvalue().startswith("error: ")
+    assert err.getvalue().count("\n") == 1
+    assert not out.exists()
+    assert not list(root.glob("*.partial-*"))
+    return code
+
+
+def _duplicated(value, path, new, first):
+    """The JSON text of ``value`` (keys sorted) in which the object holding
+    the key at ``path`` names that key twice: once with ``new``, written
+    first or last, and once with its own value."""
+    mark = "\0duplicate"  # encoded as "\u0000duplicate", found nowhere else
+    text = json.dumps(_mutated(value, path, mark), sort_keys=True)
+    pair = [json.dumps(new), json.dumps(_get(value, path))]
+    if not first:
+        pair.reverse()
+    return text.replace(json.dumps(mark), f", {json.dumps(path[-1])}: ".join(
+        pair), 1)
+
+
+def _get(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+@pytest.mark.parametrize("target, examples", [
+    ("corpus_header", 40), ("corpus_record", 20), ("checkpoint_header", 100),
+    ("checkpoint_tensor", 20), ("eval_report", 60), ("score_row", 20),
+])
+def test_duplicated_key_exits_0_or_one_error_line(evaluated, target,
+                                                  examples):
+    """One key of one object is written twice, with a second JSON value
+    before or after its own; ``json.loads`` keeps the last one."""
+    root, targets = evaluated
+    path, line, argv = targets[target]
+    original = path.read_text(encoding="utf-8")
+    lines = original.splitlines()
+    value = json.loads(original if line is None else lines[line])
+    keys = [p for p in _paths(value) if p and isinstance(p[-1], str)]
+
+    @settings(max_examples=examples, derandomize=True, deadline=None)
+    @given(st.sampled_from(keys), st.sampled_from(VALUES), st.booleans())
+    def run(key, new, first):
+        text = _duplicated(value, key, new, first)
+        if line is not None:
+            text = "\n".join(lines[:line] + [text] + lines[line + 1:])
+        try:
+            path.write_text(text + "\n", encoding="utf-8")
+            _exits_0_or_one_error_line(root, argv)
+        finally:
+            path.write_text(original, encoding="utf-8")
+
+    run()
+
+
+@pytest.mark.parametrize("name", [
+    "run.ini", "corpus/manifest.jsonl", "corpus/seq_T.blob",
+    "corpus/seq_V.blob", "corpus/seq_A.blob", "run/checkpoint.json",
+    "run/checkpoint.blob", "eval/eval_report.json", "eval/scores_msp.jsonl",
+])
+def test_dangling_symlink_exits_1_with_one_error_line(evaluated, name):
+    """An input that is a symlink to nothing is named in one error line."""
+    root, targets = evaluated
+    path = root / name
+    argv = targets["eval_report" if name.startswith("eval/") else
+                   "corpus_header"][2]
+    aside = path.with_name(path.name + ".aside")
+    path.rename(aside)
+    try:
+        path.symlink_to(root / "nothing")
+        assert _exits_0_or_one_error_line(root, argv) == 1
+    finally:
+        path.unlink()
+        aside.rename(path)
