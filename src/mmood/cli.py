@@ -28,7 +28,7 @@ import numpy as np
 from .blobio import loads_line, write_jsonl
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
-from .corpus import Corpus, load_corpus, save_corpus, synth_corpus
+from .corpus import OOD_LABEL, Corpus, load_corpus, save_corpus, synth_corpus
 from .errors import FormatError, NumericalError, ParameterError, PipelineError
 from .metrics import EvalReport, OodMetrics, id_metrics, ood_metrics
 from .model import SLOT_SYNTH
@@ -153,20 +153,20 @@ def run_synth(cfg: RunConfig, out_dir, seed: int) -> Path:
 # -- scoring ----------------------------------------------------------------
 
 
-def _score(model, stats, train_feats, train_logits, corpus: Corpus,
-           rows: np.ndarray, scorers: list[str]):
-    """``(ID flags, IdMetrics, {scorer: OOD scores})`` of ``corpus``'s
-    records ``rows`` (the test split), read by row index, so no copy of
-    them is made; every command that reports on a model scores through it."""
-    feats = model.features_for(corpus, rows)
+def _score(model, stats, train_feats, train_logits, feats: np.ndarray,
+           labels: np.ndarray, scorers: list[str]):
+    """``(ID flags, IdMetrics, {scorer: OOD scores})`` of the test records'
+    features ``feats`` and labels ``labels``, so the corpus need not be
+    alive while the scorers are fitted; every command that reports on a
+    model scores through it."""
     logits = model.logits_for(feats)
-    flags = ~corpus.is_ood[rows]
-    idm = id_metrics(logits[flags].argmax(axis=1), corpus.labels[rows][flags],
-                     corpus.num_classes)
+    flags = labels != OOD_LABEL
+    idm = id_metrics(logits[flags].argmax(axis=1), labels[flags],
+                     model.num_classes)
     scores = {}
     for variant in scorers:
         state = fit_scorer(variant, train_feats, train_logits, stats,
-                           corpus.num_classes)
+                           model.num_classes)
         scores[variant] = apply_scorer(state, feats, logits)
     return flags, idm, scores
 
@@ -177,10 +177,11 @@ def _test_row(trained, corpus: Corpus) -> dict:
     rows = np.flatnonzero(corpus.splits == "test")
     if len(rows) == 0:
         return {}
+    labels = corpus.labels[rows]
     flags, idm, scores = _score(
         trained.model, trained.class_stats, trained.train_features,
-        trained.train_logits, corpus, rows,
-        ["mahalanobis"] if corpus.is_ood[rows].any() else [])
+        trained.train_logits, trained.model.features_for(corpus, rows),
+        labels, ["mahalanobis"] if (labels == OOD_LABEL).any() else [])
     row = {"acc": idm.acc, "wf1": idm.wf1}
     for raw in scores.values():
         row.update(asdict(ood_metrics(raw, flags)))
@@ -232,9 +233,10 @@ def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
 def run_eval(checkpoint_dir, corpus: Corpus, scorers: list[str],
              out_dir) -> EvalReport:
     """Score ``corpus``'s test split with a checkpoint, reading its records
-    by row index. Its ids are taken before this function drops its
-    reference to ``corpus``, so a caller that keeps none (as ``main`` does)
-    writes the score files with no sequences alive."""
+    by row index. Their features, ids and labels are taken before this
+    function drops its reference to ``corpus``, so a caller that keeps none
+    (as ``main`` does) fits the scorers and writes the score files with no
+    sequences alive."""
     with _staged(out_dir) as stage:
         model, *fitted, _ = load_checkpoint(checkpoint_dir)
         if corpus.num_classes != model.num_classes:
@@ -245,9 +247,10 @@ def run_eval(checkpoint_dir, corpus: Corpus, scorers: list[str],
         rows = np.flatnonzero(corpus.splits == "test")
         if len(rows) == 0:
             raise ParameterError("cli: corpus has no test records to evaluate")
-        flags, idm, scores = _score(model, *fitted, corpus, rows, scorers)
-        ids = corpus.ids[rows].tolist()
+        feats = model.features_for(corpus, rows)
+        ids, labels = corpus.ids[rows].tolist(), corpus.labels[rows]
         del corpus
+        flags, idm, scores = _score(model, *fitted, feats, labels, scorers)
         # json.dumps(row, sort_keys=True) for finite scores, one f-string a row
         heads = [f'{{"id": {encode_basestring_ascii(rec_id)}, "is_id": '
                  f'{"true" if flag else "false"}, "norm": '
@@ -346,6 +349,21 @@ def _finite_float(value) -> float:
     return value
 
 
+def _ood_scorers(ood) -> list[str]:
+    """The scorers an eval report's ``ood_metrics`` names, sorted: it must
+    be an object of objects, each mapping ``OodMetrics`` fields to finite
+    floats (as ``id_metrics`` maps its keys)."""
+    if type(ood) is not dict:
+        raise TypeError(f"ood_metrics = {ood!r}; expected an object")
+    for scorer, metrics in ood.items():
+        if type(metrics) is not dict or not metrics.keys() <= set(OOD_METRICS):
+            raise TypeError(f"ood_metrics[{scorer!r}] = {metrics!r}; expected "
+                            f"an object of {', '.join(OOD_METRICS)}")
+        for value in metrics.values():
+            _finite_float(value)
+    return sorted(ood)
+
+
 def _score_row(row) -> tuple:
     """One score row's checked ``(id, is_id, raw, norm)``."""
     values = (row["id"], row["is_id"], row["raw"], row["norm"])
@@ -413,7 +431,7 @@ def run_report(eval_dir, out_dir=None) -> Path:
             id_rows = [[k, _finite_float(v)]
                        for k, v in sorted(report["id_metrics"].items())
                        if k not in ("per_class_acc", "confusion")]
-            scorers = sorted(report["ood_metrics"])
+            scorers = _ood_scorers(report["ood_metrics"])
         except (AttributeError, KeyError, TypeError, ValueError,
                 RecursionError) as exc:
             raise FormatError(f"cli: {report_path}: malformed eval report "
@@ -528,8 +546,8 @@ def main(argv=None) -> int:
                 print(json.dumps(row, sort_keys=True))
             print(f"wrote {len(rows)} result row(s) to {out}")
         elif args.command == "eval":
-            # unnamed here, the corpus dies inside run_eval, before the
-            # score files are written
+            # unnamed here, the corpus dies inside run_eval, before any
+            # scorer is fitted
             report = run_eval(args.checkpoint, load_corpus(Path(args.corpus)),
                               cfg.eval.selected(), out)
             for scorer, m in sorted(report.ood_metrics.items()):

@@ -60,8 +60,9 @@ class ModalityEncoder:
             self.class_token = None
             self.out_proj = Affine(f"{name}.out_proj", d_in, d_out, bias=False)
 
-    def forward_batch(self, x: Array):
-        """(B, L, d_in) -> ((B, d_out), cache)."""
+    def forward_batch(self, x: Array, keep: bool = True):
+        """(B, L, d_in) -> ((B, d_out), cache); the cache is None with
+        ``keep`` off, for inference."""
         if x.ndim != 3 or x.shape[2] != self.d_in:
             raise ParameterError(
                 f"encoders: {self.name} expected (B, L, {self.d_in}), "
@@ -73,12 +74,13 @@ class ModalityEncoder:
         if self.use_class_token:
             tok = np.broadcast_to(self.class_token.value, (b, 1, self.d_in))
             h = np.concatenate([tok, x], axis=1)
-            out, block_cache = self.block.forward(h, rows=QUERY_ROWS)
-            return out[:, 0, :], (block_cache, out.shape)
-        out, block_cache = self.block.forward(x)
+            out, block_cache = self.block.forward(h, rows=QUERY_ROWS,
+                                                  keep=keep)
+            return out[:, 0, :], (block_cache, out.shape) if keep else None
+        out, block_cache = self.block.forward(x, keep=keep)
         pooled = out.mean(axis=1)
         y, proj_cache = self.out_proj.forward(pooled)
-        return y, (block_cache, out.shape, proj_cache)
+        return y, (block_cache, out.shape, proj_cache) if keep else None
 
     def backward_batch(self, g: Array, cache) -> None:
         """Accumulates the parameter gradients. The encoder reads data, so

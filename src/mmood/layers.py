@@ -5,7 +5,10 @@ implements ``forward(...) -> (output, cache)`` plus
 ``backward(grad_output, cache) -> grad_input`` which accumulates into
 ``Param.grad``. Caches are returned rather than stored so a layer can run
 several forward passes (e.g. two dropout views of one batch) before the
-matching backward calls.
+matching backward calls. Inference keeps none: with ``keep`` off,
+``TransformerBlock.forward`` (and ``ModalityEncoder.forward_batch``) return
+None for the cache, as ``backward`` with ``input_grad`` off returns None for
+the input gradient.
 
 A constructor only describes its ``Param`` tensors (name, shape, init): a
 Param holds no storage until ``bind_flat`` backs it with a slice of flat
@@ -235,13 +238,16 @@ class TransformerBlock:
         self.attn = SelfAttention(f"{name}.attn", d_model, n_heads)
         self.ffn = FeedForward(f"{name}.ffn", d_model, ffn_hidden)
 
-    def forward(self, x: Array, rows: int | None = None):
+    def forward(self, x: Array, rows: int | None = None, keep: bool = True):
         """The output of the first ``rows`` rows (all of them when None);
-        every row of ``x`` is a key and a value."""
+        every row of ``x`` is a key and a value. With ``keep`` off the
+        cache is None, and the attention's is freed before the feed-forward
+        runs."""
         a, ca = self.attn.forward(x, rows)
+        ca = ca if keep else None
         h = x[:, :rows] + a
         f, cf = self.ffn.forward(h)
-        return h + f, (ca, cf)
+        return h + f, (ca, cf) if keep else None
 
     def backward(self, g: Array, cache, input_grad: bool = True) -> Array | None:
         """The input gradient of the query rows; with ``input_grad`` off,

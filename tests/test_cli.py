@@ -343,6 +343,33 @@ class TestEval:
         assert same == [True]
         assert dead == [True]
 
+    def test_corpus_dead_before_first_scorer_fit(self, micro, trained,
+                                                 monkeypatch):
+        """``eval`` takes the test features, ids and labels, then drops the
+        loaded corpus, so it and its arrays are dead when the first scorer
+        is fitted."""
+        loaded, dead = [], []
+        real_load, real_fit = mmood.cli.load_corpus, mmood.cli.fit_scorer
+
+        def load(path):
+            corpus = real_load(path)
+            loaded.extend(map(weakref.ref, [
+                corpus, corpus.ids, corpus.splits, corpus.labels,
+                *corpus.seqs.values()]))
+            return corpus
+
+        def fit(*args):
+            dead.append(all(ref() is None for ref in loaded))
+            return real_fit(*args)
+
+        monkeypatch.setattr(mmood.cli, "load_corpus", load)
+        monkeypatch.setattr(mmood.cli, "fit_scorer", fit)
+        assert main(["eval", "--config", str(micro["cfg"]),
+                     "--checkpoint", str(trained), "--corpus",
+                     str(micro["corpus"]), "--out", str(micro["tmp"] / "e"),
+                     "--scorer", "msp"]) == 0
+        assert dead == [True]
+
 
 # eval-large's corpus sizes: 12,000 of 12,872 records are test records, so
 # the sequences (1,088 bytes a record) outweigh what else a command holds
@@ -1712,6 +1739,36 @@ class TestEvalReportIdMetrics:
         assert not out.exists()
 
 
+class TestEvalReportOodMetrics:
+    """``ood_metrics`` must be an object of objects that map ``OodMetrics``
+    fields to finite floats."""
+
+    @pytest.mark.parametrize("ood, detail", [
+        (["msp"], "TypeError: ood_metrics = ['msp']; expected an object"),
+        ("msp", "TypeError: ood_metrics = 'msp'; expected an object"),
+        ({"msp": 3}, "TypeError: ood_metrics['msp'] = 3; expected an object "
+                     "of auroc, aupr_in, aupr_out, fpr95, der"),
+        ({"msp": {"acc": 0.5}}, "TypeError: ood_metrics['msp'] = "
+                                "{'acc': 0.5}; expected an object of auroc, "
+                                "aupr_in, aupr_out, fpr95, der"),
+        ({"msp": {"auroc": 1}}, "ValueError: 1 is not a finite float"),
+        ({"msp": {"der": float("nan")}},
+         "ValueError: nan is not a finite float"),
+    ], ids=["list", "string", "number", "unknown-field", "int", "NaN"])
+    def test_exits_1_with_the_exact_message(self, tmp_path, capsys, ood,
+                                            detail):
+        evaled = _eval_dir(tmp_path / "eval", _score_rows(["a", "b"]))
+        report = evaled / "eval_report.json"
+        payload = json.loads(report.read_text())
+        payload["ood_metrics"] = ood
+        report.write_text(json.dumps(payload))
+        out = tmp_path / "new"
+        assert main(["report", str(evaled), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cli: {report}: malformed eval report ({detail})\n")
+        assert not out.exists()
+
+
 class TestScoreIoBytes:
     """Score files are ``json.dumps(row, sort_keys=True)`` row for row, and
     ``scores_long.csv`` is ``csv.writer``'s output, whatever the ids hold."""
@@ -2072,6 +2129,30 @@ def test_eval_and_report_run_without_hashlib(micro):
     run = _train_cli(micro, micro["tmp"] / "run")
     done = _fresh_process(HASHLIB_PROBE, micro["cfg"], micro["corpus"], run,
                           micro["tmp"] / "eval")
+    assert done.returncode == 0, done.stderr
+
+
+NUMPY_MA_PROBE = """
+import sys
+import mmood.cli
+cfg, out = sys.argv[1:]
+for argv in (["synth", "--seed", "0", "--out", out + "/corpus"],
+             ["train", "--corpus", out + "/corpus", "--out", out + "/run"],
+             ["eval", "--corpus", out + "/corpus", "--checkpoint", out + "/run",
+              "--out", out + "/eval"],
+             ["ablate", "--corpus", out + "/corpus", "--out", out + "/ablate"],
+             ["report", out + "/eval"]):
+    if argv[0] != "report":
+        argv += ["--config", cfg]
+    assert mmood.cli.main(argv) == 0, argv
+    assert "numpy.ma" not in sys.modules, f"{argv[0]} imported numpy.ma"
+"""
+
+
+def test_commands_run_without_numpy_ma(micro):
+    """None of the five commands imports ``numpy.ma`` (some 1.25 MiB and
+    11-17 ms of a fresh process), which a plain ``np.unique`` loads."""
+    done = _fresh_process(NUMPY_MA_PROBE, micro["cfg"], micro["tmp"] / "ma")
     assert done.returncode == 0, done.stderr
 
 

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mmood.config import load_config
-from mmood.corpus import Corpus, load_corpus
+from mmood.corpus import MODALITIES, Corpus, CorpusMeta, load_corpus
 from mmood.encoders import ModalityEncoder, sinusoidal_positions
 from mmood.errors import ParameterError
 from mmood.layers import check_gradients
-from mmood.model import FusionModel
+from mmood.model import FusionModel, ModelHyper
 from mmood.numerics import make_rng
+from mmood.train import ABLATION_VARIANTS, TrainConfig, variant_config
 from conftest import built
 from oracles import class_token_encoder_oracle
 
@@ -173,3 +176,64 @@ def test_features_read_float32_as_float64(micro):
     feats = model.features_for(corpus)
     assert feats.dtype == np.float64
     assert np.array_equal(feats, model.features_for(wide))
+
+
+class TestCacheFreeForward:
+    """With ``keep`` off an encoder returns the same output and no cache."""
+
+    @pytest.mark.parametrize("kind", ["pool", "cls"])
+    @pytest.mark.parametrize("positional", [False, True],
+                             ids=["plain", "positional"])
+    def test_same_output_no_cache(self, kind, positional):
+        rng = make_rng(50)
+        enc = pool_encoder(rng, positional=positional) if kind == "pool" \
+            else cls_encoder(rng, positional=positional)
+        x = make_rng(51).normal(size=(5, 4, enc.d_in))
+        y, cache = enc.forward_batch(x)
+        y_free, no_cache = enc.forward_batch(x, keep=False)
+        assert cache is not None and no_cache is None
+        assert np.array_equal(y_free, y)
+
+
+# one 256-record chunk at ablate-wide's dims (perfbench's WIDE_INI)
+WIDE_META = CorpusMeta(num_classes=4,
+                       shapes={"T": (6, 64), "V": (8, 48), "A": (10, 32)})
+WIDE_HYPER = ModelHyper(attn_heads=4, fusion_hidden=32)
+
+
+def wide_chunk() -> Corpus:
+    rng, n = make_rng(52), 256
+    seqs = {m: rng.normal(size=(n, *WIDE_META.shapes[m])).astype(np.float32)
+            for m in MODALITIES}
+    return Corpus(WIDE_META, np.array([f"r{i}" for i in range(n)]),
+                  np.full(n, "test"), rng.integers(0, 4, size=n), seqs)
+
+
+@pytest.mark.parametrize("variant", list(ABLATION_VARIANTS))
+def test_features_equal_cached_encoders_then_fusion(variant):
+    """``features_for`` runs each encoder cache-free, one modality at a
+    time; its features have the bits of ``encode_batch`` followed by an
+    eval-mode fusion pass, as training's forward computes them."""
+    hyper = variant_config(TrainConfig(model=WIDE_HYPER), variant).model
+    model = FusionModel(WIDE_META, hyper, seed=0)
+    corpus = wide_chunk()
+    xs, _ = model.encode_batch({m: s.astype(np.float64)
+                                for m, s in corpus.seqs.items()})
+    z, _, _ = model.fusion.forward(xs, False, None)
+    assert np.array_equal(model.features_for(corpus), z)
+
+
+def test_features_peak_below_four_chunks():
+    """Over one chunk, ``features_for``'s traced peak stays below four
+    times the chunk's float64 bytes; the three encoders' backward caches,
+    kept together, took it to some nine."""
+    model = FusionModel(WIDE_META, WIDE_HYPER, seed=0)
+    corpus = wide_chunk()
+    chunk_bytes = sum(s.size for s in corpus.seqs.values()) * 8
+    tracemalloc.start()
+    try:
+        model.features_for(corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * chunk_bytes
