@@ -73,6 +73,8 @@ def read_manifest(path: Path, schema: Schema, parse_header, parse_entry):
         raise FormatError(f"{mod}: manifest {path} does not exist")
     try:
         lines = path.read_bytes().decode("utf-8").splitlines()
+    except OSError as exc:
+        raise FormatError(f"{mod}: cannot read {path} ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(
             f"{mod}: manifest {path} is not UTF-8 ({exc})") from exc
@@ -135,7 +137,11 @@ def read_blob(path: Path, schema: Schema, blob: str, lines: list[int], label,
                           f"order it starts at {starts[i]}")
     end = starts[-1]
     if size >= end:  # a short blob has no values for its last chunks
-        values = np.fromfile(blob_path, dtype, stops[-1])
+        try:
+            values = np.fromfile(blob_path, dtype, stops[-1])
+        except OSError as exc:
+            raise FormatError(f"{schema.module}: cannot read blob file "
+                              f"{blob_path} ({exc})") from exc
         finite = np.isfinite(values)
         if not finite.all():
             i = bisect_right(stops, int(np.argmin(finite))) - 1

@@ -173,11 +173,11 @@ def _score(model, stats, train_feats, train_logits, feats: np.ndarray,
 
 def _test_row(trained, corpus: Corpus) -> dict:
     """ID accuracy and WF1 on the test split, plus the Mahalanobis OOD
-    metrics when the split holds OOD records."""
+    metrics when it holds OOD records; empty when it holds no ID record."""
     rows = np.flatnonzero(corpus.splits == "test")
-    if len(rows) == 0:
-        return {}
     labels = corpus.labels[rows]
+    if (labels == OOD_LABEL).all():
+        return {}
     flags, idm, scores = _score(
         trained.model, trained.class_stats, trained.train_features,
         trained.train_logits, trained.model.features_for(corpus, rows),
@@ -351,12 +351,12 @@ def _finite_float(value) -> float:
 
 def _ood_scorers(ood) -> list[str]:
     """The scorers an eval report's ``ood_metrics`` names, sorted: it must
-    be an object of objects, each mapping ``OodMetrics`` fields to finite
-    floats (as ``id_metrics`` maps its keys)."""
+    be an object of objects, each mapping every ``OodMetrics`` field to a
+    finite float (as ``id_metrics`` maps its keys)."""
     if type(ood) is not dict:
         raise TypeError(f"ood_metrics = {ood!r}; expected an object")
     for scorer, metrics in ood.items():
-        if type(metrics) is not dict or not metrics.keys() <= set(OOD_METRICS):
+        if type(metrics) is not dict or metrics.keys() != set(OOD_METRICS):
             raise TypeError(f"ood_metrics[{scorer!r}] = {metrics!r}; expected "
                             f"an object of {', '.join(OOD_METRICS)}")
         for value in metrics.values():
@@ -399,7 +399,7 @@ def _read_scores(path: Path, name: str) -> list[str]:
         for lineno, line in enumerate(lines, start=1):
             i, flag, r, n = _score_row(loads_line(line))
             out.append(f"{name},{_csv_field(i)},{flag:d},{r!r},{n!r}\n")
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (KeyError, OSError, TypeError, ValueError, RecursionError) as exc:
         where = f" line {lineno}: malformed score row" if lineno \
             else ": unreadable score file"
         raise FormatError(f"cli: {path}{where} "
@@ -432,6 +432,9 @@ def run_report(eval_dir, out_dir=None) -> Path:
                        for k, v in sorted(report["id_metrics"].items())
                        if k not in ("per_class_acc", "confusion")]
             scorers = _ood_scorers(report["ood_metrics"])
+        except OSError as exc:
+            raise FormatError(
+                f"cli: cannot read {report_path} ({exc})") from exc
         except (AttributeError, KeyError, TypeError, ValueError,
                 RecursionError) as exc:
             raise FormatError(f"cli: {report_path}: malformed eval report "

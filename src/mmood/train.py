@@ -4,16 +4,16 @@ Stage 1 optimizes encoders + fusion + binary head on the coarse binary
 loss over balanced mixed batches. Stage 2 drops the binary head from the
 objective and optimizes encoders + fusion + class head (+ contrastive
 projection) on L_m + L_cl, with early stopping on validation weighted F1
-over ID data and the best parameters restored. Each stage is one
-``run_stage`` call in ``train``: the losses one ``_step`` runs and the
-model's buffer slice one ``AdamW`` updates.
+over ID data and the best parameters restored. ``train`` runs both in one
+loop over the stages; a stage picks the losses ``_step`` runs and the
+model's buffer slice its ``AdamW`` updates. Without a binary head, stage 1
+runs no epoch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -115,44 +115,40 @@ class TrainedModel:
 
 
 def _step(model: FusionModel, batch: Batch, rng: np.random.Generator,
-          losses: Sequence[str]) -> dict[str, float]:
-    """One forward/backward over ``losses``, a subset of "multiclass",
-    "contrastive" and "coarse" that runs in that order; returns each loss
-    and their ``total``."""
-    hyper = model.hyper
+          stage: int) -> dict[str, float]:
+    """One forward/backward of training ``stage``: the coarse loss in stage
+    1; in stage 2 the multi-class loss, then the contrastive loss when the
+    model has a contrast head. Returns each loss and their ``total``."""
     xs, enc_caches = model.encode_batch(batch.seqs)
     z1, _, fc1 = model.fusion.forward(xs, train=True, rng=rng)
     g_z1 = np.zeros_like(z1)
     out: dict[str, float] = {}
 
-    if "multiclass" in losses:
+    if stage == 1:
+        logits_b, bin_cache = model.binary_head.forward(z1)
+        out["coarse"], dlogits_b = coarse_loss(logits_b, batch.binary)
+        g_z1 += model.binary_head.backward(dlogits_b, bin_cache)
+    else:
         id_mask = batch.binary == 1
         logits, class_cache = model.class_head.forward(z1[id_mask])
-        l_m, dlogits = multiclass_loss(logits, batch.labels[id_mask])
+        out["multiclass"], dlogits = multiclass_loss(logits,
+                                                     batch.labels[id_mask])
         g_z1[id_mask] += model.class_head.backward(dlogits, class_cache)
-        out["multiclass"] = l_m
 
     g_z2 = fc2 = None
-    if "contrastive" in losses and model.contrast_head is not None:
+    if stage == 2 and model.contrast_head is not None:
         # the augmented view re-runs the fusion score network and the
         # projection head with fresh dropout masks over the same encodings
         z2, _, fc2 = model.fusion.forward(xs, train=True, rng=rng)
         v1, cc1 = model.contrast_head.forward(z1, train=True, rng=rng)
         v2, cc2 = model.contrast_head.forward(z2, train=True, rng=rng)
         labels2, is_id2, partner = make_view_ids(batch.labels, batch.binary)
-        l_cl, g_views = contrastive_from_views(
-            np.concatenate([v1, v2]), labels2, is_id2, partner, hyper.tau
-        )
+        out["contrastive"], g_views = contrastive_from_views(
+            np.concatenate([v1, v2]), labels2, is_id2, partner,
+            model.hyper.tau)
         b = z1.shape[0]
         g_z1 += model.contrast_head.backward(g_views[:b], cc1)
         g_z2 = model.contrast_head.backward(g_views[b:], cc2)
-        out["contrastive"] = l_cl
-
-    if "coarse" in losses:
-        logits_b, bin_cache = model.binary_head.forward(z1)
-        l_c, dlogits_b = coarse_loss(logits_b, batch.binary)
-        g_z1 += model.binary_head.backward(dlogits_b, bin_cache)
-        out["coarse"] = l_c
 
     gxs = model.fusion.backward(g_z1, fc1)
     if g_z2 is not None:
@@ -176,7 +172,8 @@ def _validation_wf1(model: FusionModel, corpus: Corpus,
 
 def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedModel:
     """Run the full schedule on a corpus and fit inference statistics."""
-    train_split = corpus.split("train")
+    train_rows = np.flatnonzero(corpus.splits == "train")
+    train_split = corpus.take(train_rows)
     # every step reads its rows, so widen them to the model's float64 once
     train_split.seqs = {m: s.astype(np.float64)
                         for m, s in train_split.seqs.items()}
@@ -193,26 +190,26 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
     model = FusionModel(corpus.meta, cfg.model, cfg.seed)
     loop_rng = component_rng(cfg.seed, SLOT_TRAIN_LOOP)
     log: list[dict] = []
-
-    def run_stage(name: str, epochs: int, stage: int,
-                  losses: tuple[str, ...]) -> dict:
+    best: dict = {}  # stage 2's best validation epoch
+    best_values = None
+    stale = 0
+    stage1_epochs = 0 if model.binary_head is None else cfg.stage1_epochs
+    for stage, name, epochs in ((1, "coarse", stage1_epochs),
+                                (2, "fine", cfg.stage2_epochs)):
         opt = AdamW(*model.stage_slice(stage), cfg.learning_rate,
                     cfg.weight_decay)
-        best: dict = {}
-        best_values = None
-        stale = 0
         for epoch in range(epochs):
+            batches = make_batches(train_split, cfg.batch_size, loop_rng)
             sums: dict[str, float] = {}
-            count = 0
-            for bi, rows in enumerate(
-                    make_batches(train_split, cfg.batch_size, loop_rng)):
+            for bi, rows in enumerate(batches):
                 try:
                     with np.errstate(over="raise", invalid="raise",
                                      divide="raise"):
-                        batch = build_mixed_batch(train_split.take(rows),
-                                                  ood_cfg, loop_rng)
                         opt.zero_grad()
-                        step_losses = _step(model, batch, loop_rng, losses)
+                        # unnamed, the mixed batch dies with its step
+                        step_losses = _step(model, build_mixed_batch(
+                            train_split.take(rows), ood_cfg, loop_rng),
+                            loop_rng, stage)
                         if not math.isfinite(step_losses["total"]):
                             raise FloatingPointError("the loss is not finite")
                         opt.step()
@@ -222,35 +219,28 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
                         f"{epoch}, batch {bi} ({exc})") from exc
                 for key, val in step_losses.items():
                     sums[key] = sums.get(key, 0.0) + val
-                count += 1
             entry = {"stage": name, "epoch": epoch}
-            entry.update({f"loss_{k}": v / max(count, 1)
+            entry.update({f"loss_{k}": v / len(batches)
                           for k, v in sorted(sums.items())})
-            if name == "fine":  # only stage 2 keeps its best validation epoch
-                wf1 = _validation_wf1(model, corpus, valid_rows)
-                if wf1 is not None:
-                    entry["val_wf1"] = wf1
-                    prev = best.get("wf1", -1.0)
-                    if wf1 >= prev:
-                        # ties keep the most-trained snapshot but still
-                        # count toward patience
-                        stale = 0 if wf1 > prev else stale + 1
-                        best = {"wf1": wf1, "epoch": epoch}
-                        best_values = model.values.copy()
-                    else:
-                        stale += 1
+            wf1 = _validation_wf1(model, corpus, valid_rows) \
+                if stage == 2 else None
+            if wf1 is not None:
+                entry["val_wf1"] = wf1
+                prev = best.get("wf1", -1.0)
+                # a tie keeps the newer snapshot but counts toward patience
+                stale = 0 if wf1 > prev else stale + 1
+                if wf1 >= prev:
+                    best = {"wf1": wf1, "epoch": epoch}
+                    best_values = model.values.copy()
             log.append(entry)
             if best and stale > cfg.patience:
                 break
-        if best_values is not None:
-            model.values[...] = best_values
-        return best
+        del opt  # free these moments before the next stage allocates its own
+    if best_values is not None:
+        model.values[...] = best_values
+    del best_values  # before the feature pass, which sets the memory peak
 
-    run_stage("coarse", 0 if model.binary_head is None
-              else cfg.stage1_epochs, 1, ("coarse",))
-    best = run_stage("fine", cfg.stage2_epochs, 2, ("multiclass", "contrastive"))
-
-    train_features = model.features_for(train_split)
+    train_features = model.features_for(corpus, train_rows)
     train_logits = model.logits_for(train_features)
     class_stats = fit_class_stats(train_features, train_split.labels,
                                   corpus.num_classes, eps=cfg.cov_eps)

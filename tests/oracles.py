@@ -213,8 +213,8 @@ def coarse_step_oracle(model, batch, rng):
     return loss
 
 
-def fine_step_oracle(model, batch, rng, include_coarse):
-    """The former stage-2 (or joint) step; returns the loss pieces."""
+def fine_step_oracle(model, batch, rng):
+    """The former stage-2 step; returns the loss pieces."""
     hyper = model.hyper
     xs, enc_caches = model.encode_batch(batch.seqs)
     z1, _, fc1 = model.fusion.forward(xs, train=True, rng=rng)
@@ -243,12 +243,6 @@ def fine_step_oracle(model, batch, rng, include_coarse):
         g_z1 += model.contrast_head.backward(g_views[:b], cc1)
         g_z2 = model.contrast_head.backward(g_views[b:], cc2)
         losses["contrastive"] = l_cl
-
-    if include_coarse:
-        logits_b, bin_cache = model.binary_head.forward(z1)
-        l_c, dlogits_b = coarse_loss(logits_b, batch.binary)
-        g_z1 += model.binary_head.backward(dlogits_b, bin_cache)
-        losses["coarse"] = l_c
 
     gxs = model.fusion.backward(g_z1, fc1)
     if g_z2 is not None:

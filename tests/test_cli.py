@@ -1166,6 +1166,26 @@ class TestFailedEvalWritesNothing:
         assert not out.exists()
 
 
+class TestOodOnlyTestSplit:
+    """A test split with no ID record gives ``train`` and ``ablate`` a row
+    without test columns, where ``eval`` fails (see EVAL_FAILURES)."""
+
+    @pytest.mark.parametrize("command, table", [
+        (["train"], "results.csv"),
+        (["ablate", "--ablation", "full,no_binary"], "ablation.csv"),
+    ], ids=["train", "ablate"])
+    def test_exits_0_without_test_columns(self, micro, command, table):
+        cfg = micro["tmp"] / "ood_only.ini"
+        cfg.write_text(MICRO_INI.replace("n_test_id = 24", "n_test_id = 0"))
+        corpus, out = micro["tmp"] / "ood_only", micro["tmp"] / "out"
+        assert main(["synth", "--config", str(cfg), "--out", str(corpus),
+                     "--seed", "0"]) == 0
+        assert main([*command, "--config", str(cfg), "--corpus", str(corpus),
+                     "--out", str(out)]) == 0
+        header = (out / table).read_text().splitlines()[0].split(",")
+        assert not {"acc", "wf1", "auroc"} & set(header)
+
+
 class TestFailedReportWritesNothing:
     def test_missing_eval_dir_not_created(self, tmp_path, capsys):
         missing = tmp_path / "missing"
@@ -1652,6 +1672,8 @@ class TestEmptyTestSplit:
 ID_METRICS = {"acc": 0.75, "f1": 0.5, "precision": 0.5, "recall": 0.5,
               "wf1": 0.625, "wp": 0.625, "per_class_acc": [1.0, 0.5],
               "confusion": [[2, 0], [1, 1]]}
+OOD_METRICS = {"auroc": 0.75, "aupr_in": 0.5, "aupr_out": 0.5, "fpr95": 0.25,
+               "der": 0.125}
 
 
 def _score_rows(ids):
@@ -1665,7 +1687,7 @@ def _eval_dir(path, rows, id_metrics=ID_METRICS, scorers=("msp",)):
     path.mkdir()
     (path / "eval_report.json").write_text(json.dumps(
         {"id_metrics": id_metrics,
-         "ood_metrics": {scorer: {} for scorer in scorers}}))
+         "ood_metrics": {scorer: OOD_METRICS for scorer in scorers}}))
     for scorer in scorers:
         _write_score_rows(path / f"scores_{scorer}.jsonl", rows)
     return path
@@ -1740,21 +1762,30 @@ class TestEvalReportIdMetrics:
 
 
 class TestEvalReportOodMetrics:
-    """``ood_metrics`` must be an object of objects that map ``OodMetrics``
-    fields to finite floats."""
+    """``ood_metrics`` must be an object of objects that map every
+    ``OodMetrics`` field to a finite float."""
+
+    FIELDS = "auroc, aupr_in, aupr_out, fpr95, der"
+    NO_DER = {k: v for k, v in OOD_METRICS.items() if k != "der"}
 
     @pytest.mark.parametrize("ood, detail", [
         (["msp"], "TypeError: ood_metrics = ['msp']; expected an object"),
         ("msp", "TypeError: ood_metrics = 'msp'; expected an object"),
-        ({"msp": 3}, "TypeError: ood_metrics['msp'] = 3; expected an object "
-                     "of auroc, aupr_in, aupr_out, fpr95, der"),
+        ({"msp": 3}, f"TypeError: ood_metrics['msp'] = 3; expected an object "
+                     f"of {FIELDS}"),
         ({"msp": {"acc": 0.5}}, "TypeError: ood_metrics['msp'] = "
                                 "{'acc': 0.5}; expected an object of auroc, "
                                 "aupr_in, aupr_out, fpr95, der"),
-        ({"msp": {"auroc": 1}}, "ValueError: 1 is not a finite float"),
-        ({"msp": {"der": float("nan")}},
+        ({"msp": {}}, f"TypeError: ood_metrics['msp'] = {{}}; expected an "
+                      f"object of {FIELDS}"),
+        ({"msp": NO_DER}, f"TypeError: ood_metrics['msp'] = {NO_DER!r}; "
+                          f"expected an object of {FIELDS}"),
+        ({"msp": {**OOD_METRICS, "auroc": 1}},
+         "ValueError: 1 is not a finite float"),
+        ({"msp": {**OOD_METRICS, "der": float("nan")}},
          "ValueError: nan is not a finite float"),
-    ], ids=["list", "string", "number", "unknown-field", "int", "NaN"])
+    ], ids=["list", "string", "number", "unknown-field", "empty", "no-der",
+            "int", "NaN"])
     def test_exits_1_with_the_exact_message(self, tmp_path, capsys, ood,
                                             detail):
         evaled = _eval_dir(tmp_path / "eval", _score_rows(["a", "b"]))

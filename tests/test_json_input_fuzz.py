@@ -10,9 +10,9 @@ score file's first row, read by ``mmood report --out``. Each run exits 0,
 or exits 1 with exactly one ``error: `` line on stderr and no output
 directory; any other exception fails the example. The same holds when one
 key of an input is written twice, and every input file (the config and
-the blobs too) replaced by a dangling symlink exits 1. Values that are
-representable but huge are left to the capped-address-space tests in
-``test_cli.py``.
+the blobs too) replaced by a dangling symlink, or by one to a file that
+cannot be read, exits 1. Values that are representable but huge are left
+to the capped-address-space tests in ``test_cli.py``.
 """
 
 import copy
@@ -20,7 +20,9 @@ import io
 import json
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,13 +191,17 @@ def test_duplicated_key_exits_0_or_one_error_line(evaluated, target,
     run()
 
 
-@pytest.mark.parametrize("name", [
+# every input file of eval and report, under the fixture's root
+INPUTS = [
     "run.ini", "corpus/manifest.jsonl", "corpus/seq_T.blob",
     "corpus/seq_V.blob", "corpus/seq_A.blob", "run/checkpoint.json",
     "run/checkpoint.blob", "eval/eval_report.json", "eval/scores_msp.jsonl",
-])
-def test_dangling_symlink_exits_1_with_one_error_line(evaluated, name):
-    """An input that is a symlink to nothing is named in one error line."""
+]
+
+
+def _symlinked_exits_1(evaluated, name, target) -> None:
+    """Input ``name``, replaced by a symlink to ``target``, exits 1 with
+    one error line."""
     root, targets = evaluated
     path = root / name
     argv = targets["eval_report" if name.startswith("eval/") else
@@ -203,8 +209,38 @@ def test_dangling_symlink_exits_1_with_one_error_line(evaluated, name):
     aside = path.with_name(path.name + ".aside")
     path.rename(aside)
     try:
-        path.symlink_to(root / "nothing")
+        path.symlink_to(target)
         assert _exits_0_or_one_error_line(root, argv) == 1
     finally:
         path.unlink()
         aside.rename(path)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_dangling_symlink_exits_1_with_one_error_line(evaluated, name):
+    """An input that is a symlink to nothing is named in one error line."""
+    _symlinked_exits_1(evaluated, name, evaluated[0] / "nothing")
+
+
+@pytest.mark.skipif(not Path("/proc/self/mem").is_file(),
+                    reason="needs Linux's /proc/self/mem")
+@pytest.mark.parametrize("name", INPUTS)
+def test_unreadable_input_exits_1_with_one_error_line(evaluated, name):
+    """An input that is a symlink to ``/proc/self/mem`` is a regular file
+    of size 0 whose first read fails with EIO; it is named in one error
+    line, not an ``OSError`` traceback. A blob's size check fails first."""
+    _symlinked_exits_1(evaluated, name, "/proc/self/mem")
+
+
+def test_unreadable_blob_exits_1_with_one_error_line(evaluated, monkeypatch):
+    """A blob of the right size that ``np.fromfile`` cannot read."""
+    root, targets = evaluated
+    read = []
+
+    def fromfile(path, *args, **kwargs):
+        read.append(path)
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(np, "fromfile", fromfile)
+    assert _exits_0_or_one_error_line(root, targets["corpus_header"][2]) == 1
+    assert read == [root / "corpus" / "seq_T.blob"]
