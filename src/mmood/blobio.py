@@ -4,17 +4,19 @@ A container is a UTF-8 manifest of JSON lines -- line 1 a header object
 whose ``format`` names the schema, then one object per entry -- plus
 sidecar blob files of raw little-endian floats, row-major, each in the one
 dtype its schema fixes and read once, straight into the array returned.
-Each entry owns one chunk of each blob, and the layout is strict, checked
-in exact integers: every chunk starts where the one before it in manifest
-order ends, every value is finite, and the blob ends exactly where the last
-chunk ends. A schema (the corpus, the tensor store) checks only its own
-header and entry fields.
+Each entry owns one chunk of a blob, and the layout is strict, checked in
+exact integers: every chunk starts where the one before it ends, every
+value is finite, and the blob ends exactly where the last chunk ends. A
+blob whose header records its ``zlib.crc32`` (each corpus blob, read as
+one entry) must match it. A schema (the corpus, the tensor store) checks
+only its own header and entry fields.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -114,17 +116,21 @@ def read_manifest(path: Path, schema: Schema, parse_header, parse_entry):
 
 
 def read_blob(path: Path, schema: Schema, blob: str, lines: list[int], label,
-              offsets: list[int], counts: list[int], dtype: np.dtype):
+              offsets: list[int], counts: list[int], dtype: np.dtype,
+              crc32: int | None = None):
     """One blob's values in manifest order, read by one ``np.fromfile``
     straight into the returned array; entry i is ``counts[i]`` values of
-    ``dtype`` at byte ``offsets[i]``, and ``label(i)`` names it in errors."""
+    ``dtype`` at byte ``offsets[i]``, and ``label(i, k)`` names it in errors
+    about its value k of the blob. Given a ``crc32``, the checks run byte
+    length, checksum (of the array read), finiteness; without one, the
+    values of a long blob are checked before its trailing bytes."""
     blob_path = path.parent / blob
     if not blob_path.is_file():
         raise FormatError(f"{schema.module}: missing blob file {blob_path}")
     size = blob_path.stat().st_size
 
-    def at(i: int, last: str = "") -> str:
-        return f"{schema.module}: {path} line {lines[i]}: {last}{label(i)}"
+    def at(i: int, k: int, last: str = "") -> str:
+        return f"{schema.module}: {path} line {lines[i]}: {last}{label(i, k)}"
 
     # the layout is checked in Python ints, exact at any size
     stops = list(accumulate(counts, initial=0))
@@ -133,22 +139,25 @@ def read_blob(path: Path, schema: Schema, blob: str, lines: list[int], label,
              for offset, start in zip(offsets, starts)]
     if any(moved):
         i = moved.index(True)
-        raise FormatError(f"{at(i)} has offset {offsets[i]!r}; in manifest "
-                          f"order it starts at {starts[i]}")
-    end = starts[-1]
-    if size >= end:  # a short blob has no values for its last chunks
+        raise FormatError(f"{at(i, stops[i])} has offset {offsets[i]!r}; in "
+                          f"manifest order it starts at {starts[i]}")
+    end, values = starts[-1], None
+    if size == end or size > end and crc32 is None:
         try:
             values = np.fromfile(blob_path, dtype, stops[-1])
         except OSError as exc:
             raise FormatError(f"{schema.module}: cannot read blob file "
                               f"{blob_path} ({exc})") from exc
+        if crc32 is not None and (got := zlib.crc32(values)) != crc32:
+            raise FormatError(f"{schema.module}: {path}: blob {blob} has "
+                              f"crc32 {got}, but the header records {crc32}")
         finite = np.isfinite(values)
         if not finite.all():
-            i = bisect_right(stops, int(np.argmin(finite))) - 1
-            raise FormatError(f"{at(i)} holds a non-finite value "
-                              "(NaN or Inf)")
+            k = int(np.argmin(finite))
+            raise FormatError(f"{at(bisect_right(stops, k) - 1, k)} holds a "
+                              "non-finite value (NaN or Inf)")
     if size != end:
-        last = f"{at(len(lines) - 1, 'last ')}:" if lines \
+        last = f"{at(len(lines) - 1, stops[-1] - 1, 'last ')}:" if lines \
             else f"{schema.module}: {path}"
         raise FormatError(f"{last} blob {blob} holds {size} bytes, but "
                           f"its {schema.entry}s take {end}")
@@ -206,7 +215,7 @@ def read_tensor_blob(manifest_path, entries) -> dict[str, np.ndarray]:
     counts = list(map(math.prod, shapes))
     values = read_blob(manifest_path, STORE,
                        manifest_path.with_suffix(".blob").name, lines,
-                       lambda i: f"tensor {names[i]!r}", offsets, counts,
+                       lambda i, _: f"tensor {names[i]!r}", offsets, counts,
                        STORE_DTYPE)
     stops = list(accumulate(counts, initial=0))
     return {name: values[start:stop].reshape(shape) for name, shape, start, stop

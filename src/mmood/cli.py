@@ -18,7 +18,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, fields, replace
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -44,6 +44,8 @@ ABLATION_METRICS = ("acc", "wf1", *OOD_METRICS)
 # fixed glibc heap thresholds: left dynamic, steps re-fault after large frees
 M_MMAP_THRESHOLD, MMAP_THRESHOLD = -3, 4 << 20
 M_TRIM_THRESHOLD, TRIM_THRESHOLD = -1, 64 << 20
+
+SCORE_BLOCK = 1024  # score rows that eval writes and report reads at a time
 
 
 _CSV_SPECIAL = re.compile('[,"\n\r]').search
@@ -268,8 +270,12 @@ def run_eval(checkpoint_dir, corpus: Corpus, scorers: list[str],
                         f"non-finite {kind} score {float(values[i])!r}")
             with open(stage / f"scores_{variant}.jsonl", "w",
                       encoding="utf-8") as fh:
-                fh.writelines([f'{head}{n!r}, "raw": {r!r}}}\n' for head, r, n
-                               in zip(heads, raw.tolist(), norm.tolist())])
+                for start in range(0, len(heads), SCORE_BLOCK):
+                    block = slice(start, start + SCORE_BLOCK)
+                    fh.writelines([f'{head}{n!r}, "raw": {r!r}}}\n'
+                                   for head, r, n in zip(
+                                       heads[block], raw[block].tolist(),
+                                       norm[block].tolist())])
 
         report = EvalReport(id_metrics=idm, ood_metrics={
             variant: ood_metrics(raw, flags) for variant, raw in scores.items()})
@@ -377,34 +383,49 @@ def _score_row(row) -> tuple:
     return values
 
 
-def _read_scores(path: Path, name: str) -> list[str]:
-    """The ``scores_long.csv`` lines, led by ``name``, of a score file. One
-    in eval's row layout (ASCII ids, JSON floats) passes its number text
-    through; any other is walked row by row, which names a bad line."""
-    lineno = 0
+def _passed_through(fh, path: Path, name: str) -> bool:
+    """Whether a score file is in eval's row layout (ASCII ids, finite JSON
+    floats), read ``SCORE_BLOCK`` lines at a time; each block that is goes
+    to ``fh`` as ``scores_long.csv`` lines led by ``name``, number text
+    passed through."""
     try:
+        with open(path, encoding="utf-8") as src:
+            while text := "".join(islice(src, SCORE_BLOCK)):
+                rows = _SCORE_ROW.findall(text)
+                if len(rows) != len(text.splitlines()):
+                    return False
+                ids, flags, norms, raws = zip(*rows)
+                ids = [json.loads(f'"{i}"') if "\\" in i else i for i in ids]
+                "".join(ids).encode("utf-8")
+                if not all(map(math.isfinite, map(float, norms + raws))):
+                    return False
+                fh.writelines([f"{name},{_csv_field(i)},{int(f == 'true')},"
+                               f"{r},{n}\n" for i, f, r, n
+                               in zip(ids, flags, raws, norms)])
+    except ValueError:  # not UTF-8, or an escape or id JSON rejects
+        return False
+    return True
+
+
+def _write_scores(fh, path: Path, name: str) -> None:
+    """Write a score file's ``scores_long.csv`` lines to ``fh``. A file out
+    of eval's row layout in any block is rewound and walked whole, row by
+    row, which names a bad line; so the bytes are a whole-file read's."""
+    lineno, start = 0, fh.tell()
+    try:
+        if _passed_through(fh, path, name):
+            return
+        fh.seek(start)
+        fh.truncate()
         text = path.read_text(encoding="utf-8")
-        lines, rows = text.splitlines(), _SCORE_ROW.findall(text)
-        try:
-            ids, flags, norms, raws = zip(*rows)
-            ids = [json.loads(f'"{i}"') if "\\" in i else i for i in ids]
-            "".join(ids).encode("utf-8")
-            if len(rows) == len(lines) and all(map(math.isfinite,
-                                                   map(float, norms + raws))):
-                return [f"{name},{_csv_field(i)},{int(f == 'true')},{r},{n}\n"
-                        for i, f, r, n in zip(ids, flags, raws, norms)]
-        except ValueError:  # also an empty file, which the walk returns
-            pass
-        out = []
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(text.splitlines(), start=1):
             i, flag, r, n = _score_row(loads_line(line))
-            out.append(f"{name},{_csv_field(i)},{flag:d},{r!r},{n!r}\n")
+            fh.write(f"{name},{_csv_field(i)},{flag:d},{r!r},{n!r}\n")
     except (KeyError, OSError, TypeError, ValueError, RecursionError) as exc:
         where = f" line {lineno}: malformed score row" if lineno \
             else ": unreadable score file"
         raise FormatError(f"cli: {path}{where} "
                           f"({type(exc).__name__}: {exc})") from exc
-    return out
 
 
 def _check_input(path: Path, hint: str) -> None:
@@ -418,7 +439,8 @@ def _check_input(path: Path, hint: str) -> None:
 
 
 def run_report(eval_dir, out_dir=None) -> Path:
-    """Re-shape an eval directory into plot-ready CSV tables."""
+    """Re-shape an eval directory into plot-ready CSV tables, streaming
+    each score file into ``scores_long.csv`` a block of lines at a time."""
     eval_dir = Path(eval_dir)
     out_dir = Path(out_dir) if out_dir is not None else eval_dir
     with _staged(out_dir) as stage:
@@ -449,7 +471,7 @@ def run_report(eval_dir, out_dir=None) -> Path:
                 scores_path = eval_dir / f"scores_{scorer}.jsonl"
                 _check_input(scores_path, "the eval report lists scorer "
                              f"{scorer!r}")
-                fh.writelines(_read_scores(scores_path, _csv_field(scorer)))
+                _write_scores(fh, scores_path, _csv_field(scorer))
         _write_csv(stage / "id_metrics.csv", ["metric", "value"], id_rows)
     return out_dir
 

@@ -1,11 +1,12 @@
 """Embedding-corpus format, loading, synthetic generation, and batching.
 
-On disk a corpus is a blobio container (one directory per corpus):
-``manifest.jsonl`` holds a header with the class count and each
-modality's (seq_len, dim, blob file), then one line per record with its
-id, split, label and byte offsets; ``seq_T.blob``, ``seq_V.blob`` and
-``seq_A.blob`` hold one float32 (L x D) chunk per record, so record i
-starts at byte ``i * L*D*4``.
+On disk a corpus is a blobio container (one directory per corpus), format
+version 2: ``manifest.jsonl`` holds a header with the class count and each
+modality's (seq_len, dim, blob file, record count, byte length, crc32),
+then the three columns ``id``, ``label`` and ``split``, one line each;
+``seq_T.blob``, ``seq_V.blob`` and ``seq_A.blob`` hold one float32 (L x D)
+chunk per record, in column order, and each is read as one entry. A
+version-1 corpus (one manifest line per record) fails: rerun ``mmood synth``.
 
 Labels are class indices 0..K-1; out-of-distribution records carry the
 sentinel string ``__OOD__`` in the manifest (index -1 in memory) and may
@@ -24,9 +25,8 @@ they copy is the train split, which ``train`` widens once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+import zlib
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +41,12 @@ OOD_SENTINEL = "__OOD__"
 OOD_LABEL = -1
 
 MANIFEST_NAME = "manifest.jsonl"
+VERSION = 2
+COLUMNS = ("id", "label", "split")  # manifest lines 2-4, in this order
 STORAGE = np.dtype("<f4")  # blob precision
 SCHEMA = Schema(module="corpus", format="corpus", kind="corpus manifest",
-                entry="record", key="id", key_noun="record id")
-_OFFSETS = itemgetter(*MODALITIES)  # a record's offsets, in MODALITIES order
+                entry="column", key="column", key_noun="column")
+_BLOBS = replace(SCHEMA, entry="record")  # a blob's chunks are its records
 _SYNTH_CHUNK = 256  # records per noise draw; bounds its float64 temporaries
 
 
@@ -85,10 +87,6 @@ class Corpus:
         return len(self.ids)
 
     @property
-    def is_ood(self) -> np.ndarray:
-        return self.labels == OOD_LABEL
-
-    @property
     def num_classes(self) -> int:
         return self.meta.num_classes
 
@@ -96,10 +94,6 @@ class Corpus:
         """A copy of the rows selected by an index array, in that order."""
         return Corpus(self.meta, self.ids[idx], self.splits[idx],
                       self.labels[idx], {m: s[idx] for m, s in self.seqs.items()})
-
-    def split(self, name: str) -> Corpus:
-        """The records of one split, in file order."""
-        return self.take(np.flatnonzero(self.splits == name))
 
 
 def _validate(corpus: Corpus) -> None:
@@ -117,8 +111,13 @@ def _validate(corpus: Corpus) -> None:
             f"label {label!r}; splits are {SPLITS}, labels 0..{k - 1}, and "
             f"{OOD_SENTINEL} records (OOD) may only appear in the test split"
         )
+    id_list = ids.tolist()
+    if len(set(id_list)) < len(id_list):
+        seen = set()
+        rec_id = next(r for r in id_list if r in seen or seen.add(r))
+        raise FormatError(f"corpus: duplicate record id {rec_id!r}")
     try:  # JSON escapes a lone surrogate, but no UTF-8 file can hold it
-        "".join(ids.tolist()).encode("utf-8")
+        "".join(id_list).encode("utf-8")
     except UnicodeEncodeError as exc:
         i = np.searchsorted(np.cumsum(np.char.str_len(ids)), exc.start, "right")
         raise FormatError(f"corpus: record {str(ids[i])!r} has an id that is "
@@ -136,7 +135,7 @@ def save_corpus(corpus: Corpus, directory) -> Path:
 
     Sequence data is quantized to float32 on write (the declared storage
     precision), so a save/load cycle is the identity on already-loaded or
-    synthesized corpora.
+    synthesized corpora. Each blob's crc32 is taken of the array written.
     """
     directory = Path(directory)
     _validate(corpus)
@@ -147,68 +146,99 @@ def save_corpus(corpus: Corpus, directory) -> Path:
             raise FormatError(f"corpus: record {str(corpus.ids[i])!r} modality "
                               f"{m} holds a non-finite value (NaN or Inf)")
     directory.mkdir(parents=True, exist_ok=True)
-    meta = corpus.meta
-    header = {"format": "corpus", "version": 1, "num_classes": meta.num_classes,
-              "modalities": {m: {"seq_len": length, "dim": dim,
-                                 "blob": f"seq_{m}.blob"}
-                             for m, (length, dim) in meta.shapes.items()}}
-    for m in MODALITIES:
-        corpus.seqs[m].astype(STORAGE, copy=False).tofile(
-            directory / f"seq_{m}.blob")
-    row_bytes = {m: math.prod(meta.shapes[m]) * STORAGE.itemsize
-                 for m in MODALITIES}
-    columns = zip(corpus.ids.tolist(), corpus.splits.tolist(),
-                  corpus.labels.tolist())
-    return write_jsonl(directory / MANIFEST_NAME, chain([header], (
-        {"id": rec_id, "split": split,
-         "label": OOD_SENTINEL if label == OOD_LABEL else label,
-         "offsets": {m: row * row_bytes[m] for m in MODALITIES}}
-        for row, (rec_id, split, label) in enumerate(columns))))
+    specs = {}
+    for m, (length, dim) in corpus.meta.shapes.items():
+        data = np.ascontiguousarray(corpus.seqs[m], dtype=STORAGE)
+        data.tofile(directory / f"seq_{m}.blob")
+        specs[m] = {"seq_len": length, "dim": dim, "blob": f"seq_{m}.blob",
+                    "records": len(data), "bytes": data.nbytes,
+                    "crc32": zlib.crc32(data)}
+    columns = {"id": corpus.ids.tolist(), "split": corpus.splits.tolist(),
+               "label": [OOD_SENTINEL if label == OOD_LABEL else label
+                         for label in corpus.labels.tolist()]}
+    return write_jsonl(directory / MANIFEST_NAME, [
+        {"format": "corpus", "version": VERSION, "modalities": specs,
+         "num_classes": corpus.meta.num_classes},
+        *({"column": name, "values": columns[name]} for name in COLUMNS)])
 
 
-def _header(header) -> tuple:
-    """``(CorpusMeta, blob file per modality)`` of a header."""
-    shapes, blob_files = {}, {}
-    for m, spec in header["modalities"].items():
-        shapes[m] = (spec["seq_len"], spec["dim"])
-        blob_files[m] = spec["blob"]
-        if not isinstance(blob_files[m], str):
-            raise TypeError(f"modality {m} blob must be a file name")
-    return CorpusMeta(header["num_classes"], shapes), blob_files
+def _header(header, path: Path) -> tuple:
+    """``(CorpusMeta, {modality: (blob file, crc32)}, record count)`` of a
+    version-2 header, whose modalities declare one count and its bytes."""
+    if header.get("version") != VERSION:
+        raise FormatError(f"corpus: {path} is a version {header.get('version')!r}"
+                          f" corpus; this mmood reads version {VERSION} only, "
+                          "so rerun `mmood synth` to write it again")
+    specs = header["modalities"]
+    meta = CorpusMeta(header["num_classes"], {
+        m: (spec["seq_len"], spec["dim"]) for m, spec in specs.items()})
+    n = specs[MODALITIES[0]]["records"]
+    for m in MODALITIES:  # n's own modality first, so n is checked first
+        spec, row = specs[m], math.prod(meta.shapes[m]) * STORAGE.itemsize
+        sizes = spec["records"], spec["bytes"], spec["crc32"]
+        if not isinstance(spec["blob"], str) or \
+                any(type(v) is not int or v < 0 for v in sizes) or \
+                sizes[:2] != (n, n * row) or sizes[2] >> 32:
+            raise ValueError(
+                f"modality {m} declares blob {spec['blob']!r} of {sizes[0]!r} "
+                f"records, {sizes[1]!r} bytes and crc32 {sizes[2]!r}; expected "
+                f"a file name, {n!r} records of {row} bytes and a 32-bit crc")
+    return meta, {m: (spec["blob"], spec["crc32"]) for m, spec in specs.items()}, n
 
 
-def _record(entry, header: tuple) -> tuple:
-    """``(id, split, label, offset per modality)`` of one manifest entry."""
-    num_classes, label = header[0].num_classes, entry["label"]
-    if label == OOD_SENTINEL:
-        label = OOD_LABEL
-    elif type(label) is not int or not 0 <= label < num_classes:
-        raise ValueError(f"label {label!r} is neither {OOD_SENTINEL} "
-                         f"nor a class index 0..{num_classes - 1}")
-    offsets = _OFFSETS(entry["offsets"])
-    rec_id, split = entry["id"], entry["split"]
-    if not isinstance(rec_id, str) or not isinstance(split, str):
-        raise TypeError("id and split must be strings")
-    return (rec_id, split, label, *offsets)
+def _column(entry, header: tuple) -> tuple:
+    """``(name, values)`` of a column entry, one value per record."""
+    name, values = entry["column"], entry["values"]
+    if name not in COLUMNS or type(values) is not list or \
+            len(values) != header[2]:
+        raise ValueError(f"expected a column of {COLUMNS} with {header[2]} "
+                         "values")
+    return name, values
+
+
+def _columns(path: Path, rows: list, k: int) -> tuple:
+    """The id, split and label arrays of the column rows; the first id or
+    split that is not a string, or label that is neither a class index nor
+    the OOD sentinel, is named with its column's line and its record."""
+    columns = {name: (line, values) for line, name, values in rows}
+    if len(columns) < len(COLUMNS):
+        raise FormatError(f"corpus: {path} lacks a column; it needs {COLUMNS}")
+    ids = columns["id"][1]
+    for name, ok, expected in (
+            ("id", lambda v: type(v) is str, "a string"),
+            ("split", lambda v: type(v) is str, "a string"),
+            ("label", lambda v: type(v) is int and 0 <= v < k
+             or v == OOD_SENTINEL, f"0..{k - 1} or {OOD_SENTINEL}")):
+        line, values = columns[name]
+        i = next((i for i, v in enumerate(values) if not ok(v)), None)
+        if i is not None:
+            raise FormatError(f"corpus: {path} line {line}: record "
+                              f"{i if name == 'id' else ids[i]!r} has {name} "
+                              f"{values[i]!r}, not {expected}")
+    labels = [OOD_LABEL if v == OOD_SENTINEL else v for v in columns["label"][1]]
+    return (np.array(ids, dtype=str), np.array(columns["split"][1], dtype=str),
+            np.array(labels, dtype=np.int64))
 
 
 def load_corpus(manifest_path) -> Corpus:
-    """Load and fully validate a corpus; errors name the offending record."""
-    manifest_path = Path(manifest_path)
-    if manifest_path.is_dir():
-        manifest_path = manifest_path / MANIFEST_NAME
-    (meta, blob_files), rows = read_manifest(manifest_path, SCHEMA, _header,
-                                             _record)
-    lines, ids, splits, labels, *offsets = \
-        zip(*rows) if rows else [()] * (4 + len(MODALITIES))
-    n = len(ids)
-    seqs = {m: read_blob(manifest_path, SCHEMA, blob_files[m], lines,
-                         lambda i: f"record {ids[i]!r} modality {m}", offs,
-                         [math.prod(meta.shapes[m])] * n, STORAGE)
+    """Load and fully validate a version-2 corpus; errors name the
+    offending column, record or blob."""
+    path = Path(manifest_path)
+    if path.is_dir():
+        path = path / MANIFEST_NAME
+    (meta, blobs, n), rows = read_manifest(
+        path, SCHEMA, lambda header: _header(header, path), _column)
+    ids, splits, labels = _columns(path, rows, meta.num_classes)
+    del rows  # the arrays replace the parsed lists before any blob is read
+    seqs = {}
+    for m in MODALITIES:  # each blob is one entry, declared on line 1
+        (blob, crc), size = blobs[m], math.prod(meta.shapes[m])
+        lines, offsets, counts = ([1], [0], [n * size]) if n else ([], [], [])
+        seqs[m] = read_blob(path, _BLOBS, blob, lines,
+                            lambda _, k: f"record {str(ids[k // size])!r} "
+                            f"modality {m}", offsets, counts, STORAGE, crc) \
             .reshape(n, *meta.shapes[m])
-            for m, offs in zip(MODALITIES, offsets)}
-    corpus = Corpus(meta, np.array(ids, dtype=str), np.array(splits, dtype=str),
-                    np.array(labels, dtype=np.int64), seqs)
+    corpus = Corpus(meta, ids, splits, labels, seqs)
     _validate(corpus)
     return corpus
 

@@ -35,6 +35,7 @@ from mmood.heads import (
 )
 from mmood.metrics import id_metrics, ood_metrics
 from mmood.scoring import apply_scorer, fit_scorer
+from conftest import is_ood, split
 
 
 def auroc_pair_oracle(scores, flags):
@@ -255,10 +256,10 @@ def fine_step_oracle(model, batch, rng):
 
 def mahalanobis_row_oracle(trained, corpus):
     """The former per-run test row of ``mmood train`` and ``mmood ablate``."""
-    test = corpus.split("test")
+    test = split(corpus, "test")
     if len(test) == 0:
         return {}
-    flags = ~test.is_ood
+    flags = ~is_ood(test)
     feats = trained.model.features_for(test)
     logits = trained.model.logits_for(feats)
     preds = logits[flags].argmax(axis=1)

@@ -12,6 +12,8 @@ import sys
 import tracemalloc
 import warnings
 import weakref
+import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +24,14 @@ from mmood.checkpoint import load_checkpoint
 from mmood.cli import (main, run_ablation, run_eval, run_report, run_synth,
                        run_training)
 from mmood.config import load_config
-from mmood.corpus import load_corpus, save_corpus
+from mmood.corpus import load_corpus, save_corpus, synth_corpus
 from mmood.errors import (FormatError, NumericalError, ParameterError,
                           PipelineError)
 from mmood.model import FusionModel
+from mmood.numerics import make_rng
 from mmood.scoring import SCORERS, apply_scorer, fit_scorer, normalize_scores
 from mmood.train import train
-from conftest import MICRO_INI
+from conftest import MICRO_INI, is_ood, split
 from oracles import mahalanobis_row_oracle, score_file_oracle
 
 
@@ -373,9 +376,10 @@ class TestEval:
 
 # eval-large's corpus sizes: 12,000 of 12,872 records are test records, so
 # the sequences (1,088 bytes a record) outweigh what else a command holds
-# at its peak: the parsed manifest, some 670 bytes a record, and one
-# 256-record chunk's activations. At 6,000 test records eval's traced peak
-# (13.8 MB) is above the bound (13.1 MB) even with one copy.
+# at its peak: the manifest's columns and one 256-record chunk's
+# activations. With the version-1 manifest (some 670 bytes a record
+# parsed) eval's traced peak at 6,000 test records (13.8 MB) was above the
+# bound (13.1 MB) even with one copy.
 ONE_COPY_INI = ini_with("corpus", {
     "n_test_id": "8000", "n_test_ood": "4000", "seq_len_t": "6",
     "dim_t": "16", "seq_len_v": "8", "dim_v": "12", "seq_len_a": "10",
@@ -561,7 +565,8 @@ class TestCheckpointErrors:
 
 
 def _corrupt_entry(path, corruption):
-    """Break the second entry (line 3) of a manifest in one named way."""
+    """Break the second entry (line 3) of a checkpoint manifest in one
+    named way."""
     lines = path.read_text().splitlines()
     blob = path.with_suffix(".blob")
     if corruption == "non_finite":
@@ -580,10 +585,7 @@ def _corrupt_entry(path, corruption):
     else:
         entry = json.loads(lines[2])
         if corruption == "duplicate":
-            key = "id" if "id" in entry else "name"
-            entry[key] = json.loads(lines[1])[key]
-        elif corruption == "huge_label":
-            entry["label"] = 10**20  # beyond int64
+            entry["name"] = json.loads(lines[1])["name"]
         elif corruption == "overlap":
             entry["offset"] = json.loads(lines[1])["offset"]
         else:
@@ -592,16 +594,65 @@ def _corrupt_entry(path, corruption):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _corrupt_corpus(directory, corruption):
+    """Break a version-2 corpus in one named way: a manifest line (the
+    header, or the id, label or split column on lines 2-4) or a blob."""
+    manifest = directory / "manifest.jsonl"
+    lines = manifest.read_text().splitlines()
+    header, ids, labels, splits = map(json.loads, lines)
+    blob = directory / "seq_T.blob"
+    data = bytearray(blob.read_bytes())
+    if corruption == "truncated":
+        manifest.write_text("\n".join(lines[:2] + [lines[2][:-5]] + lines[3:])
+                            + "\n")
+        return
+    if corruption == "label":
+        del labels["values"]
+    elif corruption == "duplicate":
+        ids["values"][3] = ids["values"][0]
+    elif corruption == "huge_label":
+        labels["values"][1] = 10**20  # beyond int64
+    elif corruption == "bad_split":
+        splits["values"][2] = "dev"
+    elif corruption == "ood_in_train":
+        labels["values"][0] = "__OOD__"
+    elif corruption == "version_1":
+        header["version"] = 1
+    elif corruption == "short_blob":
+        del data[-4:]
+    elif corruption == "long_blob":
+        data += bytes(4)
+    elif corruption == "flipped_byte":
+        data[100] ^= 0x01
+    elif corruption == "nan":  # the header's crc32 follows the new bytes
+        data[:4] = np.array([np.nan], dtype="<f4").tobytes()
+        header["modalities"]["T"]["crc32"] = zlib.crc32(data)
+    blob.write_bytes(bytes(data))
+    manifest.write_text("".join(json.dumps(obj, sort_keys=True) + "\n"
+                                for obj in (header, ids, labels, splits)))
+
+
 class TestMalformedManifests:
     @pytest.mark.parametrize("corruption, message", [
         ("truncated", "line 3"),
         ("label", "line 3.*'label'"),
-        ("duplicate", "line 3.*duplicate record id"),
+        ("duplicate", "duplicate record id 'train-00000'"),
         ("huge_label", "line 3.*label 100000000000000000000"),
+        ("bad_split", "record 'train-00002' has split 'dev'"),
+        ("ood_in_train", "record 'train-00000' has split 'train' and label "
+                         "'__OOD__'"),
+        ("version_1", "is a version 1 corpus; .*rerun `mmood synth`"),
+        ("short_blob", "line 1: last record 'test-ood-00011' modality T: blob "
+                       "seq_T.blob holds [0-9]+ bytes, but its records take"),
+        ("long_blob", "line 1: last record 'test-ood-00011' modality T: blob "
+                      "seq_T.blob holds [0-9]+ bytes, but its records take"),
+        ("flipped_byte", "blob seq_T.blob has crc32 [0-9]+, but the header "
+                         "records [0-9]+"),
+        ("nan", "line 1: record 'train-00000' modality T holds a non-finite"),
     ])
     def test_train_exits_1_with_error(self, micro, capsys, corruption,
                                       message):
-        _corrupt_entry(micro["corpus"] / "manifest.jsonl", corruption)
+        _corrupt_corpus(micro["corpus"], corruption)
         code = main(["train", "--config", str(micro["cfg"]), "--corpus",
                      str(micro["corpus"]), "--out", str(micro["tmp"] / "r")])
         err = capsys.readouterr().err
@@ -611,10 +662,7 @@ class TestMalformedManifests:
         assert not (micro["tmp"] / "r" / "checkpoint.json").exists()
 
     def test_non_finite_blob_value(self, micro, capsys):
-        blob = micro["corpus"] / "seq_T.blob"
-        data = bytearray(blob.read_bytes())
-        data[:4] = np.array([np.nan], dtype="<f4").tobytes()
-        blob.write_bytes(bytes(data))
+        _corrupt_corpus(micro["corpus"], "nan")
         code = main(["train", "--config", str(micro["cfg"]), "--corpus",
                      str(micro["corpus"]), "--out", str(micro["tmp"] / "r")])
         err = capsys.readouterr().err
@@ -907,8 +955,8 @@ def _edit_line(path, line, edit):
 
 
 class TestWholeNumberSizes:
-    """A size or an offset in a corpus manifest, a checkpoint header or a
-    tensor entry must be a JSON integer: a string, a float or a bool fails
+    """A size, a count or a checksum in a corpus manifest, a size in a
+    checkpoint header or an offset in a tensor entry must be a JSON integer: a string, a float or a bool fails
     as a ``FormatError`` that names the manifest, not as a value that
     ``int()`` converts or a traceback."""
 
@@ -917,9 +965,10 @@ class TestWholeNumberSizes:
         ("corpus", 0, lambda h: h.update(num_classes="3")),
         ("corpus", 0, lambda h: h["modalities"]["T"].update(seq_len="3")),
         ("corpus", 0, lambda h: h["modalities"]["T"].update(seq_len=3.0)),
-        ("corpus", 1, lambda e: e["offsets"].update(T="0")),
-        ("corpus", 1, lambda e: e["offsets"].update(T=0.9)),
-        ("corpus", 1, lambda e: e["offsets"].update(T=False)),
+        ("corpus", 0, lambda h: h["modalities"]["T"].update(bytes="288")),
+        ("corpus", 0, lambda h: h["modalities"]["T"].update(bytes=288.0)),
+        ("corpus", 0, lambda h: h["modalities"]["T"].update(records=False)),
+        ("corpus", 0, lambda h: h["modalities"]["V"].update(crc32="0")),
         ("checkpoint", 0, lambda h: h["meta"].update(num_classes=3.9)),
         ("checkpoint", 0, lambda h: h["meta"].update(num_classes="3")),
         ("checkpoint", 0, lambda h: h["meta"]["shapes"].update(V=[3.0, 8])),
@@ -928,8 +977,8 @@ class TestWholeNumberSizes:
         ("checkpoint", 1, lambda e: e.update(offset="0")),
         ("checkpoint", 1, lambda e: e.update(offset=False)),
     ], ids=["corpus-num_classes-3.9", "corpus-num_classes-str",
-            "corpus-seq_len-str", "corpus-seq_len-float", "corpus-offset-str",
-            "corpus-offset-0.9", "corpus-offset-false",
+            "corpus-seq_len-str", "corpus-seq_len-float", "corpus-bytes-str",
+            "corpus-bytes-float", "corpus-records-false", "corpus-crc32-str",
             "checkpoint-num_classes-3.9", "checkpoint-num_classes-str",
             "checkpoint-shape-len-float", "checkpoint-shape-dim-float",
             "tensor-offset-0.5", "tensor-offset-str", "tensor-offset-false"])
@@ -1058,16 +1107,16 @@ class TestScoringCore:
 
     def test_test_row_without_ood_matches_oracle(self, trained_micro):
         corpus, trained = trained_micro
-        keep = ~(corpus.is_ood & (corpus.splits == "test"))
+        keep = ~(is_ood(corpus) & (corpus.splits == "test"))
         id_only = corpus.take(np.flatnonzero(keep))
-        assert len(id_only.split("test")) == 24
+        assert len(split(id_only, "test")) == 24
         row = mmood.cli._test_row(trained, id_only)
         assert set(row) == {"acc", "wf1"}
         assert row == mahalanobis_row_oracle(trained, id_only)
 
     def test_score_files_match_oracle_writer(self, micro):
         run = _train_cli(micro, micro["tmp"] / "run")
-        test = load_corpus(micro["corpus"]).split("test")
+        test = split(load_corpus(micro["corpus"]), "test")
         out, ref = micro["tmp"] / "eval", micro["tmp"] / "ref"
         ref.mkdir()
         with warnings.catch_warnings():
@@ -1081,7 +1130,7 @@ class TestScoringCore:
                                    test.num_classes)
                 scores = apply_scorer(state, feats, logits)
                 name = f"scores_{scorer}.jsonl"
-                score_file_oracle(ref / name, test, ~test.is_ood, scores,
+                score_file_oracle(ref / name, test, ~is_ood(test), scores,
                                   normalize_scores(scores))
                 assert (out / name).read_bytes() == (ref / name).read_bytes()
 
@@ -1556,7 +1605,7 @@ class TestCsvQuoting:
         _train_cli(micro, run)
         corpus = load_corpus(micro["corpus"])
         ids = corpus.ids.tolist()
-        ids[ids.index(corpus.split("test").ids[0])] = self.AWKWARD
+        ids[ids.index(split(corpus, "test").ids[0])] = self.AWKWARD
         corpus.ids = np.array(ids, dtype=str)
         save_corpus(corpus, micro["tmp"] / "corpus_q")
         assert _eval_cli(micro, run, evaled, micro["tmp"] / "corpus_q") == 0
@@ -1717,7 +1766,7 @@ class TestNonFiniteScores:
             return scores
 
         monkeypatch.setattr(mmood.cli, "apply_scorer", apply)
-        rec_id = load_corpus(micro["corpus"]).split("test").ids.tolist()[index]
+        rec_id = split(load_corpus(micro["corpus"]), "test").ids.tolist()[index]
         capsys.readouterr()
         out = micro["tmp"] / "e"
         assert _eval_cli(micro, run, out) == 1
@@ -1809,7 +1858,7 @@ class TestScoreIoBytes:
 
     def test_awkward_ids_match_json_and_csv_writers(self, micro):
         run = _train_cli(micro, micro["tmp"] / "run")
-        test = load_corpus(micro["corpus"]).split("test")
+        test = split(load_corpus(micro["corpus"]), "test")
         n = len(self.AWKWARD)
         ids = [f"{self.AWKWARD[i % n]}{i // n or ''}"
                for i in range(len(test))]
@@ -1829,7 +1878,7 @@ class TestScoreIoBytes:
             rows = [json.loads(line) for line in lines]
             assert [json.dumps(row, sort_keys=True) for row in rows] == lines
             assert [row["id"] for row in rows] == ids
-            assert [row["is_id"] for row in rows] == (~test.is_ood).tolist()
+            assert [row["is_id"] for row in rows] == (~is_ood(test)).tolist()
             writer.writerows([scorer, row["id"], int(row["is_id"]), row["raw"],
                               row["norm"]] for row in rows)
         assert (out / "scores_long.csv").read_bytes() == \
@@ -2009,11 +2058,11 @@ class TestLoneSurrogateId:
     def test_corpus_exits_1(self, micro, capsys, command):
         run = _train_cli(micro, micro["tmp"] / "run")
         manifest = micro["corpus"] / "manifest.jsonl"
-        lines = manifest.read_text().splitlines()
-        entry = json.loads(lines[-1])  # a test record
-        entry["id"] = "ood\ud800"
-        lines[-1] = json.dumps(entry, sort_keys=True)
-        manifest.write_text("\n".join(lines) + "\n")
+
+        def surrogate(column):  # the id column's last value, a test record
+            column["values"][-1] = "ood\ud800"
+
+        _edit_line(manifest, 1, surrogate)
         out = micro["tmp"] / "out"
         argv = ["--config", str(micro["cfg"]), "--corpus",
                 str(micro["corpus"]), "--out", str(out)]
@@ -2106,6 +2155,113 @@ class TestReportFastPath:
                                               r"malformed score row"):
             run_report(evaled, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+
+class TestScoreBlocks:
+    """``run_eval`` writes, and ``run_report`` reads, each score file in
+    blocks of ``SCORE_BLOCK`` rows. Run here with blocks of 8 rows, the
+    bytes are those of one block as large as the file."""
+
+    B = 8
+    WHOLE = 10**9  # one block holds any file here
+
+    @staticmethod
+    def _report(evaled, out, block, monkeypatch) -> bytes:
+        with monkeypatch.context() as patch:
+            patch.setattr(mmood.cli, "SCORE_BLOCK", block)
+            return (run_report(evaled, out) / "scores_long.csv").read_bytes()
+
+    @pytest.mark.parametrize("n_test", [B - 1, B, B + 1, 2 * B + 1])
+    def test_eval_and_report_match_one_block(self, micro, monkeypatch,
+                                             n_test):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        cfg = load_config(micro["cfg"]).synth
+        cfg = replace(cfg, n_test_id=n_test - n_test // 3,
+                      n_test_ood=n_test // 3)
+        corpus = micro["tmp"] / "corpus_n"
+        save_corpus(synth_corpus(cfg, make_rng(1)), corpus)
+        files = {}
+        for block in (self.B, self.WHOLE):
+            out = micro["tmp"] / f"eval_{block}"
+            with monkeypatch.context() as patch:
+                patch.setattr(mmood.cli, "SCORE_BLOCK", block)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    run_eval(run, load_corpus(corpus), list(SCORERS), out)
+            files[block] = {path.name: path.read_bytes()
+                            for path in sorted(out.iterdir())}
+            files[block]["report"] = self._report(
+                out, micro["tmp"] / f"report_{block}", block, monkeypatch)
+        assert files[self.B] == files[self.WHOLE]
+        assert files[self.B]["scores_msp.jsonl"].count(b"\n") == n_test
+
+    def test_bad_row_in_second_block_names_its_line(self, tmp_path,
+                                                    monkeypatch):
+        lines = [json.dumps(row, sort_keys=True)
+                 for row in _score_rows([f"r{k}" for k in range(2 * self.B)])]
+        lines[self.B + 2] = lines[self.B + 2].replace('"raw": ', '"raw": 1e999,'
+                                                      ' "x": ')
+        evaled = _eval_dir(tmp_path / "eval", [])
+        (evaled / "scores_msp.jsonl").write_text("\n".join(lines) + "\n")
+        for block in (self.B, self.WHOLE):
+            with pytest.raises(FormatError, match=r"scores_msp\.jsonl line "
+                               f"{self.B + 3}: malformed score row"):
+                self._report(evaled, tmp_path / "out", block, monkeypatch)
+            assert not (tmp_path / "out").exists()
+
+    def test_later_block_out_of_layout_rewinds_to_the_walk(self, tmp_path,
+                                                           monkeypatch):
+        """A first block that passes its number text through (``1.50``) is
+        rewritten when a later block holds a row in another layout: the
+        whole file takes the walk's bytes, which write ``1.5``."""
+        rows = [json.dumps(row, sort_keys=True)
+                for row in _score_rows([f"r{k}" for k in range(2 * self.B)])]
+        rows[1] = '{"id": "r1", "is_id": false, "norm": 1.50, "raw": 0.5}'
+        rows[self.B + 1] = '{"raw": 0.25, "norm": 0.5, "is_id": true, ' \
+            '"id": "c"}'
+        evaled = _eval_dir(tmp_path / "eval", [], scorers=("msp", "vim"))
+        for name in ("scores_msp.jsonl", "scores_vim.jsonl"):
+            (evaled / name).write_text("\n".join(rows) + "\n")
+        streamed = self._report(evaled, tmp_path / "b", self.B, monkeypatch)
+        whole = self._report(evaled, tmp_path / "w", self.WHOLE, monkeypatch)
+        assert streamed == whole
+        assert b"msp,r1,0,0.5,1.5\n" in streamed and b"1.50" not in streamed
+        assert streamed.count(b"\n") == 1 + 2 * len(rows)
+
+    def test_bytes_not_utf8_after_first_block(self, tmp_path, monkeypatch):
+        lines = [json.dumps(row, sort_keys=True).encode()
+                 for row in _score_rows([f"r{k}" for k in range(2 * self.B)])]
+        lines[self.B + 1] = lines[self.B + 1].replace(b'"r', b'"\xff')
+        evaled = _eval_dir(tmp_path / "eval", [])
+        (evaled / "scores_msp.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+        errors = []
+        for block in (self.B, self.WHOLE):
+            with pytest.raises(FormatError) as info:
+                self._report(evaled, tmp_path / "out", block, monkeypatch)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert ": unreadable score file (UnicodeDecodeError: " in errors[0]
+
+
+def _traced_report_peak(evaled, out) -> int:
+    tracemalloc.start()
+    try:
+        run_report(evaled, out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_peak_does_not_grow_with_the_score_file(tmp_path):
+    """``run_report`` streams score files: its traced peak on 24,000 rows is
+    within 1 MiB of its peak on 3,000 (a whole-file read of the larger one
+    holds some 7 MB)."""
+    peaks = []
+    for n in (3_000, 24_000):
+        evaled = _eval_dir(tmp_path / f"eval_{n}", _score_rows(
+            [f"test-id-{k:05d}" for k in range(n)]))
+        peaks.append(_traced_report_peak(evaled, tmp_path / f"out_{n}"))
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
 
 
 STARTUP_PROBE = """

@@ -1,9 +1,11 @@
 """Fuzz the manifest-plus-blob container behind corpora and checkpoints.
 
 A truncated file, one overwritten byte or shuffled lines in a manifest or
-a blob must either still load or raise a ``PipelineError``. A flipped blob
-byte that still decodes to a finite value may load: only a checksum would
-catch it.
+a blob must either still load or raise a ``PipelineError``. A corpus blob
+(format version 2) carries its crc32 in the manifest, so any change to its
+bytes must raise a ``FormatError``: crc32 catches every flipped byte. A
+checkpoint blob (version 1) has no checksum, so a flipped byte that still
+decodes to a finite value may load.
 """
 
 import shutil
@@ -17,8 +19,10 @@ from hypothesis import strategies as st
 
 from mmood.checkpoint import load_checkpoint
 from mmood.cli import main
-from mmood.corpus import load_corpus
-from mmood.errors import PipelineError
+from mmood.corpus import (ModalitySynth, SynthConfig, load_corpus, save_corpus,
+                          synth_corpus)
+from mmood.errors import FormatError, PipelineError
+from mmood.numerics import make_rng
 
 INI = """
 [corpus]
@@ -85,8 +89,37 @@ def test_corrupted_file_loads_or_raises_pipeline_error(saved, target,
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(shutil.copytree(saved / kind, Path(tmp) / kind))
         path = directory / name
-        path.write_bytes(_corrupt(path.read_bytes(), mutation, data))
+        raw = path.read_bytes()
+        corrupted = _corrupt(raw, mutation, data)
+        path.write_bytes(corrupted)
+        if kind == "corpus" and name.endswith(".blob") and corrupted != raw:
+            with pytest.raises(FormatError):
+                LOADERS[kind](directory)
+            return
         try:
             LOADERS[kind](directory)
         except PipelineError:
             pass
+
+
+def test_every_flipped_corpus_blob_byte_raises(tmp_path):
+    """Each bit of each byte of a small corpus's blobs, flipped one at a
+    time, fails the blob's crc32 check."""
+    shapes = {m: ModalitySynth(seq_len=2, dim=2) for m in ("T", "V", "A")}
+    corpus = synth_corpus(SynthConfig(num_classes=2, n_train=2, n_valid=0,
+                                      n_test_id=2, n_test_ood=1,
+                                      modalities=shapes), make_rng(0))
+    manifest = save_corpus(corpus, tmp_path / "c")
+    for m in shapes:
+        blob = tmp_path / "c" / f"seq_{m}.blob"
+        raw = blob.read_bytes()
+        assert len(raw) == 5 * 2 * 2 * 4
+        for i in range(len(raw)):
+            for bit in range(8):
+                blob.write_bytes(raw[:i] + bytes([raw[i] ^ 1 << bit])
+                                 + raw[i + 1:])
+                with pytest.raises(FormatError, match=f"blob seq_{m}.blob has "
+                                   "crc32"):
+                    load_corpus(manifest)
+        blob.write_bytes(raw)
+    load_corpus(manifest)

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mmood.blobio import (
     write_tensor_store,
 )
 from mmood.corpus import (
+    COLUMNS,
     MODALITIES,
     OOD_LABEL,
     OOD_SENTINEL,
@@ -29,6 +31,7 @@ from mmood.errors import FormatError, ParameterError
 from mmood.numerics import make_rng
 from mmood.oodgen import OodGenConfig
 from mmood.train import TrainConfig, train
+from conftest import is_ood, split
 
 
 def read_tensor_store(manifest):
@@ -54,17 +57,17 @@ def tiny_cfg(**kw):
 class TestSynth:
     def test_counts_and_splits(self):
         corpus = synth_corpus(tiny_cfg(), make_rng(0))
-        assert len(corpus.split("train")) == 12
-        assert len(corpus.split("valid")) == 6
-        assert len(corpus.split("test")) == 10
-        assert corpus.split("test").is_ood.sum() == 4
+        assert len(split(corpus, "train")) == 12
+        assert len(split(corpus, "valid")) == 6
+        assert len(split(corpus, "test")) == 10
+        assert is_ood(split(corpus, "test")).sum() == 4
         # OOD only in test
         for name in ("train", "valid"):
-            assert not corpus.split(name).is_ood.any()
+            assert not is_ood(split(corpus, name)).any()
 
     def test_class_frequencies_deterministic(self):
         corpus = synth_corpus(tiny_cfg(), make_rng(1))
-        labels = corpus.split("train").labels.tolist()
+        labels = split(corpus, "train").labels.tolist()
         assert sorted(labels) == sorted([0, 1, 2] * 4)
 
     def test_zero_sigma_collapses_to_means(self):
@@ -75,7 +78,7 @@ class TestSynth:
         })
         corpus = synth_corpus(cfg, make_rng(2))
         by_class = {}
-        train = corpus.split("train")
+        train = split(corpus, "train")
         for i, label in enumerate(train.labels.tolist()):
             for m in MODALITIES:
                 seq = train.seqs[m][i]
@@ -96,7 +99,7 @@ class TestSynth:
     def test_split_of_interleaved_rows_keeps_file_order(self):
         corpus = synth_corpus(tiny_cfg(), make_rng(7))
         shuffled = corpus.take(make_rng(8).permutation(len(corpus)))
-        train = shuffled.split("train")
+        train = split(shuffled, "train")
         assert (train.splits == "train").all() and len(train) == 12
         rows = np.flatnonzero(shuffled.splits == "train")
         assert np.array_equal(train.ids, shuffled.ids[rows])
@@ -133,8 +136,8 @@ class TestRoundTrip:
         cfg = tiny_cfg(n_train=0, n_valid=0, n_test_id=6, n_test_ood=2)
         corpus = synth_corpus(cfg, make_rng(5))
         loaded = load_corpus(save_corpus(corpus, tmp_path / "t"))
-        assert len(loaded.split("train")) == 0
-        assert len(loaded.split("test")) == 8
+        assert len(split(loaded, "train")) == 0
+        assert len(split(loaded, "test")) == 8
 
     def test_mixed_lengths_rejected(self, tmp_path):
         corpus = synth_corpus(tiny_cfg(), make_rng(6))
@@ -147,6 +150,14 @@ class TestRoundTrip:
         corpus.seqs["V"][2, 1, 0] = np.inf
         with pytest.raises(FormatError, match=f"{corpus.ids[2]}.*modality V"):
             save_corpus(corpus, tmp_path / "bad")
+
+    def test_duplicate_ids_rejected_on_save(self, tmp_path):
+        corpus = synth_corpus(tiny_cfg(), make_rng(6))
+        corpus.ids[[4, 9]] = corpus.ids[2]
+        with pytest.raises(FormatError, match="^corpus: duplicate record id "
+                           f"'{corpus.ids[2]}'$"):
+            save_corpus(corpus, tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("row", [0, 2, -1])
     def test_lone_surrogate_id_rejected_on_save(self, tmp_path, row):
@@ -184,91 +195,93 @@ class TestLoadErrors:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("row", [0, 3])
     def test_non_finite_value_rejected(self, tmp_path, value, row):
+        # the header's crc32 follows the new bytes, so finiteness is checked
         manifest, corpus = self._saved(tmp_path)
         blob = manifest.parent / "seq_T.blob"
         data = bytearray(blob.read_bytes())
-        start = json.loads(manifest.read_text().splitlines()[row + 1])["offsets"]["T"]
+        start = row * corpus.seqs["T"][0].nbytes
         data[start:start + 4] = np.array([value], dtype="<f4").tobytes()
         blob.write_bytes(bytes(data))
-        with pytest.raises(FormatError,
-                           match=f"record '{corpus.ids[row]}' modality T.*non-finite"):
+        _refresh_crc32(manifest, "T")
+        with pytest.raises(FormatError, match=re.escape(
+                f"line 1: record '{corpus.ids[row]}' modality T holds a "
+                "non-finite value")):
             load_corpus(manifest)
 
     def test_trailing_blob_bytes_rejected(self, tmp_path):
         manifest, corpus = self._saved(tmp_path)
         blob = manifest.parent / "seq_A.blob"
         blob.write_bytes(blob.read_bytes() + b"\0" * 8)
-        n = len(corpus)
         with pytest.raises(FormatError,
-                           match=f"line {n + 1}: last record '{corpus.ids[-1]}'.*seq_A"):
+                           match=f"line 1: last record '{corpus.ids[-1]}'.*seq_A"):
             load_corpus(manifest)
 
     def test_swapped_offsets_rejected(self, tmp_path):
-        manifest, _ = self._saved(tmp_path)
-        lines = manifest.read_text().splitlines()
-        first, second = json.loads(lines[1]), json.loads(lines[2])
-        first["offsets"], second["offsets"] = second["offsets"], first["offsets"]
-        lines[1] = json.dumps(first, sort_keys=True)
-        lines[2] = json.dumps(second, sort_keys=True)
-        manifest.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="line 2: record 'train-00000'.*offset"):
+        # two records whose chunks sit at each other's offsets: record i's
+        # offset is implied by its row, so the swap is in the blob's bytes,
+        # which its crc32 catches
+        manifest, corpus = self._saved(tmp_path)
+        size = corpus.seqs["T"][0].nbytes
+        blob = manifest.parent / "seq_T.blob"
+        data = blob.read_bytes()
+        blob.write_bytes(data[size:2 * size] + data[:size] + data[2 * size:])
+        with pytest.raises(FormatError, match=re.escape(
+                f"corpus: {manifest}: blob seq_T.blob has crc32 ")):
             load_corpus(manifest)
 
-    @pytest.mark.parametrize("offset", [10**30, -10**30, -4])
-    def test_offset_beyond_int64_or_negative_rejected(self, tmp_path, offset):
-        manifest, corpus = self._saved(tmp_path)
-        row_bytes = corpus.seqs["V"][0].size * 4
-        _rewrite_line(manifest, 2, _edit_json(
-            lambda e: e["offsets"].update(V=offset)))
+    @pytest.mark.parametrize("size", [10**30, -10**30, -4])
+    def test_declared_bytes_beyond_int64_or_negative_rejected(self, tmp_path,
+                                                              size):
+        manifest, _ = self._saved(tmp_path)
+        _rewrite_line(manifest, 0, _edit_json(
+            lambda h: h["modalities"]["V"].update(bytes=size)))
         with pytest.raises(FormatError, match=re.escape(
-                f"line 3: record '{corpus.ids[1]}' modality V has offset "
-                f"{offset}; in manifest order it starts at {row_bytes}")):
+                "line 1: malformed header (ValueError: modality V declares "
+                f"blob 'seq_V.blob' of 28 records, {size} bytes and crc32 ")):
             load_corpus(manifest)
 
     def test_start_beyond_int64_named_exactly(self, tmp_path):
-        # a declared record of 6 * 10**18 float32 values puts record 1 at
-        # byte 2.4e19, past int64; the message still gives the exact start
+        # a declared record of 6 * 10**18 float32 values takes 2.4e19
+        # bytes, past int64; the message still gives the exact size
         manifest, corpus = self._saved(tmp_path)
         _rewrite_line(manifest, 0, _edit_json(lambda h: h["modalities"]["T"]
                                               .update(seq_len=6, dim=10**18)))
         with pytest.raises(FormatError, match=re.escape(
-                f"line 3: record '{corpus.ids[1]}' modality T has offset "
-                f"{corpus.seqs['T'][0].size * 4}; in manifest order it starts "
-                f"at {6 * 10**18 * 4}")):
+                f"{corpus.seqs['T'].nbytes} bytes and crc32 ") + ".*" +
+                re.escape(f"{len(corpus)} records of {6 * 10**18 * 4} bytes")):
             load_corpus(manifest)
 
     def test_lone_surrogate_id_rejected(self, tmp_path):
         manifest, _ = self._saved(tmp_path)
-        lines = manifest.read_text().splitlines()
-        entry = json.loads(lines[3])
-        entry["id"] = "a\ud800"
-        lines[3] = json.dumps(entry, sort_keys=True)
-        assert '"a\\ud800"' in lines[3]
-        manifest.write_text("\n".join(lines) + "\n")
+        _edit_column(manifest, "id", 2, "a\ud800")
+        assert '"a\\ud800"' in manifest.read_text()
         with pytest.raises(FormatError, match=re.escape(
                 "record 'a\\ud800' has an id that is not valid UTF-8")):
             load_corpus(manifest)
 
     def test_ood_in_train_rejected(self, tmp_path):
-        manifest, _ = self._saved(tmp_path)
-        lines = manifest.read_text().splitlines()
-        entry = json.loads(lines[1])
-        assert entry["split"] == "train"
-        entry["label"] = OOD_SENTINEL
-        lines[1] = json.dumps(entry, sort_keys=True)
-        manifest.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=entry["id"]):
+        manifest, corpus = self._saved(tmp_path)
+        assert corpus.splits[0] == "train"
+        _edit_column(manifest, "label", 0, OOD_SENTINEL)
+        with pytest.raises(FormatError, match=f"record '{corpus.ids[0]}' has "
+                           "split 'train' and label '__OOD__'"):
             load_corpus(manifest)
 
     def test_unknown_split_rejected(self, tmp_path):
-        manifest, _ = self._saved(tmp_path)
-        lines = manifest.read_text().splitlines()
-        entry = json.loads(lines[1])
-        entry["split"] = "dev"
-        lines[1] = json.dumps(entry, sort_keys=True)
-        manifest.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="dev"):
+        manifest, corpus = self._saved(tmp_path)
+        _edit_column(manifest, "split", 0, "dev")
+        with pytest.raises(FormatError,
+                           match=f"record '{corpus.ids[0]}' has split 'dev'"):
             load_corpus(manifest)
+
+    def test_version_1_corpus_names_the_version(self, tmp_path):
+        manifest, _ = self._saved(tmp_path)
+        _rewrite_line(manifest, 0, _edit_json(lambda h: h.update(version=1)))
+        with pytest.raises(FormatError) as info:
+            load_corpus(manifest)
+        assert str(info.value) == (
+            f"corpus: {manifest} is a version 1 corpus; this mmood reads "
+            "version 2 only, so rerun `mmood synth` to write it again")
 
 
 def _rewrite_line(manifest, index, edit):
@@ -286,6 +299,21 @@ def _edit_json(edit):
     return apply
 
 
+def _edit_column(manifest, name, row, value):
+    """Set value ``row`` of column ``name`` of a version-2 manifest."""
+    def edit(column):
+        column["values"][row] = value
+
+    _rewrite_line(manifest, 1 + COLUMNS.index(name), _edit_json(edit))
+
+
+def _refresh_crc32(manifest, m):
+    """Record the crc32 of modality ``m``'s blob as it now is."""
+    crc = zlib.crc32((manifest.parent / f"seq_{m}.blob").read_bytes())
+    _rewrite_line(manifest, 0, _edit_json(
+        lambda h: h["modalities"][m].update(crc32=crc)))
+
+
 class TestMalformedManifest:
     def _saved(self, tmp_path):
         corpus = synth_corpus(tiny_cfg(), make_rng(8))
@@ -297,33 +325,68 @@ class TestMalformedManifest:
         with pytest.raises(FormatError, match="line 3"):
             load_corpus(manifest)
 
-    @pytest.mark.parametrize("key", ["label", "offsets", "split"])
+    @pytest.mark.parametrize("key", ["id", "label", "split"])
     def test_record_missing_key_names_line_and_id(self, tmp_path, key):
+        # an entry's id is its column name
         manifest = self._saved(tmp_path)
-        _rewrite_line(manifest, 2, _edit_json(lambda e: e.pop(key)))
-        with pytest.raises(FormatError, match=r"line 3.*train-00001.*" + key):
-            load_corpus(manifest)
-
-    def test_record_missing_modality_offset(self, tmp_path):
-        manifest = self._saved(tmp_path)
-        _rewrite_line(manifest, 1, _edit_json(lambda e: e["offsets"].pop("A")))
-        with pytest.raises(FormatError, match="line 2.*train-00000"):
+        line = 1 + COLUMNS.index(key)
+        _rewrite_line(manifest, line, _edit_json(lambda e: e.pop("values")))
+        with pytest.raises(FormatError, match=f"line {line + 1}: malformed "
+                           f"column '{key}' \\(KeyError: 'values'\\)"):
             load_corpus(manifest)
 
     @pytest.mark.parametrize("key, value", [("id", 5), ("split", ["train"])])
     def test_non_string_id_or_split(self, tmp_path, key, value):
         manifest = self._saved(tmp_path)
-        _rewrite_line(manifest, 1, _edit_json(lambda e: e.update({key: value})))
-        with pytest.raises(FormatError, match="line 2: malformed record"):
+        _edit_column(manifest, key, 0, value)
+        record = "record 0" if key == "id" else "record 'train-00000'"
+        with pytest.raises(FormatError, match=re.escape(
+                f"line {2 + COLUMNS.index(key)}: {record} has {key} "
+                f"{value!r}, not a string")):
             load_corpus(manifest)
 
     @pytest.mark.parametrize("label", [10**20, 3, -1, 1.7, True, "1"])
     def test_bad_label_names_line_and_id(self, tmp_path, label):
         manifest = self._saved(tmp_path)
-        _rewrite_line(manifest, 1, _edit_json(lambda e: e.update(label=label)))
-        with pytest.raises(FormatError,
-                           match=r"line 2: malformed record 'train-00000'.*label"):
+        _edit_column(manifest, "label", 0, label)
+        with pytest.raises(FormatError, match=re.escape(
+                f"line 3: record 'train-00000' has label {label!r}, not 0..2 "
+                "or __OOD__")):
             load_corpus(manifest)
+
+    @pytest.mark.parametrize("name", COLUMNS)
+    def test_column_of_another_length_names_its_line(self, tmp_path, name):
+        manifest = self._saved(tmp_path)
+        line = 1 + COLUMNS.index(name)
+        _rewrite_line(manifest, line, _edit_json(lambda e: e["values"].pop()))
+        with pytest.raises(FormatError, match=re.escape(
+                f"line {line + 1}: malformed column '{name}' (ValueError: "
+                f"expected a column of {COLUMNS} with 28 values)")):
+            load_corpus(manifest)
+
+    @pytest.mark.parametrize("name", COLUMNS)
+    def test_missing_column_is_named(self, tmp_path, name):
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 1 + COLUMNS.index(name), lambda line: "")
+        with pytest.raises(FormatError, match=re.escape(
+                f"corpus: {manifest} lacks a column; it needs {COLUMNS}")):
+            load_corpus(manifest)
+
+    def test_unknown_or_repeated_column(self, tmp_path):
+        manifest = self._saved(tmp_path)
+        _rewrite_line(manifest, 3, _edit_json(lambda e: e.update(column="ids")))
+        with pytest.raises(FormatError, match="line 4: malformed column 'ids'"):
+            load_corpus(manifest)
+        _rewrite_line(manifest, 3, _edit_json(lambda e: e.update(column="id")))
+        with pytest.raises(FormatError, match="line 4: duplicate column 'id'"):
+            load_corpus(manifest)
+
+    def test_columns_in_any_order_load(self, tmp_path):
+        manifest = self._saved(tmp_path)
+        header, *columns = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text(header + "".join(reversed(columns)))
+        assert load_corpus(manifest).ids.tolist() == \
+            synth_corpus(tiny_cfg(), make_rng(8)).ids.tolist()
 
     def test_record_line_not_an_object(self, tmp_path):
         manifest = self._saved(tmp_path)
@@ -333,10 +396,10 @@ class TestMalformedManifest:
 
     def test_duplicate_record_id(self, tmp_path):
         manifest = self._saved(tmp_path)
-        _rewrite_line(manifest, 2, _edit_json(
-            lambda e: e.update(id="train-00000")))
-        with pytest.raises(FormatError,
-                           match="line 3.*duplicate record id 'train-00000'"):
+        _edit_column(manifest, "id", 3, "train-00001")
+        _edit_column(manifest, "id", 5, "train-00000")
+        with pytest.raises(FormatError, match="^corpus: duplicate record id "
+                           "'train-00001'$"):
             load_corpus(manifest)
 
     def test_header_not_an_object(self, tmp_path):
@@ -352,6 +415,11 @@ class TestMalformedManifest:
         lambda h: h["modalities"]["T"].pop("dim"),
         lambda h: h["modalities"]["A"].pop("blob"),
         lambda h: h["modalities"]["T"].update(dim="wide"),
+        lambda h: h["modalities"]["T"].pop("records"),
+        lambda h: h["modalities"]["V"].pop("bytes"),
+        lambda h: h["modalities"]["A"].pop("crc32"),
+        lambda h: h["modalities"]["A"].update(crc32=1 << 32),
+        lambda h: h["modalities"]["A"].update(records=27, bytes=27 * 16),
     ])
     def test_malformed_header(self, tmp_path, edit):
         manifest = self._saved(tmp_path)
@@ -470,7 +538,7 @@ class TestBatches:
     def _train(self, n):
         corpus = synth_corpus(tiny_cfg(n_train=n, n_valid=0, n_test_id=2,
                                        n_test_ood=0), make_rng(9))
-        return corpus.split("train")
+        return split(corpus, "train")
 
     def test_chunking_drops_tail(self):
         chunks = make_batches(self._train(10), 4, make_rng(0))
@@ -527,9 +595,9 @@ class TestContainerRules:
     def test_record_missing_id_rejected(self, tmp_path):
         manifest = save_corpus(synth_corpus(tiny_cfg(), make_rng(8)),
                                tmp_path / "c")
-        _rewrite_line(manifest, 1, _edit_json(lambda e: e.pop("id")))
-        with pytest.raises(FormatError, match="line 2: malformed record "
-                           "'<unnamed>' \\(KeyError: 'id'\\)"):
+        _rewrite_line(manifest, 1, _edit_json(lambda e: e.pop("column")))
+        with pytest.raises(FormatError, match="line 2: malformed column "
+                           "'<unnamed>' \\(KeyError: 'column'\\)"):
             load_corpus(manifest)
 
     def test_blob_name_must_be_a_string(self, tmp_path):
@@ -545,8 +613,8 @@ class TestContainerRules:
         manifest = save_corpus(corpus, tmp_path / "c")
         blob = manifest.parent / "seq_V.blob"
         blob.write_bytes(blob.read_bytes()[:-4])
-        n, size = len(corpus), len(corpus) * 4 * 6 * 4
-        with pytest.raises(FormatError, match=f"line {n + 1}: last record "
+        size = len(corpus) * 4 * 6 * 4
+        with pytest.raises(FormatError, match="line 1: last record "
                            f"'{corpus.ids[-1]}' modality V: blob seq_V.blob "
                            f"holds {size - 4} bytes, but its records take {size}"):
             load_corpus(manifest)
@@ -589,6 +657,26 @@ class TestOneBufferDecode:
             tracemalloc.stop()
         assert len(corpus) == 200
         assert peak - held < 0.25 * largest
+
+    def test_load_peaks_near_the_sequence_bytes(self, tmp_path):
+        # eval-large's record shapes (1,088 bytes a record): the three
+        # manifest columns and the blob checks add little to the sequences,
+        # where one manifest line per record added about half of them
+        cfg = tiny_cfg(n_train=750, n_valid=375, n_test_id=1250,
+                       n_test_ood=625,
+                       modalities={"T": ModalitySynth(seq_len=6, dim=16),
+                                   "V": ModalitySynth(seq_len=8, dim=12),
+                                   "A": ModalitySynth(seq_len=10, dim=8)})
+        manifest = save_corpus(synth_corpus(cfg, make_rng(0)), tmp_path / "c")
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sequences = sum(s.nbytes for s in corpus.seqs.values())
+        assert sequences == 3000 * 1088
+        assert peak <= 1.25 * sequences
 
 
 class TestLoadsLine:

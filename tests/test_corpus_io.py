@@ -1,9 +1,10 @@
 """The corpus's chunked draw against the record-wise loop it replaced, the
-pinned bytes of a synthesized corpus, and its manifest lines against
-``json.dumps``."""
+pinned bytes of a synthesized corpus, and its version-2 manifest lines
+against ``json.dumps``."""
 
 import hashlib
 import json
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from mmood.corpus import (
 )
 from mmood.errors import ParameterError
 from mmood.numerics import make_rng
+from conftest import is_ood
 from oracles import synth_loop_oracle
 
 REPO = Path(__file__).resolve().parents[1]
@@ -87,10 +89,11 @@ class TestChunkedDraw:
 
 
 # sha256 of each file ``mmood synth --config scripts/canonical.ini --seed 0``
-# writes, from the record-by-record writer this module's code replaced
+# writes. The blobs are those of the record-by-record writer this module's
+# code replaced; the manifest is format version 2 (header plus columns)
 CANONICAL_SYNTH_SHA256 = {
     "manifest.jsonl":
-        "8c1730aad34cbb23b25e02d8db3771fb9b01c37c2680ce04d3ba4d33ac0c902c",
+        "b8555db554d4b9bc8dd1f34f6f0ba9e6d0effdd5b86307d09a5b28ddc92e2423",
     "seq_A.blob":
         "3e24007f82c53a28267cb475fb892f6ed0e1099214a2f23c012ca15f14dbd9d4",
     "seq_T.blob":
@@ -109,12 +112,6 @@ def test_canonical_synth_bytes_are_pinned(tmp_path):
     assert digests == CANONICAL_SYNTH_SHA256
 
 
-def _entry(rec_id, split, label, row, sizes):
-    return {"id": rec_id, "split": split,
-            "label": OOD_SENTINEL if label == OOD_LABEL else label,
-            "offsets": {m: row * sizes[m] for m in MODALITIES}}
-
-
 class TestManifestWriter:
     IDS = ['a"b', "back\\slash", "new\nline", "sep\u2028arator", "café",
            "雨-\U0001f600", "tab\there", "plain"]
@@ -124,14 +121,21 @@ class TestManifestWriter:
         n = len(self.IDS)
         corpus = base.take(np.r_[0:n - 2, len(base) - 2:len(base)])
         corpus.ids = np.array(self.IDS, dtype=str)
-        assert corpus.is_ood.sum() == 2
+        assert is_ood(corpus).sum() == 2
         manifest = save_corpus(corpus, tmp_path / "c")
-        sizes = {m: int(np.prod(corpus.meta.shapes[m])) * 4 for m in MODALITIES}
+        header = {"format": "corpus", "version": 2, "num_classes": 3,
+                  "modalities": {m: {
+                      "seq_len": length, "dim": dim, "blob": f"seq_{m}.blob",
+                      "records": n, "bytes": n * length * dim * 4,
+                      "crc32": zlib.crc32(corpus.seqs[m].tobytes())}
+                      for m, (length, dim) in corpus.meta.shapes.items()}}
+        labels = [OOD_SENTINEL if label == OOD_LABEL else label
+                  for label in corpus.labels.tolist()]
+        columns = [{"column": "id", "values": self.IDS},
+                   {"column": "label", "values": labels},
+                   {"column": "split", "values": corpus.splits.tolist()}]
         lines = manifest.read_bytes().decode("ascii").split("\n")
-        assert lines[-1] == "" and len(lines) == n + 2
-        for row, line in enumerate(lines[1:-1]):
-            entry = _entry(self.IDS[row], str(corpus.splits[row]),
-                           int(corpus.labels[row]), row, sizes)
-            assert line == json.dumps(entry, sort_keys=True)
+        assert lines == [json.dumps(obj, sort_keys=True)
+                         for obj in [header, *columns]] + [""]
         loaded = load_corpus(manifest)
         assert loaded.ids.tolist() == self.IDS

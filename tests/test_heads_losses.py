@@ -30,7 +30,7 @@ from mmood.numerics import make_rng
 from mmood.oodgen import OodGenConfig, build_mixed_batch
 from mmood.train import (ABLATION_VARIANTS, AdamW, TrainConfig, _step, train,
                          variant_config)
-from conftest import built, param
+from conftest import built, param, split
 
 
 def contrastive_loss(z, labels, binary, head, tau, rng, train=True):
@@ -493,7 +493,7 @@ class TestUnifiedStep:
     def test_matches_former_stage_step(self, stage, variant):
         corpus = desk_corpus(n_train=60)
         cfg = variant_config(desk_train_cfg(), variant)
-        train_split = corpus.split("train")
+        train_split = split(corpus, "train")
         rows = make_batches(train_split, cfg.batch_size, make_rng(3))[0]
         batch = build_mixed_batch(train_split.take(rows), OodGenConfig(),
                                   make_rng(4))

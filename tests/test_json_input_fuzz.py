@@ -4,8 +4,9 @@ report`` read.
 One JSON path of one input is dropped, or its value is replaced by another
 JSON value: ``null``, ``true``, ``-1``, ``3.5``, an int of 400 digits,
 ``"x"``, ``[]`` or ``{}`` (the root is only replaced). The inputs are a
-corpus manifest's header and first record and a checkpoint manifest's
-header and first tensor, read by ``mmood eval``, and the eval report and a
+corpus manifest's header and its records' label column (the
+``corpus_record`` target) and a checkpoint manifest's header and first
+tensor, read by ``mmood eval``, and the eval report and a
 score file's first row, read by ``mmood report --out``. Each run exits 0,
 or exits 1 with exactly one ``error: `` line on stderr and no output
 directory; any other exception fails the example. The same holds when one
@@ -86,7 +87,7 @@ def evaluated(tmp_path_factory):
     # (file, line or None for the whole file, command)
     return root, {
         "corpus_header": (corpus / "manifest.jsonl", 0, eval_argv),
-        "corpus_record": (corpus / "manifest.jsonl", 1, eval_argv),
+        "corpus_record": (corpus / "manifest.jsonl", 2, eval_argv),
         "checkpoint_header": (run / "checkpoint.json", 0, eval_argv),
         "checkpoint_tensor": (run / "checkpoint.json", 1, eval_argv),
         "eval_report": (evaled / "eval_report.json", None, report_argv),

@@ -27,7 +27,7 @@ from mmood.numerics import (
 )
 from mmood.scoring import fit_class_stats
 from mmood.train import train
-from conftest import built
+from conftest import built, split
 from oracles import (
     CosineHeadOracle,
     contrastive_unit_backward_oracle,
@@ -354,7 +354,7 @@ class TestRegularizedInverseOracle:
         corpus = load_corpus(micro["corpus"])
         trained = train(corpus, cfg.train, cfg.oodgen)
         stats = fit_class_stats(trained.train_features,
-                                corpus.split("train").labels,
+                                split(corpus, "train").labels,
                                 corpus.num_classes, eps=cfg.train.cov_eps)
         for cov, eps, got in zip(stats.covs, stats.eps, stats.precisions):
             want = _cholesky_oracle(cov + eps * np.eye(len(cov)))

@@ -15,6 +15,7 @@ from mmood.cli import main
 from mmood.config import load_config
 from mmood.corpus import load_corpus
 from mmood.scoring import SCORERS
+from conftest import split
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -58,7 +59,7 @@ def test_traced_run_names_every_scorer_and_mode(micro, monkeypatch):
                  for step in ("forward_batch", "backward_batch")}
     expected |= {"fusion.forward.weighted", "fusion.backward.weighted"}
     assert expected <= set(tracer.names)
-    n_test = len(load_corpus(micro["corpus"]).split("test"))
+    n_test = len(split(load_corpus(micro["corpus"]), "test"))
     assert scored_in_train == {"scoring.records_scored": n_test}
     assert tracer.counts == {
         "scoring.records_scored": n_test + len(SCORERS) * n_test}
@@ -83,7 +84,7 @@ def test_training_loop_call_counts(micro, monkeypatch, ablation):
     log = [json.loads(line) for line in
            (run / "train_log.jsonl").read_text().splitlines()]
     epochs = Counter(e["stage"] for e in log if "stage" in e)
-    n_train = len(load_corpus(micro["corpus"]).split("train"))
+    n_train = len(split(load_corpus(micro["corpus"]), "train"))
     per_epoch = n_train // (load_config(micro["cfg"]).train.batch_size // 2)
     assert epochs["fine"] == 2
     assert epochs["coarse"] == (0 if ablation == "no_binary" else 1)
