@@ -26,13 +26,16 @@ def main() -> int:
     parser.add_argument("--seed", default="0")
     parser.add_argument("--checkpoint", default=None,
                         help="existing checkpoint dir (needs --corpus too)")
-    parser.add_argument("--corpus", default=None)
+    parser.add_argument("--corpus", default=None,
+                        help="its corpus dir (needs --checkpoint too)")
     args = parser.parse_args()
 
     out, cfg = Path(args.out), str(CANONICAL_INI)
     checkpoint, corpus = args.checkpoint, args.corpus
-    if checkpoint is not None and corpus is None:
-        print("error: --checkpoint needs --corpus", file=sys.stderr)
+    if (checkpoint is None) != (corpus is None):
+        given, needed = ("--checkpoint", "--corpus") if corpus is None \
+            else ("--corpus", "--checkpoint")
+        print(f"error: {given} needs {needed}", file=sys.stderr)
         return 1
     steps = []
     if checkpoint is None:

@@ -17,8 +17,9 @@ widens them to float64 where it reads them (``train``, ``features_for``).
 In memory a ``Corpus`` holds ``ids``, ``splits`` and ``labels`` columns
 and one (N, L, D) float32 array per modality, in file order; saving and
 loading validate whole columns and name the first offending record. The
-commands read the valid and test records by row index, so the only split
-they copy is the train split, which ``train`` widens once.
+commands read every split by row index and copy none: ``make_batches``
+shuffles the train split's row indices, and ``train`` widens each
+half-batch's rows as it gathers them.
 ``synth_corpus`` draws its noise in record order, in chunks of records.
 """
 
@@ -89,11 +90,6 @@ class Corpus:
     @property
     def num_classes(self) -> int:
         return self.meta.num_classes
-
-    def take(self, idx: np.ndarray) -> Corpus:
-        """A copy of the rows selected by an index array, in that order."""
-        return Corpus(self.meta, self.ids[idx], self.splits[idx],
-                      self.labels[idx], {m: s[idx] for m, s in self.seqs.items()})
 
 
 def _validate(corpus: Corpus) -> None:
@@ -389,16 +385,17 @@ def _draw(cfg: SynthConfig, rng: np.random.Generator) -> Corpus:
                   splits=np.array(splits, dtype=str), labels=labels, seqs=seqs)
 
 
-def make_batches(corpus: Corpus, batch_size: int,
+def make_batches(rows: np.ndarray, batch_size: int,
                  rng: np.random.Generator) -> list[np.ndarray]:
     """One epoch of shuffled ID half-batches of size batch_size/2.
 
-    Each half-batch is an array of row indices into ``corpus``. The other
-    half of each training batch is filled downstream with pseudo-OOD
-    samples. The final partial chunk is dropped. ``TrainConfig`` holds the
-    batch size even and ``train`` holds it within twice ``len(corpus)``.
+    ``rows`` are the train split's row indices into the corpus; each
+    half-batch is an array of them. The other half of each training batch
+    is filled downstream with pseudo-OOD samples. The final partial chunk is
+    dropped. ``TrainConfig`` holds the batch size even and ``train`` holds
+    it within twice ``len(rows)``.
     """
-    n = len(corpus)
     half = batch_size // 2
-    order = rng.permutation(n)
-    return [order[start:start + half] for start in range(0, n - half + 1, half)]
+    order = rows[rng.permutation(len(rows))]
+    return [order[start:start + half]
+            for start in range(0, len(rows) - half + 1, half)]

@@ -57,7 +57,7 @@ def bind_flat(params: Sequence[Param]) -> tuple[Array, Array]:
     stops = list(accumulate((math.prod(p.shape) for p in params), initial=0))
     try:
         values, grads = np.zeros(stops[-1]), np.zeros(stops[-1])
-    except ValueError as exc:  # more values than numpy can index
+    except (ValueError, MemoryError) as exc:  # numpy cannot index or hold
         raise ParameterError(f"layers: cannot allocate {stops[-1]} parameter "
                              f"values ({exc})") from exc
     for p, start, stop in zip(params, stops, stops[1:]):

@@ -2,8 +2,9 @@
 
 Each pseudo sample mixes the raw embedding sequences of k distinct ID
 records (drawn from at least two classes) with one shared weight vector
-across all modalities. A half-batch of pseudo samples is drawn at once and
-joined to the real ID half-batch to form a balanced binary training batch.
+across all modalities. A half-batch of pseudo samples is drawn at once from
+the real ID half-batch, given as its sequences and labels only, and joined
+to it to form a balanced binary training batch.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import MODALITIES, OOD_LABEL, Corpus
+from .corpus import MODALITIES, OOD_LABEL
 from .errors import GenerationError, check_fields
 from .numerics import dirichlet_sample
 
@@ -48,16 +49,17 @@ class Batch:
     binary: np.ndarray       # (B,), 1 = ID, 0 = OOD
 
 
-def sample_pseudo_ood(batch: Corpus, cfg: OodGenConfig,
-                      rng: np.random.Generator, n: int) -> PseudoBatch:
-    """Mix k ID records of ``batch`` into each of ``n`` pseudo-OOD samples.
+def sample_pseudo_ood(seqs: dict[str, Array], labels: np.ndarray,
+                      cfg: OodGenConfig, rng: np.random.Generator,
+                      n: int) -> PseudoBatch:
+    """Mix k ID rows of ``seqs`` into each of ``n`` pseudo-OOD samples.
 
-    Each row's index set is rejection-resampled until it spans >= 2
-    classes; only the failing rows are redrawn, each at most
+    Each row's index set is rejection-resampled until its ``labels`` span
+    >= 2 classes; only the failing rows are redrawn, each at most
     ``max_resample`` times. One Dirichlet weight row per sample mixes
     every modality. ``train`` checks that k fits the batch.
     """
-    labels, size, k = batch.labels, len(batch), cfg.mix_count
+    size, k = len(labels), cfg.mix_count
     if not (labels != labels[:1]).any():  # np.unique loads numpy.ma
         raise GenerationError(
             "oodgen: batch contains a single class; pseudo-OOD mixing needs "
@@ -79,20 +81,19 @@ def sample_pseudo_ood(batch: Corpus, cfg: OodGenConfig,
             f"in {cfg.max_resample} resamples"
         )
     lams = dirichlet_sample(cfg.alpha, (n, k), rng)
-    seqs = {m: np.einsum("nk,nk...->n...", lams, batch.seqs[m][sources])
-            for m in MODALITIES}
-    return PseudoBatch(seqs=seqs, sources=sources, lams=lams)
+    mixed = {m: np.einsum("nk,nk...->n...", lams, seqs[m][sources])
+             for m in MODALITIES}
+    return PseudoBatch(seqs=mixed, sources=sources, lams=lams)
 
 
-def build_mixed_batch(id_half: Corpus, cfg: OodGenConfig,
-                      rng: np.random.Generator) -> Batch:
+def build_mixed_batch(seqs: dict[str, Array], labels: np.ndarray,
+                      cfg: OodGenConfig, rng: np.random.Generator) -> Batch:
     """Balanced batch: the ID half plus as many pseudo-OOD samples, shuffled."""
-    n = len(id_half)
-    pseudo = sample_pseudo_ood(id_half, cfg, rng, n)
+    n = len(labels)
+    pseudo = sample_pseudo_ood(seqs, labels, cfg, rng, n)
 
-    seqs = {m: np.concatenate([id_half.seqs[m], pseudo.seqs[m]])
-            for m in MODALITIES}
-    labels = np.concatenate([id_half.labels, np.full(n, OOD_LABEL)])
+    seqs = {m: np.concatenate([seqs[m], pseudo.seqs[m]]) for m in MODALITIES}
+    labels = np.concatenate([labels, np.full(n, OOD_LABEL)])
     binary = np.repeat([1, 0], n)
 
     order = rng.permutation(2 * n)

@@ -70,12 +70,15 @@ class AdamW:
     def __init__(self, values: Array, grads: Array, lr: float,
                  weight_decay: float):
         self.values, self.grads = values, grads
-        self.lr = lr
-        self.wd = weight_decay
-        self.t = 0
-        self.m = np.zeros_like(self.values)
-        self.v = np.zeros_like(self.values)
-        self._buf = np.empty((2,) + self.values.shape)
+        self.lr, self.wd, self.t = lr, weight_decay, 0
+        try:
+            self.m = np.zeros_like(values)
+            self.v = np.zeros_like(values)
+            self._buf = np.empty((2,) + values.shape)
+        except MemoryError as exc:
+            raise ParameterError(f"train: cannot allocate the optimizer state "
+                                 f"of {values.size} parameter values "
+                                 f"({exc})") from exc
 
     def step(self) -> None:
         """``values -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd values)``
@@ -173,19 +176,15 @@ def _validation_wf1(model: FusionModel, corpus: Corpus,
 def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedModel:
     """Run the full schedule on a corpus and fit inference statistics."""
     train_rows = np.flatnonzero(corpus.splits == "train")
-    train_split = corpus.take(train_rows)
-    # every step reads its rows, so widen them to the model's float64 once
-    train_split.seqs = {m: s.astype(np.float64)
-                        for m, s in train_split.seqs.items()}
     valid_rows = np.flatnonzero(corpus.splits == "valid")
     half = cfg.batch_size // 2
-    if half > len(train_split):
+    if half > len(train_rows):
         raise ParameterError(f"train: batch_size must be <= 2 * n_train = "
-                             f"{2 * len(train_split)}, got {cfg.batch_size}")
+                             f"{2 * len(train_rows)}, got {cfg.batch_size}")
     if ood_cfg.mix_count > half:
         raise ParameterError(f"train: mix_count must be <= batch_size // 2 "
                              f"= {half}, got {ood_cfg.mix_count}")
-    check_class_counts(train_split.labels, corpus.num_classes)
+    check_class_counts(corpus.labels[train_rows], corpus.num_classes)
 
     model = FusionModel(corpus.meta, cfg.model, cfg.seed)
     loop_rng = component_rng(cfg.seed, SLOT_TRAIN_LOOP)
@@ -199,17 +198,19 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
         opt = AdamW(*model.stage_slice(stage), cfg.learning_rate,
                     cfg.weight_decay)
         for epoch in range(epochs):
-            batches = make_batches(train_split, cfg.batch_size, loop_rng)
+            batches = make_batches(train_rows, cfg.batch_size, loop_rng)
             sums: dict[str, float] = {}
             for bi, rows in enumerate(batches):
                 try:
                     with np.errstate(over="raise", invalid="raise",
                                      divide="raise"):
                         opt.zero_grad()
+                        # rows widened as ``features_for`` widens a chunk;
                         # unnamed, the mixed batch dies with its step
                         step_losses = _step(model, build_mixed_batch(
-                            train_split.take(rows), ood_cfg, loop_rng),
-                            loop_rng, stage)
+                            {m: corpus.seqs[m][rows].astype(np.float64)
+                             for m in MODALITIES}, corpus.labels[rows],
+                            ood_cfg, loop_rng), loop_rng, stage)
                         if not math.isfinite(step_losses["total"]):
                             raise FloatingPointError("the loss is not finite")
                         opt.step()
@@ -242,7 +243,7 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
 
     train_features = model.features_for(corpus, train_rows)
     train_logits = model.logits_for(train_features)
-    class_stats = fit_class_stats(train_features, train_split.labels,
+    class_stats = fit_class_stats(train_features, corpus.labels[train_rows],
                                   corpus.num_classes, eps=cfg.cov_eps)
     return TrainedModel(
         model=model, class_stats=class_stats,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmood.cli import main
-from mmood.corpus import OOD_LABEL, SynthConfig, synth_corpus
+from mmood.corpus import OOD_LABEL, Corpus, SynthConfig, synth_corpus
 from mmood.layers import Param, bind_flat, initialize
 from mmood.model import ModelHyper, SLOT_SYNTH
 from mmood.numerics import component_rng
@@ -38,9 +38,16 @@ scorer = all
 """
 
 
+def take(corpus, idx) -> Corpus:
+    """A copy of the rows of ``corpus`` an index array selects, in its
+    order."""
+    return Corpus(corpus.meta, corpus.ids[idx], corpus.splits[idx],
+                  corpus.labels[idx], {m: s[idx] for m, s in corpus.seqs.items()})
+
+
 def split(corpus, name: str):
     """A copy of the records of one split of ``corpus``, in file order."""
-    return corpus.take(np.flatnonzero(corpus.splits == name))
+    return take(corpus, np.flatnonzero(corpus.splits == name))
 
 
 def is_ood(corpus) -> np.ndarray:

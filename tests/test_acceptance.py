@@ -259,7 +259,8 @@ def test_c3_simplex_convexity_suite():
         cfg = OodGenConfig(mix_count=3, alpha=0.7)
         gen_rng = make_rng(3131)
         violations = 0
-        batch = sample_pseudo_ood(records, cfg, gen_rng, 10_000)
+        batch = sample_pseudo_ood(records.seqs, label_arr, cfg, gen_rng,
+                                  10_000)
         for row, idx in enumerate(batch.sources):
             lam = batch.lams[row]
             if abs(lam.sum() - 1.0) > 1e-12 or np.any(lam < 0):

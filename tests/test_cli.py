@@ -31,7 +31,7 @@ from mmood.model import FusionModel
 from mmood.numerics import make_rng
 from mmood.scoring import SCORERS, apply_scorer, fit_scorer, normalize_scores
 from mmood.train import train
-from conftest import MICRO_INI, is_ood, split
+from conftest import MICRO_INI, is_ood, split, take
 from oracles import mahalanobis_row_oracle, score_file_oracle
 
 
@@ -945,6 +945,32 @@ class TestCheckpointHeaderSizes:
         assert not (micro["tmp"] / "e").exists()
 
 
+class TestStateTooLargeForMemory:
+    """With its address space capped at 1 GiB, a fresh ``mmood train`` whose
+    parameters or optimizer moments do not fit exits 1 with one line that
+    names the module and the value count, and creates no ``--out``."""
+
+    @pytest.mark.parametrize("fusion_hidden, message", [
+        (100_000_000, "layers: cannot allocate 5400003965 parameter values"),
+        (555_000, "train: cannot allocate the optimizer state of 29973645 "
+                  "parameter values"),
+    ], ids=["model", "optimizer"])
+    def test_train_exits_1(self, tmp_path, fusion_hidden, message):
+        cfg = tmp_path / "huge.ini"  # the micro counts, the default dims
+        cfg.write_text("[corpus]\nn_train = 48\nn_valid = 24\nn_test_id = 24\n"
+                       "n_test_ood = 12\n\n[model]\n"
+                       f"fusion_hidden = {fusion_hidden}\n")
+        assert main(["synth", "--config", str(cfg), "--out",
+                     str(tmp_path / "c"), "--seed", "0"]) == 0
+        done = _fresh_process(CAPPED_MAIN, "train", "--config", cfg,
+                              "--corpus", tmp_path / "c",
+                              "--out", tmp_path / "run")
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"error: {message} (")
+        assert done.stderr.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+
 def _edit_line(path, line, edit):
     """Apply ``edit`` to the JSON object on ``line`` (0-based) of ``path``."""
     lines = path.read_text().splitlines()
@@ -1108,7 +1134,7 @@ class TestScoringCore:
     def test_test_row_without_ood_matches_oracle(self, trained_micro):
         corpus, trained = trained_micro
         keep = ~(is_ood(corpus) & (corpus.splits == "test"))
-        id_only = corpus.take(np.flatnonzero(keep))
+        id_only = take(corpus, np.flatnonzero(keep))
         assert len(split(id_only, "test")) == 24
         row = mmood.cli._test_row(trained, id_only)
         assert set(row) == {"acc", "wf1"}

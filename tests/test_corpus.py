@@ -31,7 +31,7 @@ from mmood.errors import FormatError, ParameterError
 from mmood.numerics import make_rng
 from mmood.oodgen import OodGenConfig
 from mmood.train import TrainConfig, train
-from conftest import is_ood, split
+from conftest import is_ood, split, take
 
 
 def read_tensor_store(manifest):
@@ -98,7 +98,7 @@ class TestSynth:
 
     def test_split_of_interleaved_rows_keeps_file_order(self):
         corpus = synth_corpus(tiny_cfg(), make_rng(7))
-        shuffled = corpus.take(make_rng(8).permutation(len(corpus)))
+        shuffled = take(corpus, make_rng(8).permutation(len(corpus)))
         train = split(shuffled, "train")
         assert (train.splits == "train").all() and len(train) == 12
         rows = np.flatnonzero(shuffled.splits == "train")
@@ -535,29 +535,31 @@ class TestStoragePrecision:
 
 
 class TestBatches:
-    def _train(self, n):
-        corpus = synth_corpus(tiny_cfg(n_train=n, n_valid=0, n_test_id=2,
-                                       n_test_ood=0), make_rng(9))
-        return split(corpus, "train")
+    """``make_batches`` deals the row indices it is given, shuffled, into
+    half-batches; the rows need not start at 0 or be contiguous."""
+
+    ROWS = np.array([3, 4, 5, 9, 10, 14, 15, 16, 20, 31, 40])
 
     def test_chunking_drops_tail(self):
-        chunks = make_batches(self._train(10), 4, make_rng(0))
-        assert len(chunks) == 5  # 10 records in half-batches of 2
-        assert all(len(c) == 2 for c in chunks)
+        chunks = make_batches(self.ROWS, 6, make_rng(0))
+        assert len(chunks) == len(self.ROWS) // 3  # 11 rows, halves of 3
+        assert all(len(c) == 3 for c in chunks)
 
     def test_epoch_is_permutation(self):
-        records = self._train(12)
-        chunks = make_batches(records, 6, make_rng(1))
-        seen = records.ids[np.concatenate(chunks)].tolist()
-        assert len(seen) == len(set(seen))
-        assert len(records) - len(seen) <= 3  # dropped tail < half batch
+        for batch_size in (2, 4, 6, 22):
+            chunks = make_batches(self.ROWS, batch_size, make_rng(1))
+            assert len(chunks) == len(self.ROWS) // (batch_size // 2)
+            seen = np.concatenate(chunks).tolist()
+            assert set(seen) <= set(self.ROWS.tolist())
+            assert len(seen) == len(set(seen))
 
     def test_same_seed_same_order(self):
-        records = self._train(9)
-        a = make_batches(records, 4, make_rng(2))
-        b = make_batches(records, 4, make_rng(2))
-        assert [records.ids[c].tolist() for c in a] == \
-            [records.ids[c].tolist() for c in b]
+        # one permutation of the row count is all it draws from the stream
+        rng, ref = make_rng(2), make_rng(2)
+        chunks = make_batches(self.ROWS, 4, rng)
+        order = self.ROWS[ref.permutation(len(self.ROWS))]
+        assert np.array_equal(np.concatenate(chunks), order[:10])
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     # make_batches trusts its batch size: the config gate and train check it
     def test_odd_batch_rejected(self):
@@ -569,6 +571,26 @@ class TestBatches:
                                        n_test_ood=0), make_rng(9))
         with pytest.raises(ParameterError):
             train(corpus, TrainConfig(batch_size=8), OodGenConfig())
+
+    def test_training_holds_no_split_copy(self):
+        # 3,000 train records at 4x the default dims: each step gathers and
+        # widens only its half-batch, so no copy of the split, float32 or
+        # float64, is ever held
+        wide = {m: ModalitySynth(seq_len=length, dim=4 * dim)
+                for m, (length, dim) in SynthConfig().meta().shapes.items()}
+        corpus = synth_corpus(tiny_cfg(n_train=3000, n_valid=0, n_test_id=0,
+                                       n_test_ood=0, modalities=wide),
+                              make_rng(0))
+        tracemalloc.start()
+        try:
+            train(corpus, TrainConfig(stage1_epochs=1, stage2_epochs=1),
+                  OodGenConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        split_bytes = sum(s.nbytes for s in corpus.seqs.values())
+        assert split_bytes == 3000 * 4352
+        assert peak < split_bytes
 
 
 class TestMetaValidation:

@@ -24,7 +24,7 @@ from mmood.corpus import (
 )
 from mmood.errors import ParameterError
 from mmood.numerics import make_rng
-from conftest import is_ood
+from conftest import is_ood, take
 from oracles import synth_loop_oracle
 
 REPO = Path(__file__).resolve().parents[1]
@@ -112,6 +112,20 @@ def test_canonical_synth_bytes_are_pinned(tmp_path):
     assert digests == CANONICAL_SYNTH_SHA256
 
 
+def test_canonical_checkpoint_blob_is_pinned(tmp_path):
+    # sha256 of the checkpoint.blob ``mmood train`` writes on that corpus:
+    # the trained parameters, class statistics and train-feature cache
+    cfg = str(REPO / "scripts" / "canonical.ini")
+    corpus, run = str(tmp_path / "corpus"), str(tmp_path / "run")
+    assert main(["synth", "--config", cfg, "--out", corpus,
+                 "--seed", "0"]) == 0
+    assert main(["train", "--config", cfg, "--corpus", corpus, "--out", run,
+                 "--seed", "0"]) == 0
+    blob = (tmp_path / "run" / "checkpoint.blob").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == \
+        "05165acf8d12c31bcbcae1a07066df1ab799d703d62eb97b38fff3e159b29fd3"
+
+
 class TestManifestWriter:
     IDS = ['a"b', "back\\slash", "new\nline", "sep\u2028arator", "café",
            "雨-\U0001f600", "tab\there", "plain"]
@@ -119,7 +133,7 @@ class TestManifestWriter:
     def test_lines_are_json_dumps(self, tmp_path):
         base = synth_corpus(small_cfg(), make_rng(3))
         n = len(self.IDS)
-        corpus = base.take(np.r_[0:n - 2, len(base) - 2:len(base)])
+        corpus = take(base, np.r_[0:n - 2, len(base) - 2:len(base)])
         corpus.ids = np.array(self.IDS, dtype=str)
         assert is_ood(corpus).sum() == 2
         manifest = save_corpus(corpus, tmp_path / "c")

@@ -30,7 +30,7 @@ from mmood.numerics import make_rng
 from mmood.oodgen import OodGenConfig, build_mixed_batch
 from mmood.train import (ABLATION_VARIANTS, AdamW, TrainConfig, _step, train,
                          variant_config)
-from conftest import built, param, split
+from conftest import built, param
 
 
 def contrastive_loss(z, labels, binary, head, tau, rng, train=True):
@@ -493,9 +493,10 @@ class TestUnifiedStep:
     def test_matches_former_stage_step(self, stage, variant):
         corpus = desk_corpus(n_train=60)
         cfg = variant_config(desk_train_cfg(), variant)
-        train_split = split(corpus, "train")
-        rows = make_batches(train_split, cfg.batch_size, make_rng(3))[0]
-        batch = build_mixed_batch(train_split.take(rows), OodGenConfig(),
+        train_rows = np.flatnonzero(corpus.splits == "train")
+        rows = make_batches(train_rows, cfg.batch_size, make_rng(3))[0]
+        batch = build_mixed_batch({m: s[rows] for m, s in corpus.seqs.items()},
+                                  corpus.labels[rows], OodGenConfig(),
                                   make_rng(4))
         runs = []
         for step in (lambda m, r: _step(m, batch, r, stage),

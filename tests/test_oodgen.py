@@ -61,7 +61,8 @@ class TestMix:
         seqs = list(records.seqs["T"])
         assert np.array_equal(mix_loop_oracle(seqs, [1.0, 0.0, 0.0]), seqs[0])
         fixed_weights(monkeypatch, [1.0, 0.0, 0.0])
-        s = sample_pseudo_ood(records, OodGenConfig(mix_count=3), make_rng(1), 4)
+        s = sample_pseudo_ood(records.seqs, records.labels,
+                              OodGenConfig(mix_count=3), make_rng(1), 4)
         for m in MODALITIES:
             assert np.array_equal(s.seqs[m], records.seqs[m][s.sources[:, 0]])
 
@@ -69,15 +70,10 @@ class TestMix:
         a = np.full((1, 1), 2.0)
         b = np.full((1, 1), 4.0)
         assert mix_loop_oracle([a, b], [0.5, 0.5])[0, 0] == 3.0
-        shapes = {m: (1, 1) for m in MODALITIES}
-        records = Corpus(
-            meta=CorpusMeta(num_classes=3, shapes=shapes),
-            ids=np.array(["a", "b"]), splits=np.full(2, "train"),
-            labels=np.array([0, 1]),
-            seqs={m: np.stack([a, b]) for m in MODALITIES},
-        )
         fixed_weights(monkeypatch, [0.5, 0.5])
-        s = sample_pseudo_ood(records, OodGenConfig(mix_count=2), make_rng(2), 3)
+        s = sample_pseudo_ood({m: np.stack([a, b]) for m in MODALITIES},
+                              np.array([0, 1]), OodGenConfig(mix_count=2),
+                              make_rng(2), 3)
         for m in MODALITIES:
             assert np.all(s.seqs[m] == 3.0)
 
@@ -85,7 +81,8 @@ class TestMix:
         rng = make_rng(1)
         records = make_records([0, 1, 2, 0, 1], rng)
         cfg = OodGenConfig(mix_count=3, alpha=0.7)
-        s = sample_pseudo_ood(records, cfg, make_rng(42), 20)
+        s = sample_pseudo_ood(records.seqs, records.labels, cfg, make_rng(42),
+                              20)
         for m in MODALITIES:
             for r, idx in enumerate(s.sources):
                 expected = mix_loop_oracle(records.seqs[m][idx], s.lams[r])
@@ -97,19 +94,23 @@ class TestSamplePseudoOod:
         rng = make_rng(2)
         records = make_records([0, 0, 1, 1, 2, 2, 0, 1], rng)
         cfg = OodGenConfig(mix_count=3, alpha=2.0)
-        check_rows(records, sample_pseudo_ood(records, cfg, make_rng(3), 500), 3)
+        s = sample_pseudo_ood(records.seqs, records.labels, cfg, make_rng(3),
+                              500)
+        check_rows(records, s, 3)
 
     def test_shared_lambda_across_modalities(self):
         rng = make_rng(4)
         records = make_records([0, 1, 2, 0], rng)
-        s = sample_pseudo_ood(records, OodGenConfig(mix_count=3), make_rng(5), 6)
+        s = sample_pseudo_ood(records.seqs, records.labels,
+                              OodGenConfig(mix_count=3), make_rng(5), 6)
         assert s.lams.shape == (6, 3)
 
     def test_single_class_rejected(self):
         rng = make_rng(8)
         records = make_records([1, 1, 1, 1], rng)
         with pytest.raises(GenerationError):
-            sample_pseudo_ood(records, OodGenConfig(), make_rng(9), 1)
+            sample_pseudo_ood(records.seqs, records.labels, OodGenConfig(),
+                              make_rng(9), 1)
 
     def test_mix_count_larger_than_batch(self):
         # train checks k against the half-batch before any draw
@@ -125,10 +126,12 @@ class TestSamplePseudoOod:
         records = make_records([0] * 9 + [1], rng)
         cfg = OodGenConfig(mix_count=2, max_resample=1)
         with pytest.raises(GenerationError, match="resample"):
-            sample_pseudo_ood(records, cfg, make_rng(0), 8)
+            sample_pseudo_ood(records.seqs, records.labels, cfg,
+                              make_rng(0), 8)
         # the cap counts rounds per row: a 1,000-row draw on the same pool
         # succeeds, where one all-rows round would pass with p = 0.2**1000
-        s = sample_pseudo_ood(records, OodGenConfig(mix_count=2), make_rng(0),
+        s = sample_pseudo_ood(records.seqs, records.labels,
+                              OodGenConfig(mix_count=2), make_rng(0),
                               1000)
         check_rows(records, s, 2)
         assert (records.labels[s.sources] == 1).any(axis=1).all()
@@ -138,7 +141,8 @@ class TestMixedBatch:
     def test_balanced_flags(self):
         rng = make_rng(12)
         records = make_records([0, 1, 2, 0], rng)
-        batch = build_mixed_batch(records, OodGenConfig(mix_count=3), make_rng(13))
+        batch = build_mixed_batch(records.seqs, records.labels,
+                                  OodGenConfig(mix_count=3), make_rng(13))
         assert len(batch.labels) == 8
         assert batch.binary.sum() == 4
         assert (batch.labels[batch.binary == 0] == OOD_LABEL).all()
@@ -147,8 +151,10 @@ class TestMixedBatch:
     def test_deterministic(self):
         rng = make_rng(14)
         records = make_records([0, 1, 2, 1], rng)
-        a = build_mixed_batch(records, OodGenConfig(), make_rng(15))
-        b = build_mixed_batch(records, OodGenConfig(), make_rng(15))
+        a = build_mixed_batch(records.seqs, records.labels, OodGenConfig(),
+                              make_rng(15))
+        b = build_mixed_batch(records.seqs, records.labels, OodGenConfig(),
+                              make_rng(15))
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.binary, b.binary)
         for m in MODALITIES:
@@ -158,7 +164,8 @@ class TestMixedBatch:
         rng = make_rng(16)
         records = make_records([2, 2, 2], rng)
         with pytest.raises(GenerationError):
-            build_mixed_batch(records, OodGenConfig(), make_rng(17))
+            build_mixed_batch(records.seqs, records.labels, OodGenConfig(),
+                              make_rng(17))
 
 
 class TestConfigValidation:
@@ -180,5 +187,6 @@ def test_convexity_property(n, k, alpha, seed):
     labels = [i % 3 for i in range(max(k, 4))]
     records = make_records(labels, rng)
     cfg = OodGenConfig(mix_count=k, alpha=alpha)
-    s = sample_pseudo_ood(records, cfg, make_rng(seed + 1), n)
+    s = sample_pseudo_ood(records.seqs, records.labels, cfg,
+                          make_rng(seed + 1), n)
     check_rows(records, s, k)

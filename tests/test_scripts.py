@@ -26,11 +26,14 @@ def test_every_script_found():
         "run_ablation_suite.py", "run_pipeline.py"}
 
 
-@pytest.mark.parametrize("script, extra", [
-    ("run_pipeline.py", ["--seed=-1"]),
-    ("run_pipeline.py", ["--checkpoint", "missing"]),
-], ids=["pipeline-seed", "pipeline-no-corpus"])
-def test_failed_run_leaves_no_out(script, extra, tmp_path, monkeypatch,
+@pytest.mark.parametrize("script, extra, error", [
+    ("run_pipeline.py", ["--seed=-1"], "error: "),
+    ("run_pipeline.py", ["--checkpoint", "missing"],
+     "error: --checkpoint needs --corpus\n"),
+    ("run_pipeline.py", ["--corpus", "missing"],
+     "error: --corpus needs --checkpoint\n"),
+], ids=["pipeline-seed", "pipeline-no-corpus", "pipeline-no-checkpoint"])
+def test_failed_run_leaves_no_out(script, extra, error, tmp_path, monkeypatch,
                                   capsys):
     out = tmp_path / "out"
     path = SCRIPTS[0].with_name(script)
@@ -38,7 +41,7 @@ def test_failed_run_leaves_no_out(script, extra, tmp_path, monkeypatch,
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(path), run_name="__main__")
     assert exc.value.code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(error)
     assert list(tmp_path.iterdir()) == []
 
 
