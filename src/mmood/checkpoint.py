@@ -1,24 +1,38 @@
 """Checkpoint serialization: model params, class stats, and feature cache.
 
-Uses the shared named-tensor blob convention (see blobio) at float64 so a
-reloaded model reproduces evaluation outputs bit-exactly.
+A checkpoint is a blobio container, ``tensor-store`` version 2:
+``checkpoint.json`` holds a header (the blob's crc32 and the ``meta`` the
+model is rebuilt from), then one ``{"name", "shape"}`` line per tensor;
+``checkpoint.blob`` holds every tensor at float64, in sorted-name order,
+so a reloaded model reproduces evaluation outputs bit-exactly. The reader
+slices the blob by the sorted names and their shapes, so the order of the
+manifest lines means nothing. A version-1 checkpoint (a byte offset and
+dtype per tensor, no crc32) fails: rerun ``mmood train``.
 """
 
 from __future__ import annotations
 
+import math
+import zlib
+from bisect import bisect_right
 from dataclasses import asdict, fields
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
+from .blobio import Schema, read_blob, read_manifest, write_jsonl
 from .corpus import CorpusMeta
-from .blobio import read_tensor_blob, read_tensor_manifest, write_tensor_store
 from .errors import FormatError
 from .model import FusionModel, ModelHyper
 from .scoring import ClassStats
 from .train import TrainedModel
 
 CHECKPOINT_NAME = "checkpoint"
+VERSION = 2
+STORAGE = np.dtype("<f8")  # blob precision
+SCHEMA = Schema(module="checkpoint", format="tensor-store",
+                kind="tensor store", entry="tensor", key="name")
 # fitted inference state stored beside the model parameters: one tensor per
 # ClassStats field, then the training feature cache
 STATS = {f.name: f"stats.{f.name}" for f in fields(ClassStats)}
@@ -26,13 +40,11 @@ STATS = {f.name: f"stats.{f.name}" for f in fields(ClassStats)}
 
 def save_checkpoint(trained: TrainedModel, directory) -> Path:
     model = trained.model
-    tensors: dict[str, np.ndarray] = {
-        name: p.value for name, p in model.named_params().items()
-    }
-    for field, name in STATS.items():
-        tensors[name] = getattr(trained.class_stats, field)
-    tensors["cache.features"] = trained.train_features
-    tensors["cache.logits"] = trained.train_logits
+    tensors = {**{name: p.value for name, p in model.named_params().items()},
+               **{name: getattr(trained.class_stats, field)
+                  for field, name in STATS.items()},
+               "cache.features": trained.train_features,
+               "cache.logits": trained.train_logits}
 
     cfg = trained.train_cfg
     meta = {
@@ -44,7 +56,40 @@ def save_checkpoint(trained: TrainedModel, directory) -> Path:
         "ood_config": asdict(trained.ood_cfg),
         "best": trained.best,
     }
-    return write_tensor_store(directory, CHECKPOINT_NAME, tensors, meta)
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    names = sorted(tensors)
+    data = np.concatenate([np.asarray(tensors[name], STORAGE).ravel()
+                           for name in names])
+    data.tofile(directory / f"{CHECKPOINT_NAME}.blob")
+    header = {"format": SCHEMA.format, "version": VERSION,
+              "crc32": zlib.crc32(data), "meta": meta}
+    return write_jsonl(directory / f"{CHECKPOINT_NAME}.json", [header, *(
+        {"name": name, "shape": list(tensors[name].shape)} for name in names)])
+
+
+def _header(header, path: Path) -> tuple:
+    """``(meta, crc32)`` of a version-2 header."""
+    if header.get("version") != VERSION:
+        raise FormatError(
+            f"checkpoint: {path} is a version {header.get('version')!r} "
+            f"checkpoint; this mmood reads version {VERSION} only, so rerun "
+            "`mmood train` to write it again")
+    crc = header["crc32"]
+    if type(crc) is not int or crc < 0 or crc >> 32:
+        raise ValueError(f"crc32 {crc!r} is not a 32-bit crc")
+    return header["meta"], crc
+
+
+def _tensor(entry, _) -> tuple:
+    """``(name, shape)`` of a tensor entry."""
+    name, shape = entry["name"], tuple(entry["shape"])
+    if not isinstance(name, str):
+        raise ValueError(f"name {name!r} is not a string")
+    if any(type(d) is not int or d < 0 for d in shape):
+        raise ValueError(f"shape {list(shape)} is not a list of "
+                         "non-negative integers")
+    return name, shape
 
 
 def _model_from_header(meta, manifest: Path) -> FusionModel:
@@ -82,14 +127,15 @@ def load_checkpoint(directory):
     manifest = Path(directory)
     if manifest.is_dir():
         manifest = manifest / f"{CHECKPOINT_NAME}.json"
-    meta, entries = read_tensor_manifest(manifest)
-    stored = {name: shape for _, name, _, shape in entries}
+    (meta, crc), rows = read_manifest(
+        manifest, SCHEMA, lambda header: _header(header, manifest), _tensor)
+    stored = {name: shape for _, name, shape in rows}
     model = _model_from_header(meta, manifest)
 
     # every name and shape is checked once, before anything is allocated or
     # the blob is read, so a huge header size costs nothing and a dropped or
-    # reshaped entry is named, not reported as the layout gap it leaves; the
-    # fitted state fits K classes, D shared dims and N cached rows
+    # reshaped entry is named, not reported as the blob length it changes;
+    # the fitted state fits K classes, D shared dims and N cached rows
     named = model.named_params()
     k, d = model.num_classes, model.d_shared
     n = (stored.get("cache.features") or (0,))[0]
@@ -107,7 +153,15 @@ def load_checkpoint(directory):
         if shape != expected[name]:
             raise FormatError(f"checkpoint: {manifest}: tensor {name!r} has "
                               f"shape {shape}, expected {expected[name]}")
-    tensors = read_tensor_blob(manifest, entries)
+    # the blob holds the tensors in sorted-name order
+    names = sorted(stored)
+    stops = list(accumulate((math.prod(stored[name]) for name in names),
+                            initial=0))
+    values = read_blob(manifest, SCHEMA, manifest.with_suffix(".blob").name,
+                       stops[-1], STORAGE, crc, lambda i: "tensor "
+                       f"{names[bisect_right(stops, i) - 1]!r}")
+    tensors = {name: values[start:stop].reshape(stored[name])
+               for name, start, stop in zip(names, stops, stops[1:])}
     model.bind()
     for name, param in named.items():
         param.value[...] = tensors[name]

@@ -246,6 +246,12 @@ def run_eval(checkpoint_dir, corpus: Corpus, scorers: list[str],
                 f"cli: corpus has {corpus.num_classes} classes, checkpoint "
                 f"{checkpoint_dir} was trained on {model.num_classes}"
             )
+        for m, shape in model.meta.shapes.items():
+            if corpus.meta.shapes[m] != shape:
+                raise ParameterError(
+                    f"cli: corpus modality {m} has shape "
+                    f"{corpus.meta.shapes[m]}, checkpoint {checkpoint_dir} "
+                    f"was trained on {shape}")
         rows = np.flatnonzero(corpus.splits == "test")
         if len(rows) == 0:
             raise ParameterError("cli: corpus has no test records to evaluate")

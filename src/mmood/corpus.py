@@ -5,7 +5,7 @@ version 2: ``manifest.jsonl`` holds a header with the class count and each
 modality's (seq_len, dim, blob file, record count, byte length, crc32),
 then the three columns ``id``, ``label`` and ``split``, one line each;
 ``seq_T.blob``, ``seq_V.blob`` and ``seq_A.blob`` hold one float32 (L x D)
-chunk per record, in column order, and each is read as one entry. A
+chunk per record, in column order, and each is read whole. A
 version-1 corpus (one manifest line per record) fails: rerun ``mmood synth``.
 
 Labels are class indices 0..K-1; out-of-distribution records carry the
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +46,7 @@ VERSION = 2
 COLUMNS = ("id", "label", "split")  # manifest lines 2-4, in this order
 STORAGE = np.dtype("<f4")  # blob precision
 SCHEMA = Schema(module="corpus", format="corpus", kind="corpus manifest",
-                entry="column", key="column", key_noun="column")
-_BLOBS = replace(SCHEMA, entry="record")  # a blob's chunks are its records
+                entry="column", key="column")
 _SYNTH_CHUNK = 256  # records per noise draw; bounds its float64 temporaries
 
 
@@ -227,13 +226,11 @@ def load_corpus(manifest_path) -> Corpus:
     ids, splits, labels = _columns(path, rows, meta.num_classes)
     del rows  # the arrays replace the parsed lists before any blob is read
     seqs = {}
-    for m in MODALITIES:  # each blob is one entry, declared on line 1
+    for m in MODALITIES:
         (blob, crc), size = blobs[m], math.prod(meta.shapes[m])
-        lines, offsets, counts = ([1], [0], [n * size]) if n else ([], [], [])
-        seqs[m] = read_blob(path, _BLOBS, blob, lines,
-                            lambda _, k: f"record {str(ids[k // size])!r} "
-                            f"modality {m}", offsets, counts, STORAGE, crc) \
-            .reshape(n, *meta.shapes[m])
+        seqs[m] = read_blob(path, SCHEMA, blob, n * size, STORAGE, crc,
+                            lambda k: f"record {str(ids[k // size])!r} "
+                            f"modality {m}").reshape(n, *meta.shapes[m])
     corpus = Corpus(meta, ids, splits, labels, seqs)
     _validate(corpus)
     return corpus

@@ -126,21 +126,21 @@ class FusionModel:
 
     def features_for(self, corpus: Corpus, rows: Array | None = None) -> Array:
         """Eval-mode fused features of the records ``rows`` (by default
-        every record), (len(rows), d_shared), 256 records at a time: each
-        chunk is gathered by row index and widened to float64 from the
-        corpus's storage precision, so no split of the corpus is copied.
+        every record), (len(rows), d_shared), 256 records at a time into
+        one preallocated array: each chunk is gathered by row index and
+        widened to float64 from the corpus's storage precision, so no split
+        of the corpus is copied.
         The encoders run one modality at a time and keep no backward cache,
         so one modality's chunk and activations are alive at a time."""
         rows = np.arange(len(corpus)) if rows is None else rows
-        out, chunk = [], 256
+        out, chunk = np.empty((len(rows), self.d_shared)), 256
         for start in range(0, len(rows), chunk):
             idx = rows[start:start + chunk]
             xs = {m: self.encoders[m].forward_batch(
                 corpus.seqs[m][idx].astype(np.float64), keep=False)[0]
                 for m in MODALITIES}
-            z, _, _ = self.fusion.forward(xs, False, None)
-            out.append(z)
-        return np.concatenate(out) if out else np.zeros((0, self.d_shared))
+            out[start:start + chunk] = self.fusion.forward(xs, False, None)[0]
+        return out
 
     def logits_for(self, features: Array) -> Array:
         logits, _ = self.class_head.forward(features)

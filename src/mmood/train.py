@@ -218,6 +218,10 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
                     raise TrainingError(
                         f"train: non-finite value at stage {name}, epoch "
                         f"{epoch}, batch {bi} ({exc})") from exc
+                except MemoryError as exc:
+                    raise ParameterError(
+                        f"train: cannot allocate a step at stage {name}, "
+                        f"epoch {epoch}, batch {bi} ({exc})") from exc
                 for key, val in step_losses.items():
                     sums[key] = sums.get(key, 0.0) + val
             entry = {"stage": name, "epoch": epoch}

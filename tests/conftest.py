@@ -1,11 +1,17 @@
+import json
+import math
+import zlib
+
 import numpy as np
 import pytest
 
+from mmood.checkpoint import save_checkpoint
 from mmood.cli import main
-from mmood.corpus import OOD_LABEL, Corpus, SynthConfig, synth_corpus
+from mmood.corpus import (OOD_LABEL, Corpus, ModalitySynth, SynthConfig,
+                          synth_corpus)
 from mmood.layers import Param, bind_flat, initialize
 from mmood.model import ModelHyper, SLOT_SYNTH
-from mmood.numerics import component_rng
+from mmood.numerics import component_rng, make_rng
 from mmood.oodgen import OodGenConfig
 from mmood.train import TrainConfig, train
 
@@ -71,6 +77,26 @@ def param(name, value):
     return p
 
 
+def set_tensor_value(manifest, name, value, index=0):
+    """Write ``value`` over value ``index`` of tensor ``name`` in the blob of
+    checkpoint ``manifest``, which holds the tensors in sorted-name order,
+    and record the blob's new crc32 in the header."""
+    lines = manifest.read_text().splitlines()
+    entries = sorted((json.loads(line) for line in lines[1:]),
+                     key=lambda entry: entry["name"])
+    names = [entry["name"] for entry in entries]
+    start = 8 * (index + sum(math.prod(entry["shape"])
+                             for entry in entries[:names.index(name)]))
+    blob = manifest.with_suffix(".blob")
+    data = bytearray(blob.read_bytes())
+    data[start:start + 8] = np.array([value], dtype="<f8").tobytes()
+    blob.write_bytes(bytes(data))
+    header = json.loads(lines[0])
+    header["crc32"] = zlib.crc32(data)
+    manifest.write_text("\n".join([json.dumps(header, sort_keys=True),
+                                   *lines[1:]]) + "\n")
+
+
 @pytest.fixture(autouse=True)
 def no_scratch_left(tmp_path):
     """Fail a test that leaves a command's ``*.partial-*`` scratch directory
@@ -90,6 +116,24 @@ def micro(tmp_path):
     assert main(["synth", "--config", str(cfg_path), "--out", str(corpus_dir),
                  "--seed", "0"]) == 0
     return {"cfg": cfg_path, "corpus": corpus_dir, "tmp": tmp_path}
+
+
+@pytest.fixture(scope="session")
+def tiny_run(tmp_path_factory):
+    """The directory of a checkpoint of one-value modalities and one-wide
+    layers, trained one epoch per stage: 83 tensor values, a 664-byte blob.
+    Read-only; copy it to change it."""
+    shapes = {m: ModalitySynth(seq_len=1, dim=1) for m in ("T", "V", "A")}
+    corpus = synth_corpus(SynthConfig(num_classes=2, n_train=4, n_valid=2,
+                                      n_test_id=0, n_test_ood=0,
+                                      modalities=shapes), make_rng(0))
+    hyper = ModelHyper(attn_heads=1, fusion_hidden=1, ffn_hidden=1,
+                       contrast_dim=1)
+    trained = train(corpus, TrainConfig(batch_size=8, stage1_epochs=1,
+                                        stage2_epochs=1, model=hyper),
+                    OodGenConfig(mix_count=2))
+    return save_checkpoint(trained, tmp_path_factory.mktemp("tiny") / "run") \
+        .parent
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,7 @@ from mmood.model import FusionModel
 from mmood.numerics import make_rng
 from mmood.scoring import SCORERS, apply_scorer, fit_scorer, normalize_scores
 from mmood.train import train
-from conftest import MICRO_INI, is_ood, split, take
+from conftest import MICRO_INI, is_ood, set_tensor_value, split, take
 from oracles import mahalanobis_row_oracle, score_file_oracle
 
 
@@ -533,11 +533,7 @@ class TestCheckpointErrors:
         i = next(i for i, l in enumerate(lines) if f'"{name}"' in l)
         entry = json.loads(lines[i])
         if edit == "negative":
-            blob = out / "checkpoint.blob"
-            data = bytearray(blob.read_bytes())
-            data[entry["offset"]:entry["offset"] + 8] = \
-                np.array([-5.5], dtype="<f8").tobytes()
-            blob.write_bytes(bytes(data))
+            set_tensor_value(manifest, name, -5.5)
         else:
             # same value count, so the blob layout stays valid
             entry["shape"] = edit(*entry["shape"])
@@ -565,32 +561,32 @@ class TestCheckpointErrors:
 
 
 def _corrupt_entry(path, corruption):
-    """Break the second entry (line 3) of a checkpoint manifest in one
-    named way."""
+    """Break a checkpoint in one named way: its header, the tensor on line 3
+    or its blob."""
     lines = path.read_text().splitlines()
+    header, second, third = map(json.loads, lines[:3])
     blob = path.with_suffix(".blob")
-    if corruption == "non_finite":
-        data = bytearray(blob.read_bytes())
-        start = json.loads(lines[2])["offset"]
-        data[start:start + 8] = np.array([np.nan], dtype="<f8").tobytes()
-        blob.write_bytes(bytes(data))
+    data = bytearray(blob.read_bytes())
+    if corruption == "non_finite":  # the header's crc32 follows the NaN
+        set_tensor_value(path, third["name"], np.nan)
         return
-    if corruption == "trailing":
-        blob.write_bytes(blob.read_bytes() + b"\0" * 8)
-        return
-    if corruption == "swap":
-        lines[1], lines[2] = lines[2], lines[1]
-    elif corruption == "truncated":
+    if corruption == "duplicate":
+        third["name"] = second["name"]
+    elif corruption == "version_1":
+        header["version"] = 1
+    elif corruption == "no_crc32":
+        del header["crc32"]
+    elif corruption == "trailing":
+        data += bytes(8)
+    elif corruption == "short":
+        del data[-8:]
+    elif corruption == "flipped_byte":
+        data[100] ^= 0x01
+    lines[0], lines[2] = (json.dumps(obj, sort_keys=True)
+                          for obj in (header, third))
+    if corruption == "truncated":
         lines[2] = lines[2][:-5]
-    else:
-        entry = json.loads(lines[2])
-        if corruption == "duplicate":
-            entry["name"] = json.loads(lines[1])["name"]
-        elif corruption == "overlap":
-            entry["offset"] = json.loads(lines[1])["offset"]
-        else:
-            del entry[corruption]
-        lines[2] = json.dumps(entry, sort_keys=True)
+    blob.write_bytes(bytes(data))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -643,9 +639,11 @@ class TestMalformedManifests:
                          "'__OOD__'"),
         ("version_1", "is a version 1 corpus; .*rerun `mmood synth`"),
         ("short_blob", "line 1: last record 'test-ood-00011' modality T: blob "
-                       "seq_T.blob holds [0-9]+ bytes, but its records take"),
+                       "seq_T.blob holds [0-9]+ bytes, but its [0-9]+ values "
+                       "take"),
         ("long_blob", "line 1: last record 'test-ood-00011' modality T: blob "
-                      "seq_T.blob holds [0-9]+ bytes, but its records take"),
+                      "seq_T.blob holds [0-9]+ bytes, but its [0-9]+ values "
+                      "take"),
         ("flipped_byte", "blob seq_T.blob has crc32 [0-9]+, but the header "
                          "records [0-9]+"),
         ("nan", "line 1: record 'train-00000' modality T holds a non-finite"),
@@ -688,13 +686,15 @@ class TestMalformedManifests:
 
     @pytest.mark.parametrize("corruption, message", [
         ("truncated", "line 3"),
-        ("offset", "line 3.*'offset'"),
         ("duplicate", "line 3.*duplicate tensor"),
-        ("non_finite", "line 3: tensor .*non-finite"),
-        ("overlap", "line 3: tensor .* has offset 0; in manifest order"),
+        ("non_finite", "line 1: tensor 'binary.lin1.b' holds a non-finite"),
         ("trailing", "last tensor .*checkpoint.blob holds"),
-        ("swap", "line 2: tensor .* has offset [1-9][0-9]*; in manifest "
-                 "order it starts at 0"),
+        ("short", "line 1: last tensor 'stats.precisions': blob "
+                  "checkpoint.blob holds [0-9]+ bytes, but its"),
+        ("flipped_byte", "blob checkpoint.blob has crc32 [0-9]+, but the "
+                         "header records [0-9]+"),
+        ("version_1", "is a version 1 checkpoint; .*rerun `mmood train`"),
+        ("no_crc32", "line 1: malformed header .*'crc32'"),
     ])
     def test_eval_exits_1_with_error(self, micro, capsys, corruption,
                                      message):
@@ -709,7 +709,8 @@ class TestMalformedManifests:
                      "--out", str(micro["tmp"] / "e")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: blobio: ")
+        assert err.startswith("error: checkpoint: ")
+        assert err.count("\n") == 1
         assert re.search(message, err)
 
 
@@ -760,29 +761,47 @@ class TestErrors:
             in err
         assert not (micro["tmp"] / "e" / "eval_report.json").exists()
 
-    def test_dim_mismatch_at_eval(self, micro, capsys):
+    @staticmethod
+    def _eval_other_shape(micro, capsys, monkeypatch, key, value):
+        """The error of evaluating a checkpoint trained on the micro corpus
+        on one synthesized with ``key = value``; no feature pass runs."""
         run = micro["tmp"] / "run"
         assert main(["train", "--config", str(micro["cfg"]), "--corpus",
                      str(micro["corpus"]), "--out", str(run),
                      "--seed", "0"]) == 0
-        cfg16 = micro["tmp"] / "run16.ini"
-        cfg16.write_text(MICRO_INI.replace("dim_v = 8", "dim_v = 16"))
-        corpus16 = micro["tmp"] / "corpus16"
-        assert main(["synth", "--config", str(cfg16), "--out", str(corpus16),
+        other_cfg, other = micro["tmp"] / "other.ini", micro["tmp"] / "other"
+        other_cfg.write_text(ini_with("corpus", {key: value}))
+        assert main(["synth", "--config", str(other_cfg), "--out", str(other),
                      "--seed", "0"]) == 0
+
+        def no_features(*args, **kwargs):
+            raise AssertionError("features computed for a mismatched corpus")
+
+        monkeypatch.setattr(FusionModel, "features_for", no_features)
         capsys.readouterr()
         code = main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
-                     str(run), "--corpus", str(corpus16),
+                     str(run), "--corpus", str(other),
                      "--out", str(micro["tmp"] / "e")])
         assert code == 1
-        assert capsys.readouterr().err.startswith(
-            "error: encoders: encoder.V expected")
         assert not (micro["tmp"] / "e").exists()
+        return capsys.readouterr().err, run
+
+    def test_dim_mismatch_at_eval(self, micro, capsys, monkeypatch):
+        err, run = self._eval_other_shape(micro, capsys, monkeypatch,
+                                          "dim_v", "16")
+        assert err == (f"error: cli: corpus modality V has shape (3, 16), "
+                       f"checkpoint {run} was trained on (3, 8)\n")
+
+    def test_seq_len_mismatch_at_eval(self, micro, capsys, monkeypatch):
+        err, run = self._eval_other_shape(micro, capsys, monkeypatch,
+                                          "seq_len_a", "5")
+        assert err == (f"error: cli: corpus modality A has shape (5, 4), "
+                       f"checkpoint {run} was trained on (3, 4)\n")
 
 
 class TestNonUtf8Manifest:
     @pytest.mark.parametrize("target, module", [("corpus", "corpus"),
-                                                ("checkpoint", "blobio")])
+                                                ("checkpoint", "checkpoint")])
     def test_exits_1_with_format_error(self, micro, capsys, target, module):
         run = micro["tmp"] / "run"
         train = ["train", "--config", str(micro["cfg"]), "--corpus",
@@ -947,14 +966,17 @@ class TestCheckpointHeaderSizes:
 
 class TestStateTooLargeForMemory:
     """With its address space capped at 1 GiB, a fresh ``mmood train`` whose
-    parameters or optimizer moments do not fit exits 1 with one line that
-    names the module and the value count, and creates no ``--out``."""
+    parameters, optimizer moments or first step's activations do not fit
+    exits 1 with one line that names the module and the value count or the
+    step, and creates no ``--out``."""
 
     @pytest.mark.parametrize("fusion_hidden, message", [
         (100_000_000, "layers: cannot allocate 5400003965 parameter values"),
         (555_000, "train: cannot allocate the optimizer state of 29973645 "
                   "parameter values"),
-    ], ids=["model", "optimizer"])
+        (300_000, "train: cannot allocate a step at stage coarse, epoch 0, "
+                  "batch 0"),
+    ], ids=["model", "optimizer", "step"])
     def test_train_exits_1(self, tmp_path, fusion_hidden, message):
         cfg = tmp_path / "huge.ini"  # the micro counts, the default dims
         cfg.write_text("[corpus]\nn_train = 48\nn_valid = 24\nn_test_id = 24\n"
@@ -981,8 +1003,9 @@ def _edit_line(path, line, edit):
 
 
 class TestWholeNumberSizes:
-    """A size, a count or a checksum in a corpus manifest, a size in a
-    checkpoint header or an offset in a tensor entry must be a JSON integer: a string, a float or a bool fails
+    """A size, a count or a checksum in a corpus manifest, a size or the
+    checksum in a checkpoint header or a dimension of a tensor entry's shape
+    must be a JSON integer: a string, a float or a bool fails
     as a ``FormatError`` that names the manifest, not as a value that
     ``int()`` converts or a traceback."""
 
@@ -999,15 +1022,18 @@ class TestWholeNumberSizes:
         ("checkpoint", 0, lambda h: h["meta"].update(num_classes="3")),
         ("checkpoint", 0, lambda h: h["meta"]["shapes"].update(V=[3.0, 8])),
         ("checkpoint", 0, lambda h: h["meta"]["shapes"].update(V=[3, 8.0])),
-        ("checkpoint", 1, lambda e: e.update(offset=0.5)),
-        ("checkpoint", 1, lambda e: e.update(offset="0")),
-        ("checkpoint", 1, lambda e: e.update(offset=False)),
+        ("checkpoint", 0, lambda h: h.update(crc32=str(h["crc32"]))),
+        ("checkpoint", 0, lambda h: h.update(crc32=float(h["crc32"]))),
+        ("checkpoint", 1, lambda e: e.update(shape=[8, 0.5])),
+        ("checkpoint", 1, lambda e: e.update(shape=[8, "8"])),
+        ("checkpoint", 1, lambda e: e.update(shape=[8, False])),
     ], ids=["corpus-num_classes-3.9", "corpus-num_classes-str",
             "corpus-seq_len-str", "corpus-seq_len-float", "corpus-bytes-str",
             "corpus-bytes-float", "corpus-records-false", "corpus-crc32-str",
             "checkpoint-num_classes-3.9", "checkpoint-num_classes-str",
             "checkpoint-shape-len-float", "checkpoint-shape-dim-float",
-            "tensor-offset-0.5", "tensor-offset-str", "tensor-offset-false"])
+            "checkpoint-crc32-str", "checkpoint-crc32-float",
+            "tensor-shape-0.5", "tensor-shape-str", "tensor-shape-false"])
     def test_eval_exits_1_naming_the_manifest(self, micro, capsys, target,
                                               line, edit):
         run = _train_cli(micro, micro["tmp"] / "run")
@@ -1071,7 +1097,7 @@ class TestCheckpointTensorTable:
         def unread(*args, **kwargs):
             raise AssertionError("blob read before names and shapes checked")
 
-        monkeypatch.setattr("mmood.checkpoint.read_tensor_blob", unread)
+        monkeypatch.setattr("mmood.checkpoint.read_blob", unread)
         capsys.readouterr()
         code = main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
                      str(run), "--corpus", str(micro["corpus"]),

@@ -1,13 +1,13 @@
 """Fuzz the manifest-plus-blob container behind corpora and checkpoints.
 
 A truncated file, one overwritten byte or shuffled lines in a manifest or
-a blob must either still load or raise a ``PipelineError``. A corpus blob
-(format version 2) carries its crc32 in the manifest, so any change to its
-bytes must raise a ``FormatError``: crc32 catches every flipped byte. A
-checkpoint blob (version 1) has no checksum, so a flipped byte that still
-decodes to a finite value may load.
+a blob must either still load or raise a ``PipelineError``. Every blob,
+a corpus's (format version 2) or a checkpoint's (tensor-store version 2),
+has its crc32 in the manifest, so any change to its bytes must raise a
+``FormatError``: crc32 catches every flipped byte.
 """
 
+import re
 import shutil
 import tempfile
 import warnings
@@ -92,7 +92,7 @@ def test_corrupted_file_loads_or_raises_pipeline_error(saved, target,
         raw = path.read_bytes()
         corrupted = _corrupt(raw, mutation, data)
         path.write_bytes(corrupted)
-        if kind == "corpus" and name.endswith(".blob") and corrupted != raw:
+        if name.endswith(".blob") and corrupted != raw:
             with pytest.raises(FormatError):
                 LOADERS[kind](directory)
             return
@@ -123,3 +123,21 @@ def test_every_flipped_corpus_blob_byte_raises(tmp_path):
                     load_corpus(manifest)
         blob.write_bytes(raw)
     load_corpus(manifest)
+
+
+def test_every_flipped_checkpoint_blob_byte_raises(tmp_path, tiny_run):
+    """Each bit of each byte of a small checkpoint's blob, flipped one at a
+    time, fails the blob's crc32 check."""
+    run = Path(shutil.copytree(tiny_run, tmp_path / "run"))
+    blob = run / "checkpoint.blob"
+    raw = blob.read_bytes()
+    assert len(raw) == 664
+    message = re.escape(f"checkpoint: {run / 'checkpoint.json'}: blob "
+                        "checkpoint.blob has crc32")
+    for i in range(len(raw)):
+        for bit in range(8):
+            blob.write_bytes(raw[:i] + bytes([raw[i] ^ 1 << bit]) + raw[i + 1:])
+            with pytest.raises(FormatError, match=message):
+                load_checkpoint(run)
+    blob.write_bytes(raw)
+    load_checkpoint(run)

@@ -1,17 +1,14 @@
 import json
 import re
+import shutil
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from mmood.blobio import (
-    loads_line,
-    read_tensor_blob,
-    read_tensor_manifest,
-    write_tensor_store,
-)
+from mmood.blobio import loads_line
+from mmood.checkpoint import load_checkpoint
 from mmood.corpus import (
     COLUMNS,
     MODALITIES,
@@ -31,13 +28,7 @@ from mmood.errors import FormatError, ParameterError
 from mmood.numerics import make_rng
 from mmood.oodgen import OodGenConfig
 from mmood.train import TrainConfig, train
-from conftest import is_ood, split, take
-
-
-def read_tensor_store(manifest):
-    """Every tensor of a store, read through the checkpoint loader's calls."""
-    meta, entries = read_tensor_manifest(manifest)
-    return meta, read_tensor_blob(manifest, entries)
+from conftest import is_ood, set_tensor_value, split, take
 
 
 def tiny_cfg(**kw):
@@ -429,79 +420,111 @@ class TestMalformedManifest:
 
 
 class TestMalformedTensorStore:
-    def _saved(self, tmp_path):
-        tensors = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)}
-        return write_tensor_store(tmp_path, "store", tensors, {"k": 1})
+    """A checkpoint's tensor store (version 2), read by ``load_checkpoint``:
+    the blob holds the tensors in sorted-name order, so each entry is a
+    name and a shape."""
 
-    def test_header_not_an_object(self, tmp_path):
-        manifest = self._saved(tmp_path)
+    @pytest.fixture()
+    def manifest(self, tmp_path, tiny_run):
+        return shutil.copytree(tiny_run, tmp_path / "run") / "checkpoint.json"
+
+    def test_header_not_an_object(self, manifest):
         _rewrite_line(manifest, 0, lambda line: "[]")
-        with pytest.raises(FormatError, match="not a tensor store"):
-            read_tensor_store(manifest)
+        with pytest.raises(FormatError, match="checkpoint: .* is not a tensor "
+                           "store"):
+            load_checkpoint(manifest)
 
-    def test_truncated_entry_line(self, tmp_path):
-        manifest = self._saved(tmp_path)
+    def test_truncated_entry_line(self, manifest):
         _rewrite_line(manifest, 2, lambda line: line[:-5])
         with pytest.raises(FormatError, match="line 3"):
-            read_tensor_store(manifest)
+            load_checkpoint(manifest)
 
-    @pytest.mark.parametrize("key", ["name", "offset", "shape", "dtype"])
-    def test_entry_missing_key(self, tmp_path, key):
-        manifest = self._saved(tmp_path)
+    @pytest.mark.parametrize("key", ["name", "shape"])
+    def test_entry_missing_key(self, manifest, key):
         _rewrite_line(manifest, 1, _edit_json(lambda e: e.pop(key)))
         with pytest.raises(FormatError, match="line 2.*" + key):
-            read_tensor_store(manifest)
+            load_checkpoint(manifest)
 
-    def test_duplicate_tensor_name(self, tmp_path):
-        manifest = self._saved(tmp_path)
-        _rewrite_line(manifest, 2, _edit_json(lambda e: e.update(name="a")))
-        with pytest.raises(FormatError, match="line 3.*duplicate tensor 'a'"):
-            read_tensor_store(manifest)
+    def test_duplicate_tensor_name(self, manifest):
+        first = json.loads(manifest.read_text().splitlines()[1])["name"]
+        _rewrite_line(manifest, 2, _edit_json(lambda e: e.update(name=first)))
+        with pytest.raises(FormatError,
+                           match=f"line 3.*duplicate tensor '{first}'"):
+            load_checkpoint(manifest)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name, index", [("a", 0), ("b", 6)])
-    def test_non_finite_value_rejected(self, tmp_path, value, name, index):
-        manifest = self._saved(tmp_path)
-        blob = manifest.with_suffix(".blob")
-        data = np.frombuffer(blob.read_bytes(), dtype="<f8").copy()
-        data[index] = value
-        blob.write_bytes(data.tobytes())
-        with pytest.raises(FormatError,
-                           match=f"store.json line .: tensor '{name}'.*non-finite"):
-            read_tensor_store(manifest)
+    @pytest.mark.parametrize("name", ["binary.lin1.W", "stats.precisions"])
+    def test_non_finite_value_rejected(self, manifest, value, name):
+        # the header's crc32 follows the new bytes, so finiteness is checked
+        set_tensor_value(manifest, name, value)
+        with pytest.raises(FormatError, match=re.escape(
+                f"checkpoint: {manifest} line 1: tensor '{name}' holds a "
+                "non-finite value")):
+            load_checkpoint(manifest)
 
-    def test_trailing_blob_bytes_rejected(self, tmp_path):
-        manifest = self._saved(tmp_path)
+    def test_trailing_blob_bytes_rejected(self, manifest):
         blob = manifest.with_suffix(".blob")
+        size = len(blob.read_bytes())
         blob.write_bytes(blob.read_bytes() + b"\0" * 8)
-        with pytest.raises(FormatError, match="store.json line 3: last tensor "
-                           "'b'.*store.blob holds 88 bytes.*take 80"):
-            read_tensor_store(manifest)
+        with pytest.raises(FormatError, match=re.escape(
+                f"checkpoint.json line 1: last tensor 'stats.precisions': "
+                f"blob checkpoint.blob holds {size + 8} bytes, but its "
+                f"{size // 8} values take {size}")):
+            load_checkpoint(manifest)
 
-    def test_nan_store_with_junk_tail_rejected(self, tmp_path):
-        manifest = write_tensor_store(tmp_path, "store",
-                                      {"w": np.array([np.nan, 1.0, 1.0])}, {})
+    def test_nan_store_with_junk_tail_rejected(self, manifest):
+        # the byte length is checked before the values
+        set_tensor_value(manifest, "stats.means", np.nan)
         blob = manifest.with_suffix(".blob")
         blob.write_bytes(blob.read_bytes() + b"\xff" * 8)
-        with pytest.raises(FormatError, match="tensor 'w'.*non-finite"):
-            read_tensor_store(manifest)
+        with pytest.raises(FormatError, match="last tensor 'stats.precisions'"
+                           ": blob checkpoint.blob holds"):
+            load_checkpoint(manifest)
 
-    @pytest.mark.parametrize("offset", [0, 8, 40, 56, -8, 10**30, -10**30,
-                                        2**63])
-    def test_overlapping_or_gapped_offsets_rejected(self, tmp_path, offset):
-        # 'b' starts right after the 48 bytes of 'a'; any other offset
-        # overlaps 'a' or leaves a gap, even one no int64 holds
-        manifest = self._saved(tmp_path)
-        _rewrite_line(manifest, 2, _edit_json(lambda e: e.update(offset=offset)))
-        with pytest.raises(FormatError, match="line 3: tensor 'b' has offset "
-                           f"{offset}; in manifest order it starts at 48"):
-            read_tensor_store(manifest)
-
-    def test_negative_shape_rejected(self, tmp_path):
-        manifest = self._saved(tmp_path)
+    def test_negative_shape_rejected(self, manifest):
         _rewrite_line(manifest, 2, _edit_json(lambda e: e.update(shape=[-1])))
         with pytest.raises(FormatError, match="line 3.*non-negative"):
-            read_tensor_store(manifest)
+            load_checkpoint(manifest)
+
+    def test_version_1_checkpoint_names_the_version(self, manifest):
+        _rewrite_line(manifest, 0, _edit_json(lambda h: h.update(version=1)))
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(manifest)
+        assert str(info.value) == (
+            f"checkpoint: {manifest} is a version 1 checkpoint; this mmood "
+            "reads version 2 only, so rerun `mmood train` to write it again")
+
+    def test_entries_are_sorted_names_and_shapes(self, manifest):
+        header, *entries = map(json.loads, manifest.read_text().splitlines())
+        blob = manifest.with_suffix(".blob").read_bytes()
+        assert sorted(header) == ["crc32", "format", "meta", "version"]
+        assert (header["format"], header["version"], header["crc32"]) == \
+            ("tensor-store", 2, zlib.crc32(blob))
+        assert all(sorted(entry) == ["name", "shape"] for entry in entries)
+        names = [entry["name"] for entry in entries]
+        assert names == sorted(names)
+        assert len(blob) == 8 * sum(np.prod(e["shape"], dtype=int)
+                                    for e in entries)
+
+    @pytest.mark.parametrize("names", [
+        ("encoder.T.block.attn.k.W", "encoder.V.block.attn.q.W"),
+        ("binary.lin1.W", "stats.covs"),
+    ], ids=["equal-shapes", "other-shapes"])
+    def test_swapped_entry_lines_load_the_same_values(self, manifest, names):
+        # each slice follows from the sorted names, not from line order
+        before = load_checkpoint(manifest)
+        lines = manifest.read_text().splitlines()
+        i, j = (next(n for n, line in enumerate(lines)
+                     if f'"name": "{name}"' in line) for name in names)
+        lines[i], lines[j] = lines[j], lines[i]
+        manifest.write_text("\n".join(lines) + "\n")
+        (model, stats, feats, logits, _), after = before, \
+            load_checkpoint(manifest)
+        assert np.array_equal(model.values, after[0].values)
+        for field, value in vars(stats).items():
+            assert np.array_equal(value, getattr(after[1], field))
+        assert np.array_equal(feats, after[2])
+        assert np.array_equal(logits, after[3])
 
 
 def widened(corpus: Corpus) -> Corpus:
@@ -638,26 +661,21 @@ class TestContainerRules:
         size = len(corpus) * 4 * 6 * 4
         with pytest.raises(FormatError, match="line 1: last record "
                            f"'{corpus.ids[-1]}' modality V: blob seq_V.blob "
-                           f"holds {size - 4} bytes, but its records take {size}"):
+                           f"holds {size - 4} bytes, but its {size // 4} "
+                           f"values take {size}"):
             load_corpus(manifest)
 
-    def test_short_store_blob_names_last_tensor(self, tmp_path):
-        manifest = write_tensor_store(tmp_path, "store", {"a": np.ones(3)}, {})
+    def test_short_store_blob_names_last_tensor(self, tmp_path, tiny_run):
+        manifest = shutil.copytree(tiny_run, tmp_path / "run") / \
+            "checkpoint.json"
         blob = manifest.with_suffix(".blob")
+        size = len(blob.read_bytes())
         blob.write_bytes(blob.read_bytes()[:-8])
-        with pytest.raises(FormatError, match="store.json line 2: last tensor "
-                           "'a': blob store.blob holds 16 bytes, but its "
-                           "tensors take 24"):
-            read_tensor_store(manifest)
-
-    def test_store_entry_of_another_dtype_rejected(self, tmp_path):
-        # the writer stores every tensor as <f8; the reader takes no other
-        manifest = write_tensor_store(tmp_path, "store",
-                                      {"a": np.ones(3), "b": np.ones(2)}, {})
-        _rewrite_line(manifest, 2, _edit_json(lambda e: e.update(dtype="<f4")))
-        with pytest.raises(FormatError, match="store.json line 3: malformed "
-                           "tensor 'b' .*dtype '<f4' is not '<f8'"):
-            read_tensor_store(manifest)
+        with pytest.raises(FormatError, match=re.escape(
+                "checkpoint.json line 1: last tensor 'stats.precisions': blob "
+                f"checkpoint.blob holds {size - 8} bytes, but its {size // 8} "
+                f"values take {size}")):
+            load_checkpoint(manifest)
 
 
 class TestOneBufferDecode:

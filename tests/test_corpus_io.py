@@ -113,17 +113,24 @@ def test_canonical_synth_bytes_are_pinned(tmp_path):
 
 
 def test_canonical_checkpoint_blob_is_pinned(tmp_path):
-    # sha256 of the checkpoint.blob ``mmood train`` writes on that corpus:
-    # the trained parameters, class statistics and train-feature cache
+    # sha256 of the checkpoint ``mmood train`` writes on that corpus: the
+    # blob holds the trained parameters, class statistics and train-feature
+    # cache, the manifest (tensor-store version 2) the header and the names
+    # and shapes
     cfg = str(REPO / "scripts" / "canonical.ini")
     corpus, run = str(tmp_path / "corpus"), str(tmp_path / "run")
     assert main(["synth", "--config", cfg, "--out", corpus,
                  "--seed", "0"]) == 0
     assert main(["train", "--config", cfg, "--corpus", corpus, "--out", run,
                  "--seed", "0"]) == 0
-    blob = (tmp_path / "run" / "checkpoint.blob").read_bytes()
-    assert hashlib.sha256(blob).hexdigest() == \
-        "05165acf8d12c31bcbcae1a07066df1ab799d703d62eb97b38fff3e159b29fd3"
+    digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes())
+               .hexdigest() for name in ("checkpoint.blob", "checkpoint.json")}
+    assert digests == {
+        "checkpoint.blob":
+            "05165acf8d12c31bcbcae1a07066df1ab799d703d62eb97b38fff3e159b29fd3",
+        "checkpoint.json":
+            "8886147406fcdb93b6db4ee70bf47ca17f6ddc9d45f1224808d79748f184bcc5",
+    }
 
 
 class TestManifestWriter:
