@@ -7,7 +7,7 @@ dtype its schema fixes. A blob is read whole, once, straight into the
 array returned, and checked in one order: its byte length must be what
 the manifest's sizes make it, its ``zlib.crc32`` what the header records,
 and every value finite. A schema (the corpus, the checkpoint) lays out
-its values in the blob and checks its own header and entry fields.
+its values and checks its header, its entries and what the values mean.
 """
 
 from __future__ import annotations
@@ -42,22 +42,6 @@ def write_jsonl(path: Path, objects) -> Path:
     return path
 
 
-_DECODER = json.JSONDecoder()
-
-
-def loads_line(line: str):
-    """``json.loads(line)``, minus its whitespace scans when ``line`` is one
-    bare JSON value; any other line goes to ``json.loads``, so every value
-    it accepts and every error it raises stay ``json.loads``'s."""
-    try:
-        value, end = _DECODER.raw_decode(line)
-        if end == len(line):
-            return value
-    except ValueError:
-        pass
-    return json.loads(line)
-
-
 def read_manifest(path: Path, schema: Schema, parse_header, parse_entry):
     """``(parse_header(header), rows)`` of a checked manifest; a row is an
     entry's line number and ``parse_entry(entry, parsed header)``, whose
@@ -77,7 +61,7 @@ def read_manifest(path: Path, schema: Schema, parse_header, parse_entry):
     if not lines:
         raise FormatError(f"{mod}: manifest {path} is empty")
     try:
-        header = loads_line(lines[0])
+        header = json.loads(lines[0])
         if not isinstance(header, dict) or \
                 header.get("format") != schema.format:
             raise FormatError(f"{mod}: {path} is not a {schema.kind}")
@@ -92,7 +76,7 @@ def read_manifest(path: Path, schema: Schema, parse_header, parse_entry):
             continue
         entry = None
         try:
-            entry = loads_line(line)
+            entry = json.loads(line)
             row = (lineno, *parse_entry(entry, parsed))
         except (AttributeError, KeyError, TypeError, ValueError,
                 RecursionError) as exc:

@@ -1,13 +1,14 @@
-"""Checkpoint serialization: model params, class stats, and feature cache.
+"""Checkpoint serialization: model parameters and the train-feature cache.
 
-A checkpoint is a blobio container, ``tensor-store`` version 2:
+A checkpoint is a blobio container, ``tensor-store`` version 3:
 ``checkpoint.json`` holds a header (the blob's crc32 and the ``meta`` the
 model is rebuilt from), then one ``{"name", "shape"}`` line per tensor;
-``checkpoint.blob`` holds every tensor at float64, in sorted-name order,
-so a reloaded model reproduces evaluation outputs bit-exactly. The reader
-slices the blob by the sorted names and their shapes, so the order of the
-manifest lines means nothing. A version-1 checkpoint (a byte offset and
-dtype per tensor, no crc32) fails: rerun ``mmood train``.
+``checkpoint.blob`` holds every tensor at float64 in sorted-name order (the
+manifest's line order means nothing), so a reloaded model reproduces
+evaluation outputs bit-exactly. Beside the parameters it keeps the fused
+train features ``cache.features`` (N, D) and their labels ``cache.labels``
+(N,); the class statistics are refit from those at load, so they cannot
+disagree with them. A version-1 or -2 checkpoint fails: rerun ``mmood train``.
 """
 
 from __future__ import annotations
@@ -23,28 +24,23 @@ import numpy as np
 
 from .blobio import Schema, read_blob, read_manifest, write_jsonl
 from .corpus import CorpusMeta
-from .errors import FormatError
+from .errors import FormatError, PipelineError
 from .model import FusionModel, ModelHyper
-from .scoring import ClassStats
+from .scoring import fit_class_stats
 from .train import TrainedModel
 
 CHECKPOINT_NAME = "checkpoint"
-VERSION = 2
+VERSION = 3
 STORAGE = np.dtype("<f8")  # blob precision
 SCHEMA = Schema(module="checkpoint", format="tensor-store",
                 kind="tensor store", entry="tensor", key="name")
-# fitted inference state stored beside the model parameters: one tensor per
-# ClassStats field, then the training feature cache
-STATS = {f.name: f"stats.{f.name}" for f in fields(ClassStats)}
 
 
 def save_checkpoint(trained: TrainedModel, directory) -> Path:
     model = trained.model
     tensors = {**{name: p.value for name, p in model.named_params().items()},
-               **{name: getattr(trained.class_stats, field)
-                  for field, name in STATS.items()},
                "cache.features": trained.train_features,
-               "cache.logits": trained.train_logits}
+               "cache.labels": trained.train_labels}
 
     cfg = trained.train_cfg
     meta = {
@@ -69,7 +65,7 @@ def save_checkpoint(trained: TrainedModel, directory) -> Path:
 
 
 def _header(header, path: Path) -> tuple:
-    """``(meta, crc32)`` of a version-2 header."""
+    """``(meta, crc32)`` of a version-3 header."""
     if header.get("version") != VERSION:
         raise FormatError(
             f"checkpoint: {path} is a version {header.get('version')!r} "
@@ -92,10 +88,11 @@ def _tensor(entry, _) -> tuple:
     return name, shape
 
 
-def _model_from_header(meta, manifest: Path) -> FusionModel:
-    """The unbound model a checkpoint header describes; ``hyper`` must
+def _from_header(meta, manifest: Path) -> tuple:
+    """``(unbound model, cov_eps)`` of a checkpoint header: ``hyper`` must
     carry exactly the ``ModelHyper`` fields, each of the type of its
-    default (an int stands for a float)."""
+    default (an int stands for a float), and ``train_config.cov_eps`` be
+    null or a finite number >= 0."""
     try:
         hyper = meta["hyper"]
         kinds = {f.name: type(f.default) for f in fields(ModelHyper)}
@@ -108,11 +105,15 @@ def _model_from_header(meta, manifest: Path) -> FusionModel:
                     != (float, int):
                 raise TypeError(f"hyper.{key} = {value!r} is not a "
                                 f"{kinds[key].__name__}")
+        eps = meta["train_config"]["cov_eps"]
+        if not (eps is None or type(eps) in (int, float)
+                and 0 <= float(eps) < math.inf):
+            raise ValueError(f"cov_eps {eps!r} is not null or finite >= 0")
         corpus_meta = CorpusMeta(
             num_classes=meta["num_classes"],
             shapes={m: tuple(s) for m, s in meta["shapes"].items()},
         )
-        return FusionModel(corpus_meta, ModelHyper(**hyper))
+        return FusionModel(corpus_meta, ModelHyper(**hyper)), eps
     except (AttributeError, KeyError, TypeError, ValueError,
             OverflowError) as exc:
         raise FormatError(f"checkpoint: {manifest}: malformed header "
@@ -120,9 +121,10 @@ def _model_from_header(meta, manifest: Path) -> FusionModel:
 
 
 def load_checkpoint(directory):
-    """Rebuild the model and fitted statistics from a checkpoint directory.
+    """Rebuild the model from a checkpoint directory and refit its class
+    statistics from the cached train features and labels.
 
-    Returns ``(model, class_stats, train_features, train_logits, meta)``.
+    Returns ``(model, class_stats, train_features, meta)``.
     """
     manifest = Path(directory)
     if manifest.is_dir():
@@ -130,20 +132,15 @@ def load_checkpoint(directory):
     (meta, crc), rows = read_manifest(
         manifest, SCHEMA, lambda header: _header(header, manifest), _tensor)
     stored = {name: shape for _, name, shape in rows}
-    model = _model_from_header(meta, manifest)
+    model, eps = _from_header(meta, manifest)
 
     # every name and shape is checked once, before anything is allocated or
     # the blob is read, so a huge header size costs nothing and a dropped or
-    # reshaped entry is named, not reported as the blob length it changes;
-    # the fitted state fits K classes, D shared dims and N cached rows
+    # reshaped entry is named, not reported as the blob length it changes
     named = model.named_params()
-    k, d = model.num_classes, model.d_shared
     n = (stored.get("cache.features") or (0,))[0]
     expected = {**{name: p.shape for name, p in named.items()},
-                STATS["means"]: (k, d), STATS["covs"]: (k, d, d),
-                STATS["counts"]: (k,), STATS["eps"]: (k,),
-                STATS["precisions"]: (k, d, d),
-                "cache.features": (n, d), "cache.logits": (n, k)}
+                "cache.features": (n, model.d_shared), "cache.labels": (n,)}
     missing = sorted(expected.keys() - stored.keys())
     extra = sorted(stored.keys() - expected.keys())
     if missing or extra:
@@ -165,15 +162,15 @@ def load_checkpoint(directory):
     model.bind()
     for name, param in named.items():
         param.value[...] = tensors[name]
-    counts = tensors[STATS["counts"]]
-    # bounded by n before the sum, so a huge count cannot overflow it
-    if not (np.all(counts == np.floor(counts))
-            and np.all((counts >= 2) & (counts <= n)) and counts.sum() == n):
-        raise FormatError(f"checkpoint: {manifest}: tensor "
-                          f"{STATS['counts']!r} holds {counts.tolist()}; "
-                          f"expected whole numbers >= 2 that sum to the {n} "
-                          "cached rows")
-    stats = ClassStats(**{field: tensors[name]
-                          for field, name in STATS.items()})
-    stats.counts = stats.counts.astype(np.int64)
-    return model, stats, tensors["cache.features"], tensors["cache.logits"], meta
+    labels, k = tensors["cache.labels"], model.num_classes
+    if (bad := (labels % 1 != 0) | (labels < 0) | (labels >= k)).any():
+        raise FormatError(f"checkpoint: {manifest}: tensor 'cache.labels' "
+                          f"holds {float(labels[bad.argmax()])!r}; expected "
+                          f"whole numbers in 0..{k - 1}")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            stats = fit_class_stats(tensors["cache.features"], labels, k, eps)
+    except (PipelineError, FloatingPointError) as exc:
+        raise FormatError(f"checkpoint: {manifest}: cannot refit the class "
+                          f"statistics from the cache ({exc})") from exc
+    return model, stats, tensors["cache.features"], meta

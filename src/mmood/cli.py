@@ -25,7 +25,7 @@ from tempfile import TemporaryDirectory
 
 import numpy as np
 
-from .blobio import loads_line, write_jsonl
+from .blobio import write_jsonl
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
 from .corpus import OOD_LABEL, Corpus, load_corpus, save_corpus, synth_corpus
@@ -155,8 +155,8 @@ def run_synth(cfg: RunConfig, out_dir, seed: int) -> Path:
 # -- scoring ----------------------------------------------------------------
 
 
-def _score(model, stats, train_feats, train_logits, feats: np.ndarray,
-           labels: np.ndarray, scorers: list[str]):
+def _score(model, stats, train_feats, feats: np.ndarray, labels: np.ndarray,
+           scorers: list[str]):
     """``(ID flags, IdMetrics, {scorer: OOD scores})`` of the test records'
     features ``feats`` and labels ``labels``, so the corpus need not be
     alive while the scorers are fitted; every command that reports on a
@@ -165,7 +165,7 @@ def _score(model, stats, train_feats, train_logits, feats: np.ndarray,
     flags = labels != OOD_LABEL
     idm = id_metrics(logits[flags].argmax(axis=1), labels[flags],
                      model.num_classes)
-    scores = {}
+    train_logits, scores = model.logits_for(train_feats), {}
     for variant in scorers:
         state = fit_scorer(variant, train_feats, train_logits, stats,
                            model.num_classes)
@@ -182,8 +182,8 @@ def _test_row(trained, corpus: Corpus) -> dict:
         return {}
     flags, idm, scores = _score(
         trained.model, trained.class_stats, trained.train_features,
-        trained.train_logits, trained.model.features_for(corpus, rows),
-        labels, ["mahalanobis"] if (labels == OOD_LABEL).any() else [])
+        trained.model.features_for(corpus, rows), labels,
+        ["mahalanobis"] if (labels == OOD_LABEL).any() else [])
     row = {"acc": idm.acc, "wf1": idm.wf1}
     for raw in scores.values():
         row.update(asdict(ood_metrics(raw, flags)))
@@ -283,7 +283,7 @@ def run_eval(checkpoint_dir, corpus: Corpus, scorers: list[str],
                                        heads[block], raw[block].tolist(),
                                        norm[block].tolist())])
 
-        report = EvalReport(id_metrics=idm, ood_metrics={
+        report = EvalReport(records=len(ids), id_metrics=idm, ood_metrics={
             variant: ood_metrics(raw, flags) for variant, raw in scores.items()})
         _write_json(stage / "eval_report.json", asdict(report))
         _write_csv(stage / "metrics.csv", ["scorer", *OOD_METRICS], [
@@ -389,49 +389,55 @@ def _score_row(row) -> tuple:
     return values
 
 
-def _passed_through(fh, path: Path, name: str) -> bool:
-    """Whether a score file is in eval's row layout (ASCII ids, finite JSON
-    floats), read ``SCORE_BLOCK`` lines at a time; each block that is goes
-    to ``fh`` as ``scores_long.csv`` lines led by ``name``, number text
-    passed through."""
+def _passed_through(fh, path: Path, name: str) -> int | None:
+    """The row count of a score file in eval's row layout (ASCII ids,
+    finite JSON floats), read ``SCORE_BLOCK`` lines at a time, or None if
+    it is not; each block that is goes to ``fh`` as ``scores_long.csv``
+    lines led by ``name``, number text passed through."""
+    count = 0
     try:
         with open(path, encoding="utf-8") as src:
             while text := "".join(islice(src, SCORE_BLOCK)):
                 rows = _SCORE_ROW.findall(text)
                 if len(rows) != len(text.splitlines()):
-                    return False
+                    return None
                 ids, flags, norms, raws = zip(*rows)
                 ids = [json.loads(f'"{i}"') if "\\" in i else i for i in ids]
                 "".join(ids).encode("utf-8")
                 if not all(map(math.isfinite, map(float, norms + raws))):
-                    return False
+                    return None
                 fh.writelines([f"{name},{_csv_field(i)},{int(f == 'true')},"
                                f"{r},{n}\n" for i, f, r, n
                                in zip(ids, flags, raws, norms)])
+                count += len(rows)
     except ValueError:  # not UTF-8, or an escape or id JSON rejects
-        return False
-    return True
+        return None
+    return count
 
 
-def _write_scores(fh, path: Path, name: str) -> None:
-    """Write a score file's ``scores_long.csv`` lines to ``fh``. A file out
-    of eval's row layout in any block is rewound and walked whole, row by
-    row, which names a bad line; so the bytes are a whole-file read's."""
+def _write_scores(fh, path: Path, name: str, records: int) -> None:
+    """Write a score file's ``scores_long.csv`` lines to ``fh``, one row per
+    scored record. A file out of eval's row layout in any block is rewound
+    and walked whole, row by row, which names a bad line; so the bytes are a
+    whole-file read's."""
     lineno, start = 0, fh.tell()
     try:
-        if _passed_through(fh, path, name):
-            return
-        fh.seek(start)
-        fh.truncate()
-        text = path.read_text(encoding="utf-8")
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            i, flag, r, n = _score_row(loads_line(line))
-            fh.write(f"{name},{_csv_field(i)},{flag:d},{r!r},{n!r}\n")
+        if (count := _passed_through(fh, path, name)) is None:
+            fh.seek(start)
+            fh.truncate()
+            text = path.read_text(encoding="utf-8")
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                i, flag, r, n = _score_row(json.loads(line))
+                fh.write(f"{name},{_csv_field(i)},{flag:d},{r!r},{n!r}\n")
+            count = lineno
     except (KeyError, OSError, TypeError, ValueError, RecursionError) as exc:
         where = f" line {lineno}: malformed score row" if lineno \
             else ": unreadable score file"
         raise FormatError(f"cli: {path}{where} "
                           f"({type(exc).__name__}: {exc})") from exc
+    if count != records:
+        raise FormatError(f"cli: {path}: holds {count} score rows, but the "
+                          f"eval report scored {records} records")
 
 
 def _check_input(path: Path, hint: str) -> None:
@@ -460,6 +466,9 @@ def run_report(eval_dir, out_dir=None) -> Path:
                        for k, v in sorted(report["id_metrics"].items())
                        if k not in ("per_class_acc", "confusion")]
             scorers = _ood_scorers(report["ood_metrics"])
+            records = report["records"]
+            if type(records) is not int or records < 1:
+                raise ValueError(f"records = {records!r}; expected an int >= 1")
         except OSError as exc:
             raise FormatError(
                 f"cli: cannot read {report_path} ({exc})") from exc
@@ -477,7 +486,7 @@ def run_report(eval_dir, out_dir=None) -> Path:
                 scores_path = eval_dir / f"scores_{scorer}.jsonl"
                 _check_input(scores_path, "the eval report lists scorer "
                              f"{scorer!r}")
-                _write_scores(fh, scores_path, _csv_field(scorer))
+                _write_scores(fh, scores_path, _csv_field(scorer), records)
         _write_csv(stage / "id_metrics.csv", ["metric", "value"], id_rows)
     return out_dir
 

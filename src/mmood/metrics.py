@@ -43,6 +43,7 @@ class OodMetrics:
 
 @dataclass
 class EvalReport:
+    records: int  # test records scored: each score file holds one row each
     id_metrics: IdMetrics
     ood_metrics: dict[str, OodMetrics]
 

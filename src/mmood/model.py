@@ -124,15 +124,14 @@ class FusionModel:
 
     # -- evaluation helpers ------------------------------------------------
 
-    def features_for(self, corpus: Corpus, rows: Array | None = None) -> Array:
-        """Eval-mode fused features of the records ``rows`` (by default
-        every record), (len(rows), d_shared), 256 records at a time into
-        one preallocated array: each chunk is gathered by row index and
-        widened to float64 from the corpus's storage precision, so no split
-        of the corpus is copied.
+    def features_for(self, corpus: Corpus, rows: Array) -> Array:
+        """Eval-mode fused features of the records ``rows`` of ``corpus``,
+        (len(rows), d_shared), 256 records at a time into one preallocated
+        array: each chunk is gathered by row index and widened to float64
+        from the corpus's storage precision, so no split of the corpus is
+        copied.
         The encoders run one modality at a time and keep no backward cache,
         so one modality's chunk and activations are alive at a time."""
-        rows = np.arange(len(corpus)) if rows is None else rows
         out, chunk = np.empty((len(rows), self.d_shared)), 256
         for start in range(0, len(rows), chunk):
             idx = rows[start:start + chunk]

@@ -110,7 +110,7 @@ class TrainedModel:
     model: FusionModel
     class_stats: ClassStats
     train_features: Array
-    train_logits: Array
+    train_labels: Array
     train_cfg: TrainConfig
     ood_cfg: OodGenConfig
     best: dict
@@ -246,12 +246,12 @@ def train(corpus: Corpus, cfg: TrainConfig, ood_cfg: OodGenConfig) -> TrainedMod
     del best_values  # before the feature pass, which sets the memory peak
 
     train_features = model.features_for(corpus, train_rows)
-    train_logits = model.logits_for(train_features)
-    class_stats = fit_class_stats(train_features, corpus.labels[train_rows],
+    train_labels = corpus.labels[train_rows]
+    class_stats = fit_class_stats(train_features, train_labels,
                                   corpus.num_classes, eps=cfg.cov_eps)
     return TrainedModel(
         model=model, class_stats=class_stats,
-        train_features=train_features, train_logits=train_logits,
+        train_features=train_features, train_labels=train_labels,
         train_cfg=cfg, ood_cfg=ood_cfg, best=best, log=log,
     )
 

@@ -121,7 +121,7 @@ def micro(tmp_path):
 @pytest.fixture(scope="session")
 def tiny_run(tmp_path_factory):
     """The directory of a checkpoint of one-value modalities and one-wide
-    layers, trained one epoch per stage: 83 tensor values, a 664-byte blob.
+    layers, trained one epoch per stage: 69 tensor values, a 552-byte blob.
     Read-only; copy it to change it."""
     shapes = {m: ModalitySynth(seq_len=1, dim=1) for m in ("T", "V", "A")}
     corpus = synth_corpus(SynthConfig(num_classes=2, n_train=4, n_valid=2,
@@ -151,7 +151,7 @@ def separable_pipeline():
     )
     trained = train(corpus, cfg, OodGenConfig())
     test = split(corpus, "test")
-    feats = trained.model.features_for(test)
+    feats = trained.model.features_for(test, np.arange(len(test)))
     logits = trained.model.logits_for(feats)
     flags = ~is_ood(test)
     return {

@@ -260,15 +260,15 @@ def mahalanobis_row_oracle(trained, corpus):
     if len(test) == 0:
         return {}
     flags = ~is_ood(test)
-    feats = trained.model.features_for(test)
+    feats = trained.model.features_for(test, np.arange(len(test)))
     logits = trained.model.logits_for(feats)
     preds = logits[flags].argmax(axis=1)
     idm = id_metrics(preds, test.labels[flags], corpus.num_classes)
     row = {"acc": idm.acc, "wf1": idm.wf1}
     if not flags.all():
         state = fit_scorer("mahalanobis", trained.train_features,
-                           trained.train_logits, trained.class_stats,
-                           corpus.num_classes)
+                           trained.model.logits_for(trained.train_features),
+                           trained.class_stats, corpus.num_classes)
         scores = apply_scorer(state, feats, logits)
         row.update(dataclasses.asdict(ood_metrics(scores, flags)))
     return row

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import mmood.cli
-from mmood.checkpoint import load_checkpoint
+from mmood.checkpoint import load_checkpoint, save_checkpoint
 from mmood.cli import (main, run_ablation, run_eval, run_report, run_synth,
                        run_training)
 from mmood.config import load_config
@@ -29,7 +29,8 @@ from mmood.errors import (FormatError, NumericalError, ParameterError,
                           PipelineError)
 from mmood.model import FusionModel
 from mmood.numerics import make_rng
-from mmood.scoring import SCORERS, apply_scorer, fit_scorer, normalize_scores
+from mmood.scoring import (SCORERS, apply_scorer, fit_class_stats, fit_scorer,
+                           normalize_scores)
 from mmood.train import train
 from conftest import MICRO_INI, is_ood, set_tensor_value, split, take
 from oracles import mahalanobis_row_oracle, score_file_oracle
@@ -108,7 +109,7 @@ class TestTrain:
         assert main(["train", "--config", str(micro["cfg"]), "--corpus",
                      str(micro["corpus"]), "--out", str(out),
                      "--seed", "0"]) == 0
-        model, stats, feats, logits, meta = load_checkpoint(out)
+        model, stats, feats, meta = load_checkpoint(out)
         assert stats.means.shape == (3, 8)
         assert feats.shape[0] == 48
         assert (out / "train_log.jsonl").exists()
@@ -494,8 +495,8 @@ class TestCheckpointErrors:
             load_checkpoint(out)
 
     @pytest.mark.parametrize("edit, name", [
-        ("rename", "stats.means"),
-        ("drop", "cache.logits"),
+        ("rename", "cache.labels"),
+        ("drop", "cache.features"),
     ])
     def test_state_tensor_named_in_error(self, micro, capsys, edit, name):
         out = micro["tmp"] / "run_state"
@@ -519,10 +520,10 @@ class TestCheckpointErrors:
         assert f"missing=['{name}']" in err
 
     @pytest.mark.parametrize("name, edit", [
-        ("stats.counts", "negative"),
-        ("stats.means", lambda k, d: [2 * k, d // 2]),
-        ("cache.logits", lambda n, k: [n // 3, 3 * k]),
-    ], ids=["negative-count", "reshaped-means", "short-logits"])
+        ("cache.labels", "negative"),
+        ("cache.features", lambda n, d: [2 * n, d // 2]),
+        ("cache.labels", lambda n: [n // 2, 2]),
+    ], ids=["negative-label", "reshaped-features", "2d-labels"])
     def test_bad_state_tensor_exits_1(self, micro, capsys, name, edit):
         out = micro["tmp"] / "run_state"
         assert main(["train", "--config", str(micro["cfg"]), "--corpus",
@@ -560,6 +561,60 @@ class TestCheckpointErrors:
             load_checkpoint(out)
 
 
+class TestCacheRefit:
+    """A checkpoint keeps the train features and labels, and the class
+    statistics are refit from them at load; a cache they cannot be refit
+    from fails with one ``error: checkpoint:`` line and no warning."""
+
+    @pytest.mark.parametrize("cov_eps", [None, 0.5])
+    def test_loaded_stats_are_the_refit_of_the_cache(self, micro, cov_eps):
+        cfg = load_config(micro["cfg"])
+        corpus = load_corpus(micro["corpus"])
+        trained = train(corpus, replace(cfg.train, cov_eps=cov_eps),
+                        cfg.oodgen)
+        run = save_checkpoint(trained, micro["tmp"] / "run").parent
+        _, stats, feats, meta = load_checkpoint(run)
+        assert meta["train_config"]["cov_eps"] == cov_eps
+        assert np.array_equal(feats, trained.train_features)
+        refit = fit_class_stats(feats, trained.train_labels, 3, cov_eps)
+        for field, value in vars(stats).items():
+            for other in (refit, trained.class_stats):
+                assert value.dtype == getattr(other, field).dtype
+                assert np.array_equal(value, getattr(other, field))
+
+    @pytest.mark.parametrize("edit, message", [
+        (("cache.labels", [1.5]), "tensor 'cache.labels' holds 1.5; expected "
+                                  "whole numbers in 0..2"),
+        (("cache.labels", [3.0]), "tensor 'cache.labels' holds 3.0; expected "
+                                  "whole numbers in 0..2"),
+        # class 2 keeps one of the 48 rows; classes 0 and 1 take the rest
+        (("cache.labels", [2] + [i % 2 for i in range(1, 48)]),
+         "cannot refit the class statistics from the cache (scoring: class 2 "
+         "has 1 training records, need >= 2 for a covariance)"),
+        (("cache.features", [1e300]), "cannot refit the class statistics "
+                                      "from the cache (overflow encountered "),
+    ], ids=["non-whole-label", "label-k", "one-row-class", "feature-1e300"])
+    def test_eval_exits_1_without_warning(self, micro, capsys, edit,
+                                          message):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        manifest = run / "checkpoint.json"
+        name, values = edit
+        for index, value in enumerate(values):
+            set_tensor_value(manifest, name, value, index)
+        capsys.readouterr()
+        out = micro["tmp"] / "e"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["eval", "--config", str(micro["cfg"]),
+                         "--checkpoint", str(run), "--corpus",
+                         str(micro["corpus"]), "--out", str(out)]) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint: {manifest}: {message}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 def _corrupt_entry(path, corruption):
     """Break a checkpoint in one named way: its header, the tensor on line 3
     or its blob."""
@@ -572,8 +627,8 @@ def _corrupt_entry(path, corruption):
         return
     if corruption == "duplicate":
         third["name"] = second["name"]
-    elif corruption == "version_1":
-        header["version"] = 1
+    elif corruption.startswith("version_"):
+        header["version"] = int(corruption[-1])
     elif corruption == "no_crc32":
         del header["crc32"]
     elif corruption == "trailing":
@@ -689,11 +744,13 @@ class TestMalformedManifests:
         ("duplicate", "line 3.*duplicate tensor"),
         ("non_finite", "line 1: tensor 'binary.lin1.b' holds a non-finite"),
         ("trailing", "last tensor .*checkpoint.blob holds"),
-        ("short", "line 1: last tensor 'stats.precisions': blob "
+        ("short", "line 1: last tensor 'fusion.score.V.out.b': blob "
                   "checkpoint.blob holds [0-9]+ bytes, but its"),
         ("flipped_byte", "blob checkpoint.blob has crc32 [0-9]+, but the "
                          "header records [0-9]+"),
         ("version_1", "is a version 1 checkpoint; .*rerun `mmood train`"),
+        ("version_2", "is a version 2 checkpoint; this mmood reads version 3 "
+                      "only, so rerun `mmood train`"),
         ("no_crc32", "line 1: malformed header .*'crc32'"),
     ])
     def test_eval_exits_1_with_error(self, micro, capsys, corruption,
@@ -838,9 +895,15 @@ class TestCheckpointHeader:
         lambda h: h["meta"]["hyper"].update(fusion_hidden=0),
         lambda h: h["meta"]["hyper"].update(attn_heads=3),
         lambda h: h["meta"]["hyper"].update(tau=float("inf")),
+        # the class statistics are refit with this regularization
+        lambda h: h["meta"]["train_config"].pop("cov_eps"),
+        lambda h: h["meta"]["train_config"].update(cov_eps="0.5"),
+        lambda h: h["meta"]["train_config"].update(cov_eps=-0.5),
+        lambda h: h["meta"]["train_config"].update(cov_eps=10**400),
     ], ids=["extra_hyper_key", "no_num_classes", "shapes_list",
             "gamma_string", "meta_list", "no_gamma", "dropout_1.5",
-            "fusion_hidden_0", "attn_heads_3", "tau_infinity"])
+            "fusion_hidden_0", "attn_heads_3", "tau_infinity", "no_cov_eps",
+            "cov_eps_string", "cov_eps_negative", "cov_eps_huge"])
     def test_malformed_header_exits_1(self, micro, capsys, edit):
         run = micro["tmp"] / "run"
         assert main(["train", "--config", str(micro["cfg"]), "--corpus",
@@ -892,7 +955,7 @@ class TestCheckpointHeaderSizes:
         (lambda h: h["hyper"].update(contrast_dim=10**9),
          "contrast.proj.W", (8, 10**9)),
         (lambda h: h.update(num_classes=10**9),
-         "cache.logits", (48, 10**9)),
+         "class.W_cos", (10**9, 8)),
         (lambda h: h["shapes"].update(V=[3, 10**9]),
          "encoder.V.block.attn.k.W", (10**9, 10**9)),
     ], ids=["fusion_hidden", "ffn_hidden", "contrast_dim", "num_classes",
@@ -1106,7 +1169,7 @@ class TestCheckpointTensorTable:
         assert not (micro["tmp"] / "e").exists()
         return capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["encoder.A.out_proj.W", "stats.covs"])
+    @pytest.mark.parametrize("name", ["encoder.A.out_proj.W", "cache.labels"])
     def test_reshaped_tensor_named(self, micro, capsys, monkeypatch, name):
         # one more value than stored, so the layout after it is off too
         run = _train_cli(micro, micro["tmp"] / "run")
@@ -1174,11 +1237,12 @@ class TestScoringCore:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             run_eval(run, test, list(SCORERS), out)
-            model, stats, train_feats, train_logits, _ = load_checkpoint(run)
-            feats = model.features_for(test)
+            model, stats, train_feats, _ = load_checkpoint(run)
+            feats = model.features_for(test, np.arange(len(test)))
             logits = model.logits_for(feats)
             for scorer in SCORERS:
-                state = fit_scorer(scorer, train_feats, train_logits, stats,
+                state = fit_scorer(scorer, train_feats,
+                                   model.logits_for(train_feats), stats,
                                    test.num_classes)
                 scores = apply_scorer(state, feats, logits)
                 name = f"scores_{scorer}.jsonl"
@@ -1327,6 +1391,60 @@ class TestFailedReportWritesNothing:
             assert err == f"error: cli: {path} is not a file\n"
         elif broken.startswith("no_"):
             assert err.startswith(f"error: cli: {path} not found; ")
+        assert not out.exists()
+
+
+class TestReportRecordCount:
+    """``eval_report.json`` counts the test records scored, and each score
+    file it lists must hold exactly that many rows, on the fast path and on
+    the row walk; otherwise one ``error: cli:`` line names both counts and
+    no ``--out`` is created."""
+
+    @pytest.mark.parametrize("walk", [False, True], ids=["fast", "walk"])
+    @pytest.mark.parametrize("scorer, edit, rows", [
+        ("msp", lambda lines: [], 0),
+        ("vim", lambda lines: lines[:5], 5),
+        ("msp", lambda lines: lines + lines[-1:], 37),
+    ], ids=["empty", "cut", "one-extra"])
+    def test_row_count_mismatch_exits_1(self, micro, capsys, monkeypatch,
+                                        walk, scorer, edit, rows):
+        run, evaled = _train_cli(micro, micro["tmp"] / "run"), \
+            micro["tmp"] / "eval"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                         str(run), "--corpus", str(micro["corpus"]), "--out",
+                         str(evaled)]) == 0
+        assert json.loads((evaled / "eval_report.json").read_text())[
+            "records"] == 36
+        scores = evaled / f"scores_{scorer}.jsonl"
+        scores.write_text("".join(edit(scores.read_text().splitlines(
+            keepends=True))))
+        if walk:
+            monkeypatch.setattr(mmood.cli, "_SCORE_ROW", re.compile("(?!)"))
+        capsys.readouterr()
+        out = micro["tmp"] / "new"
+        assert main(["report", str(evaled), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cli: {scores}: holds {rows} score rows, but the eval "
+            "report scored 36 records\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("records", [0, -1, True, 2.0, "2", "missing"])
+    def test_records_not_a_count_exits_1(self, tmp_path, capsys, records):
+        evaled = _eval_dir(tmp_path / "eval", _score_rows(["a", "b"]),
+                           records=records)
+        if records == "missing":
+            report = evaled / "eval_report.json"
+            payload = json.loads(report.read_text())
+            del payload["records"]
+            report.write_text(json.dumps(payload))
+        out = tmp_path / "new"
+        assert main(["report", str(evaled), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cli: {evaled / 'eval_report.json'}: "
+                              "malformed eval report (")
+        assert "records" in err and err.count("\n") == 1
         assert not out.exists()
 
 
@@ -1490,7 +1608,7 @@ class TestNoValidatedEpoch:
             assert "val_wf1" not in text and "best_epoch" not in text
         log = (run / "train_log.jsonl").read_text().splitlines()
         assert json.loads(log[-1]) == {"event": "end", "best": {}}
-        assert load_checkpoint(run)[4]["best"] == {}
+        assert load_checkpoint(run)[3]["best"] == {}
 
 
 def _exits_1_writing_nothing(capsys, argv, out, err):
@@ -1782,12 +1900,15 @@ def _score_rows(ids):
              "raw": 1.5 - k} for k, rec_id in enumerate(ids)]
 
 
-def _eval_dir(path, rows, id_metrics=ID_METRICS, scorers=("msp",)):
+def _eval_dir(path, rows, id_metrics=ID_METRICS, scorers=("msp",),
+              records=None):
     """A hand-written eval directory whose scorers (default: msp) each have
-    a score file holding ``rows`` as ``json.dumps`` writes them."""
+    a score file holding ``rows`` as ``json.dumps`` writes them; its report
+    counts ``records`` scored records (default: one per row)."""
     path.mkdir()
     (path / "eval_report.json").write_text(json.dumps(
-        {"id_metrics": id_metrics,
+        {"id_metrics": id_metrics, "records":
+         len(rows) if records is None else records,
          "ood_metrics": {scorer: OOD_METRICS for scorer in scorers}}))
     for scorer in scorers:
         _write_score_rows(path / f"scores_{scorer}.jsonl", rows)
@@ -2136,11 +2257,11 @@ class TestReportFastPath:
     @staticmethod
     def _fast(evaled, out, monkeypatch):
         """``scores_long.csv`` with the row walk disabled."""
-        def no_walk(line):
-            raise AssertionError(f"row walk reached: {line!r}")
+        def no_walk(row):
+            raise AssertionError(f"row walk reached: {row!r}")
 
         with monkeypatch.context() as patch:
-            patch.setattr(mmood.cli, "loads_line", no_walk)
+            patch.setattr(mmood.cli, "_score_row", no_walk)
             return (run_report(evaled, out) / "scores_long.csv").read_bytes()
 
     @staticmethod
@@ -2176,7 +2297,7 @@ class TestReportFastPath:
             '{"id": "b", "is_id": false, "norm": 0.0, "raw": 1e-5}']
 
     def test_number_text_passes_through(self, tmp_path, monkeypatch):
-        evaled = _eval_dir(tmp_path / "eval", [])
+        evaled = _eval_dir(tmp_path / "eval", [], records=2)
         (evaled / "scores_msp.jsonl").write_text("\n".join(self.ROWS) + "\n")
         assert self._fast(evaled, tmp_path / "fast", monkeypatch) == (
             b"scorer,sample_id,is_id,raw,normalized\n"
@@ -2185,7 +2306,7 @@ class TestReportFastPath:
     def test_file_with_another_layout_is_walked(self, tmp_path):
         """One reordered row sends the whole file to the walk, which writes
         each float as ``repr`` writes it."""
-        evaled = _eval_dir(tmp_path / "eval", [])
+        evaled = _eval_dir(tmp_path / "eval", [], records=3)
         reordered = '{"raw": 0.25, "norm": 0.5, "is_id": true, "id": "c"}'
         (evaled / "scores_msp.jsonl").write_text(
             "\n".join([*self.ROWS, reordered]) + "\n")
@@ -2200,7 +2321,7 @@ class TestReportFastPath:
         '{"is_id": false, "id": "b\\ud800", "norm": 0.5, "raw": 0.5}',
     ], ids=["overflow", "reordered-overflow", "reordered-surrogate"])
     def test_bad_line_is_named(self, tmp_path, line):
-        evaled = _eval_dir(tmp_path / "eval", [])
+        evaled = _eval_dir(tmp_path / "eval", [], records=3)
         (evaled / "scores_msp.jsonl").write_text(
             "\n".join([self.ROWS[0], line, self.ROWS[1]]) + "\n")
         with pytest.raises(FormatError, match=r"scores_msp\.jsonl line 2: "
@@ -2253,7 +2374,7 @@ class TestScoreBlocks:
                  for row in _score_rows([f"r{k}" for k in range(2 * self.B)])]
         lines[self.B + 2] = lines[self.B + 2].replace('"raw": ', '"raw": 1e999,'
                                                       ' "x": ')
-        evaled = _eval_dir(tmp_path / "eval", [])
+        evaled = _eval_dir(tmp_path / "eval", [], records=len(lines))
         (evaled / "scores_msp.jsonl").write_text("\n".join(lines) + "\n")
         for block in (self.B, self.WHOLE):
             with pytest.raises(FormatError, match=r"scores_msp\.jsonl line "
@@ -2271,7 +2392,8 @@ class TestScoreBlocks:
         rows[1] = '{"id": "r1", "is_id": false, "norm": 1.50, "raw": 0.5}'
         rows[self.B + 1] = '{"raw": 0.25, "norm": 0.5, "is_id": true, ' \
             '"id": "c"}'
-        evaled = _eval_dir(tmp_path / "eval", [], scorers=("msp", "vim"))
+        evaled = _eval_dir(tmp_path / "eval", [], scorers=("msp", "vim"),
+                           records=len(rows))
         for name in ("scores_msp.jsonl", "scores_vim.jsonl"):
             (evaled / name).write_text("\n".join(rows) + "\n")
         streamed = self._report(evaled, tmp_path / "b", self.B, monkeypatch)
@@ -2284,7 +2406,7 @@ class TestScoreBlocks:
         lines = [json.dumps(row, sort_keys=True).encode()
                  for row in _score_rows([f"r{k}" for k in range(2 * self.B)])]
         lines[self.B + 1] = lines[self.B + 1].replace(b'"r', b'"\xff')
-        evaled = _eval_dir(tmp_path / "eval", [])
+        evaled = _eval_dir(tmp_path / "eval", [], records=len(lines))
         (evaled / "scores_msp.jsonl").write_bytes(b"\n".join(lines) + b"\n")
         errors = []
         for block in (self.B, self.WHOLE):

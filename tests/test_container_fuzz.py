@@ -131,7 +131,7 @@ def test_every_flipped_checkpoint_blob_byte_raises(tmp_path, tiny_run):
     run = Path(shutil.copytree(tiny_run, tmp_path / "run"))
     blob = run / "checkpoint.blob"
     raw = blob.read_bytes()
-    assert len(raw) == 664
+    assert len(raw) == 552
     message = re.escape(f"checkpoint: {run / 'checkpoint.json'}: blob "
                         "checkpoint.blob has crc32")
     for i in range(len(raw)):

@@ -7,7 +7,6 @@ import zlib
 import numpy as np
 import pytest
 
-from mmood.blobio import loads_line
 from mmood.checkpoint import load_checkpoint
 from mmood.corpus import (
     COLUMNS,
@@ -420,7 +419,7 @@ class TestMalformedManifest:
 
 
 class TestMalformedTensorStore:
-    """A checkpoint's tensor store (version 2), read by ``load_checkpoint``:
+    """A checkpoint's tensor store (version 3), read by ``load_checkpoint``:
     the blob holds the tensors in sorted-name order, so each entry is a
     name and a shape."""
 
@@ -453,7 +452,7 @@ class TestMalformedTensorStore:
             load_checkpoint(manifest)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name", ["binary.lin1.W", "stats.precisions"])
+    @pytest.mark.parametrize("name", ["binary.lin1.W", "cache.labels"])
     def test_non_finite_value_rejected(self, manifest, value, name):
         # the header's crc32 follows the new bytes, so finiteness is checked
         set_tensor_value(manifest, name, value)
@@ -467,18 +466,18 @@ class TestMalformedTensorStore:
         size = len(blob.read_bytes())
         blob.write_bytes(blob.read_bytes() + b"\0" * 8)
         with pytest.raises(FormatError, match=re.escape(
-                f"checkpoint.json line 1: last tensor 'stats.precisions': "
+                f"checkpoint.json line 1: last tensor 'fusion.score.V.out.b': "
                 f"blob checkpoint.blob holds {size + 8} bytes, but its "
                 f"{size // 8} values take {size}")):
             load_checkpoint(manifest)
 
     def test_nan_store_with_junk_tail_rejected(self, manifest):
         # the byte length is checked before the values
-        set_tensor_value(manifest, "stats.means", np.nan)
+        set_tensor_value(manifest, "cache.features", np.nan)
         blob = manifest.with_suffix(".blob")
         blob.write_bytes(blob.read_bytes() + b"\xff" * 8)
-        with pytest.raises(FormatError, match="last tensor 'stats.precisions'"
-                           ": blob checkpoint.blob holds"):
+        with pytest.raises(FormatError, match="last tensor 'fusion.score.V."
+                           "out.b': blob checkpoint.blob holds"):
             load_checkpoint(manifest)
 
     def test_negative_shape_rejected(self, manifest):
@@ -492,14 +491,23 @@ class TestMalformedTensorStore:
             load_checkpoint(manifest)
         assert str(info.value) == (
             f"checkpoint: {manifest} is a version 1 checkpoint; this mmood "
-            "reads version 2 only, so rerun `mmood train` to write it again")
+            "reads version 3 only, so rerun `mmood train` to write it again")
+
+    def test_version_2_checkpoint_names_the_version(self, manifest):
+        # version 2 also stored the class statistics and the train logits
+        _rewrite_line(manifest, 0, _edit_json(lambda h: h.update(version=2)))
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(manifest)
+        assert str(info.value) == (
+            f"checkpoint: {manifest} is a version 2 checkpoint; this mmood "
+            "reads version 3 only, so rerun `mmood train` to write it again")
 
     def test_entries_are_sorted_names_and_shapes(self, manifest):
         header, *entries = map(json.loads, manifest.read_text().splitlines())
         blob = manifest.with_suffix(".blob").read_bytes()
         assert sorted(header) == ["crc32", "format", "meta", "version"]
         assert (header["format"], header["version"], header["crc32"]) == \
-            ("tensor-store", 2, zlib.crc32(blob))
+            ("tensor-store", 3, zlib.crc32(blob))
         assert all(sorted(entry) == ["name", "shape"] for entry in entries)
         names = [entry["name"] for entry in entries]
         assert names == sorted(names)
@@ -508,7 +516,7 @@ class TestMalformedTensorStore:
 
     @pytest.mark.parametrize("names", [
         ("encoder.T.block.attn.k.W", "encoder.V.block.attn.q.W"),
-        ("binary.lin1.W", "stats.covs"),
+        ("binary.lin1.W", "cache.labels"),
     ], ids=["equal-shapes", "other-shapes"])
     def test_swapped_entry_lines_load_the_same_values(self, manifest, names):
         # each slice follows from the sorted names, not from line order
@@ -518,13 +526,11 @@ class TestMalformedTensorStore:
                      if f'"name": "{name}"' in line) for name in names)
         lines[i], lines[j] = lines[j], lines[i]
         manifest.write_text("\n".join(lines) + "\n")
-        (model, stats, feats, logits, _), after = before, \
-            load_checkpoint(manifest)
+        (model, stats, feats, _), after = before, load_checkpoint(manifest)
         assert np.array_equal(model.values, after[0].values)
         for field, value in vars(stats).items():
             assert np.array_equal(value, getattr(after[1], field))
         assert np.array_equal(feats, after[2])
-        assert np.array_equal(logits, after[3])
 
 
 def widened(corpus: Corpus) -> Corpus:
@@ -672,8 +678,8 @@ class TestContainerRules:
         size = len(blob.read_bytes())
         blob.write_bytes(blob.read_bytes()[:-8])
         with pytest.raises(FormatError, match=re.escape(
-                "checkpoint.json line 1: last tensor 'stats.precisions': blob "
-                f"checkpoint.blob holds {size - 8} bytes, but its {size // 8} "
+                "checkpoint.json line 1: last tensor 'fusion.score.V.out.b': "
+                f"blob checkpoint.blob holds {size - 8} bytes, but its {size // 8} "
                 f"values take {size}")):
             load_checkpoint(manifest)
 
@@ -717,24 +723,3 @@ class TestOneBufferDecode:
         sequences = sum(s.nbytes for s in corpus.seqs.values())
         assert sequences == 3000 * 1088
         assert peak <= 1.25 * sequences
-
-
-class TestLoadsLine:
-    """``loads_line`` is ``json.loads`` on every line: the same value, or
-    the same exception type and message."""
-
-    @pytest.mark.parametrize("line", [
-        '{"id": "test-00001", "is_id": true, "norm": 0.25, "raw": -1.5}',
-        '[1, 2.5e-300, "\\u00e9\\ud83d\\ude00", null, false]', '"x"', "7",
-        '  {"a": 1}', '{"a": 1}  ', "\t[]\t", "{}{}", '{"a": 1} 2', "",
-        "   ", "\ufeff{}", "NaN", '{"raw": -Infinity}', '{"a": 1', "tru",
-        '{"a": 1,}', "\u2028{}",
-    ])
-    def test_same_as_json_loads(self, line):
-        outcomes = []
-        for load in (json.loads, loads_line):
-            try:
-                outcomes.append(("value", repr(load(line))))
-            except ValueError as exc:
-                outcomes.append((type(exc), str(exc)))
-        assert outcomes[0] == outcomes[1]

@@ -112,25 +112,69 @@ def test_canonical_synth_bytes_are_pinned(tmp_path):
     assert digests == CANONICAL_SYNTH_SHA256
 
 
-def test_canonical_checkpoint_blob_is_pinned(tmp_path):
-    # sha256 of the checkpoint ``mmood train`` writes on that corpus: the
-    # blob holds the trained parameters, class statistics and train-feature
-    # cache, the manifest (tensor-store version 2) the header and the names
-    # and shapes
-    cfg = str(REPO / "scripts" / "canonical.ini")
-    corpus, run = str(tmp_path / "corpus"), str(tmp_path / "run")
-    assert main(["synth", "--config", cfg, "--out", corpus,
+# sha256 of the checkpoint ``mmood train --seed 0`` writes on that corpus:
+# the blob holds the trained parameters and the train-feature cache
+# (features and labels), the manifest (tensor-store version 3) the header
+# and the names and shapes
+CANONICAL_CHECKPOINT_SHA256 = {
+    "checkpoint.blob":
+        "60b49e41ac68ffc46fc63aa979045d753eb67fca12288ce303601c2a2b9958cb",
+    "checkpoint.json":
+        "87aa2855d26c1714535c5c033f9b9a54ce3050c9ab52c792e4d366e249d258e2",
+}
+
+# sha256 of the score files and metrics table ``mmood eval`` writes with that
+# checkpoint on that corpus; the same bytes as from a version-2 checkpoint,
+# which stored the class statistics and train logits these refit
+CANONICAL_EVAL_SHA256 = {
+    "metrics.csv":
+        "cca47315b2ed106c1481d424cd9361f4c81d3fc331c259fe85d3c5113dec9445",
+    "scores_energy.jsonl":
+        "bfb4d5f6489b029b957f34ca267db0af0eb15ca65b0af66043ef61139ac11d69",
+    "scores_mahalanobis.jsonl":
+        "a9e66138ce2faecdc5b2d32de875ba499405761b4a4747fc7ff02aa873338b50",
+    "scores_maxlogit.jsonl":
+        "3e74e4d0f7586d23434b5dffcf50512138e98baa10a31e2d0869c7511ddf6304",
+    "scores_msp.jsonl":
+        "0e9af5aca1ebf1f71f48caa1f3f2c1207120113c7a5c494d5c50555d3c99fda5",
+    "scores_residual.jsonl":
+        "9ef2a34d38cb3f301280104fbd8e4d928a4bf8249edbd7bc2f7d3084f6f67989",
+    "scores_vim.jsonl":
+        "3347cec92ad3cb765c826fc78841b413127e0ff1edf2f1de857db76c332336fb",
+}
+
+
+@pytest.fixture(scope="module")
+def canonical_run(tmp_path_factory):
+    """``(corpus, checkpoint)`` directories of the canonical seed-0 run,
+    synthesized and trained once for this module; read-only."""
+    cfg, root = str(REPO / "scripts" / "canonical.ini"), \
+        tmp_path_factory.mktemp("canonical")
+    corpus, run = root / "corpus", root / "run"
+    assert main(["synth", "--config", cfg, "--out", str(corpus),
                  "--seed", "0"]) == 0
-    assert main(["train", "--config", cfg, "--corpus", corpus, "--out", run,
-                 "--seed", "0"]) == 0
-    digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes())
-               .hexdigest() for name in ("checkpoint.blob", "checkpoint.json")}
-    assert digests == {
-        "checkpoint.blob":
-            "05165acf8d12c31bcbcae1a07066df1ab799d703d62eb97b38fff3e159b29fd3",
-        "checkpoint.json":
-            "8886147406fcdb93b6db4ee70bf47ca17f6ddc9d45f1224808d79748f184bcc5",
-    }
+    assert main(["train", "--config", cfg, "--corpus", str(corpus), "--out",
+                 str(run), "--seed", "0"]) == 0
+    return corpus, run
+
+
+def _digests(directory, names) -> dict:
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+def test_canonical_checkpoint_blob_is_pinned(canonical_run):
+    assert _digests(canonical_run[1], CANONICAL_CHECKPOINT_SHA256) == \
+        CANONICAL_CHECKPOINT_SHA256
+
+
+def test_canonical_eval_outputs_are_pinned(canonical_run, tmp_path):
+    corpus, run = canonical_run
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", str(REPO / "scripts" / "canonical.ini"),
+                 "--checkpoint", str(run), "--corpus", str(corpus),
+                 "--out", str(out)]) == 0
+    assert _digests(out, CANONICAL_EVAL_SHA256) == CANONICAL_EVAL_SHA256
 
 
 class TestManifestWriter:

@@ -172,10 +172,11 @@ def test_features_read_float32_as_float64(micro):
     corpus = load_corpus(micro["corpus"])
     wide = Corpus(corpus.meta, corpus.ids, corpus.splits, corpus.labels,
                   {m: s.astype(np.float64) for m, s in corpus.seqs.items()})
-    model = FusionModel(corpus.meta, cfg.train.model, seed=0)
-    feats = model.features_for(corpus)
+    model, rows = FusionModel(corpus.meta, cfg.train.model, seed=0), \
+        np.arange(len(corpus))
+    feats = model.features_for(corpus, rows)
     assert feats.dtype == np.float64
-    assert np.array_equal(feats, model.features_for(wide))
+    assert np.array_equal(feats, model.features_for(wide, rows))
 
 
 class TestCacheFreeForward:
@@ -220,7 +221,8 @@ def test_features_equal_cached_encoders_then_fusion(variant):
     xs, _ = model.encode_batch({m: s.astype(np.float64)
                                 for m, s in corpus.seqs.items()})
     z, _, _ = model.fusion.forward(xs, False, None)
-    assert np.array_equal(model.features_for(corpus), z)
+    assert np.array_equal(model.features_for(corpus, np.arange(len(corpus))),
+                          z)
 
 
 def test_features_peak_below_four_chunks():
@@ -230,9 +232,10 @@ def test_features_peak_below_four_chunks():
     model = FusionModel(WIDE_META, WIDE_HYPER, seed=0)
     corpus = wide_chunk()
     chunk_bytes = sum(s.size for s in corpus.seqs.values()) * 8
+    rows = np.arange(len(corpus))
     tracemalloc.start()
     try:
-        model.features_for(corpus)
+        model.features_for(corpus, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

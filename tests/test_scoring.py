@@ -320,7 +320,7 @@ class TestScorerBank:
         flags = separable_pipeline["test_is_id"]
         return {
             "train_feats": trained.train_features,
-            "train_logits": trained.train_logits,
+            "train_logits": trained.model.logits_for(trained.train_features),
             "stats": trained.class_stats,
             "id_feats": feats[flags], "id_logits": logits[flags],
             "ood_feats": feats[~flags], "ood_logits": logits[~flags],
