@@ -376,83 +376,86 @@ def _ood_scorers(ood) -> list[str]:
     return sorted(ood)
 
 
-def _score_row(row) -> tuple:
-    """One score row's checked ``(id, is_id, raw, norm)``."""
-    values = (row["id"], row["is_id"], row["raw"], row["norm"])
-    if tuple(map(type, values)) != (str, bool, float, float):
-        raise TypeError(f"(id, is_id, raw, norm) = {values!r}; "
-                        "expected a string, a bool and two floats")
-    if not all(map(math.isfinite, values[2:])):
-        raise ValueError(f"(raw, norm) = {values[2:]!r}; expected two "
-                         "finite floats")
-    values[0].encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
-    return values
-
-
-def _passed_through(fh, path: Path, name: str) -> int | None:
-    """The row count of a score file in eval's row layout (ASCII ids,
-    finite JSON floats), read ``SCORE_BLOCK`` lines at a time, or None if
-    it is not; each block that is goes to ``fh`` as ``scores_long.csv``
-    lines led by ``name``, number text passed through."""
-    count = 0
-    try:
-        with open(path, encoding="utf-8") as src:
-            while text := "".join(islice(src, SCORE_BLOCK)):
-                rows = _SCORE_ROW.findall(text)
-                if len(rows) != len(text.splitlines()):
-                    return None
-                ids, flags, norms, raws = zip(*rows)
-                ids = [json.loads(f'"{i}"') if "\\" in i else i for i in ids]
-                "".join(ids).encode("utf-8")
-                if not all(map(math.isfinite, map(float, norms + raws))):
-                    return None
-                fh.writelines([f"{name},{_csv_field(i)},{int(f == 'true')},"
-                               f"{r},{n}\n" for i, f, r, n
-                               in zip(ids, flags, raws, norms)])
-                count += len(rows)
-    except ValueError:  # not UTF-8, or an escape or id JSON rejects
+def _columns(lines: list[str]) -> tuple | None:
+    """``(ids, keys, flags, norms, raws)`` of score rows ``lines``, each id as
+    JSON decodes it and as eval escapes it (a bytes key); None if a row is
+    out of eval's layout, JSON or UTF-8 rejects its id or a score overflows."""
+    text = "".join(lines)
+    if len(rows := _SCORE_ROW.findall(text)) != len(lines):
         return None
-    return count
-
-
-def _write_scores(fh, path: Path, name: str, records: int) -> None:
-    """Write a score file's ``scores_long.csv`` lines to ``fh``, one row per
-    scored record. A file out of eval's row layout in any block is rewound
-    and walked whole, row by row, which names a bad line; so the bytes are a
-    whole-file read's."""
-    lineno, start = 0, fh.tell()
+    ids, flags, norms, raws = zip(*rows)
+    keys = ids
     try:
-        if (count := _passed_through(fh, path, name)) is None:
-            fh.seek(start)
-            fh.truncate()
-            text = path.read_text(encoding="utf-8")
-            for lineno, line in enumerate(text.splitlines(), start=1):
-                i, flag, r, n = _score_row(json.loads(line))
-                fh.write(f"{name},{_csv_field(i)},{flag:d},{r!r},{n!r}\n")
-            count = lineno
-    except (KeyError, OSError, TypeError, ValueError, RecursionError) as exc:
-        where = f" line {lineno}: malformed score row" if lineno \
-            else ": unreadable score file"
-        raise FormatError(f"cli: {path}{where} "
+        if "\\" in text:
+            ids = [json.loads(f'"{i}"') if "\\" in i else i for i in ids]
+            "".join(ids).encode("utf-8")  # a lone surrogate raises
+            keys = [encode_basestring_ascii(i)[1:-1] for i in ids]
+        if not all(map(math.isfinite, map(float, norms + raws))):
+            return None
+    except ValueError:
+        return None
+    return ids, np.array(keys, dtype="S"), flags, norms, raws
+
+
+def _record(block: tuple, k: int) -> str:
+    rec_id = json.loads(b'"%s"' % block[0][k])
+    return f"record id {rec_id!r} (is_id {str(block[1][k]).lower()})"
+
+
+def _write_scores(fh, path: Path, name: str, records: int, first=None):
+    """Write a score file's ``scores_long.csv`` lines, led by ``name``, to
+    ``fh``; returns ``first``, or else ``(path, [(keys, is_id) a block])``."""
+    columns = []
+    try:
+        with open(path, encoding="utf-8", newline="\n") as src:
+            while lines := list(islice(src, SCORE_BLOCK)):
+                if (block := _columns(lines)) is None:
+                    n = len(columns) * SCORE_BLOCK + next(
+                        k for k, line in enumerate(lines, 1)
+                        if not _columns([line]))
+                    raise FormatError(f"cli: {path} line {n}: malformed "
+                                      "score row")
+                ids, keys, flags, norms, raws = block
+                columns.append((keys, np.array(flags) == "true"))
+                if _CSV_SPECIAL("".join(ids)):
+                    ids = list(map(_csv_field, ids))
+                fh.writelines([f"{name},{i},{'01'[f == 'true']},{r},{n}\n"
+                               for i, f, r, n in zip(ids, flags, raws, norms)])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cli: {path}: unreadable score file "
                           f"({type(exc).__name__}: {exc})") from exc
-    if count != records:
+    if (count := sum(len(keys) for keys, _ in columns)) != records:
         raise FormatError(f"cli: {path}: holds {count} score rows, but the "
                           f"eval report scored {records} records")
+    for b, (mine, ref) in enumerate(zip(columns, first[1] if first else ())):
+        if (bad := (mine[0] != ref[0]) | (mine[1] != ref[1])).any():
+            n = b * SCORE_BLOCK + (k := int(bad.argmax())) + 1
+            raise FormatError(f"cli: {path} line {n}: {_record(mine, k)} does "
+                              f"not match {first[0]}'s {_record(ref, k)}")
+    if first is None:
+        ordered = np.concatenate([keys for keys, _ in columns])
+        ordered.sort()
+        if (ordered[1:] == ordered[:-1]).any():
+            ids, seen = [i for keys, _ in columns for i in keys.tolist()], {}
+            n = next(n for n, i in enumerate(ids) if seen.setdefault(i, n) != n)
+            b, k = divmod(n, SCORE_BLOCK)
+            raise FormatError(f"cli: {path} line {n + 1}: "
+                              f"{_record(columns[b], k)} repeats line "
+                              f"{seen[ids[n]] + 1}")
+    return first or (path, columns)
 
 
 def _check_input(path: Path, hint: str) -> None:
-    """``path`` is a file; if it is not, the error says whether it is
-    missing (with ``hint``) or something else."""
-    if path.is_file():
-        return
-    if path.exists():
-        raise ParameterError(f"cli: {path} is not a file")
-    raise ParameterError(f"cli: {path} not found; {hint}")
+    """``path`` is a file; if not, the error says if it is missing."""
+    if not path.is_file():
+        raise ParameterError(f"cli: {path} is not a file" if path.exists()
+                             else f"cli: {path} not found; {hint}")
 
 
 def run_report(eval_dir, out_dir=None) -> Path:
-    """Re-shape an eval directory into plot-ready CSV tables, streaming
-    each score file into ``scores_long.csv`` a block of lines at a time."""
+    """Re-shape an eval directory into plot-ready CSV tables, streaming each
+    score file (in eval's row layout, ``records`` rows, the first file's
+    distinct ids and flags in order) into ``scores_long.csv`` by blocks."""
     eval_dir = Path(eval_dir)
     out_dir = Path(out_dir) if out_dir is not None else eval_dir
     with _staged(out_dir) as stage:
@@ -470,8 +473,7 @@ def run_report(eval_dir, out_dir=None) -> Path:
             if type(records) is not int or records < 1:
                 raise ValueError(f"records = {records!r}; expected an int >= 1")
         except OSError as exc:
-            raise FormatError(
-                f"cli: cannot read {report_path} ({exc})") from exc
+            raise FormatError(f"cli: cannot read {report_path} ({exc})") from exc
         except (AttributeError, KeyError, TypeError, ValueError,
                 RecursionError) as exc:
             raise FormatError(f"cli: {report_path}: malformed eval report "
@@ -482,11 +484,13 @@ def run_report(eval_dir, out_dir=None) -> Path:
         with open(stage / "scores_long.csv", "w", encoding="utf-8",
                   newline="") as fh:
             fh.write("scorer,sample_id,is_id,raw,normalized\n")
+            first = None
             for scorer in scorers:
                 scores_path = eval_dir / f"scores_{scorer}.jsonl"
                 _check_input(scores_path, "the eval report lists scorer "
                              f"{scorer!r}")
-                _write_scores(fh, scores_path, _csv_field(scorer), records)
+                first = _write_scores(fh, scores_path, _csv_field(scorer),
+                                      records, first)
         _write_csv(stage / "id_metrics.csv", ["metric", "value"], id_rows)
     return out_dir
 
@@ -504,13 +508,6 @@ def _parse_seeds(raw: str) -> list[int]:
         raise ParameterError(f"cli: bad --seed list {raw!r}; seeds must be "
                              ">= 0")
     return seeds
-
-
-def _load_run_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if getattr(args, "scorer", None):
-        cfg.eval = replace(cfg.eval, scorer=args.scorer)
-    return cfg
 
 
 def _resolve_out(out: str | None, default: str | None) -> str:
@@ -570,7 +567,9 @@ def main(argv=None) -> int:
             out = _resolve_out(args.out, args.eval_dir)
             print(f"wrote report tables to {run_report(args.eval_dir, out)}")
             return 0
-        cfg = _load_run_config(args)
+        cfg = load_config(args.config) if args.config else RunConfig()
+        if getattr(args, "scorer", None):
+            cfg.eval = replace(cfg.eval, scorer=args.scorer)
         out = _resolve_out(args.out, cfg.out_dir)
         if args.command == "synth":
             seeds = _parse_seeds(args.seed)

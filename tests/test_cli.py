@@ -1396,18 +1396,18 @@ class TestFailedReportWritesNothing:
 
 class TestReportRecordCount:
     """``eval_report.json`` counts the test records scored, and each score
-    file it lists must hold exactly that many rows, on the fast path and on
-    the row walk; otherwise one ``error: cli:`` line names both counts and
-    no ``--out`` is created."""
+    file it lists must hold exactly that many rows; otherwise one ``error:
+    cli:`` line names both counts and no ``--out`` is created. The count is
+    checked before the ids, so an extra row that repeats an id fails on its
+    count."""
 
-    @pytest.mark.parametrize("walk", [False, True], ids=["fast", "walk"])
     @pytest.mark.parametrize("scorer, edit, rows", [
         ("msp", lambda lines: [], 0),
         ("vim", lambda lines: lines[:5], 5),
         ("msp", lambda lines: lines + lines[-1:], 37),
-    ], ids=["empty", "cut", "one-extra"])
-    def test_row_count_mismatch_exits_1(self, micro, capsys, monkeypatch,
-                                        walk, scorer, edit, rows):
+    ], ids=["empty-fast", "cut-fast", "one-extra-fast"])
+    def test_row_count_mismatch_exits_1(self, micro, capsys, scorer, edit,
+                                        rows):
         run, evaled = _train_cli(micro, micro["tmp"] / "run"), \
             micro["tmp"] / "eval"
         with warnings.catch_warnings():
@@ -1420,8 +1420,6 @@ class TestReportRecordCount:
         scores = evaled / f"scores_{scorer}.jsonl"
         scores.write_text("".join(edit(scores.read_text().splitlines(
             keepends=True))))
-        if walk:
-            monkeypatch.setattr(mmood.cli, "_SCORE_ROW", re.compile("(?!)"))
         capsys.readouterr()
         out = micro["tmp"] / "new"
         assert main(["report", str(evaled), "--out", str(out)]) == 1
@@ -1489,7 +1487,10 @@ class TestDeeplyNestedJson:
         assert main([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "RecursionError" in err
+        if target == "scores":  # 36 rows, then the nested line
+            assert err == f"error: cli: {path} line 37: malformed score row\n"
+        else:
+            assert "RecursionError" in err
         assert not out.exists()
 
 
@@ -1816,9 +1817,8 @@ class TestReportScoreTypes:
         capsys.readouterr()
         out = micro["tmp"] / "new"
         assert main(["report", str(evaled), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert re.match(r"error: cli: .*scores_msp\.jsonl line 2: malformed "
-                        r"score row \(TypeError: ", err)
+        assert capsys.readouterr().err == \
+            f"error: cli: {scores} line 2: malformed score row\n"
         assert not out.exists()
 
     def test_non_utf8_score_file_exits_1(self, micro, capsys):
@@ -1958,8 +1958,9 @@ class TestNonFiniteScores:
             .read_text().splitlines()[1]
         out = tmp_path / "new"
         assert main(["report", str(evaled), "--out", str(out)]) == 1
-        assert re.match(r"error: cli: .*scores_msp\.jsonl line 2: malformed "
-                        r"score row \(ValueError: ", capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            f"error: cli: {evaled / 'scores_msp.jsonl'} line 2: malformed "
+            "score row\n")
         assert not out.exists()
 
 
@@ -2109,9 +2110,9 @@ class TestStagedOutputs:
         before = _tree(evaled)
         capsys.readouterr()
         assert main(["report", str(evaled)]) == 1
-        assert re.match(r"error: cli: .*scores_msp\.jsonl line 2: malformed "
-                        r"score row \(UnicodeEncodeError: ",
-                        capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            f"error: cli: {evaled / 'scores_msp.jsonl'} line 2: malformed "
+            "score row\n")
         assert _tree(evaled) == before
 
     def test_interrupted_eval_leaves_nothing(self, micro, monkeypatch):
@@ -2250,37 +2251,25 @@ class TestLoneSurrogateId:
 
 
 class TestReportFastPath:
-    """``mmood report`` reads a score file whose every line is in eval's row
-    layout in one regex pass and passes its number text through; any other
-    file goes to the row walk, which checks each row and names a bad one."""
+    """``mmood report`` reads a score file in eval's row layout in one regex
+    pass a block and passes its number text through; a file with any row
+    outside that layout exits 1, naming the row's line."""
 
-    @staticmethod
-    def _fast(evaled, out, monkeypatch):
-        """``scores_long.csv`` with the row walk disabled."""
-        def no_walk(row):
-            raise AssertionError(f"row walk reached: {row!r}")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(mmood.cli, "_score_row", no_walk)
-            return (run_report(evaled, out) / "scores_long.csv").read_bytes()
-
-    @staticmethod
-    def _walked(evaled, out, monkeypatch):
-        """``scores_long.csv`` with every file sent to the row walk."""
-        with monkeypatch.context() as patch:
-            patch.setattr(mmood.cli, "_SCORE_ROW", re.compile("(?!)"))
-            return (run_report(evaled, out) / "scores_long.csv").read_bytes()
-
-    def test_escaped_ids_match_row_walk(self, tmp_path, monkeypatch):
+    def test_escaped_ids_match_row_walk(self, tmp_path):
+        """Ids that JSON escapes read back intact through ``csv.reader``."""
         ids = ["back\\slash", 'q"uote', "\u00e9t\u00e9", "a,b", "tab\t",
                "ls\u2028", "plain"]
         evaled = _eval_dir(tmp_path / "eval", _score_rows(ids))
-        fast = self._fast(evaled, tmp_path / "fast", monkeypatch)
-        assert fast == self._walked(evaled, tmp_path / "walk", monkeypatch)
-        rows = list(csv.reader(io.StringIO(fast.decode("utf-8"), newline="")))
+        with open(run_report(evaled, tmp_path / "out") / "scores_long.csv",
+                  encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert [row[1] for row in rows[1:]] == ids
+        assert all(len(row) == 5 for row in rows)
 
-    def test_eval_written_files_match_row_walk(self, micro, monkeypatch):
+    def test_eval_written_files_match_row_walk(self, micro):
+        """Eval-written files report as ``csv.writer`` writes their decoded
+        rows, each float as ``repr`` writes it; the canonical run's tables
+        are pinned in ``test_canonical_report_outputs_are_pinned``."""
         run = _train_cli(micro, micro["tmp"] / "run")
         evaled = micro["tmp"] / "eval"
         with warnings.catch_warnings():
@@ -2288,32 +2277,53 @@ class TestReportFastPath:
             assert main(["eval", "--config", str(micro["cfg"]),
                          "--checkpoint", str(run), "--corpus",
                          str(micro["corpus"]), "--out", str(evaled)]) == 0
-        fast = self._fast(evaled, micro["tmp"] / "fast", monkeypatch)
-        assert fast.count(b"\n") == 1 + len(SCORERS) * 36
-        assert fast == self._walked(evaled, micro["tmp"] / "walk",
-                                    monkeypatch)
+        got = (run_report(evaled, micro["tmp"] / "out")
+               / "scores_long.csv").read_bytes()
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["scorer", "sample_id", "is_id", "raw", "normalized"])
+        for scorer in sorted(SCORERS):
+            for line in (evaled / f"scores_{scorer}.jsonl").read_text() \
+                    .splitlines():
+                row = json.loads(line)
+                writer.writerow([scorer, row["id"], int(row["is_id"]),
+                                 repr(row["raw"]), repr(row["norm"])])
+        assert got.count(b"\n") == 1 + len(SCORERS) * 36
+        assert got == expected.getvalue().encode("utf-8")
 
     ROWS = ['{"id": "a", "is_id": true, "norm": 1.50, "raw": -2.0E+3}',
             '{"id": "b", "is_id": false, "norm": 0.0, "raw": 1e-5}']
 
-    def test_number_text_passes_through(self, tmp_path, monkeypatch):
+    def test_number_text_passes_through(self, tmp_path):
         evaled = _eval_dir(tmp_path / "eval", [], records=2)
         (evaled / "scores_msp.jsonl").write_text("\n".join(self.ROWS) + "\n")
-        assert self._fast(evaled, tmp_path / "fast", monkeypatch) == (
-            b"scorer,sample_id,is_id,raw,normalized\n"
-            b"msp,a,1,-2.0E+3,1.50\nmsp,b,0,1e-5,0.0\n")
-
-    def test_file_with_another_layout_is_walked(self, tmp_path):
-        """One reordered row sends the whole file to the walk, which writes
-        each float as ``repr`` writes it."""
-        evaled = _eval_dir(tmp_path / "eval", [], records=3)
-        reordered = '{"raw": 0.25, "norm": 0.5, "is_id": true, "id": "c"}'
-        (evaled / "scores_msp.jsonl").write_text(
-            "\n".join([*self.ROWS, reordered]) + "\n")
         assert (run_report(evaled, tmp_path / "out")
                 / "scores_long.csv").read_bytes() == (
             b"scorer,sample_id,is_id,raw,normalized\n"
-            b"msp,a,1,-2000.0,1.5\nmsp,b,0,1e-05,0.0\nmsp,c,1,0.25,0.5\n")
+            b"msp,a,1,-2.0E+3,1.50\nmsp,b,0,1e-5,0.0\n")
+
+    def test_file_with_another_layout_is_walked(self, tmp_path, capsys):
+        """A row with its keys in another order is out of the layout: the
+        report exits 1 and names its line."""
+        evaled = _eval_dir(tmp_path / "eval", [], records=3)
+        reordered = '{"raw": 0.25, "norm": 0.5, "is_id": true, "id": "c"}'
+        scores = evaled / "scores_msp.jsonl"
+        scores.write_text("\n".join([*self.ROWS, reordered]) + "\n")
+        out = tmp_path / "out"
+        assert main(["report", str(evaled), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: cli: {scores} line 3: malformed score row\n"
+        assert not out.exists()
+
+    def test_crlf_line_ends_are_out_of_the_layout(self, tmp_path, capsys):
+        evaled = _eval_dir(tmp_path / "eval", [], records=2)
+        scores = evaled / "scores_msp.jsonl"
+        scores.write_bytes("\r\n".join([*self.ROWS, ""]).encode())
+        out = tmp_path / "out"
+        assert main(["report", str(evaled), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: cli: {scores} line 1: malformed score row\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", [
         '{"id": "b", "is_id": false, "norm": 0.5, "raw": 1e999}',
@@ -2384,9 +2394,9 @@ class TestScoreBlocks:
 
     def test_later_block_out_of_layout_rewinds_to_the_walk(self, tmp_path,
                                                            monkeypatch):
-        """A first block that passes its number text through (``1.50``) is
-        rewritten when a later block holds a row in another layout: the
-        whole file takes the walk's bytes, which write ``1.5``."""
+        """A first block in the layout, with number text such as ``1.50``,
+        does not let a later block out of it pass: whatever the block size,
+        the report fails and names that block's line."""
         rows = [json.dumps(row, sort_keys=True)
                 for row in _score_rows([f"r{k}" for k in range(2 * self.B)])]
         rows[1] = '{"id": "r1", "is_id": false, "norm": 1.50, "raw": 0.5}'
@@ -2396,11 +2406,13 @@ class TestScoreBlocks:
                            records=len(rows))
         for name in ("scores_msp.jsonl", "scores_vim.jsonl"):
             (evaled / name).write_text("\n".join(rows) + "\n")
-        streamed = self._report(evaled, tmp_path / "b", self.B, monkeypatch)
-        whole = self._report(evaled, tmp_path / "w", self.WHOLE, monkeypatch)
-        assert streamed == whole
-        assert b"msp,r1,0,0.5,1.5\n" in streamed and b"1.50" not in streamed
-        assert streamed.count(b"\n") == 1 + 2 * len(rows)
+        for block in (self.B, self.WHOLE):
+            with pytest.raises(FormatError) as info:
+                self._report(evaled, tmp_path / "out", block, monkeypatch)
+            assert str(info.value) == (
+                f"cli: {evaled / 'scores_msp.jsonl'} line {self.B + 2}: "
+                "malformed score row")
+            assert not (tmp_path / "out").exists()
 
     def test_bytes_not_utf8_after_first_block(self, tmp_path, monkeypatch):
         lines = [json.dumps(row, sort_keys=True).encode()
@@ -2417,6 +2429,93 @@ class TestScoreBlocks:
         assert ": unreadable score file (UnicodeDecodeError: " in errors[0]
 
 
+class TestScoreIds:
+    """The first score file ``mmood report`` reads (scorers sorted) lists
+    each record id once, and every later file repeats its ids and ``is_id``
+    flags row for row; ids compare as the strings JSON decodes. Read in
+    blocks of 8 rows, a fault in the first block or a later one exits 1
+    with one ``error: cli:`` line that names the file, the line and the id
+    (and, across files, the first file and its id on that line), and no
+    ``--out`` is created."""
+
+    B = 8
+    AT = pytest.mark.parametrize("i", [2, B + 2],
+                                 ids=["first-block", "later-block"])
+
+    @pytest.fixture
+    def report(self, tmp_path, monkeypatch, capsys):
+        """``(exit code, stderr)`` of ``mmood report`` on an eval dir."""
+        monkeypatch.setattr(mmood.cli, "SCORE_BLOCK", self.B)
+
+        def run(evaled, out="new"):
+            capsys.readouterr()
+            code = main(["report", str(evaled), "--out", str(tmp_path / out)])
+            assert (tmp_path / out).exists() == (code == 0)
+            return code, capsys.readouterr().err
+
+        return run
+
+    def _rows(self, ids=None):
+        return _score_rows(ids or [f"r{k}" for k in range(2 * self.B)])
+
+    @staticmethod
+    def _record(row) -> str:
+        return f"record id {row['id']!r} (is_id {json.dumps(row['is_id'])})"
+
+    @staticmethod
+    def _escape_id(path, i, escaped):
+        """Write line ``i + 1``'s id as the JSON escape ``escaped``."""
+        lines = path.read_text().splitlines(keepends=True)
+        lines[i] = re.sub(r'"id": "[^"]*"', lambda _: f'"id": "{escaped}"',
+                          lines[i])
+        path.write_text("".join(lines))
+
+    @AT
+    def test_repeated_row_in_one_file(self, tmp_path, report, i):
+        rows = self._rows()
+        rows[i] = rows[0]
+        evaled = _eval_dir(tmp_path / "eval", rows)
+        assert report(evaled) == (1, (
+            f"error: cli: {evaled / 'scores_msp.jsonl'} line {i + 1}: "
+            "record id 'r0' (is_id true) repeats line 1\n"))
+
+    @AT
+    @pytest.mark.parametrize("fault", ["repeated", "foreign", "flipped",
+                                       "reordered"])
+    def test_later_file_differs(self, tmp_path, report, fault, i):
+        rows = self._rows()
+        evaled = _eval_dir(tmp_path / "eval", rows, scorers=("msp", "vim"))
+        later = list(rows)
+        if fault == "repeated":
+            later[i] = rows[0]
+        elif fault == "foreign":
+            later[i] = {**rows[i], "id": "test-id-99999"}
+        elif fault == "flipped":
+            later[i] = {**rows[i], "is_id": not rows[i]["is_id"]}
+        else:
+            later[i], later[i + 1] = rows[i + 1], rows[i]
+        _write_score_rows(evaled / "scores_vim.jsonl", later)
+        assert report(evaled) == (1, (
+            f"error: cli: {evaled / 'scores_vim.jsonl'} line {i + 1}: "
+            f"{self._record(later[i])} does not match "
+            f"{evaled / 'scores_msp.jsonl'}'s {self._record(rows[i])}\n"))
+
+    @AT
+    def test_escaped_id_is_the_id_it_decodes_to(self, tmp_path, report, i):
+        ids = [f"r{k}" for k in range(2 * self.B)]
+        ids[i] = "A"
+        evaled = _eval_dir(tmp_path / "eval", self._rows(ids),
+                           scorers=("msp", "vim"))
+        self._escape_id(evaled / "scores_vim.jsonl", i, "\\u0041")
+        assert report(evaled, "same") == (0, "")
+        assert (tmp_path / "same" / "scores_long.csv").read_text().count(
+            ",A,1,") == 2
+        self._escape_id(evaled / "scores_msp.jsonl", 0, "\\u0041")
+        assert report(evaled) == (1, (
+            f"error: cli: {evaled / 'scores_msp.jsonl'} line {i + 1}: "
+            "record id 'A' (is_id true) repeats line 1\n"))
+
+
 def _traced_report_peak(evaled, out) -> int:
     tracemalloc.start()
     try:
@@ -2426,14 +2525,17 @@ def _traced_report_peak(evaled, out) -> int:
         tracemalloc.stop()
 
 
-def test_report_peak_does_not_grow_with_the_score_file(tmp_path):
-    """``run_report`` streams score files: its traced peak on 24,000 rows is
-    within 1 MiB of its peak on 3,000 (a whole-file read of the larger one
-    holds some 7 MB)."""
+@pytest.mark.parametrize("scorers", [("msp",), ("msp", "vim")],
+                         ids=["msp", "msp+vim"])
+def test_report_peak_does_not_grow_with_the_score_file(tmp_path, scorers):
+    """``run_report`` streams score files, keeping only the first file's id
+    and ``is_id`` columns: its traced peak on 24,000 rows is within 1 MiB of
+    its peak on 3,000 (a whole-file read of the larger one holds some 7
+    MB), with one score file or two."""
     peaks = []
     for n in (3_000, 24_000):
         evaled = _eval_dir(tmp_path / f"eval_{n}", _score_rows(
-            [f"test-id-{k:05d}" for k in range(n)]))
+            [f"test-id-{k:05d}" for k in range(n)]), scorers=scorers)
         peaks.append(_traced_report_peak(evaled, tmp_path / f"out_{n}"))
     assert peaks[1] - peaks[0] < 1 << 20, peaks
 

@@ -177,6 +177,27 @@ def test_canonical_eval_outputs_are_pinned(canonical_run, tmp_path):
     assert _digests(out, CANONICAL_EVAL_SHA256) == CANONICAL_EVAL_SHA256
 
 
+# sha256 of the tables ``mmood report`` writes from that eval directory
+CANONICAL_REPORT_SHA256 = {
+    "id_metrics.csv":
+        "65cd5d20372c8af1f2f377d7eb78b5b99e671801847e4520c4f498b3e9766690",
+    "per_class_acc.csv":
+        "c8c2bde3f772318f5acb6af0bd85d77c22f519bad18a305ac94e2ea0cd002f3d",
+    "scores_long.csv":
+        "4883b1e2f2000c46e51e369c9804cab20b515546f10781b13d156bdfa8def211",
+}
+
+
+def test_canonical_report_outputs_are_pinned(canonical_run, tmp_path):
+    corpus, run = canonical_run
+    evaled, out = tmp_path / "eval", tmp_path / "report"
+    assert main(["eval", "--config", str(REPO / "scripts" / "canonical.ini"),
+                 "--checkpoint", str(run), "--corpus", str(corpus),
+                 "--out", str(evaled)]) == 0
+    assert main(["report", str(evaled), "--out", str(out)]) == 0
+    assert _digests(out, CANONICAL_REPORT_SHA256) == CANONICAL_REPORT_SHA256
+
+
 class TestManifestWriter:
     IDS = ['a"b', "back\\slash", "new\nline", "sep\u2028arator", "café",
            "雨-\U0001f600", "tab\there", "plain"]
