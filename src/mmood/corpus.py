@@ -326,6 +326,11 @@ def _draw(cfg: SynthConfig, rng: np.random.Generator) -> Corpus:
         for m, spec in cfg.modalities.items()
     }
 
+    # the big arrays first: a corpus too large for memory fails before the lists
+    n_ood = cfg.n_test_ood
+    n = cfg.n_train + cfg.n_valid + cfg.n_test_id + n_ood
+    seqs = {m: np.empty((n, spec.seq_len, spec.dim), dtype=STORAGE)
+            for m, spec in cfg.modalities.items()}
     # the columns in file order; row r reads mean and sigma row ``rows[r]``
     # of its modality's tables: K classes, then the OOD clusters
     ids, splits = [], []
@@ -334,10 +339,8 @@ def _draw(cfg: SynthConfig, rng: np.random.Generator) -> Corpus:
         tag = "test-id" if split == "test" else split
         ids += [f"{tag}-{i:05d}" for i in range(count)]
         splits += [split] * count
-    n_ood = cfg.n_test_ood
     ids += [f"test-ood-{j:05d}" for j in range(n_ood)]
     splits += ["test"] * n_ood
-    n = len(ids)
     id_labels = np.concatenate([np.arange(count) % k for count in
                                 (cfg.n_train, cfg.n_valid, cfg.n_test_id)])
     labels = np.concatenate([id_labels, np.full(n_ood, OOD_LABEL)])
@@ -357,8 +360,6 @@ def _draw(cfg: SynthConfig, rng: np.random.Generator) -> Corpus:
         if spec.sigma > 0:
             spans[m] = slice(width, width + spec.seq_len * spec.dim)
             width = spans[m].stop
-    seqs = {m: np.empty((n, spec.seq_len, spec.dim), dtype=STORAGE)
-            for m, spec in cfg.modalities.items()}
     # a draw past the float32 range is stored as inf; the check after the
     # loop names the scale keys that caused it
     with np.errstate(over="ignore"):

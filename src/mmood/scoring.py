@@ -32,9 +32,6 @@ SCORERS = ("mahalanobis", "energy", "msp", "maxlogit", "residual", "vim")
 @dataclass
 class ClassStats:
     means: Array       # (K, D)
-    covs: Array        # (K, D, D)
-    counts: Array      # (K,)
-    eps: Array         # (K,) regularization actually applied
     precisions: Array  # (K, D, D) regularized inverses
 
     @property
@@ -56,35 +53,30 @@ def check_class_counts(labels, num_classes: int) -> None:
 
 def fit_class_stats(features: Array, labels, num_classes: int,
                     eps: float | None = None) -> ClassStats:
-    """Per-class means and unbiased covariances with precomputed inverses."""
+    """Per-class means and inverses of the unbiased covariances + eps*I."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=int)
     check_class_counts(labels, num_classes)
     d = features.shape[1]
     means = np.zeros((num_classes, d))
-    covs = np.zeros((num_classes, d, d))
-    counts = np.zeros(num_classes, dtype=np.int64)
-    eps_used = np.zeros(num_classes)
     precisions = np.zeros((num_classes, d, d))
     for k in range(num_classes):
         rows = features[labels == k]
         means[k] = rows.mean(axis=0)
-        covs[k] = covariance(rows)
-        eff = default_reg_eps(covs[k]) if eps is None else float(eps)
-        eps_used[k] = max(eff, 1e-6)
-        precisions[k] = regularized_inverse(covs[k], eps_used[k])
-        counts[k] = rows.shape[0]
-    return ClassStats(means=means, covs=covs, counts=counts, eps=eps_used,
-                      precisions=precisions)
+        cov = covariance(rows)
+        eff = default_reg_eps(cov) if eps is None else float(eps)
+        precisions[k] = regularized_inverse(cov, max(eff, 1e-6))
+    return ClassStats(means=means, precisions=precisions)
 
 
 def score_mahalanobis(z: Array, stats: ClassStats) -> Array:
-    """Negated minimum class-conditional quadratic-form distance, per row."""
+    """Negated minimum class-conditional quadratic-form distance, per row;
+    one ``(N, D) @ (D, D)`` product per class."""
     z = np.asarray(z, dtype=np.float64)
     dists = np.empty((z.shape[0], stats.num_classes))
     for k in range(stats.num_classes):
         delta = z - stats.means[k]
-        dists[:, k] = np.einsum("nd,de,ne->n", delta, stats.precisions[k], delta)
+        dists[:, k] = ((delta @ stats.precisions[k]) * delta).sum(axis=1)
     return -dists.min(axis=1)
 
 

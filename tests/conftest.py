@@ -11,7 +11,8 @@ from mmood.corpus import (OOD_LABEL, Corpus, ModalitySynth, SynthConfig,
                           synth_corpus)
 from mmood.layers import Param, bind_flat, initialize
 from mmood.model import ModelHyper, SLOT_SYNTH
-from mmood.numerics import component_rng, make_rng
+from mmood.numerics import (component_rng, covariance, default_reg_eps,
+                            make_rng)
 from mmood.oodgen import OodGenConfig
 from mmood.train import TrainConfig, train
 
@@ -54,6 +55,18 @@ def take(corpus, idx) -> Corpus:
 def split(corpus, name: str):
     """A copy of the records of one split of ``corpus``, in file order."""
     return take(corpus, np.flatnonzero(corpus.splits == name))
+
+
+def class_covariances(features, labels, num_classes, eps=None):
+    """``(counts, covs, eps)`` of each class 0..K-1 of ``features``: its row
+    count, its unbiased ``covariance`` and the shift ``fit_class_stats``
+    inverts it with, ``eps`` or ``default_reg_eps`` floored at 1e-6."""
+    features, labels = np.asarray(features, dtype=float), np.asarray(labels)
+    rows = [features[labels == k] for k in range(num_classes)]
+    covs = np.stack([covariance(r) for r in rows])
+    shifts = [default_reg_eps(c) if eps is None else float(eps) for c in covs]
+    return (np.array([len(r) for r in rows]), covs,
+            np.maximum(shifts, 1e-6))
 
 
 def is_ood(corpus) -> np.ndarray:

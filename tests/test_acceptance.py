@@ -15,6 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from conftest import class_covariances
 from oracles import (
     aupr_enumeration_oracle,
     auroc_pair_oracle,
@@ -186,9 +187,9 @@ def test_c2_oracle_equivalence():
             labels = np.arange(n) % k
             feats = rng.normal(size=(n, dim)) * 3.0
             stats = fit_class_stats(feats, labels, k)
+            _, covs, shifts = class_covariances(feats, labels, k)
             z = rng.normal(size=dim)
-            expected = mahalanobis_loop_oracle(z, stats.means, stats.covs,
-                                               stats.eps)
+            expected = mahalanobis_loop_oracle(z, stats.means, covs, shifts)
             assert score_mahalanobis(z[None], stats)[0] == pytest.approx(
                 expected, abs=1e-8)
 

@@ -124,15 +124,14 @@ CANONICAL_CHECKPOINT_SHA256 = {
 }
 
 # sha256 of the score files and metrics table ``mmood eval`` writes with that
-# checkpoint on that corpus; the same bytes as from a version-2 checkpoint,
-# which stored the class statistics and train logits these refit
+# checkpoint on that corpus
 CANONICAL_EVAL_SHA256 = {
     "metrics.csv":
         "cca47315b2ed106c1481d424cd9361f4c81d3fc331c259fe85d3c5113dec9445",
     "scores_energy.jsonl":
         "bfb4d5f6489b029b957f34ca267db0af0eb15ca65b0af66043ef61139ac11d69",
     "scores_mahalanobis.jsonl":
-        "a9e66138ce2faecdc5b2d32de875ba499405761b4a4747fc7ff02aa873338b50",
+        "023f409008050958c19b3c81f43080c3a4713026a87a2a1c672c2127e51586af",
     "scores_maxlogit.jsonl":
         "3e74e4d0f7586d23434b5dffcf50512138e98baa10a31e2d0869c7511ddf6304",
     "scores_msp.jsonl":
@@ -184,7 +183,7 @@ CANONICAL_REPORT_SHA256 = {
     "per_class_acc.csv":
         "c8c2bde3f772318f5acb6af0bd85d77c22f519bad18a305ac94e2ea0cd002f3d",
     "scores_long.csv":
-        "4883b1e2f2000c46e51e369c9804cab20b515546f10781b13d156bdfa8def211",
+        "2a175b1301876099491da10a5cbc83faadf4ec338048b5b8814a8bf01e78f867",
 }
 
 

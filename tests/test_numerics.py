@@ -27,7 +27,7 @@ from mmood.numerics import (
 )
 from mmood.scoring import fit_class_stats
 from mmood.train import train
-from conftest import built, split
+from conftest import built, class_covariances, split
 from oracles import (
     CosineHeadOracle,
     contrastive_unit_backward_oracle,
@@ -353,10 +353,13 @@ class TestRegularizedInverseOracle:
         cfg = load_config(micro["cfg"])
         corpus = load_corpus(micro["corpus"])
         trained = train(corpus, cfg.train, cfg.oodgen)
-        stats = fit_class_stats(trained.train_features,
-                                split(corpus, "train").labels,
+        labels = split(corpus, "train").labels
+        stats = fit_class_stats(trained.train_features, labels,
                                 corpus.num_classes, eps=cfg.train.cov_eps)
-        for cov, eps, got in zip(stats.covs, stats.eps, stats.precisions):
+        _, covs, shifts = class_covariances(trained.train_features, labels,
+                                            corpus.num_classes,
+                                            eps=cfg.train.cov_eps)
+        for cov, eps, got in zip(covs, shifts, stats.precisions):
             want = _cholesky_oracle(cov + eps * np.eye(len(cov)))
             assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 

@@ -9,10 +9,11 @@ from mmood.errors import (
     NumericalError,
     ParameterError,
 )
-from mmood.metrics import aupr, fpr95_der, roc_auroc
+from mmood.metrics import aupr, fpr95_der, ood_metrics, roc_auroc
 from mmood.numerics import default_reg_eps, make_rng, regularized_inverse
 from mmood.scoring import (
     SCORERS,
+    ClassStats,
     apply_scorer,
     check_class_counts,
     fit_class_stats,
@@ -28,6 +29,8 @@ from mmood.scoring import (
     score_residual,
     score_vim,
 )
+from conftest import class_covariances
+from oracles import mahalanobis_einsum_oracle
 
 
 def gaussian_features(rng, n, dim, num_classes, spread=4.0):
@@ -42,22 +45,25 @@ class TestClassStats:
         feats = np.vstack([np.full((3, 2), 1.5), np.zeros((3, 2))])
         labels = [0, 0, 0, 1, 1, 1]
         stats = fit_class_stats(feats, labels, 2)
+        counts, covs, _ = class_covariances(feats, labels, 2)
         assert np.allclose(stats.means[0], [1.5, 1.5])
-        assert np.allclose(stats.covs[0], 0.0)
-        assert stats.counts.tolist() == [3, 3]
+        assert np.allclose(covs[0], 0.0)
+        assert counts.tolist() == [3, 3]
 
     def test_hand_case(self):
         feats = np.array([[0.0, 0.0], [2.0, 0.0], [5.0, 5.0], [5.0, 7.0]])
         stats = fit_class_stats(feats, [0, 0, 1, 1], 2)
+        _, covs, _ = class_covariances(feats, [0, 0, 1, 1], 2)
         assert np.allclose(stats.means[0], [1.0, 0.0])
-        assert np.allclose(stats.covs[0], [[2.0, 0.0], [0.0, 0.0]])
+        assert np.allclose(covs[0], [[2.0, 0.0], [0.0, 0.0]])
 
     def test_one_pair_per_class(self):
         rng = make_rng(0)
         feats, labels = gaussian_features(rng, 40, 3, 4)
         stats = fit_class_stats(feats, labels, 4)
         assert stats.means.shape == (4, 3)
-        assert stats.covs.shape == (4, 3, 3)
+        assert stats.precisions.shape == (4, 3, 3)
+        assert class_covariances(feats, labels, 4)[1].shape == (4, 3, 3)
 
     def test_small_class_rejected_by_name(self):
         feats = np.zeros((3, 2))
@@ -78,19 +84,21 @@ class TestClassStats:
         # covariances near 1e4 * I: the default 1e-6 * trace / dim is ~1e-2
         feats, labels = gaussian_features(make_rng(7), 60, 3, 2)
         stats = fit_class_stats(feats * 100.0, labels, 2)
+        _, covs, shifts = class_covariances(feats * 100.0, labels, 2)
         for k in range(2):
-            eps = default_reg_eps(stats.covs[k])
+            eps = default_reg_eps(covs[k])
             assert eps > 1e-3
-            assert stats.eps[k] == eps
+            assert shifts[k] == eps
             assert np.array_equal(stats.precisions[k],
-                                  regularized_inverse(stats.covs[k], eps))
+                                  regularized_inverse(covs[k], eps))
 
     def test_cov_eps_override(self):
         feats, labels = gaussian_features(make_rng(8), 60, 3, 2)
         stats = fit_class_stats(feats, labels, 2, eps=0.5)
-        assert stats.eps.tolist() == [0.5, 0.5]
+        _, covs, shifts = class_covariances(feats, labels, 2, eps=0.5)
+        assert shifts.tolist() == [0.5, 0.5]
         for k in range(2):
-            expected = np.linalg.inv(stats.covs[k] + 0.5 * np.eye(3))
+            expected = np.linalg.inv(covs[k] + 0.5 * np.eye(3))
             assert np.allclose(stats.precisions[k], expected, atol=1e-12)
 
     @pytest.mark.parametrize("scale, eps", [(1e-4, None), (1.0, 0.0),
@@ -100,10 +108,11 @@ class TestClassStats:
         # are raised to it too
         feats, labels = gaussian_features(make_rng(9), 60, 3, 2)
         stats = fit_class_stats(feats * scale, labels, 2, eps=eps)
-        assert stats.eps.tolist() == [1e-6, 1e-6]
+        _, covs, shifts = class_covariances(feats * scale, labels, 2, eps=eps)
+        assert shifts.tolist() == [1e-6, 1e-6]
         for k in range(2):
             assert np.array_equal(stats.precisions[k],
-                                  regularized_inverse(stats.covs[k], 1e-6))
+                                  regularized_inverse(covs[k], 1e-6))
 
 
 class TestMahalanobis:
@@ -116,15 +125,10 @@ class TestMahalanobis:
 
     def test_identity_covariance_distance(self):
         # exact identity covariances: distance is the squared Euclidean norm
-        from mmood.scoring import ClassStats
         eps = 1e-6
         means = np.array([[10.0, 0.0], [-10.0, 0.0]])
-        covs = np.stack([np.eye(2), np.eye(2)])
-        stats = ClassStats(
-            means=means, covs=covs, counts=np.array([5, 5]),
-            eps=np.array([eps, eps]),
-            precisions=np.stack([np.eye(2) / (1 + eps)] * 2),
-        )
+        stats = ClassStats(means=means,
+                           precisions=np.stack([np.eye(2) / (1 + eps)] * 2))
         z = means[0] + np.array([2.0, 0.0])
         assert score_mahalanobis(z[None], stats)[0] == pytest.approx(-4.0, abs=1e-5)
 
@@ -135,14 +139,33 @@ class TestMahalanobis:
             feats, labels = gaussian_features(rng, int(rng.integers(20, 50)),
                                               dim, 3)
             stats = fit_class_stats(feats, labels, 3)
+            _, covs, shifts = class_covariances(feats, labels, 3)
             z = rng.normal(size=dim)
             dists = []
             for k in range(3):
-                cov = stats.covs[k] + stats.eps[k] * np.eye(dim)
+                cov = covs[k] + shifts[k] * np.eye(dim)
                 delta = z - stats.means[k]
                 dists.append(float(delta @ np.linalg.inv(cov) @ delta))
             assert score_mahalanobis(z[None], stats)[0] == pytest.approx(
                 -min(dists), abs=1e-8)
+
+    @pytest.mark.parametrize("n, dim", [(12_000, 16), (140, 64)])
+    def test_matches_einsum_oracle(self, n, dim):
+        # the former einsum sums in another order: scores agree to 1e-12
+        # relative, and the metrics over them exactly
+        rng = make_rng(dim)
+        feats, labels = gaussian_features(rng, 4 * dim + 60, dim, 3)
+        stats = fit_class_stats(feats, labels, 3)
+        # OOD rows: the class clusters at 1.15x their spread, so the
+        # metrics are neither 0 nor 1
+        scale = np.where(np.arange(n) < n // 2, 1.0, 1.15)[:, None]
+        z = stats.means[rng.integers(0, 3, size=n)] + \
+            scale * rng.normal(size=(n, dim))
+        got = score_mahalanobis(z, stats)
+        want = mahalanobis_einsum_oracle(z, stats.means, stats.precisions)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        flags = np.arange(n) < n // 2
+        assert ood_metrics(got, flags) == ood_metrics(want, flags)
 
     def test_score_is_nonpositive(self):
         rng = make_rng(4)
