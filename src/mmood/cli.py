@@ -253,10 +253,14 @@ def run_eval(checkpoint_dir, corpus: Corpus, scorers: list[str],
                     f"{corpus.meta.shapes[m]}, checkpoint {checkpoint_dir} "
                     f"was trained on {shape}")
         rows = np.flatnonzero(corpus.splits == "test")
-        if len(rows) == 0:
-            raise ParameterError("cli: corpus has no test records to evaluate")
+        labels = corpus.labels[rows]
+        n_ood = int((labels == OOD_LABEL).sum())
+        if not 0 < n_ood < len(rows):
+            raise ParameterError(
+                f"cli: corpus test split holds {len(rows) - n_ood} ID and "
+                f"{n_ood} OOD records; eval needs at least one of each")
         feats = model.features_for(corpus, rows)
-        ids, labels = corpus.ids[rows].tolist(), corpus.labels[rows]
+        ids = corpus.ids[rows].tolist()
         del corpus
         flags, idm, scores = _score(model, *fitted, feats, labels, scorers)
         # json.dumps(row, sort_keys=True) for finite scores, one f-string a row

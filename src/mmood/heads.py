@@ -1,9 +1,11 @@
 """Classification heads and the training losses.
 
-Losses return ``(value, grad_wrt_inputs)`` so callers can chain the
-backward pass through whatever produced the inputs. Probabilities are
-clamped at 1e-12 before logs; the clamp never binds at 64-bit training
-scale, so gradients use the unclamped cross-entropy form.
+Losses return their value and then the gradient wrt each input array,
+``(value, grad)`` or, for the two contrastive views, ``(value, g_v1,
+g_v2)``, so callers can chain the backward pass through whatever produced
+the inputs. Probabilities are clamped at 1e-12 before logs; the clamp
+never binds at 64-bit training scale, so gradients use the unclamped
+cross-entropy form.
 """
 
 from __future__ import annotations
@@ -110,47 +112,32 @@ def multiclass_loss(logits: Array, labels: Array):
     return _cross_entropy(logits, labels)
 
 
-def make_view_ids(labels: Array, binary: Array):
-    """Duplicate per-sample labels/flags for (originals, augmentations)."""
-    b = len(labels)
-    labels2 = np.concatenate([labels, labels])
-    is_id2 = np.concatenate([binary, binary]).astype(bool)
-    partner = np.concatenate([np.arange(b) + b, np.arange(b)])
-    return labels2, is_id2, partner
+def contrastive_from_views(v1: Array, v2: Array, labels: Array, tau: float):
+    """Temperature-scaled contrastive loss over two views of B samples.
 
-
-def contrastive_from_views(views: Array, labels: Array, is_id: Array,
-                           partner: Array, tau: float):
-    """Temperature-scaled contrastive loss over 2B normalized views.
-
-    ID anchors treat every other same-label view as a positive (averaged);
-    each OOD anchor's only positive is its own paired augmentation. The
-    denominator runs over all views except the anchor. Returns
-    ``(loss, grad_wrt_views)``.
+    Row i of ``v1`` and row i of ``v2`` are one sample's two views, and
+    ``labels`` marks OOD samples with ``OOD_LABEL``. ID anchors treat every
+    other same-label view as a positive (averaged); each OOD anchor's only
+    positive is its own other view. The denominator runs over all 2B views
+    except the anchor. Returns ``(loss, g_v1, g_v2)``.
     """
-    n = views.shape[0]
-    u, norms, live = unit_rows(views)
+    b = v1.shape[0]
+    n = 2 * b
+    u, norms, live = unit_rows(np.concatenate([v1, v2]))
     sims = u @ u.T
     e = np.exp(sims / tau)
     np.fill_diagonal(e, 0.0)
     denom = e.sum(axis=1)
 
     # positive mask (SupCon form): ID rows mark every other same-label
-    # view, OOD rows only the paired augmentation
-    is_id = np.asarray(is_id, dtype=bool)
-    partner = np.asarray(partner)
-    pos = is_id[:, None] & (labels[:, None] == labels[None, :])
+    # view, OOD rows only their other view; row i's other view is row
+    # i - B, wrapping to i + B, so no anchor is left without a positive
+    labels2 = np.concatenate([labels, labels])
+    pos = (labels2 != OOD_LABEL)[:, None] & (labels2[:, None] == labels2)
     np.fill_diagonal(pos, False)
-    ood = np.flatnonzero(~is_id)
-    pos[ood, partner[ood]] = True
+    rows = np.arange(n)
+    pos[rows, rows - b] = True
     count = pos.sum(axis=1)
-    if not count.all():
-        # cannot happen when views come in (original, augmentation) pairs:
-        # the anchor's own augmentation shares its label
-        raise ParameterError(
-            f"losses: ID anchor {np.flatnonzero(count == 0)[0]} has no "
-            "positive view"
-        )
     log_terms = np.where(pos, sims / tau, 0.0).sum(axis=1) / count \
         - np.log(denom)
     loss = float(-log_terms.sum() / n)
@@ -159,4 +146,5 @@ def contrastive_from_views(views: Array, labels: Array, is_id: Array,
     g_sims -= pos / (n * tau * count)[:, None]
 
     g_u = (g_sims + g_sims.T) @ u
-    return loss, unit_rows_backward(g_u, u, norms, live)
+    g_views = unit_rows_backward(g_u, u, norms, live)
+    return loss, g_views[:b], g_views[b:]

@@ -45,8 +45,7 @@ class PseudoBatch:
 @dataclass
 class Batch:
     seqs: dict[str, Array]   # modality -> (B, L, D)
-    labels: np.ndarray       # (B,), OOD_LABEL for pseudo samples
-    binary: np.ndarray       # (B,), 1 = ID, 0 = OOD
+    labels: np.ndarray       # (B,), OOD_LABEL marks the pseudo-OOD rows
 
 
 def sample_pseudo_ood(seqs: dict[str, Array], labels: np.ndarray,
@@ -94,11 +93,7 @@ def build_mixed_batch(seqs: dict[str, Array], labels: np.ndarray,
 
     seqs = {m: np.concatenate([seqs[m], pseudo.seqs[m]]) for m in MODALITIES}
     labels = np.concatenate([labels, np.full(n, OOD_LABEL)])
-    binary = np.repeat([1, 0], n)
 
     order = rng.permutation(2 * n)
-    return Batch(
-        seqs={m: s[order] for m, s in seqs.items()},
-        labels=labels[order],
-        binary=binary[order],
-    )
+    return Batch(seqs={m: s[order] for m, s in seqs.items()},
+                 labels=labels[order])

@@ -17,14 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import MODALITIES, Corpus, make_batches
+from .corpus import MODALITIES, OOD_LABEL, Corpus, make_batches
 from .errors import ParameterError, TrainingError, check_fields
-from .heads import (
-    coarse_loss,
-    contrastive_from_views,
-    make_view_ids,
-    multiclass_loss,
-)
+from .heads import coarse_loss, contrastive_from_views, multiclass_loss
 from .metrics import id_metrics
 from .model import SLOT_TRAIN_LOOP, FusionModel, ModelHyper
 from .numerics import component_rng
@@ -126,13 +121,13 @@ def _step(model: FusionModel, batch: Batch, rng: np.random.Generator,
     z1, _, fc1 = model.fusion.forward(xs, train=True, rng=rng)
     g_z1 = np.zeros_like(z1)
     out: dict[str, float] = {}
+    id_mask = batch.labels != OOD_LABEL
 
     if stage == 1:
         logits_b, bin_cache = model.binary_head.forward(z1)
-        out["coarse"], dlogits_b = coarse_loss(logits_b, batch.binary)
+        out["coarse"], dlogits_b = coarse_loss(logits_b, id_mask)
         g_z1 += model.binary_head.backward(dlogits_b, bin_cache)
     else:
-        id_mask = batch.binary == 1
         logits, class_cache = model.class_head.forward(z1[id_mask])
         out["multiclass"], dlogits = multiclass_loss(logits,
                                                      batch.labels[id_mask])
@@ -145,13 +140,10 @@ def _step(model: FusionModel, batch: Batch, rng: np.random.Generator,
         z2, _, fc2 = model.fusion.forward(xs, train=True, rng=rng)
         v1, cc1 = model.contrast_head.forward(z1, train=True, rng=rng)
         v2, cc2 = model.contrast_head.forward(z2, train=True, rng=rng)
-        labels2, is_id2, partner = make_view_ids(batch.labels, batch.binary)
-        out["contrastive"], g_views = contrastive_from_views(
-            np.concatenate([v1, v2]), labels2, is_id2, partner,
-            model.hyper.tau)
-        b = z1.shape[0]
-        g_z1 += model.contrast_head.backward(g_views[:b], cc1)
-        g_z2 = model.contrast_head.backward(g_views[b:], cc2)
+        out["contrastive"], g_v1, g_v2 = contrastive_from_views(
+            v1, v2, batch.labels, model.hyper.tau)
+        g_z1 += model.contrast_head.backward(g_v1, cc1)
+        g_z2 = model.contrast_head.backward(g_v2, cc2)
 
     gxs = model.fusion.backward(g_z1, fc1)
     if g_z2 is not None:

@@ -15,7 +15,9 @@ cosine head, the contrastive loss and the scorers each wrote out are kept
 as they were before ``numerics`` held the one copy of each. The AdamW
 step is kept as it was before it wrote into preallocated buffers. The
 synthetic corpus draw is kept as it was before it drew its noise in
-chunks of records.
+chunks of records. The per-view labels, ID flags and partner indices that
+the contrastive loop oracles take are built as the library built them
+before the loss took its two views and the batch's labels.
 """
 
 import dataclasses
@@ -25,14 +27,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from mmood.corpus import MODALITIES, STORAGE, _sphere_point
+from mmood.corpus import MODALITIES, OOD_LABEL, STORAGE, _sphere_point
 from mmood.encoders import sinusoidal_positions
-from mmood.heads import (
-    coarse_loss,
-    contrastive_from_views,
-    make_view_ids,
-    multiclass_loss,
-)
+from mmood.heads import coarse_loss, contrastive_from_views, multiclass_loss
 from mmood.metrics import id_metrics, ood_metrics
 from mmood.scoring import apply_scorer, fit_scorer
 from conftest import is_ood, split
@@ -99,6 +96,15 @@ def mahalanobis_einsum_oracle(z, means, precisions):
         delta = z - means[k]
         dists[:, k] = np.einsum("nd,de,ne->n", delta, precisions[k], delta)
     return -dists.min(axis=1)
+
+
+def make_view_ids(labels, binary):
+    """Duplicate per-sample labels/flags for (originals, augmentations)."""
+    b = len(labels)
+    labels2 = np.concatenate([labels, labels])
+    is_id2 = np.concatenate([binary, binary]).astype(bool)
+    partner = np.concatenate([np.arange(b) + b, np.arange(b)])
+    return labels2, is_id2, partner
 
 
 def contrastive_double_loop_oracle(views, labels, is_id, partner, tau):
@@ -217,7 +223,7 @@ def coarse_step_oracle(model, batch, rng):
     xs, enc_caches = model.encode_batch(batch.seqs)
     z, _, fuse_cache = model.fusion.forward(xs, train=True, rng=rng)
     logits, head_cache = model.binary_head.forward(z)
-    loss, dlogits = coarse_loss(logits, batch.binary)
+    loss, dlogits = coarse_loss(logits, batch.labels != OOD_LABEL)
     gz = model.binary_head.backward(dlogits, head_cache)
     gxs = model.fusion.backward(gz, fuse_cache)
     model.encoders_backward(gxs, enc_caches)
@@ -232,7 +238,7 @@ def fine_step_oracle(model, batch, rng):
     g_z1 = np.zeros_like(z1)
     losses = {}
 
-    id_mask = batch.binary == 1
+    id_mask = batch.labels != OOD_LABEL
     logits, class_cache = model.class_head.forward(z1[id_mask])
     l_m, dlogits = multiclass_loss(logits, batch.labels[id_mask])
     g_z1[id_mask] += model.class_head.backward(dlogits, class_cache)
@@ -246,13 +252,10 @@ def fine_step_oracle(model, batch, rng):
         z2, _, fc2 = model.fusion.forward(xs, train=True, rng=rng)
         v1, cc1 = model.contrast_head.forward(z1, train=True, rng=rng)
         v2, cc2 = model.contrast_head.forward(z2, train=True, rng=rng)
-        labels2, is_id2, partner = make_view_ids(batch.labels, batch.binary)
-        l_cl, g_views = contrastive_from_views(
-            np.concatenate([v1, v2]), labels2, is_id2, partner, hyper.tau
-        )
-        b = z1.shape[0]
-        g_z1 += model.contrast_head.backward(g_views[:b], cc1)
-        g_z2 = model.contrast_head.backward(g_views[b:], cc2)
+        l_cl, g_v1, g_v2 = contrastive_from_views(v1, v2, batch.labels,
+                                                  hyper.tau)
+        g_z1 += model.contrast_head.backward(g_v1, cc1)
+        g_z2 = model.contrast_head.backward(g_v2, cc2)
         losses["contrastive"] = l_cl
 
     gxs = model.fusion.backward(g_z1, fc1)

@@ -22,12 +22,14 @@ from oracles import (
     contrastive_double_loop_oracle,
     fpr95_scan_oracle,
     mahalanobis_loop_oracle,
+    make_view_ids,
 )
 
 from mmood.cli import main, run_ablation
 from mmood.config import RunConfig
-from mmood.corpus import Corpus, CorpusMeta, ModalitySynth, SynthConfig, synth_corpus
-from mmood.heads import coarse_loss, contrastive_from_views, make_view_ids, multiclass_loss
+from mmood.corpus import (Corpus, CorpusMeta, ModalitySynth, OOD_LABEL,
+                          SynthConfig, synth_corpus)
+from mmood.heads import coarse_loss, contrastive_from_views, multiclass_loss
 from mmood.layers import check_gradients
 from mmood.metrics import aupr, fpr95_der, roc_auroc, id_metrics
 from mmood.model import FusionModel, ModelHyper, SLOT_SYNTH
@@ -63,8 +65,7 @@ def tiny_batch(seed: int) -> Batch:
     rng = make_rng(1000 + seed)
     seqs = {m: rng.normal(size=(4,) + TINY_META.shapes[m])
             for m in ("T", "V", "A")}
-    return Batch(seqs=seqs, labels=np.array([0, 1, -1, -1]),
-                 binary=np.array([1, 1, 0, 0]))
+    return Batch(seqs=seqs, labels=np.array([0, 1, -1, -1]))
 
 
 def _coarse_target(model, batch):
@@ -73,7 +74,7 @@ def _coarse_target(model, batch):
         xs, ec = model.encode_batch(batch.seqs)
         z, _, fc = model.fusion.forward(xs, train=True, rng=rng)
         logits, bc = model.binary_head.forward(z)
-        loss, dlogits = coarse_loss(logits, batch.binary)
+        loss, dlogits = coarse_loss(logits, batch.labels != OOD_LABEL)
         if compute_grads:
             gz = model.binary_head.backward(dlogits, bc)
             model.encoders_backward(model.fusion.backward(gz, fc), ec)
@@ -82,7 +83,7 @@ def _coarse_target(model, batch):
 
 
 def _multiclass_target(model, batch):
-    id_mask = batch.binary == 1
+    id_mask = batch.labels != OOD_LABEL
 
     def run(compute_grads):
         rng = make_rng(8)
@@ -107,14 +108,11 @@ def _contrastive_target(model, batch):
         z2, _, fc2 = model.fusion.forward(xs, train=True, rng=rng)
         v1, cc1 = model.contrast_head.forward(z1, train=True, rng=rng)
         v2, cc2 = model.contrast_head.forward(z2, train=True, rng=rng)
-        labels2, is_id2, partner = make_view_ids(batch.labels, batch.binary)
-        loss, g_views = contrastive_from_views(
-            np.concatenate([v1, v2]), labels2, is_id2, partner,
-            model.hyper.tau)
+        loss, g_v1, g_v2 = contrastive_from_views(v1, v2, batch.labels,
+                                                  model.hyper.tau)
         if compute_grads:
-            b = z1.shape[0]
-            g_z1 = model.contrast_head.backward(g_views[:b], cc1)
-            g_z2 = model.contrast_head.backward(g_views[b:], cc2)
+            g_z1 = model.contrast_head.backward(g_v1, cc1)
+            g_z2 = model.contrast_head.backward(g_v2, cc2)
             gxs1 = model.fusion.backward(g_z1, fc1)
             gxs2 = model.fusion.backward(g_z2, fc2)
             model.encoders_backward(
@@ -230,8 +228,8 @@ def test_c2_oracle_equivalence():
             views = rng.normal(size=(2 * b, dim))
             labels2, is_id2, partner = make_view_ids(raw_labels, binary)
             tau = float(rng.uniform(0.3, 3.0))
-            loss, _ = contrastive_from_views(views, labels2, is_id2, partner,
-                                             tau)
+            loss, *_ = contrastive_from_views(views[:b], views[b:],
+                                              raw_labels, tau)
             assert loss == pytest.approx(
                 contrastive_double_loop_oracle(views, labels2, is_id2,
                                                partner, tau), abs=1e-8)

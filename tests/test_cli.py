@@ -1299,8 +1299,11 @@ class TestArgumentLists:
 EVAL_FAILURES = {
     "class_count": (("num_classes = 3", "num_classes = 5"), "5 classes"),
     "no_ood": (("n_test_ood = 12", "n_test_ood = 0"),
-               "metrics: both ID and OOD samples are required"),
-    "all_ood": (("n_test_id = 24", "n_test_id = 0"), "metrics: empty input"),
+               "cli: corpus test split holds 24 ID and 0 OOD records; eval "
+               "needs at least one of each"),
+    "all_ood": (("n_test_id = 24", "n_test_id = 0"),
+                "cli: corpus test split holds 0 ID and 12 OOD records; eval "
+                "needs at least one of each"),
 }
 
 
@@ -1884,7 +1887,8 @@ class TestEmptyTestSplit:
         out = micro["tmp"] / "e"
         assert _eval_cli(micro, run, out, corpus) == 1
         assert capsys.readouterr().err == (
-            "error: cli: corpus has no test records to evaluate\n")
+            "error: cli: corpus test split holds 0 ID and 0 OOD records; "
+            "eval needs at least one of each\n")
         assert not out.exists()
 
 

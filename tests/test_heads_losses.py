@@ -21,7 +21,6 @@ from mmood.heads import (
     LinearHead,
     coarse_loss,
     contrastive_from_views,
-    make_view_ids,
     multiclass_loss,
 )
 from mmood.layers import check_gradients
@@ -33,7 +32,7 @@ from mmood.train import (ABLATION_VARIANTS, AdamW, TrainConfig, _step, train,
 from conftest import built, param
 
 
-def contrastive_loss(z, labels, binary, head, tau, rng, train=True):
+def contrastive_loss(z, labels, head, tau, rng, train=True):
     """Contrastive loss on one fused batch; ``(loss, grad_wrt_z)``.
 
     The positive augmentation of each sample is a second pass through the
@@ -42,12 +41,8 @@ def contrastive_loss(z, labels, binary, head, tau, rng, train=True):
     """
     v1, c1 = head.forward(z, train, rng)
     v2, c2 = head.forward(z, train, rng)
-    labels2, is_id2, partner = make_view_ids(np.asarray(labels), np.asarray(binary))
-    loss, g_views = contrastive_from_views(
-        np.concatenate([v1, v2]), labels2, is_id2, partner, tau
-    )
-    b = z.shape[0]
-    gz = head.backward(g_views[:b], c1) + head.backward(g_views[b:], c2)
+    loss, g_v1, g_v2 = contrastive_from_views(v1, v2, np.asarray(labels), tau)
+    gz = head.backward(g_v1, c1) + head.backward(g_v2, c2)
     return loss, gz
 
 
@@ -185,7 +180,7 @@ class TestMulticlassLoss:
 
 
 from oracles import AdamWStepOracle, adamw_loop_oracle
-from oracles import contrastive_anchor_loop_oracle
+from oracles import contrastive_anchor_loop_oracle, make_view_ids
 from oracles import coarse_step_oracle, fine_step_oracle
 from oracles import contrastive_double_loop_oracle as contrastive_oracle
 
@@ -195,11 +190,9 @@ class TestContrastive:
         rng = make_rng(11)
         b = 6
         views = rng.normal(size=(2 * b, 5))
-        labels, is_id, partner = make_view_ids(
-            np.array([0, 0, 1, -1, -1, 2]), np.array([1, 1, 1, 0, 0, 1])
-        )
-        loss, _ = contrastive_from_views(views, labels, is_id, partner,
-                                         tau=1e9)
+        loss, *_ = contrastive_from_views(views[:b], views[b:],
+                                          np.array([0, 0, 1, -1, -1, 2]),
+                                          tau=1e9)
         assert loss == pytest.approx(math.log(2 * b - 1), abs=1e-8)
 
     def test_matches_double_loop_oracle(self):
@@ -212,7 +205,8 @@ class TestContrastive:
             views = rng.normal(size=(2 * b, 4))
             labels, is_id, partner = make_view_ids(raw_labels, binary)
             tau = float(rng.uniform(0.3, 3.0))
-            loss, _ = contrastive_from_views(views, labels, is_id, partner, tau)
+            loss, *_ = contrastive_from_views(views[:b], views[b:],
+                                              raw_labels, tau)
             ref = contrastive_oracle(views, labels, is_id, partner, tau)
             assert loss == pytest.approx(ref, abs=1e-10)
 
@@ -224,11 +218,10 @@ class TestContrastive:
             [1.0, 1.0, 0.0] / np.sqrt(2),  # ID augmentation
             [0.0, 0.0, 1.0],   # OOD augmentation
         ])
-        labels, is_id, partner = make_view_ids(
-            np.array([0, OOD_LABEL]), np.array([1, 0])
-        )
+        raw = np.array([0, OOD_LABEL])
+        labels, is_id, partner = make_view_ids(raw, np.array([1, 0]))
         tau = 0.8
-        loss, _ = contrastive_from_views(views, labels, is_id, partner, tau)
+        loss, *_ = contrastive_from_views(views[:2], views[2:], raw, tau)
         ref = contrastive_oracle(views, labels, is_id, partner, tau)
         assert loss == pytest.approx(ref, abs=1e-10)
 
@@ -240,15 +233,14 @@ class TestContrastive:
             [0.0, 1.0, 0.0, 0.0],
             [0.0, 0.0, 1.0, 0.0],
         ])
-        labels = np.array([0, 0, 1, 1])
-        is_id = np.array([True] * 4)
-        partner = np.array([1, 0, 3, 2])
+        labels = np.array([0, 1])  # pairs: views 0-1 and 2-3
         tau = 0.5
         n = 4
         pair = -math.log(math.exp(1 / tau) / (math.exp(1 / tau) + (n - 2)))
         other = math.log(n - 1)  # orthogonal anchors see all-equal terms
         expected = (2 * pair + 2 * other) / n
-        loss, _ = contrastive_from_views(views, labels, is_id, partner, tau)
+        loss, *_ = contrastive_from_views(views[0::2], views[1::2], labels,
+                                          tau)
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_increasing_pair_similarity_decreases_loss(self):
@@ -256,31 +248,27 @@ class TestContrastive:
         n_other = 4
         dim = 2 + n_other
         others = np.eye(dim)[2:]
-        labels = np.array([0, 0, 1, 1, 2, 2])
-        is_id = np.array([True] * (2 + n_other))
-        partner = np.array([1, 0, 3, 2, 5, 4])
+        labels = np.array([0, 1, 2])  # pairs: views 0-1, 2-3 and 4-5
         losses = []
         for theta in [1.4, 1.0, 0.6, 0.2]:
             v1 = np.zeros(dim)
             v1[0], v1[1] = math.cos(theta), math.sin(theta)
             views = np.vstack([np.eye(dim)[0], v1, others])
-            loss, _ = contrastive_from_views(views, labels, is_id, partner,
-                                             tau=1.0)
+            loss, *_ = contrastive_from_views(views[0::2], views[1::2],
+                                              labels, tau=1.0)
             losses.append(loss)
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
     def test_gradients_wrt_views(self):
         rng = make_rng(13)
         views_p = param("views", rng.normal(size=(8, 5)))
-        labels, is_id, partner = make_view_ids(
-            np.array([0, 1, OOD_LABEL, 1]), np.array([1, 1, 0, 1])
-        )
+        labels = np.array([0, 1, OOD_LABEL, 1])
 
         def run(compute_grads):
-            loss, grad = contrastive_from_views(views_p.value, labels, is_id,
-                                                partner, tau=0.7)
+            loss, g_v1, g_v2 = contrastive_from_views(
+                views_p.value[:4], views_p.value[4:], labels, tau=0.7)
             if compute_grads:
-                views_p.grad += grad
+                views_p.grad += np.concatenate([g_v1, g_v2])
             return loss
 
         assert check_gradients(run, [views_p]) == []
@@ -290,11 +278,10 @@ class TestContrastive:
         head = built(ContrastHead("contrast", 6, 4, dropout=0.3), make_rng(15))
         z_p = param("z", rng.normal(size=(4, 6)))
         labels = np.array([0, 1, OOD_LABEL, 0])
-        binary = np.array([1, 1, 0, 1])
 
         def run(compute_grads):
             run_rng = make_rng(123)
-            loss, gz = contrastive_loss(z_p.value, labels, binary, head,
+            loss, gz = contrastive_loss(z_p.value, labels, head,
                                         tau=1.5, rng=run_rng, train=True)
             if compute_grads:
                 z_p.grad += gz
@@ -319,8 +306,7 @@ class TestContrastiveMask:
         views = rng.normal(size=(2 * b, int(rng.integers(2, 7))))
         if kind == "zero_view":
             views[int(rng.integers(0, 2 * b))] = 0.0
-        labels, is_id, partner = make_view_ids(raw, binary)
-        return views, labels, is_id, partner, float(rng.uniform(0.1, 3.0))
+        return views, raw, binary, float(rng.uniform(0.1, 3.0))
 
     @pytest.mark.parametrize("kind", ["mixed", "all_id", "all_ood",
                                       "zero_view"])
@@ -328,23 +314,14 @@ class TestContrastiveMask:
         rng = make_rng(40)
         for b in range(1, 17):
             for _ in range(4):
-                case = self._case(rng, b, kind)
-                loss, grad = contrastive_from_views(*case)
-                ref_loss, ref_grad = contrastive_anchor_loop_oracle(*case)
-                assert np.array_equal(grad, ref_grad), (kind, b)
+                views, raw, binary, tau = self._case(rng, b, kind)
+                loss, g_v1, g_v2 = contrastive_from_views(
+                    views[:b], views[b:], raw, tau)
+                ref_loss, ref_grad = contrastive_anchor_loop_oracle(
+                    views, *make_view_ids(raw, binary), tau)
+                assert np.array_equal(np.concatenate([g_v1, g_v2]),
+                                      ref_grad), (kind, b)
                 assert loss == pytest.approx(ref_loss, abs=1e-12)
-
-    def test_id_anchor_without_positive_rejected(self):
-        views = make_rng(41).normal(size=(4, 3))
-        labels = np.array([0, 1, 2, 0])
-        partner = np.array([2, 3, 0, 1])
-        with pytest.raises(ParameterError, match="ID anchor 1 has no positive"):
-            contrastive_from_views(views, labels, np.ones(4, dtype=bool),
-                                   partner, tau=1.0)
-        # the same rows as OOD anchors need only their partner
-        is_id = np.array([True, False, False, True])
-        loss, _ = contrastive_from_views(views, labels, is_id, partner, 1.0)
-        assert math.isfinite(loss)
 
 
 class TestBinaryHeadLinearHead:

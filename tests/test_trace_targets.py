@@ -93,3 +93,4 @@ def test_training_loop_call_counts(micro, monkeypatch, ablation):
     assert calls["model.features_for"] == epochs["fine"] + 2
     assert calls["heads.coarse_loss"] == per_epoch * epochs["coarse"]
     assert calls["heads.multiclass_loss"] == per_epoch * epochs["fine"]
+    assert calls["heads.contrastive_from_views"] == per_epoch * epochs["fine"]
