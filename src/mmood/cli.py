@@ -28,7 +28,8 @@ import numpy as np
 from .blobio import write_jsonl
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
-from .corpus import OOD_LABEL, Corpus, load_corpus, save_corpus, synth_corpus
+from .corpus import (OOD_LABEL, Corpus, load_corpus, rows_crc32, save_corpus,
+                     synth_corpus)
 from .errors import FormatError, NumericalError, ParameterError, PipelineError
 from .metrics import EvalReport, OodMetrics, id_metrics, ood_metrics
 from .model import SLOT_SYNTH
@@ -173,21 +174,23 @@ def _score(model, stats, train_feats, feats: np.ndarray, labels: np.ndarray,
     return flags, idm, scores
 
 
-def _test_row(trained, corpus: Corpus) -> dict:
-    """ID accuracy and WF1 on the test split, plus the Mahalanobis OOD
-    metrics when it holds OOD records; empty when it holds no ID record."""
+def _test_row(trained, corpus: Corpus) -> tuple[dict, np.ndarray]:
+    """``(row, features)``: ID accuracy and WF1 on the test split, plus the
+    Mahalanobis OOD metrics when it holds OOD records, and the split's
+    fused features they were scored from; ``({}, (0, D) features)`` when it
+    holds no ID record."""
     rows = np.flatnonzero(corpus.splits == "test")
     labels = corpus.labels[rows]
     if (labels == OOD_LABEL).all():
-        return {}
+        return {}, np.empty((0, trained.model.d_shared))
+    feats = trained.model.features_for(corpus, rows)
     flags, idm, scores = _score(
-        trained.model, trained.class_stats, trained.train_features,
-        trained.model.features_for(corpus, rows), labels,
-        ["mahalanobis"] if (labels == OOD_LABEL).any() else [])
+        trained.model, trained.class_stats, trained.train_features, feats,
+        labels, ["mahalanobis"] if (labels == OOD_LABEL).any() else [])
     row = {"acc": idm.acc, "wf1": idm.wf1}
     for raw in scores.values():
         row.update(asdict(ood_metrics(raw, flags)))
-    return row
+    return row, feats
 
 
 # -- train ------------------------------------------------------------------
@@ -200,10 +203,12 @@ def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
     A single seed writes the checkpoint into ``out_dir`` directly; several
     seeds write ``out_dir/seed_<n>/`` each, plus results.csv and a
     mean/std summary. ``seeds`` may not be empty or name a seed twice.
+    Each checkpoint caches the test features its row was scored from.
     """
     _unique(seeds, "--seed", "seed")
     configs = [variant_config(replace(cfg.train, seed=seed), variant)
                for seed in seeds]
+    test_rows = np.flatnonzero(corpus.splits == "test")
     rows = []
     with _staged(out_dir) as stage:
         for seed, train_cfg in zip(seeds, configs):
@@ -212,10 +217,13 @@ def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
             if trained.best:
                 row.update(best_epoch=trained.best["epoch"],
                            val_wf1=trained.best["wf1"])
-            row.update(_test_row(trained, corpus))
+            metrics, feats = _test_row(trained, corpus)
+            row.update(metrics)
             rows.append(row)
             target = stage if len(seeds) == 1 else stage / f"seed_{seed}"
-            save_checkpoint(trained, target)
+            # with no features cached, the key is that of no records
+            save_checkpoint(trained, target,
+                            rows_crc32(corpus, test_rows[:len(feats)]), feats)
             header = {"event": "start", "seed": seed, "variant": variant,
                       "time": datetime.now(timezone.utc).isoformat()}
             write_jsonl(target / "train_log.jsonl", chain(
@@ -235,12 +243,14 @@ def run_training(corpus: Corpus, cfg: RunConfig, out_dir, seeds: list[int],
 def run_eval(checkpoint_dir, corpus: Corpus, scorers: list[str],
              out_dir) -> EvalReport:
     """Score ``corpus``'s test split with a checkpoint, reading its records
-    by row index. Their features, ids and labels are taken before this
-    function drops its reference to ``corpus``, so a caller that keeps none
-    (as ``main`` does) fits the scorers and writes the score files with no
-    sequences alive."""
+    by row index. Their features are the checkpoint's cached test features
+    when the split has as many records with the same ``rows_crc32`` key,
+    and else a fresh feature pass. Features, ids and labels are taken
+    before this function drops its reference to ``corpus``, so a caller
+    that keeps none (as ``main`` does) fits the scorers and writes the
+    score files with no sequences alive."""
     with _staged(out_dir) as stage:
-        model, *fitted, _ = load_checkpoint(checkpoint_dir)
+        model, *fitted, (key, cached), _ = load_checkpoint(checkpoint_dir)
         if corpus.num_classes != model.num_classes:
             raise ParameterError(
                 f"cli: corpus has {corpus.num_classes} classes, checkpoint "
@@ -259,7 +269,8 @@ def run_eval(checkpoint_dir, corpus: Corpus, scorers: list[str],
             raise ParameterError(
                 f"cli: corpus test split holds {len(rows) - n_ood} ID and "
                 f"{n_ood} OOD records; eval needs at least one of each")
-        feats = model.features_for(corpus, rows)
+        hit = len(cached) == len(rows) and rows_crc32(corpus, rows) == key
+        feats = cached if hit else model.features_for(corpus, rows)
         ids = corpus.ids[rows].tolist()
         del corpus
         flags, idm, scores = _score(model, *fitted, feats, labels, scorers)
@@ -318,7 +329,8 @@ def run_ablation(corpus: Corpus, cfg: RunConfig, variants: list[str],
     with _staged(out_dir) as stage:
         for variant, seed, train_cfg in grid:
             row = {"variant": variant, "seed": seed}
-            row.update(_test_row(train(corpus, train_cfg, cfg.oodgen), corpus))
+            row.update(_test_row(train(corpus, train_cfg, cfg.oodgen),
+                                 corpus)[0])
             rows.append(row)
 
         metric_keys = [k for k in ABLATION_METRICS if all(k in r for r in rows)]
@@ -571,8 +583,12 @@ def main(argv=None) -> int:
             out = _resolve_out(args.out, args.eval_dir)
             print(f"wrote report tables to {run_report(args.eval_dir, out)}")
             return 0
-        cfg = load_config(args.config) if args.config else RunConfig()
-        if getattr(args, "scorer", None):
+        if args.config is not None and not args.config.strip():
+            raise ParameterError("cli: --config is blank; pass a config file "
+                                 "or leave the flag out")
+        cfg = load_config(args.config) if args.config is not None \
+            else RunConfig()
+        if getattr(args, "scorer", None) is not None:
             cfg.eval = replace(cfg.eval, scorer=args.scorer)
         out = _resolve_out(args.out, cfg.out_dir)
         if args.command == "synth":

@@ -236,6 +236,20 @@ def load_corpus(manifest_path) -> Corpus:
     return corpus
 
 
+def rows_crc32(corpus: Corpus, rows: np.ndarray) -> dict[str, int]:
+    """``{modality: zlib.crc32}`` of the sequence bytes of records ``rows``
+    (float32, as stored), in row order: the key of what a feature pass over
+    them reads. The rows are gathered 256 at a time, so no split is copied
+    whole."""
+    key = {}
+    for m in MODALITIES:
+        crc = 0
+        for start in range(0, len(rows), 256):
+            crc = zlib.crc32(corpus.seqs[m][rows[start:start + 256]], crc)
+        key[m] = crc
+    return key
+
+
 # SynthConfig and ModalitySynth field -> rule (see errors.check_fields)
 _SYNTH_RULES = {"n_train": ">= 0", "n_valid": ">= 0", "n_test_id": ">= 0",
                 "n_test_ood": ">= 0", "ood_clusters": ">= 0"}

@@ -6,6 +6,7 @@ import os
 import platform
 import re
 import runpy
+import shutil
 import stat
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from mmood.checkpoint import load_checkpoint, save_checkpoint
 from mmood.cli import (main, run_ablation, run_eval, run_report, run_synth,
                        run_training)
 from mmood.config import load_config
-from mmood.corpus import load_corpus, save_corpus, synth_corpus
+from mmood.corpus import load_corpus, rows_crc32, save_corpus, synth_corpus
 from mmood.errors import (FormatError, NumericalError, ParameterError,
                           PipelineError)
 from mmood.model import FusionModel
@@ -32,7 +33,8 @@ from mmood.numerics import make_rng
 from mmood.scoring import (SCORERS, apply_scorer, fit_class_stats, fit_scorer,
                            normalize_scores)
 from mmood.train import train
-from conftest import MICRO_INI, is_ood, set_tensor_value, split, take
+from conftest import (MICRO_INI, NO_TEST_KEY, is_ood, set_tensor_value,
+                      split, take)
 from oracles import mahalanobis_row_oracle, score_file_oracle
 
 
@@ -109,9 +111,11 @@ class TestTrain:
         assert main(["train", "--config", str(micro["cfg"]), "--corpus",
                      str(micro["corpus"]), "--out", str(out),
                      "--seed", "0"]) == 0
-        model, stats, feats, meta = load_checkpoint(out)
+        model, stats, feats, (key, test_feats), meta = load_checkpoint(out)
         assert stats.means.shape == (3, 8)
         assert feats.shape[0] == 48
+        assert test_feats.shape == (36, model.d_shared)
+        assert sorted(key) == sorted(meta["test_crc32"]) == ["A", "T", "V"]
         assert (out / "train_log.jsonl").exists()
         assert (out / "results.csv").exists()
 
@@ -315,9 +319,11 @@ class TestEval:
 
     def test_scores_loaded_arrays_then_writes_with_corpus_dead(
             self, micro, trained, monkeypatch):
-        """``features_for`` reads the very arrays ``load_corpus`` returned
-        (no copy of the test split), and the loaded corpus and its arrays
-        are dead before the first score file is opened."""
+        """On a cache miss, ``features_for`` reads the very arrays
+        ``load_corpus`` returned (no copy of the test split), and the loaded
+        corpus and its arrays are dead before the first score file is
+        opened."""
+        _forget_test_key(trained)
         loaded, same, dead = [], [], []
         real_load = mmood.cli.load_corpus
         real_features = FusionModel.features_for
@@ -572,8 +578,9 @@ class TestCacheRefit:
         corpus = load_corpus(micro["corpus"])
         trained = train(corpus, replace(cfg.train, cov_eps=cov_eps),
                         cfg.oodgen)
-        run = save_checkpoint(trained, micro["tmp"] / "run").parent
-        _, stats, feats, meta = load_checkpoint(run)
+        run = save_checkpoint(trained, micro["tmp"] / "run", NO_TEST_KEY,
+                              np.empty((0, 8))).parent
+        _, stats, feats, _, meta = load_checkpoint(run)
         assert meta["train_config"]["cov_eps"] == cov_eps
         assert np.array_equal(feats, trained.train_features)
         refit = fit_class_stats(feats, trained.train_labels, 3, cov_eps)
@@ -749,7 +756,9 @@ class TestMalformedManifests:
         ("flipped_byte", "blob checkpoint.blob has crc32 [0-9]+, but the "
                          "header records [0-9]+"),
         ("version_1", "is a version 1 checkpoint; .*rerun `mmood train`"),
-        ("version_2", "is a version 2 checkpoint; this mmood reads version 3 "
+        ("version_2", "is a version 2 checkpoint; this mmood reads version 4 "
+                      "only, so rerun `mmood train`"),
+        ("version_3", "is a version 3 checkpoint; this mmood reads version 4 "
                       "only, so rerun `mmood train`"),
         ("no_crc32", "line 1: malformed header .*'crc32'"),
     ])
@@ -900,10 +909,23 @@ class TestCheckpointHeader:
         lambda h: h["meta"]["train_config"].update(cov_eps="0.5"),
         lambda h: h["meta"]["train_config"].update(cov_eps=-0.5),
         lambda h: h["meta"]["train_config"].update(cov_eps=10**400),
+        # the key of the cached test features
+        lambda h: h["meta"].pop("test_crc32"),
+        lambda h: h["meta"].update(test_crc32=[0, 0, 0]),
+        lambda h: h["meta"]["test_crc32"].pop("V"),
+        lambda h: h["meta"]["test_crc32"].update(X=0),
+        lambda h: h["meta"]["test_crc32"].update(T="0"),
+        lambda h: h["meta"]["test_crc32"].update(T=1.0),
+        lambda h: h["meta"]["test_crc32"].update(T=True),
+        lambda h: h["meta"]["test_crc32"].update(T=-1),
+        lambda h: h["meta"]["test_crc32"].update(T=2**32),
     ], ids=["extra_hyper_key", "no_num_classes", "shapes_list",
             "gamma_string", "meta_list", "no_gamma", "dropout_1.5",
             "fusion_hidden_0", "attn_heads_3", "tau_infinity", "no_cov_eps",
-            "cov_eps_string", "cov_eps_negative", "cov_eps_huge"])
+            "cov_eps_string", "cov_eps_negative", "cov_eps_huge",
+            "no_test_crc32", "test_crc32_list", "test_crc32_no_V",
+            "test_crc32_extra_key", "test_crc32_string", "test_crc32_float",
+            "test_crc32_bool", "test_crc32_negative", "test_crc32_2**32"])
     def test_malformed_header_exits_1(self, micro, capsys, edit):
         run = micro["tmp"] / "run"
         assert main(["train", "--config", str(micro["cfg"]), "--corpus",
@@ -922,6 +944,8 @@ class TestCheckpointHeader:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: checkpoint: {manifest}: malformed header")
+        assert err.count("\n") == 1
+        assert not (micro["tmp"] / "e").exists()
 
 
 # ``mmood.cli.main`` on argv in a process whose address space is capped at
@@ -1169,7 +1193,8 @@ class TestCheckpointTensorTable:
         assert not (micro["tmp"] / "e").exists()
         return capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["encoder.A.out_proj.W", "cache.labels"])
+    @pytest.mark.parametrize("name", ["encoder.A.out_proj.W", "cache.labels",
+                                      "cache.test_features"])
     def test_reshaped_tensor_named(self, micro, capsys, monkeypatch, name):
         # one more value than stored, so the layout after it is off too
         run = _train_cli(micro, micro["tmp"] / "run")
@@ -1204,6 +1229,169 @@ def _train_cli(micro, out, *extra):
     return out
 
 
+def _forget_test_key(run):
+    """Change the checkpoint's ``test_crc32`` of T, leaving the blob and its
+    crc32 as they are, so no corpus matches its cached test features."""
+    manifest = run / "checkpoint.json"
+    lines = manifest.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["meta"]["test_crc32"]["T"] ^= 1
+    lines[0] = json.dumps(header, sort_keys=True)
+    manifest.write_text("\n".join(lines) + "\n")
+
+
+def _eval_bytes(micro, run, corpus, out) -> dict:
+    """``{file name: bytes}`` of the directory ``mmood eval`` writes with
+    checkpoint ``run`` on ``corpus``, every scorer."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                     str(run), "--corpus", str(corpus), "--out",
+                     str(out)]) == 0
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+class TestCachedTestFeatures:
+    """``mmood train`` caches the test split's features in the checkpoint,
+    keyed by each modality's crc32 of the test sequences; ``mmood eval``
+    reuses them on the same test records and runs a feature pass on any
+    other, with the same output bytes either way."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        calls, real = [], FusionModel.features_for
+
+        def features_for(model, corpus, rows):
+            calls.append(len(rows))
+            return real(model, corpus, rows)
+
+        monkeypatch.setattr(FusionModel, "features_for", features_for)
+        return calls
+
+    def test_hit_runs_no_feature_pass_and_miss_writes_the_same(
+            self, micro, monkeypatch):
+        run = _train_cli(micro, micro["tmp"] / "run")
+
+        def no_pass(*args):
+            raise AssertionError("eval ran a feature pass on a cache hit")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FusionModel, "features_for", no_pass)
+            hit = _eval_bytes(micro, run, micro["corpus"], micro["tmp"] / "a")
+        _forget_test_key(run)
+        calls = self._counted(monkeypatch)
+        miss = _eval_bytes(micro, run, micro["corpus"], micro["tmp"] / "b")
+        assert calls == [36]
+        assert miss == hit
+
+    def test_other_corpus_of_the_same_shapes_misses(self, micro, monkeypatch):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        other = micro["tmp"] / "other"
+        assert main(["synth", "--config", str(micro["cfg"]), "--out",
+                     str(other), "--seed", "1"]) == 0
+        calls = self._counted(monkeypatch)
+        missed = _eval_bytes(micro, run, other, micro["tmp"] / "a")
+        assert calls == [36]
+        forced = shutil.copytree(run, micro["tmp"] / "forced")
+        _forget_test_key(forced)
+        assert _eval_bytes(micro, forced, other, micro["tmp"] / "b") == missed
+        assert calls == [36, 36]
+
+    def test_cached_features_are_the_fresh_pass(self, micro):
+        corpus = load_corpus(micro["corpus"])
+        run = _train_cli(micro, micro["tmp"] / "run")
+        model, *_, (key, feats), meta = load_checkpoint(run)
+        rows = np.flatnonzero(corpus.splits == "test")
+        assert key == rows_crc32(corpus, rows) == meta["test_crc32"]
+        assert np.array_equal(feats, model.features_for(corpus, rows))
+
+    def test_no_id_test_record_caches_nothing(self, micro):
+        corpus = load_corpus(micro["corpus"])
+        ood_only = take(corpus, np.flatnonzero(
+            (corpus.splits != "test") | is_ood(corpus)))
+        cfg = load_config(micro["cfg"])
+        run = micro["tmp"] / "run"
+        run_training(ood_only, cfg, run, [0])
+        model, *_, (key, feats), _ = load_checkpoint(run)
+        assert key == NO_TEST_KEY
+        assert feats.shape == (0, model.d_shared)
+
+
+class TestStreamedBlob:
+    """``save_checkpoint`` writes each tensor into the open blob file in
+    sorted-name order, so no copy of the whole blob is built."""
+
+    @pytest.fixture()
+    def trained(self, micro):
+        cfg = load_config(micro["cfg"])
+        return train(load_corpus(micro["corpus"]), cfg.train, cfg.oodgen)
+
+    def test_blob_is_the_sorted_concatenation(self, micro, trained):
+        feats = np.arange(12.0 * trained.model.d_shared).reshape(12, -1)
+        key = {"T": 1, "V": 2, "A": 3}
+        run = save_checkpoint(trained, micro["tmp"] / "run", key,
+                              feats).parent
+        tensors = {**{name: p.value for name, p
+                      in trained.model.named_params().items()},
+                   "cache.features": trained.train_features,
+                   "cache.labels": trained.train_labels,
+                   "cache.test_features": feats}
+        blob = (run / "checkpoint.blob").read_bytes()
+        assert blob == np.concatenate([
+            np.asarray(tensors[name], "<f8").ravel()
+            for name in sorted(tensors)]).tobytes()
+        header = json.loads((run / "checkpoint.json").read_text()
+                            .splitlines()[0])
+        assert header["crc32"] == zlib.crc32(blob)
+        assert header["meta"]["test_crc32"] == key
+
+    def test_peak_stays_below_a_tenth_of_the_blob(self, micro, trained):
+        # 20,000 cached train rows make the blob some 1.3 MB
+        n = 20_000
+        big = replace(trained, train_features=np.ones(
+            (n, trained.model.d_shared)), train_labels=np.arange(n) % 3)
+        tracemalloc.start()
+        try:
+            run = save_checkpoint(big, micro["tmp"] / "run", NO_TEST_KEY,
+                                  np.empty((0, 8))).parent
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (run / "checkpoint.blob").stat().st_size
+        assert size > 8 * n * trained.model.d_shared
+        assert peak < size / 10
+
+
+class TestBlankConfigAndScorer:
+    """A blank ``--config`` or ``--scorer`` is an error, as a blank
+    ``--out`` is, not a flag left out."""
+
+    @pytest.mark.parametrize("blank", ["", "  "])
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "ablate"])
+    def test_blank_config_exits_1(self, micro, capsys, command, blank):
+        out, corpus = micro["tmp"] / "out", str(micro["corpus"])
+        extra = {"synth": ["--seed", "0"],
+                 "train": ["--corpus", corpus, "--seed", "0"],
+                 "eval": ["--corpus", corpus, "--checkpoint",
+                          str(micro["tmp"] / "run")],
+                 "ablate": ["--corpus", corpus]}[command]
+        _exits_1_writing_nothing(
+            capsys, [command, "--config", blank, "--out", str(out), *extra],
+            out, "cli: --config is blank; pass a config file or leave the "
+            "flag out")
+
+    @pytest.mark.parametrize("blank", ["", "  "])
+    def test_blank_scorer_exits_1(self, micro, capsys, blank):
+        run = _train_cli(micro, micro["tmp"] / "run")
+        out = micro["tmp"] / "out"
+        _exits_1_writing_nothing(
+            capsys, ["eval", "--config", str(micro["cfg"]), "--checkpoint",
+                     str(run), "--corpus", str(micro["corpus"]), "--out",
+                     str(out), "--scorer", blank], out,
+            "config: scorer must be one of ('all', 'mahalanobis', 'energy', "
+            f"'msp', 'maxlogit', 'residual', 'vim'), got {blank!r}")
+
+
 class TestScoringCore:
     """The one scoring core and JSON-lines writer against the code they
     replaced (tests/oracles.py)."""
@@ -1216,17 +1404,20 @@ class TestScoringCore:
 
     def test_test_row_matches_oracle(self, trained_micro):
         corpus, trained = trained_micro
-        row = mmood.cli._test_row(trained, corpus)
+        row, feats = mmood.cli._test_row(trained, corpus)
         assert {"acc", "wf1", "auroc", "fpr95"} <= set(row)
         assert row == mahalanobis_row_oracle(trained, corpus)
+        assert np.array_equal(feats, trained.model.features_for(
+            corpus, np.flatnonzero(corpus.splits == "test")))
 
     def test_test_row_without_ood_matches_oracle(self, trained_micro):
         corpus, trained = trained_micro
         keep = ~(is_ood(corpus) & (corpus.splits == "test"))
         id_only = take(corpus, np.flatnonzero(keep))
         assert len(split(id_only, "test")) == 24
-        row = mmood.cli._test_row(trained, id_only)
+        row, feats = mmood.cli._test_row(trained, id_only)
         assert set(row) == {"acc", "wf1"}
+        assert feats.shape == (24, trained.model.d_shared)
         assert row == mahalanobis_row_oracle(trained, id_only)
 
     def test_score_files_match_oracle_writer(self, micro):
@@ -1237,7 +1428,7 @@ class TestScoringCore:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             run_eval(run, test, list(SCORERS), out)
-            model, stats, train_feats, _ = load_checkpoint(run)
+            model, stats, train_feats, *_ = load_checkpoint(run)
             feats = model.features_for(test, np.arange(len(test)))
             logits = model.logits_for(feats)
             for scorer in SCORERS:
@@ -1612,7 +1803,7 @@ class TestNoValidatedEpoch:
             assert "val_wf1" not in text and "best_epoch" not in text
         log = (run / "train_log.jsonl").read_text().splitlines()
         assert json.loads(log[-1]) == {"event": "end", "best": {}}
-        assert load_checkpoint(run)[3]["best"] == {}
+        assert load_checkpoint(run)[4]["best"] == {}
 
 
 def _exits_1_writing_nothing(capsys, argv, out, err):

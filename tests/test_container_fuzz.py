@@ -2,7 +2,7 @@
 
 A truncated file, one overwritten byte or shuffled lines in a manifest or
 a blob must either still load or raise a ``PipelineError``. Every blob,
-a corpus's (format version 2) or a checkpoint's (tensor-store version 2),
+a corpus's (format version 2) or a checkpoint's (tensor-store version 4),
 has its crc32 in the manifest, so any change to its bytes must raise a
 ``FormatError``: crc32 catches every flipped byte.
 """

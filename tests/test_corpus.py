@@ -419,7 +419,7 @@ class TestMalformedManifest:
 
 
 class TestMalformedTensorStore:
-    """A checkpoint's tensor store (version 3), read by ``load_checkpoint``:
+    """A checkpoint's tensor store (version 4), read by ``load_checkpoint``:
     the blob holds the tensors in sorted-name order, so each entry is a
     name and a shape."""
 
@@ -491,7 +491,7 @@ class TestMalformedTensorStore:
             load_checkpoint(manifest)
         assert str(info.value) == (
             f"checkpoint: {manifest} is a version 1 checkpoint; this mmood "
-            "reads version 3 only, so rerun `mmood train` to write it again")
+            "reads version 4 only, so rerun `mmood train` to write it again")
 
     def test_version_2_checkpoint_names_the_version(self, manifest):
         # version 2 also stored the class statistics and the train logits
@@ -500,14 +500,23 @@ class TestMalformedTensorStore:
             load_checkpoint(manifest)
         assert str(info.value) == (
             f"checkpoint: {manifest} is a version 2 checkpoint; this mmood "
-            "reads version 3 only, so rerun `mmood train` to write it again")
+            "reads version 4 only, so rerun `mmood train` to write it again")
+
+    def test_version_3_checkpoint_names_the_version(self, manifest):
+        # version 3 stored no test-feature cache and no test_crc32
+        _rewrite_line(manifest, 0, _edit_json(lambda h: h.update(version=3)))
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(manifest)
+        assert str(info.value) == (
+            f"checkpoint: {manifest} is a version 3 checkpoint; this mmood "
+            "reads version 4 only, so rerun `mmood train` to write it again")
 
     def test_entries_are_sorted_names_and_shapes(self, manifest):
         header, *entries = map(json.loads, manifest.read_text().splitlines())
         blob = manifest.with_suffix(".blob").read_bytes()
         assert sorted(header) == ["crc32", "format", "meta", "version"]
         assert (header["format"], header["version"], header["crc32"]) == \
-            ("tensor-store", 3, zlib.crc32(blob))
+            ("tensor-store", 4, zlib.crc32(blob))
         assert all(sorted(entry) == ["name", "shape"] for entry in entries)
         names = [entry["name"] for entry in entries]
         assert names == sorted(names)
@@ -526,7 +535,7 @@ class TestMalformedTensorStore:
                      if f'"name": "{name}"' in line) for name in names)
         lines[i], lines[j] = lines[j], lines[i]
         manifest.write_text("\n".join(lines) + "\n")
-        (model, stats, feats, _), after = before, load_checkpoint(manifest)
+        (model, stats, feats, *_), after = before, load_checkpoint(manifest)
         assert np.array_equal(model.values, after[0].values)
         for field, value in vars(stats).items():
             assert np.array_equal(value, getattr(after[1], field))

@@ -113,14 +113,14 @@ def test_canonical_synth_bytes_are_pinned(tmp_path):
 
 
 # sha256 of the checkpoint ``mmood train --seed 0`` writes on that corpus:
-# the blob holds the trained parameters and the train-feature cache
-# (features and labels), the manifest (tensor-store version 3) the header
-# and the names and shapes
+# the blob holds the trained parameters, the train-feature cache (features
+# and labels) and the test-feature cache, the manifest (tensor-store version
+# 4) the header, with the test records' crc32 key, and the names and shapes
 CANONICAL_CHECKPOINT_SHA256 = {
     "checkpoint.blob":
-        "60b49e41ac68ffc46fc63aa979045d753eb67fca12288ce303601c2a2b9958cb",
+        "a9b875d8f3c4c54544dd470d9381db2fd57bbbca1b47a34ee0722c4c4b7efc11",
     "checkpoint.json":
-        "87aa2855d26c1714535c5c033f9b9a54ce3050c9ab52c792e4d366e249d258e2",
+        "14b27aab088925893490b0fad074e6ed87c5030783bf4daf7f0afe5e5ef3090f",
 }
 
 # sha256 of the score files and metrics table ``mmood eval`` writes with that
